@@ -59,6 +59,10 @@ baseline and exits nonzero on drift — the CI regression gate.
 The execution flags (``--jobs``, ``--no-cache``, ``--manifest``,
 ``--trace``, ``--profile``) are defined once on a shared parent parser,
 so every run-like invocation accepts the same set.
+
+Any :class:`~repro.errors.ReproError` (``REPRO_SCALE=bogus``, ``--jobs
+-3``, ...) exits with code 2 and a one-line ``error: <Type>: <message>``
+on stderr.
 """
 
 from __future__ import annotations
@@ -105,11 +109,11 @@ def _shared_options() -> argparse.ArgumentParser:
     )
     group.add_argument(
         "--backend",
-        choices=("serial", "process", "queue"),
+        choices=("serial", "process"),
         default=None,
-        help="execution backend for every fan-out: in-process 'serial', "
-        "local 'process' pool (default) or the spooled 'queue' stub — "
-        "bit-identical results (default from REPRO_BACKEND)",
+        help="execution backend for every fan-out: in-process 'serial' "
+        "or local 'process' pool (default) — bit-identical results "
+        "(default from REPRO_BACKEND)",
     )
     group.add_argument(
         "--manifest",
@@ -688,7 +692,24 @@ def _report_trace(tracer, args: argparse.Namespace) -> None:
 
 
 def main(argv: List[str]) -> int:
-    """Parse arguments and dispatch to the selected subcommand."""
+    """Parse arguments and dispatch to the selected subcommand.
+
+    A :class:`~repro.errors.ReproError` — a bad knob value, a corrupt
+    input, an infeasible request — ends the command with one line on
+    stderr (``error: <Type>: <message>``) and exit code 2, never a
+    traceback.  Anything else is a bug and keeps its traceback.
+    """
+    from repro.errors import ReproError
+
+    try:
+        return _dispatch(argv)
+    except ReproError as error:
+        print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(argv: List[str]) -> int:
+    """Run the subcommand ``argv`` selects; :func:`main` reports errors."""
     argv = _normalize_argv(argv)
     args = _build_parser().parse_args(argv)
     if args.command == "list":

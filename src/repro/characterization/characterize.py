@@ -158,8 +158,8 @@ class Characterizer:
         if n_workers < 0:
             raise ReproError(f"n_workers must be >= 0, got {n_workers}")
         self.n_workers = n_workers
-        #: Execution backend of the library-level drivers (``serial``,
-        #: ``process`` or ``queue``; ``None`` = the default backend —
+        #: Execution backend of the library-level drivers (``serial``
+        #: or ``process``; ``None`` = the default backend —
         #: see :mod:`repro.parallel.backends`).  Results are
         #: bit-identical on every backend, so the choice never enters
         #: cache keys.  Validated eagerly so a bad ``--backend`` fails

@@ -33,7 +33,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cells.catalog import CellSpec, build_catalog
 from repro.characterization.characterize import Characterizer
@@ -48,6 +48,8 @@ from repro.flow.minperiod import minimum_clock_period
 from repro.flow.pipeline import (
     BASELINE_WINDOWS,
     ArtifactPipeline,
+    PointKeys,
+    RunKeys,
     RunManifest,
     SweepPoint,
     catalog_fingerprint,
@@ -55,8 +57,8 @@ from repro.flow.pipeline import (
     minperiod_fingerprint,
     paths_fingerprint,
     stats_fingerprint,
+    sweep_stale,
     synthesis_fingerprint,
-    sweep_comparisons,
     tuning_fingerprint,
 )
 from repro.liberty.model import Library
@@ -110,7 +112,7 @@ class FlowConfig:
     #: the choice never enters fingerprints or cache keys.
     kernel: str = DEFAULT_KERNEL
     #: Execution backend every fan-out dispatches through
-    #: (``"serial"``, ``"process"`` or ``"queue"``, see
+    #: (``"serial"`` or ``"process"``, see
     #: :mod:`repro.parallel.backends`); like the kernel, results are
     #: bit-identical on every backend, so the choice never enters
     #: fingerprints or cache keys.
@@ -562,29 +564,82 @@ class TuningFlow:
     # Synthesis runs (stages: synth -> paths -> stats)
     # ------------------------------------------------------------------
 
+    def _chain(
+        self,
+        clock_period: float,
+        method: Optional[TuningMethod] = None,
+        parameter: float = 0.0,
+    ) -> Tuple[SynthesisConstraints, str, RunKeys]:
+        """A run's constraints, windows key and chained stage keys.
+
+        The one derivation of a run's keys: synthesis runs, the sweep
+        diff and the service's warm probe all come through here.  The
+        windows key is the tuning fingerprint, or
+        :data:`BASELINE_WINDOWS` for the untuned baseline
+        (``method=None``).  The constraints carry no windows; they
+        enter the synthesis fingerprint through that key.
+        """
+        constraints = SynthesisConstraints(
+            clock_period=clock_period, guard_band=self.config.guard_band
+        )
+        windows_key = (
+            BASELINE_WINDOWS
+            if method is None
+            else tuning_fingerprint(self.statlib_key, method, parameter)
+        )
+        synth_key = synthesis_fingerprint(
+            self.statlib_key, self.design_key, windows_key, constraints
+        )
+        return constraints, windows_key, (
+            ("synth", synth_key),
+            ("paths", paths_fingerprint(synth_key)),
+            ("stats", stats_fingerprint(synth_key)),
+        )
+
+    def point_keys(
+        self, clock_period: float, method: str, parameter: float
+    ) -> PointKeys:
+        """The keys a (clock, method, parameter) point is stored under:
+        its tuning, its tuned run and its baseline run."""
+        _, tuning_key, tuned = self._chain(
+            clock_period, self._method(method), parameter
+        )
+        _, _, baseline = self._chain(clock_period)
+        return PointKeys(tuning_key, tuned, baseline)
+
+    def stored(self, keys: PointKeys) -> Tuple[bool, bool]:
+        """Whether a point's tuned chain (tuning included) and its
+        baseline chain are in the store; ``(False, False)`` without
+        one.  Existence probes only — a torn artifact still counts as
+        stored and self-heals when it is loaded."""
+        store = self._store
+        if store is None:
+            return False, False
+        tuned = store.has("tuning", keys.tuning) and all(
+            store.has(stage, key) for stage, key in keys.tuned
+        )
+        baseline = all(store.has(stage, key) for stage, key in keys.baseline)
+        return tuned, baseline
+
     def _resolve_run(
         self,
-        windows_key: str,
-        constraints: SynthesisConstraints,
-        windows_factory: Optional[Callable[[], object]] = None,
+        clock_period: float,
+        method: Optional[TuningMethod] = None,
+        parameter: float = 0.0,
     ) -> SynthesisRun:
         """Serve a synthesis run from the store, or synthesize live.
 
-        ``constraints`` arrives *without* windows (they are represented
-        by ``windows_key`` in the fingerprint); ``windows_factory``
-        materializes them only when the run must actually synthesize —
-        a warm hit never touches the tuning stage.
+        ``method=None`` is the untuned baseline.  A tuned run's windows
+        are materialized only when it must actually synthesize — a
+        warm hit never touches the tuning stage.
 
         The three downstream stages (synth summary, worst paths,
         design statistics) are stored under chained fingerprints; a
         partially populated store (e.g. an interrupted run) counts as a
         full miss so the artifacts can never disagree with each other.
         """
-        synth_key = synthesis_fingerprint(
-            self.statlib_key, self.design_key, windows_key, constraints
-        )
-        path_key = paths_fingerprint(synth_key)
-        stat_key = stats_fingerprint(synth_key)
+        constraints, _, run_keys = self._chain(clock_period, method, parameter)
+        (_, synth_key), (_, path_key), (_, stat_key) = run_keys
         store = self._store
         tracer = self.tracer
         if store is not None:
@@ -598,11 +653,7 @@ class TuningFlow:
                 and stats_payload is not None
             ):
                 elapsed = (time.perf_counter() - start) / 3
-                for stage, key in (
-                    ("synth", synth_key),
-                    ("paths", path_key),
-                    ("stats", stat_key),
-                ):
+                for stage, key in run_keys:
                     self._pipeline.note(stage, key, "hit", elapsed)
                     tracer.record_span(
                         f"stage.{stage}", elapsed, key=key[:12], status="hit"
@@ -614,8 +665,10 @@ class TuningFlow:
                     paths=[TimingPath.from_payload(p) for p in paths_payload],
                     stats=DesignStatistics.from_payload(stats_payload),
                 )
-        if windows_factory is not None:
-            constraints = replace(constraints, windows=windows_factory())
+        if method is not None:
+            constraints = replace(
+                constraints, windows=self.tuning(method, parameter).windows
+            )
         status = "computed" if store is None else "miss"
 
         with tracer.span("stage.synth", key=synth_key[:12], status=status):
@@ -662,12 +715,7 @@ class TuningFlow:
         """Baseline (untuned) synthesis at a clock period (memoized)."""
         key = ("baseline", clock_period)
         if key not in self._runs:
-            self._runs[key] = self._resolve_run(
-                BASELINE_WINDOWS,
-                SynthesisConstraints(
-                    clock_period=clock_period, guard_band=self.config.guard_band
-                ),
-            )
+            self._runs[key] = self._resolve_run(clock_period)
         return self._runs[key]
 
     def tuned(self, clock_period: float, method: str, parameter: float) -> SynthesisRun:
@@ -675,13 +723,7 @@ class TuningFlow:
         resolved = self._method(method)
         key = ("tuned", resolved.name, parameter, clock_period)
         if key not in self._runs:
-            self._runs[key] = self._resolve_run(
-                tuning_fingerprint(self.statlib_key, resolved, parameter),
-                SynthesisConstraints(
-                    clock_period=clock_period, guard_band=self.config.guard_band
-                ),
-                windows_factory=lambda: self.tuning(resolved, parameter).windows,
-            )
+            self._runs[key] = self._resolve_run(clock_period, resolved, parameter)
         return self._runs[key]
 
     def compare(
@@ -706,42 +748,19 @@ class TuningFlow:
     ) -> List[TuningComparison]:
         """Evaluate many (period, method, parameter) points.
 
-        With an out-of-process backend *and* the on-disk store enabled,
-        the points fan out over the configured
-        :class:`~repro.parallel.backends.ExecutorBackend` (the store is
-        the shared medium — baselines are synthesized once, artifacts
-        are written atomically, and reassembly follows ``points``
-        order, so the result list is bit-identical to the serial path).
-        Otherwise the points run serially through :meth:`compare`.
+        :func:`~repro.flow.pipeline.sweep_stale` computes the points
+        the store lacks — fanned out over the configured
+        :class:`~repro.parallel.backends.ExecutorBackend`, or in place
+        on a serial backend or without a store — and every comparison
+        is then collected through :meth:`compare`, in ``points`` order
+        and bit-identical on every backend.
         """
         from repro.parallel.backends import resolve_backend
 
         points = [(p, self._method(m).name, v) for (p, m, v) in points]
         backend = resolve_backend(self.config.backend, self.config.n_workers)
-        if backend.in_process or self._store is None or len(points) <= 1:
-            return [self.compare(p, m, v) for (p, m, v) in points]
-        # characterize (and persist) the library before dispatching so
-        # the workers all load the same cached artifact instead of
-        # racing to recompute it
-        self.statistical_library
-        tracer = self.tracer
-        with tracer.span(
-            "flow.sweep",
-            points=len(points),
-            workers=backend.n_workers,
-            backend=backend.name,
-        ):
-            start = time.perf_counter()
-            comparisons = sweep_comparisons(
-                self.config, points, backend.n_workers, backend=backend
-            )
-            self._pipeline.note(
-                "sweep",
-                f"{len(points)}pts@{backend.n_workers}w",
-                "computed",
-                time.perf_counter() - start,
-            )
-        return comparisons
+        sweep_stale([(self, p, m, v) for (p, m, v) in points], backend)
+        return [self.compare(p, m, v) for (p, m, v) in points]
 
     # ------------------------------------------------------------------
     # Minimum-period search (stage: minperiod)

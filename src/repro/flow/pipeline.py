@@ -29,15 +29,17 @@ hit/miss, wall time) to the flow's :class:`RunManifest`, surfaced via
 ``python -m repro run ... --manifest`` and ``python -m repro cache
 stats``.
 
-The sweep fan-out (:func:`sweep_comparisons`) runs independent
-``(clock period, method, parameter)`` evaluation points on the
-configured :class:`~repro.parallel.backends.ExecutorBackend` (serial,
-process pool, or the spooled work-queue stub).  Workers rebuild the
-flow from the (picklable) config, hit the shared on-disk caches for the
-library and the per-period baselines, and return plain
-:class:`~repro.flow.metrics.TuningComparison` values which the parent
-reassembles in submission order — deterministic and bit-identical to
-the serial path on every backend, because every stage is a pure
+Every multi-point evaluation — fig10's in-design sweep
+(:meth:`~repro.flow.experiment.TuningFlow.sweep_comparisons`), the
+design-family sweep (:func:`repro.sweep.run_sweep`) — goes through one
+function, :func:`sweep_stale`: it diffs each point's chained keys
+(derived by its flow, the only code that derives them) against the
+store and computes only the stale baselines and points, on the
+configured :class:`~repro.parallel.backends.ExecutorBackend` (serial
+or process pool).  Workers rebuild the flow from the (picklable)
+config and publish through the shared store; the caller then collects
+every point through ``flow.compare`` — deterministic and bit-identical
+to the serial path on every backend, because every stage is a pure
 function of its fingerprinted inputs.
 """
 
@@ -46,7 +48,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.observe import get_tracer
 from repro.parallel.artifacts import ARTIFACT_VERSION, ArtifactStore, fingerprint
@@ -56,6 +58,25 @@ from repro.synth.constraints import SynthesisConstraints
 #: A sweep point: (clock period, method name, parameter); method
 #: ``None`` marks a baseline warm-up point (parameter is ignored).
 SweepPoint = Tuple[float, Optional[str], float]
+
+#: A point of :func:`sweep_stale`: (flow, clock period, method name,
+#: parameter) — each point carries the flow whose design it evaluates.
+FlowPoint = Tuple[Any, float, str, float]
+
+#: The chained ``(stage, key)`` pairs of one synthesis run:
+#: ``synth``, then ``paths`` and ``stats`` derived from it.
+RunKeys = Tuple[Tuple[str, str], ...]
+
+
+class PointKeys(NamedTuple):
+    """The stage keys one evaluation point is stored under."""
+
+    #: Fingerprint of the tuning stage.
+    tuning: str
+    #: The tuned run's synth/paths/stats keys.
+    tuned: RunKeys
+    #: The untuned baseline run's synth/paths/stats keys.
+    baseline: RunKeys
 
 
 # ----------------------------------------------------------------------
@@ -370,46 +391,84 @@ def _sweep_worker(config, point: SweepPoint, trace=None):
     return result
 
 
-def sweep_comparisons(
-    config,
-    points: Sequence[SweepPoint],
-    n_workers: int,
-    backend=None,
-) -> List:
-    """Fan independent sweep points out over the selected backend.
+def sweep_stale(points: Sequence[FlowPoint], backend) -> Tuple[List[str], int]:
+    """Diff ``(flow, clock, method, parameter)`` points against the
+    store and compute only the stale work.
 
-    Two phases keep the work non-redundant: the unique clock periods'
-    baselines are synthesized (and stored) first, then every tuned
-    point runs against warm baseline artifacts.  Results return in
-    ``points`` order — reassembly is deterministic, and each value is
-    bit-identical to the serial path because every stage is a pure
-    function of its fingerprinted inputs.
+    Each point's chained keys come from its own flow
+    (:meth:`~repro.flow.experiment.TuningFlow.point_keys`), so the diff
+    can never disagree with the keys the stages store under.  A point
+    is ``hit`` (tuned and baseline chains stored), ``skip`` (only the
+    shared baseline chain is missing) or ``run`` (the tuned chain is
+    missing).  The stale baselines — one per ``(flow, clock)`` — are
+    computed first, then the stale points, so no two tasks ever
+    synthesize the same baseline.
 
-    ``backend`` overrides the config's backend selection (a name or an
-    :class:`~repro.parallel.backends.ExecutorBackend`); worker-trace
-    plumbing lives inside the backend, which captures the active
-    tracer's handle in the submitting thread.
+    An out-of-process ``backend`` runs every task through
+    :func:`_sweep_worker` in a fresh flow sharing the store; an
+    in-process backend, or a flow without a store, computes in place
+    on the points' own flows.  Either way the caller then collects
+    every point through ``flow.compare`` as a memo or store hit.
+
+    Returns the per-point statuses, in ``points`` order, and the
+    number of tasks scheduled (zero on a warm grid).
     """
-    from repro.parallel.backends import resolve_backend
-
-    if getattr(config, "tracer", None) is not None:
-        # the flow installed it as the active tracer already; workers
-        # join through the backend's trace handle instead of pickling
-        # a whole tracer per task
-        config = dataclasses.replace(config, tracer=None)
-    if backend is None:
-        backend = getattr(config, "backend", None)
-    resolved = resolve_backend(backend, n_workers)
-    points = list(points)
-    baseline_points: List[SweepPoint] = []
-    seen_periods = set()
-    for period, _method, _parameter in points:
-        if period not in seen_periods:
-            seen_periods.add(period)
-            baseline_points.append((period, None, 0.0))
-    resolved.map_tasks(
-        _sweep_worker, [(config, point) for point in baseline_points]
-    )
-    return resolved.map_tasks(
-        _sweep_worker, [(config, point) for point in points]
-    )
+    statuses: List[str] = []
+    stale_baselines: Dict[Tuple[Any, float], None] = {}
+    stale_points: List[FlowPoint] = []
+    for point in points:
+        flow, clock_period, method, parameter = point
+        tuned_warm, baseline_warm = flow.stored(
+            flow.point_keys(clock_period, method, parameter)
+        )
+        if not baseline_warm:
+            stale_baselines[(flow, clock_period)] = None
+        if not tuned_warm:
+            stale_points.append(point)
+        statuses.append(
+            "run" if not tuned_warm else "hit" if baseline_warm else "skip"
+        )
+    scheduled = len(stale_baselines) + len(stale_points)
+    if not scheduled:
+        return statuses, scheduled
+    with get_tracer().span(
+        "flow.sweep",
+        points=len(statuses),
+        scheduled=scheduled,
+        backend=backend.name,
+    ):
+        if backend.in_process or not all(
+            flow.config.cache for flow, *_ in points
+        ):
+            for flow, clock_period in stale_baselines:
+                flow.baseline(clock_period)
+            for flow, clock_period, method, parameter in stale_points:
+                flow.tuned(clock_period, method, parameter)
+            return statuses, scheduled
+        # characterize (and persist) each distinct library once before
+        # dispatching, so workers load one cached artifact instead of
+        # racing to recompute it
+        stale = [*stale_baselines, *stale_points]
+        for flow in {flow.statlib_key: flow for flow, *_ in stale}.values():
+            flow.statistical_library
+        backend.map_tasks(
+            _sweep_worker,
+            [
+                (
+                    dataclasses.replace(flow.config, tracer=None),
+                    (clock_period, None, 0.0),
+                )
+                for flow, clock_period in stale_baselines
+            ],
+        )
+        backend.map_tasks(
+            _sweep_worker,
+            [
+                (
+                    dataclasses.replace(flow.config, tracer=None),
+                    (clock_period, method, parameter),
+                )
+                for flow, clock_period, method, parameter in stale_points
+            ],
+        )
+    return statuses, scheduled

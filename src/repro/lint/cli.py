@@ -26,7 +26,7 @@ from repro.errors import LintError
 from repro.lint.baseline import BASELINE_FILENAME, Baseline, write_baseline
 from repro.lint.engine import LintEngine
 from repro.lint.findings import Finding
-from repro.lint.graph.cache import GraphBuildReport, build_graph_cached
+from repro.lint.graph.builder import build_graph
 from repro.lint.graph.layers import load_graph_settings
 from repro.lint.graph.rules import graph_rule_catalog, run_graph_rules
 from repro.lint.rules import DEFAULT_RULES, rule_catalog
@@ -131,17 +131,14 @@ def run_lint_command(args: argparse.Namespace) -> int:
     findings, n_files = engine.lint_paths(paths, root=root)
 
     use_graph = bool(getattr(args, "graph", False))
-    graph_report: Optional[GraphBuildReport] = None
     graph_summary = ""
     if use_graph:
         settings = load_graph_settings(root / "pyproject.toml")
-        graph, graph_report = build_graph_cached(paths, root=root)
+        graph = build_graph(paths, root=root)
         findings = sorted(findings + run_graph_rules(graph, settings))
         graph_summary = (
             f"lint: graph {len(graph.modules)} modules, "
-            f"{len(graph.functions)} functions "
-            f"({'cache hit' if graph_report.from_cache else 'built'}, "
-            f"tree {graph_report.digest[:12]})"
+            f"{len(graph.functions)} functions"
         )
 
     baseline_path: Optional[Path] = (

@@ -6,8 +6,7 @@ module, every class with its inferred attribute types, every function
 sites and state mutations, plus the module-level import edges the
 layering rule checks.
 
-Resolution keys are strings so the whole graph serializes to JSON for
-the content-hash cache (:mod:`repro.lint.graph.cache`):
+Resolution keys are plain strings:
 
 * ``"repro.flow.pipeline:run"`` — a module-level function;
 * ``"repro.serve.handlers:TuningService.tune"`` — a method;
@@ -28,11 +27,7 @@ Everything here is a value object: building happens in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
-
-#: Serialization format version, stamped into cached graph files; bump
-#: on any model change so stale caches are rebuilt, never misread.
-GRAPH_SCHEMA_VERSION = 1
+from typing import Dict, List, Optional, Set, Tuple
 
 #: Prefix marking an external (non-tree) resolution key.
 EXTERNAL = "ext:"
@@ -76,34 +71,6 @@ class CallSite:
     #: assignment tracking in DET003.
     arg_names: List[str] = field(default_factory=list)
 
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-ready rendering (compact: defaults omitted)."""
-        payload: Dict[str, Any] = {
-            "c": self.callee, "l": self.line, "o": self.column,
-        }
-        if self.in_return:
-            payload["r"] = 1
-        if self.under_lock:
-            payload["k"] = 1
-        if self.arg_calls:
-            payload["ac"] = self.arg_calls
-        if self.arg_names:
-            payload["an"] = self.arg_names
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "CallSite":
-        """Rebuild from :meth:`to_payload` output."""
-        return cls(
-            callee=payload["c"],
-            line=payload["l"],
-            column=payload["o"],
-            in_return=bool(payload.get("r")),
-            under_lock=bool(payload.get("k")),
-            arg_calls=list(payload.get("ac", [])),
-            arg_names=list(payload.get("an", [])),
-        )
-
 
 @dataclass
 class Mutation:
@@ -120,28 +87,6 @@ class Mutation:
     line: int
     column: int
     under_lock: bool = False
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-ready rendering."""
-        payload: Dict[str, Any] = {
-            "r": self.receiver, "t": self.receiver_type, "a": self.attr,
-            "l": self.line, "o": self.column,
-        }
-        if self.under_lock:
-            payload["k"] = 1
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "Mutation":
-        """Rebuild from :meth:`to_payload` output."""
-        return cls(
-            receiver=payload["r"],
-            receiver_type=payload["t"],
-            attr=payload["a"],
-            line=payload["l"],
-            column=payload["o"],
-            under_lock=bool(payload.get("k")),
-        )
 
 
 @dataclass
@@ -176,49 +121,6 @@ class FunctionNode:
         """The bare function name (last qualname segment)."""
         return self.qualname.rpartition(".")[2]
 
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-ready rendering."""
-        payload: Dict[str, Any] = {
-            "key": self.key,
-            "module": self.module,
-            "qualname": self.qualname,
-            "line": self.line,
-        }
-        if self.is_async:
-            payload["async"] = 1
-        if self.is_nested:
-            payload["nested"] = 1
-        if self.class_key:
-            payload["class"] = self.class_key
-        if self.return_type:
-            payload["ret"] = self.return_type
-        if self.calls:
-            payload["calls"] = [c.to_payload() for c in self.calls]
-        if self.mutations:
-            payload["mutations"] = [m.to_payload() for m in self.mutations]
-        if self.var_sources:
-            payload["vars"] = dict(sorted(self.var_sources.items()))
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "FunctionNode":
-        """Rebuild from :meth:`to_payload` output."""
-        return cls(
-            key=payload["key"],
-            module=payload["module"],
-            qualname=payload["qualname"],
-            line=payload["line"],
-            is_async=bool(payload.get("async")),
-            is_nested=bool(payload.get("nested")),
-            class_key=payload.get("class", ""),
-            return_type=payload.get("ret", ""),
-            calls=[CallSite.from_payload(c) for c in payload.get("calls", [])],
-            mutations=[
-                Mutation.from_payload(m) for m in payload.get("mutations", [])
-            ],
-            var_sources=dict(payload.get("vars", {})),
-        )
-
 
 @dataclass
 class ClassNode:
@@ -236,31 +138,6 @@ class ClassNode:
     #: Attributes assigned a ``threading.Lock()``/``RLock()``.
     lock_attrs: List[str] = field(default_factory=list)
 
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-ready rendering."""
-        return {
-            "key": self.key,
-            "module": self.module,
-            "name": self.name,
-            "line": self.line,
-            "methods": dict(sorted(self.methods.items())),
-            "attr_types": dict(sorted(self.attr_types.items())),
-            "lock_attrs": sorted(self.lock_attrs),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "ClassNode":
-        """Rebuild from :meth:`to_payload` output."""
-        return cls(
-            key=payload["key"],
-            module=payload["module"],
-            name=payload["name"],
-            line=payload["line"],
-            methods=dict(payload.get("methods", {})),
-            attr_types=dict(payload.get("attr_types", {})),
-            lock_attrs=list(payload.get("lock_attrs", [])),
-        )
-
 
 @dataclass
 class ImportEdge:
@@ -268,15 +145,6 @@ class ImportEdge:
 
     target: str
     line: int
-
-    def to_payload(self) -> List[Any]:
-        """JSON-ready rendering."""
-        return [self.target, self.line]
-
-    @classmethod
-    def from_payload(cls, payload: List[Any]) -> "ImportEdge":
-        """Rebuild from :meth:`to_payload` output."""
-        return cls(target=str(payload[0]), line=int(payload[1]))
 
 
 @dataclass
@@ -294,33 +162,6 @@ class ModuleNode:
     noqa_file: List[str] = field(default_factory=list)
     #: Module-level names with inferrable types (annotated constants).
     var_types: Dict[str, str] = field(default_factory=dict)
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-ready rendering."""
-        return {
-            "name": self.name,
-            "path": self.path,
-            "imports": [e.to_payload() for e in self.imports],
-            "noqa": {str(k): v for k, v in sorted(self.noqa.items())},
-            "noqa_file": sorted(self.noqa_file),
-            "var_types": dict(sorted(self.var_types.items())),
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "ModuleNode":
-        """Rebuild from :meth:`to_payload` output."""
-        return cls(
-            name=payload["name"],
-            path=payload["path"],
-            imports=[
-                ImportEdge.from_payload(e) for e in payload.get("imports", [])
-            ],
-            noqa={
-                int(k): list(v) for k, v in payload.get("noqa", {}).items()
-            },
-            noqa_file=list(payload.get("noqa_file", [])),
-            var_types=dict(payload.get("var_types", {})),
-        )
 
 
 @dataclass
@@ -365,47 +206,4 @@ class ProgramGraph:
                 for edge in node.imports
                 if edge.target in self.modules
             }
-        return graph
-
-    # -- serialization -------------------------------------------------
-
-    def to_payload(self) -> Dict[str, Any]:
-        """JSON-ready rendering of the whole graph (cache format)."""
-        return {
-            "schema": GRAPH_SCHEMA_VERSION,
-            "modules": [
-                self.modules[name].to_payload()
-                for name in sorted(self.modules)
-            ],
-            "functions": [
-                self.functions[key].to_payload()
-                for key in sorted(self.functions)
-            ],
-            "classes": [
-                self.classes[key].to_payload()
-                for key in sorted(self.classes)
-            ],
-            "syntax_errors": {
-                path: [line, message]
-                for path, (line, message) in sorted(
-                    self.syntax_errors.items()
-                )
-            },
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Dict[str, Any]) -> "ProgramGraph":
-        """Rebuild a graph from :meth:`to_payload` output."""
-        graph = cls()
-        for entry in payload.get("modules", []):
-            node = ModuleNode.from_payload(entry)
-            graph.modules[node.name] = node
-        for entry in payload.get("functions", []):
-            function = FunctionNode.from_payload(entry)
-            graph.functions[function.key] = function
-        for entry in payload.get("classes", []):
-            klass = ClassNode.from_payload(entry)
-            graph.classes[klass.key] = klass
-        for path, (line, message) in payload.get("syntax_errors", {}).items():
-            graph.syntax_errors[path] = (int(line), str(message))
         return graph

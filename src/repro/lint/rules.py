@@ -527,7 +527,7 @@ class Proc003BackendDispatchOnly(Rule):
     node_types = (ast.Call,)
 
     #: The one module allowed to construct pools (it *implements* the
-    #: process and queue backends).
+    #: process backend).
     _BACKENDS_MODULE = "repro.parallel.backends"
 
     _EXECUTOR_TYPES = (

@@ -25,11 +25,10 @@ provides the two halves:
 * :mod:`repro.parallel.backends` — the pluggable execution layer every
   fan-out site dispatches through: an :class:`~repro.parallel.
   backends.ExecutorBackend` interface with ``serial`` (in-process,
-  zero-copy — also the automatic single-worker fallback), ``process``
-  (local :class:`~concurrent.futures.ProcessPoolExecutor`) and
-  ``queue`` (a multi-host work-queue stub over a spooled task
-  directory) implementations, selected via ``FlowConfig(backend=...)``
-  / ``REPRO_BACKEND`` / ``--backend``.
+  zero-copy — also the automatic single-worker fallback) and
+  ``process`` (local :class:`~concurrent.futures.ProcessPoolExecutor`)
+  implementations, selected via ``FlowConfig(backend=...)`` /
+  ``REPRO_BACKEND`` / ``--backend``.
 
 All layers thread through :class:`~repro.characterization.
 characterize.Characterizer` (``n_workers=...``, ``cache=...``,
@@ -49,7 +48,6 @@ from repro.parallel.backends import (
     DEFAULT_BACKEND,
     ExecutorBackend,
     ProcessBackend,
-    QueueBackend,
     SerialBackend,
     chunk_indices,
     resolve_backend,
@@ -66,7 +64,6 @@ __all__ = [
     "ExecutorBackend",
     "LibraryCache",
     "ProcessBackend",
-    "QueueBackend",
     "SerialBackend",
     "chunk_indices",
     "resolve_backend",

@@ -2,31 +2,23 @@
 
 One abstraction — :class:`ExecutorBackend` — carries all the process
 topology the repo needs: characterization chunks
-(:mod:`repro.parallel.executor`), evaluation sweep points
-(:mod:`repro.flow.pipeline`) and the multi-design sweep harness
-(:mod:`repro.sweep`) all dispatch through :meth:`ExecutorBackend.
+(:mod:`repro.parallel.executor`) and evaluation sweep points
+(:func:`repro.flow.pipeline.sweep_stale`, behind both fig10 and
+:mod:`repro.sweep`) dispatch through :meth:`ExecutorBackend.
 map_tasks` instead of constructing pools themselves (the PROC003 lint
 rule keeps it that way).
 
-Three implementations ship:
+Two implementations ship:
 
 * ``serial`` — runs every task in the calling process, in task order,
   with zero copies.  This is also the automatic fallback whenever the
   resolved worker count is 1, so a single-worker run never pays a
   process spawn.
-* ``process`` — today's :class:`concurrent.futures.
-  ProcessPoolExecutor` semantics: tasks are pickled to worker
-  processes and results collected in submission order, bit-identical
-  to serial execution for every workload in this repo (each task is a
-  pure function of its arguments).
-* ``queue`` — a multi-host work-queue **stub**: tasks are serialized
-  into a spooled task directory (``task-NNNNN.pkl``), workers drain
-  their assigned slice of the spool and write ``result-NNNNN.pkl``
-  files, and the parent collects results in task order.  The payloads
-  cross the same serialize/dispatch/collect boundary a real multi-host
-  queue would impose — only the transport (a shared directory and a
-  local process pool standing in for remote workers) is stubbed, so
-  everything scheduled through it is proven shippable.
+* ``process`` — :class:`concurrent.futures.ProcessPoolExecutor`
+  semantics: tasks are pickled to worker processes and results
+  collected in submission order, bit-identical to serial execution
+  for every workload in this repo (each task is a pure function of
+  its arguments).
 
 The contract every backend honors:
 
@@ -48,16 +40,12 @@ The contract every backend honors:
 from __future__ import annotations
 
 import asyncio
-import pickle
-import shutil
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError, ServerBusyError
-from repro.observe import TraceHandle, get_tracer, install_worker_tracer
+from repro.observe import TraceHandle, get_tracer
 from repro.observe.catalog import (
     BACKEND_TASK_SECONDS,
     BACKEND_TASKS,
@@ -67,7 +55,7 @@ from repro.observe.catalog import (
 from repro.observe.metrics import flush_worker_metrics, install_worker_metrics
 
 #: The recognized backend names, in documentation order.
-BACKEND_NAMES: Tuple[str, ...] = ("serial", "process", "queue")
+BACKEND_NAMES: Tuple[str, ...] = ("serial", "process")
 
 #: The backend used when nothing selects one (``FlowConfig`` default).
 DEFAULT_BACKEND = "process"
@@ -91,9 +79,8 @@ def chunk_indices(n_items: int, n_chunks: int) -> List[range]:
     """Split ``range(n_items)`` into at most ``n_chunks`` balanced,
     contiguous ranges (earlier chunks at most one element larger).
 
-    The one chunking helper every fan-out site shares: cell chunks and
-    sample blocks in :mod:`repro.parallel.executor`, spool-slice
-    assignment in :class:`QueueBackend`.
+    The one chunking helper the characterization fan-out shares for
+    cell chunks and sample blocks (:mod:`repro.parallel.executor`).
     """
     n_chunks = max(1, min(n_chunks, n_items))
     base, extra = divmod(n_items, n_chunks)
@@ -115,14 +102,11 @@ class ExecutorBackend:
     produce bit-identical results on every backend.
     """
 
-    #: Stable identifier (``serial`` / ``process`` / ``queue``).
+    #: Stable identifier (``serial`` / ``process``).
     name: str = "abstract"
     #: Tasks run in the calling process — arguments are never copied,
     #: and the caller's tracer/kernel state is visible to the task.
     in_process: bool = False
-    #: Tasks cross a serialized dispatch boundary that could span
-    #: hosts (nothing may rely on shared memory or process identity).
-    distributed: bool = False
     #: Concrete worker count this backend schedules onto.
     n_workers: int = 1
 
@@ -141,7 +125,6 @@ class SerialBackend(ExecutorBackend):
 
     name = "serial"
     in_process = True
-    distributed = False
 
     def map_tasks(
         self, fn: Callable[..., Any], tasks: Sequence[Task]
@@ -168,7 +151,6 @@ class ProcessBackend(ExecutorBackend):
 
     name = "process"
     in_process = False
-    distributed = False
 
     def __init__(self, n_workers: int):
         if n_workers < 1:
@@ -233,120 +215,6 @@ def _run_worker_task(
             time.perf_counter() - started
         )
         flush_worker_metrics()
-
-
-def _atomic_write_bytes(path: Path, payload: bytes) -> None:
-    """Write ``payload`` via a temp sibling + ``os.replace`` so a
-    concurrent reader can never observe a torn spool file."""
-    handle = tempfile.NamedTemporaryFile(
-        dir=str(path.parent), prefix=path.name + ".", suffix=".tmp",
-        delete=False,
-    )
-    try:
-        handle.write(payload)
-    finally:
-        handle.close()
-    Path(handle.name).replace(path)
-
-
-def _drain_spool(
-    spool: str, indices: Sequence[int], trace: Optional[TraceHandle] = None
-) -> int:
-    """Worker: execute one slice of a spooled task directory.
-
-    Reads ``task-NNNNN.pkl``, runs the pickled ``(fn, args)`` pair and
-    writes ``result-NNNNN.pkl`` — the collect half of the round trip.
-    Returns the number of tasks drained (a liveness check for the
-    parent; the results themselves travel through the spool).
-    """
-    install_worker_tracer(trace)
-    install_worker_metrics()
-    directory = Path(spool)
-    try:
-        for index in indices:
-            with open(directory / f"task-{index:05d}.pkl", "rb") as handle:
-                fn, args = pickle.loads(handle.read())
-            started = time.perf_counter()
-            result = fn(*args, trace)
-            BACKEND_TASK_SECONDS.labels("queue").observe(
-                time.perf_counter() - started
-            )
-            _atomic_write_bytes(
-                directory / f"result-{index:05d}.pkl",
-                pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL),
-            )
-    finally:
-        flush_worker_metrics()
-    return len(indices)
-
-
-class QueueBackend(ExecutorBackend):
-    """Multi-host work-queue stub over a spooled task directory.
-
-    Dispatch is a file-system hand-off: every task is serialized into
-    the spool, workers claim contiguous slices (``chunk_indices`` over
-    the task ids), and results come back as spool files the parent
-    collects in task order.  The worker pool is local — the *stub*
-    part — but every payload crosses the full serialize/dispatch/
-    collect boundary, which is what keeps the workloads shippable to
-    real remote workers.
-    """
-
-    name = "queue"
-    in_process = False
-    distributed = True
-
-    def __init__(self, n_workers: int, spool_dir: Optional[str] = None):
-        if n_workers < 1:
-            raise ConfigError(
-                f"queue backend needs >= 1 worker, got {n_workers}"
-            )
-        self.n_workers = n_workers
-        #: Parent directory the per-``map_tasks`` spools are created
-        #: under (a shared filesystem in the multi-host picture);
-        #: ``None`` uses the system temp directory.
-        self.spool_dir = spool_dir
-
-    def map_tasks(
-        self, fn: Callable[..., Any], tasks: Sequence[Task]
-    ) -> List[Any]:
-        """Spool, dispatch, collect — results in task order."""
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        trace = get_tracer().handle()
-        BACKEND_TASKS.labels(backend=self.name, event="dispatched").inc(
-            len(tasks)
-        )
-        spool = Path(
-            tempfile.mkdtemp(prefix="repro-spool-", dir=self.spool_dir)
-        )
-        try:
-            for index, task in enumerate(tasks):
-                _atomic_write_bytes(
-                    spool / f"task-{index:05d}.pkl",
-                    pickle.dumps(
-                        (fn, tuple(task)), protocol=pickle.HIGHEST_PROTOCOL
-                    ),
-                )
-            slices = chunk_indices(len(tasks), self.n_workers)
-            with ProcessPoolExecutor(max_workers=len(slices)) as pool:
-                futures = [
-                    pool.submit(_drain_spool, str(spool), list(chunk), trace)
-                    for chunk in slices
-                ]
-                for future in futures:
-                    future.result()
-            results: List[Any] = []
-            for index in range(len(tasks)):
-                with open(spool / f"result-{index:05d}.pkl", "rb") as handle:
-                    results.append(pickle.loads(handle.read()))
-            BACKEND_TASKS.labels(backend=self.name, event="completed").inc(
-                len(tasks)
-            )
-            return results
-        finally:
-            shutil.rmtree(spool, ignore_errors=True)
 
 
 class AsyncDispatcher:
@@ -427,9 +295,7 @@ def resolve_backend(
     The single-worker fallback lives here: a ``process`` selection
     whose worker count resolves to 1 degrades to :class:`SerialBackend`
     — results are identical and the process spawn (interpreter start,
-    argument pickling) is pure overhead.  An explicit ``queue``
-    selection keeps its spool semantics even at one worker; exercising
-    the dispatch round trip is the point of choosing it.
+    argument pickling) is pure overhead.
     """
     from repro.parallel import resolve_jobs
 
@@ -437,8 +303,6 @@ def resolve_backend(
         return backend
     name = DEFAULT_BACKEND if backend is None else validate_backend(backend)
     jobs = resolve_jobs(n_workers)
-    if name == "serial" or (name == "process" and jobs <= 1):
+    if name == "serial" or jobs <= 1:
         return SerialBackend()
-    if name == "process":
-        return ProcessBackend(jobs)
-    return QueueBackend(jobs)
+    return ProcessBackend(jobs)

@@ -6,9 +6,8 @@ arc counts, vary across the catalog), and for per-sample libraries the
 sample axis is additionally split into blocks, so one task is a
 (cell chunk, sample block) tile.  The tiles are dispatched through a
 pluggable :class:`~repro.parallel.backends.ExecutorBackend` — the
-in-process serial backend, a local process pool, or the spooled
-work-queue stub — selected via ``FlowConfig(backend=...)`` /
-``REPRO_BACKEND`` / ``--backend``.
+in-process serial backend or a local process pool — selected via
+``FlowConfig(backend=...)`` / ``REPRO_BACKEND`` / ``--backend``.
 
 Determinism: a worker receives only (characterizer, spec chunk,
 n_samples, seed) and regenerates its cells' draws locally via

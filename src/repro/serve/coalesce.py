@@ -8,9 +8,11 @@ stage fingerprint share one computation and all await its single
 future.  One computation, N waiters; a burst of identical cold
 requests performs exactly one synthesis pass.
 
-Keys are the chained stage fingerprints of the request (see
-:func:`repro.sweep.driver.point_keys`), so "identical" means what it
-means everywhere else in the pipeline: same statistical library, same
+Keys are the chained stage fingerprints of the request, derived by
+the request's :class:`~repro.flow.experiment.TuningFlow` (see
+:func:`repro.sweep.driver.point_keys`) — the very keys its stages
+store under — so "identical" means what it means everywhere else in
+the pipeline: same statistical library, same
 design, same method/parameter, same clock and constraints.  Two
 requests that differ anywhere upstream get different keys and never
 share.

@@ -11,9 +11,9 @@ stations:
    fields (scale, design) taking precedence over the server's own
    config, which took precedence over the environment at startup.
 2. **Fingerprint** — the point's chained stage fingerprints come from
-   :func:`repro.sweep.driver.point_keys`, byte-identical to what the
-   flow itself would compute, so the artifact store doubles as the
-   service's warm/cold oracle.
+   :func:`repro.sweep.driver.point_keys`, which asks the request's
+   flow — the one place keys are derived — so the artifact store
+   doubles as the service's warm/cold oracle.
 3. **Coalesce** — cold work keys into the
    :class:`~repro.serve.coalesce.RequestCoalescer` on the tuned chain's
    terminal fingerprint; N identical in-flight requests share one
@@ -67,8 +67,8 @@ def default_evaluate(
 ) -> TuningComparison:
     """Evaluate one sweep point in a fresh serial flow (the default).
 
-    Module-level and picklable so the process/queue backends can ship
-    it to workers (lint rule PROC002).
+    Module-level and picklable so the process backend can ship it to
+    workers (lint rule PROC002).
     """
     return _sweep_worker(config, point)
 
@@ -210,21 +210,8 @@ class TuningService:
 
         def probe() -> Tuple[str, bool]:
             """Fingerprint the point and check store warmth (thread)."""
-            tuning_key, tuned, baseline = point_keys(
-                flow.statlib_key,
-                flow.design_key,
-                method,
-                point,
-                config.guard_band,
-            )
-            store = flow._store
-            warm = (
-                store is not None
-                and store.has("tuning", tuning_key)
-                and all(store.has(stage, key) for stage, key in tuned)
-                and all(store.has(stage, key) for stage, key in baseline)
-            )
-            return tuned[-1][1], warm
+            keys = point_keys(flow, point)
+            return keys.tuned[-1][1], all(flow.stored(keys))
 
         identity, warm = await asyncio.to_thread(probe)
         task = (point.clock_period, method.name, point.parameter)

@@ -8,22 +8,20 @@ deterministic phases:
    through :func:`~repro.netlist.generators.family.design_spec`
    (relative to the config's base design) and methods through the
    tuning-method registry, so a typo fails loudly before any work.
-2. **Diff** — every point's chained content fingerprints (tuning, the
-   tuned synth/paths/stats triple, the baseline triple) are probed
-   against the artifact store.  The statistical-library key is
-   design-independent and computed once; each family member gets its
-   own design key because every generator knob a
-   :class:`~repro.netlist.generators.family.DesignSpec` touches lands
-   in the fingerprinted ``MicrocontrollerParams``.
-3. **Dispatch** — only stale work goes onto the execution backend:
-   first one baseline task per ``(design, clock)`` with missing
-   baseline artifacts, then one tuned task per stale point.  Workers
-   are plain sweep-point evaluations in fresh serial flows sharing the
-   store (the same worker the in-design sweep uses); a warm grid
-   dispatches **nothing** — zero synthesis, zero characterization.
+   Each design gets one serial :class:`~repro.flow.experiment.
+   TuningFlow`: every generator knob a :class:`~repro.netlist.
+   generators.family.DesignSpec` touches lands in the fingerprinted
+   ``MicrocontrollerParams``, so each family member has its own keys.
+2. **Diff** and 3. **Dispatch** — :func:`repro.flow.pipeline.
+   sweep_stale` probes every point's chained keys (derived by its
+   design's flow) against the artifact store and computes only the
+   stale work: first one baseline per ``(design, clock)`` with missing
+   baseline artifacts, then one task per stale point, on the execution
+   backend.  A warm grid dispatches **nothing** — zero synthesis, zero
+   characterization.
 4. **Collect** — every point (fresh and stale alike) is read back
-   through a warm per-design serial flow, so the result list is
-   complete, in grid order, and bit-identical however phase 3 executed.
+   through its design's flow, so the result list is complete, in grid
+   order, and bit-identical however phase 3 executed.
 
 Each run appends one ledger record with per-status point counts
 (``sweep.hit`` / ``sweep.skip`` / ``sweep.run``) — the longitudinal
@@ -40,6 +38,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.methods import TUNING_METHODS, method_by_name
 from repro.errors import ConfigError
 from repro.flow.metrics import TuningComparison
+from repro.flow.pipeline import PointKeys
 
 __all__ = [
     "GridPoint",
@@ -150,45 +149,15 @@ class SweepResult:
         return [result.comparison for result in self.results]
 
 
-def point_keys(statlib_key, design_key, method, point, guard_band):
-    """The point's chained fingerprints: (tuning, tuned triple keys,
-    baseline triple keys) — the exact keys the flow's stages store
-    under, recomputed here without touching any stage.
+def point_keys(flow, point: GridPoint) -> PointKeys:
+    """The keys ``point`` is stored under, as ``flow`` derives them:
+    (tuning key, tuned synth/paths/stats, baseline synth/paths/stats).
 
-    Shared by the incremental sweep diff (phase 2) and the tuning
-    service's warm-hit check and coalescing keys
-    (:mod:`repro.serve.handlers`): both must agree byte-for-byte with
-    the flow's own fingerprints or the store stops being the dedup
-    medium.
+    ``flow`` is a :class:`~repro.flow.experiment.TuningFlow` for the
+    point's design; the tuning service probes warmth and keys its
+    coalescing through this.
     """
-    from repro.flow.pipeline import (
-        BASELINE_WINDOWS,
-        paths_fingerprint,
-        stats_fingerprint,
-        synthesis_fingerprint,
-        tuning_fingerprint,
-    )
-    from repro.synth.constraints import SynthesisConstraints
-
-    constraints = SynthesisConstraints(
-        clock_period=point.clock_period, guard_band=guard_band
-    )
-    tuning_key = tuning_fingerprint(statlib_key, method, point.parameter)
-    tuned_key = synthesis_fingerprint(
-        statlib_key, design_key, tuning_key, constraints
-    )
-    baseline_key = synthesis_fingerprint(
-        statlib_key, design_key, BASELINE_WINDOWS, constraints
-    )
-
-    def triple(key):
-        return (
-            ("synth", key),
-            ("paths", paths_fingerprint(key)),
-            ("stats", stats_fingerprint(key)),
-        )
-
-    return tuning_key, triple(tuned_key), triple(baseline_key)
+    return flow.point_keys(point.clock_period, point.method, point.parameter)
 
 
 def run_sweep(
@@ -207,7 +176,7 @@ def run_sweep(
     from the environment, ``False`` disables recording.
     """
     from repro.flow.experiment import TuningFlow
-    from repro.flow.pipeline import _sweep_worker, design_fingerprint
+    from repro.flow.pipeline import sweep_stale
     from repro.netlist.generators.family import design_spec
     from repro.parallel.backends import resolve_backend
 
@@ -222,94 +191,25 @@ def run_sweep(
         config.backend if backend is None else backend, config.n_workers
     )
     points = grid.points()
-
-    # Phase 1-2: expand the family and diff every point's fingerprints.
-    designs = {
-        name: design_spec(name).params(config.design)
-        for name in dict.fromkeys(grid.designs)
-    }
     flows = {
         name: TuningFlow(
             replace(
                 config,
-                design=params,
+                design=design_spec(name).params(config.design),
                 n_workers=1,
                 backend="serial",
                 tracer=None,
             )
         )
-        for name, params in designs.items()
+        for name in dict.fromkeys(grid.designs)
     }
-    probe = next(iter(flows.values()))
-    statlib_key = probe.statlib_key  # design-independent: computed once
-    design_keys = {
-        name: design_fingerprint(params) for name, params in designs.items()
-    }
-    store = probe._store
-    statuses: List[str] = []
-    stale_baselines: List[Tuple[str, float]] = []
-    stale_points: List[GridPoint] = []
-    for point in points:
-        tuning_key, tuned, baseline = point_keys(
-            statlib_key,
-            design_keys[point.design],
-            method_by_name(point.method),
-            point,
-            config.guard_band,
-        )
-        tuned_warm = store.has("tuning", tuning_key) and all(
-            store.has(stage, key) for stage, key in tuned
-        )
-        baseline_warm = all(store.has(stage, key) for stage, key in baseline)
-        if not baseline_warm:
-            pair = (point.design, point.clock_period)
-            if pair not in stale_baselines:
-                stale_baselines.append(pair)
-        if tuned_warm and baseline_warm:
-            statuses.append("hit")
-        elif tuned_warm:
-            statuses.append("skip")
-        else:
-            statuses.append("run")
-            stale_points.append(point)
-
-    # Phase 3: dispatch only the stale work onto the backend.
-    scheduled = len(stale_baselines) + len(stale_points)
-    if scheduled:
-        # characterize (and persist) the shared library once before
-        # dispatching, so workers load one cached artifact instead of
-        # racing to recompute it
-        probe.statistical_library
-        tracer = probe.tracer
-        with tracer.span(
-            "sweep.grid",
-            points=len(points),
-            scheduled=scheduled,
-            backend=resolved.name,
-        ):
-            worker_configs = {
-                name: replace(config, design=params, tracer=None)
-                for name, params in designs.items()
-            }
-            resolved.map_tasks(
-                _sweep_worker,
-                [
-                    (worker_configs[design], (period, None, 0.0))
-                    for design, period in stale_baselines
-                ],
-            )
-            resolved.map_tasks(
-                _sweep_worker,
-                [
-                    (
-                        worker_configs[point.design],
-                        (point.clock_period, point.method, point.parameter),
-                    )
-                    for point in stale_points
-                ],
-            )
-
-    # Phase 4: collect everything through warm per-design flows.
+    statuses, scheduled = sweep_stale(
+        [
+            (flows[p.design], p.clock_period, p.method, p.parameter)
+            for p in points
+        ],
+        resolved,
+    )
     results = [
         PointResult(
             point=point,
@@ -320,17 +220,17 @@ def run_sweep(
         )
         for point, status in zip(points, statuses)
     ]
-    counts = {
-        status: statuses.count(status) for status in ("hit", "skip", "run")
-    }
     result = SweepResult(
         grid=grid,
         results=results,
-        counts=counts,
+        counts={
+            status: statuses.count(status) for status in ("hit", "skip", "run")
+        },
         scheduled=scheduled,
         backend=resolved.name,
-        statlib_key=statlib_key,
-        design_keys=design_keys,
+        # design-independent: every flow shares one library
+        statlib_key=next(iter(flows.values())).statlib_key,
+        design_keys={name: flow.design_key for name, flow in flows.items()},
         wall=time.perf_counter() - start,
     )
     _record_sweep(config, result, ledger)

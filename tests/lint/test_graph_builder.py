@@ -209,29 +209,6 @@ class TestStructure:
         assert caller.key == "repro.flow.a:run"
         assert site.line == 4
 
-    def test_payload_round_trip(self):
-        graph = build_graph_from_sources({
-            "src/repro/serve/a.py": (
-                "import threading\n"
-                "from repro.flow.b import helper\n\n"
-                "class Box:\n"
-                "    def __init__(self):\n"
-                "        self._lock = threading.Lock()\n"
-                "        self.n = 0\n\n"
-                "    def bump(self):\n"
-                "        with self._lock:\n"
-                "            self.n += 1\n\n"
-                "async def handle():\n"
-                "    return helper()\n"
-            ),
-            "src/repro/flow/b.py": "def helper():\n    return 1\n",
-        })
-        revived = ProgramGraph.from_payload(graph.to_payload())
-        assert revived.to_payload() == graph.to_payload()
-        assert set(revived.functions) == set(graph.functions)
-        assert revived.functions["repro.serve.a:handle"].is_async
-        assert revived.classes["repro.serve.a:Box"].lock_attrs == ["_lock"]
-
 
 class TestBuildGraphOnDisk:
     def test_build_graph_uses_relative_display_paths(self, tmp_path):

@@ -277,6 +277,49 @@ class TestCliSurface:
         assert excinfo.value.code == 2
         assert "invalid choice: 'cache'" in capsys.readouterr().err
 
+    def test_backend_queue_is_a_choice_error(self, capsys):
+        """``--backend`` accepts only ``serial`` and ``process``."""
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "fig02", "--backend", "queue"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'queue'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "knob, message",
+        [
+            ("REPRO_SCALE=bogus", "unknown REPRO_SCALE 'bogus'"),
+            ("REPRO_BACKEND=queue", "use one of serial, process"),
+        ],
+    )
+    def test_repro_error_is_one_stderr_line(self, knob, message, tmp_path):
+        """A bad knob ends the command with exit code 2 and one
+        ``error: <Type>: <message>`` line — no traceback."""
+        import os
+        from pathlib import Path
+
+        import repro
+
+        name, value = knob.split("=")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parent.parent)
+        env["REPRO_CACHE_DIR"] = str(tmp_path)
+        env["REPRO_LEDGER"] = "off"
+        env[name] = value
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "fig02"],
+            capture_output=True,
+            text=True,
+            check=False,
+            env=env,
+        )
+        assert result.returncode == 2
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1, result.stderr
+        assert lines[0].startswith("error: ConfigError: ")
+        assert message in lines[0]
+
     def test_serve_subcommand_parses(self):
         """``serve`` accepts its own flags plus the shared execution
         flags (one parent parser — the consolidated knob surface)."""

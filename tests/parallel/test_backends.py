@@ -2,8 +2,8 @@
 
 Three contracts under test: the chunking helper's partition properties
 (hypothesis), the backend registry's validation and single-worker
-serial fallback, and the headline determinism guarantee — serial,
-process and queue backends produce bit-identical libraries.
+serial fallback, and the headline determinism guarantee — serial
+and process backends produce bit-identical libraries.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.parallel.backends import (
     DEFAULT_BACKEND,
     ExecutorBackend,
     ProcessBackend,
-    QueueBackend,
     SerialBackend,
     chunk_indices,
     resolve_backend,
@@ -60,7 +59,7 @@ class TestChunkIndices:
 
 class TestRegistry:
     def test_names_and_default(self):
-        assert BACKEND_NAMES == ("serial", "process", "queue")
+        assert BACKEND_NAMES == ("serial", "process")
         assert DEFAULT_BACKEND in BACKEND_NAMES
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
@@ -81,17 +80,22 @@ class TestRegistry:
         assert isinstance(backend, ProcessBackend)
         assert backend.n_workers == 4
 
-    def test_explicit_queue_keeps_spool_semantics_at_one_worker(self):
-        assert isinstance(resolve_backend("queue", 1), QueueBackend)
+    def test_queue_is_not_a_backend(self, monkeypatch):
+        from repro.flow.experiment import FlowConfig
+
+        with pytest.raises(ConfigError, match="use one of serial, process"):
+            resolve_backend("queue", 2)
+        monkeypatch.setenv("REPRO_BACKEND", "queue")
+        with pytest.raises(ConfigError, match="use one of serial, process"):
+            FlowConfig.from_environment()
 
     def test_instance_passes_through(self):
         backend = SerialBackend()
         assert resolve_backend(backend, 8) is backend
 
     def test_capability_flags(self):
-        assert SerialBackend.in_process and not SerialBackend.distributed
-        assert not ProcessBackend.in_process and not ProcessBackend.distributed
-        assert not QueueBackend.in_process and QueueBackend.distributed
+        assert SerialBackend.in_process
+        assert not ProcessBackend.in_process
 
     def test_characterizer_validates_backend_eagerly(self):
         with pytest.raises(ConfigError, match="unknown backend"):
@@ -100,8 +104,8 @@ class TestRegistry:
     def test_repro_backend_env_selects(self, monkeypatch):
         from repro.flow.experiment import FlowConfig
 
-        monkeypatch.setenv("REPRO_BACKEND", "queue")
-        assert FlowConfig.from_environment().backend == "queue"
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        assert FlowConfig.from_environment().backend == "process"
 
     def test_repro_backend_env_typo_fails_loudly(self, monkeypatch):
         from repro.flow.experiment import FlowConfig
@@ -114,8 +118,8 @@ class TestRegistry:
 class TestMapTasks:
     @pytest.mark.parametrize(
         "backend",
-        [SerialBackend(), ProcessBackend(3), QueueBackend(3)],
-        ids=["serial", "process", "queue"],
+        [SerialBackend(), ProcessBackend(3)],
+        ids=["serial", "process"],
     )
     def test_results_in_task_order(self, backend):
         tasks = [(index, f"payload-{index}") for index in range(7)]
@@ -125,16 +129,11 @@ class TestMapTasks:
 
     @pytest.mark.parametrize(
         "backend",
-        [SerialBackend(), ProcessBackend(2), QueueBackend(2)],
-        ids=["serial", "process", "queue"],
+        [SerialBackend(), ProcessBackend(2)],
+        ids=["serial", "process"],
     )
     def test_empty_task_list(self, backend):
         assert backend.map_tasks(_echo, []) == []
-
-    def test_queue_spool_cleaned_up(self, tmp_path):
-        backend = QueueBackend(2, spool_dir=str(tmp_path))
-        backend.map_tasks(_echo, [(0, "a"), (1, "b")])
-        assert list(tmp_path.iterdir()) == []
 
     def test_base_class_is_abstract(self):
         with pytest.raises(NotImplementedError):
@@ -161,7 +160,7 @@ class TestSerialFallbackSkipsPoolSpawn:
 
 
 class TestBackendEquivalence:
-    """serial vs process vs queue: bit-identical libraries."""
+    """serial vs process: bit-identical libraries."""
 
     def test_statistical_library_identical_across_backends(
         self, small_specs
@@ -170,32 +169,30 @@ class TestBackendEquivalence:
         serial = Characterizer(backend="serial").statistical_library(
             specs, n_samples=6, seed=5, n_workers=2
         )
-        for name in ("process", "queue"):
-            other = Characterizer(backend=name).statistical_library(
-                specs, n_samples=6, seed=5, n_workers=2
-            )
-            assert_libraries_bit_identical(serial, other)
+        other = Characterizer(backend="process").statistical_library(
+            specs, n_samples=6, seed=5, n_workers=2
+        )
+        assert_libraries_bit_identical(serial, other)
 
     def test_sample_libraries_identical_across_backends(self, small_specs):
         specs = small_specs[:6]
         serial = Characterizer(backend="serial").sample_libraries(
             specs, n_samples=4, seed=9, include_global=True, n_workers=2
         )
-        for name in ("process", "queue"):
-            other = Characterizer(backend=name).sample_libraries(
-                specs, n_samples=4, seed=9, include_global=True, n_workers=2
-            )
-            assert len(serial) == len(other)
-            for library_a, library_b in zip(serial, other):
-                assert library_a.name == library_b.name
-                assert_libraries_bit_identical(library_a, library_b)
+        other = Characterizer(backend="process").sample_libraries(
+            specs, n_samples=4, seed=9, include_global=True, n_workers=2
+        )
+        assert len(serial) == len(other)
+        for library_a, library_b in zip(serial, other):
+            assert library_a.name == library_b.name
+            assert_libraries_bit_identical(library_a, library_b)
 
-    def test_worker_count_invariance_on_queue(self, small_specs):
+    def test_worker_count_invariance_on_process(self, small_specs):
         specs = small_specs[:8]
-        one = Characterizer(backend="queue").statistical_library(
+        one = Characterizer(backend="process").statistical_library(
             specs, n_samples=5, seed=3, n_workers=1
         )
-        three = Characterizer(backend="queue").statistical_library(
+        three = Characterizer(backend="process").statistical_library(
             specs, n_samples=5, seed=3, n_workers=3
         )
         assert_libraries_bit_identical(one, three)
@@ -229,7 +226,7 @@ class TestFingerprintInvariance:
         base = FlowConfig.tiny()
         flows = [
             TuningFlow(replace(base, backend=name, n_workers=workers))
-            for name, workers in (("serial", 1), ("process", 4), ("queue", 2))
+            for name, workers in (("serial", 1), ("process", 4))
         ]
         assert len({flow.statlib_key for flow in flows}) == 1
         assert len({flow.design_key for flow in flows}) == 1

@@ -146,7 +146,6 @@ class TestIncremental:
     def test_missing_baseline_only_is_a_skip(self, cache_dir):
         """A point whose tuned chain is warm but whose shared baseline
         artifacts vanished is 'skip': one baseline task covers it."""
-        from repro.core.methods import method_by_name
         from repro.flow.experiment import TuningFlow
         from repro.parallel import ArtifactStore
         from repro.sweep.driver import point_keys
@@ -154,13 +153,7 @@ class TestIncremental:
         run_sweep(_config(), POINT_GRID, ledger=False)
         flow = TuningFlow(_config())
         (point,) = POINT_GRID.points()
-        _tuning, _tuned, baseline = point_keys(
-            flow.statlib_key,
-            flow.design_key,
-            method_by_name(point.method),
-            point,
-            flow.config.guard_band,
-        )
+        _tuning, _tuned, baseline = point_keys(flow, point)
         store = ArtifactStore()
         for stage, key in baseline:
             store.path_for(stage, key).unlink()
@@ -194,9 +187,9 @@ class TestBackendEquivalence:
         self, tmp_path, monkeypatch
     ):
         """Acceptance: the same cold grid produces identical comparison
-        lists on the serial, process and queue backends."""
+        lists on the serial and process backends."""
         reference = None
-        for backend in ("serial", "process", "queue"):
+        for backend in ("serial", "process"):
             monkeypatch.setenv(
                 "REPRO_CACHE_DIR", str(tmp_path / f"cache-{backend}")
             )

@@ -63,13 +63,13 @@ class TestReport:
                  "hit", True),
             ],
             scheduled=2,
-            backend="queue",
+            backend="process",
         )
         report = render_sweep_report(result)
         assert "# Design-family sweep" in report
         assert "1 run, 0 skip (shared baseline only), 1 hit" in report
         assert "(2 tasks dispatched)" in report
-        assert "backend: queue" in report
+        assert "backend: process" in report
         assert f"`{'a' * 12}`" in report
 
     def test_per_design_grids_and_results_rows(self):
