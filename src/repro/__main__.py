@@ -7,13 +7,13 @@ Usage::
     python -m repro fig10                 # shorthand for `run fig10`
     python -m repro run --all             # everything (synthesis-heavy)
     python -m repro run --all --jobs 0    # characterize on every CPU
-    python -m repro run fig07 --no-cache  # bypass the on-disk caches
+    python -m repro run fig07 --no-cache  # bypass the on-disk store
     python -m repro run fig10 --manifest  # print the stage manifest
     python -m repro fig10 --trace out.jsonl   # record a JSONL trace
     python -m repro fig10 --profile       # print the per-stage time tree
     python -m repro run --all --trace-dir traces/  # one trace per experiment
-    python -m repro store stats           # cache location and size
-    python -m repro store clear           # drop libraries and artifacts
+    python -m repro store stats           # store location and size
+    python -m repro store clear           # drop every stored artifact
     python -m repro trace summarize a.jsonl        # flat per-path table
     python -m repro trace diff a.jsonl b.jsonl     # flag wall-time growth
     python -m repro report                # metric/stage trends (ledger)
@@ -97,8 +97,7 @@ def _shared_options() -> argparse.ArgumentParser:
     group.add_argument(
         "--no-cache",
         action="store_true",
-        help="neither read nor write the on-disk library cache and "
-        "artifact store",
+        help="neither read nor write the on-disk artifact store",
     )
     group.add_argument(
         "--kernel",
@@ -168,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run only the fast, synthesis-free experiments",
     )
     store_parser = sub.add_parser(
-        "store", help="inspect or clear the library cache and artifact store"
+        "store", help="inspect or clear the on-disk artifact store"
     )
     store_parser.add_argument(
         "action",
@@ -354,21 +353,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _run_store_command(action: str) -> int:
-    """Handle ``python -m repro store stats|clear`` for both halves of
-    the on-disk state: the ``.npz`` library cache and the staged
-    artifact store."""
-    from repro.parallel import ArtifactStore, LibraryCache
+    """Handle ``python -m repro store stats|clear`` on the one on-disk
+    artifact store (libraries and every downstream stage)."""
+    from repro.parallel import ArtifactStore
 
-    cache = LibraryCache()
     store = ArtifactStore()
     if action == "stats":
-        print(cache.stats().to_text())
         print(store.stats().to_text())
         return 0
-    removed = cache.clear()
-    print(f"removed {removed} cache entries from {cache.directory}")
     removed = store.clear()
-    print(f"removed {removed} stage artifacts from {store.directory}")
+    print(f"removed {removed} artifacts from {store.directory}")
     return 0
 
 

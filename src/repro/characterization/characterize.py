@@ -149,7 +149,8 @@ class Characterizer:
         #: statistical library, energy-sigma) tables.
         self.include_power = include_power
         #: Optional :class:`~repro.parallel.cache.LibraryCache`; when
-        #: set, library-level drivers memoize their results on disk.
+        #: set, library-level drivers memoize their results in its
+        #: artifact store.
         self.cache = cache
         #: Default worker count of the library-level drivers
         #: (1 = serial, 0 = one per CPU; see ``repro.parallel``).
@@ -494,7 +495,7 @@ class Characterizer:
 
     def library_shell(self, name: str) -> Library:
         """Public access to the empty library skeleton (used by the
-        on-disk cache to rebuild libraries from stored LUT arrays)."""
+        library codec to rebuild libraries from stored LUT arrays)."""
         return self._make_library_shell(name)
 
     def cell_from_tables(
@@ -633,9 +634,7 @@ class Characterizer:
                 )
                 if cached is not None:
                     span.set(status="hit")
-                    tracer.add("store.library.hit", 1)
                     return cached
-                tracer.add("store.library.miss", 1)
                 span.set(status="miss")
             return self._compute_sample_libraries(
                 specs, n_samples, seed, include_global, n_workers, use_cache
@@ -711,9 +710,7 @@ class Characterizer:
                 )
                 if cached is not None:
                     span.set(status="hit")
-                    tracer.add("store.library.hit", 1)
                     return cached
-                tracer.add("store.library.miss", 1)
                 span.set(status="miss")
             return self._compute_statistical_library(
                 specs, n_samples, seed, include_global, name, n_workers, use_cache

@@ -474,7 +474,7 @@ class TuningFlow:
             from repro.parallel import LibraryCache
 
             self._characterizer = Characterizer(
-                cache=LibraryCache() if self.config.cache else None,
+                cache=LibraryCache(self._store) if self._store else None,
                 n_workers=self.config.n_workers,
                 kernel=self.config.kernel,
                 backend=self.config.backend,
@@ -509,16 +509,9 @@ class TuningFlow:
         if self._statistical is None:
             with self.tracer.span("stage.statlib", key=self.statlib_key[:12]) as span:
                 start = time.perf_counter()
-                cache = self.characterizer.cache
-                if cache is None:
+                if self._store is None:
                     status = "computed"
-                elif cache.has_statistical(
-                    self.characterizer,
-                    self.specs,
-                    self.config.n_samples,
-                    self.config.seed,
-                    include_global=False,
-                ):
+                elif self._store.has("stat", self.statlib_key):
                     status = "hit"
                 else:
                     status = "miss"
@@ -658,7 +651,6 @@ class TuningFlow:
                     tracer.record_span(
                         f"stage.{stage}", elapsed, key=key[:12], status="hit"
                     )
-                    tracer.add("store.artifact.hit", 1)
                 return SynthesisRun(
                     clock_period=constraints.clock_period,
                     summary=RunSummary.from_payload(summary_payload),
@@ -678,7 +670,6 @@ class TuningFlow:
             summary = RunSummary.from_result(result)
             if store is not None:
                 store.store("synth", synth_key, summary.to_payload())
-                tracer.add("store.artifact.miss", 1)
             self._pipeline.note(
                 "synth", synth_key, status, time.perf_counter() - start
             )
@@ -688,7 +679,6 @@ class TuningFlow:
             paths = extract_worst_paths(result.timing)
             if store is not None:
                 store.store("paths", path_key, [p.to_payload() for p in paths])
-                tracer.add("store.artifact.miss", 1)
             self._pipeline.note(
                 "paths", path_key, status, time.perf_counter() - start
             )
@@ -698,7 +688,6 @@ class TuningFlow:
             stats = design_statistics(paths, self.statistical_library)
             if store is not None:
                 store.store("stats", stat_key, stats.to_payload())
-                tracer.add("store.artifact.miss", 1)
             self._pipeline.note(
                 "stats", stat_key, status, time.perf_counter() - start
             )

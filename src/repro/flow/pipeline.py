@@ -8,7 +8,7 @@ The end-to-end evaluation is a chain of pure stages::
 
 Each stage has a canonical **content fingerprint** — a sha256 over a
 sorted-JSON rendering of every input that can change its output — and
-a serializable **artifact** persisted in the generalized
+a serializable **artifact** persisted in the one
 :class:`~repro.parallel.artifacts.ArtifactStore`.  Fingerprints chain:
 the tuning stage folds in the statistical library's characterization
 key, the synthesis stage folds in the tuning fingerprint (or the
@@ -17,7 +17,7 @@ invalidates exactly the artifacts it can affect.
 
 Layout under ``$REPRO_CACHE_DIR`` (or ``~/.cache/repro``)::
 
-    stat-<key>.npz            characterized library   (repro.parallel.cache)
+    stat-<key>.npz            characterized library   (LUT arrays, npz codec)
     tuning-<key>.json.gz      TuningResult             (windows, thresholds)
     synth-<key>.json.gz       RunSummary               (met, area, histogram)
     paths-<key>.json.gz       worst endpoint paths     (full step data)
@@ -26,8 +26,8 @@ Layout under ``$REPRO_CACHE_DIR`` (or ``~/.cache/repro``)::
 
 Every stage resolution appends a :class:`StageRecord` (stage id, key,
 hit/miss, wall time) to the flow's :class:`RunManifest`, surfaced via
-``python -m repro run ... --manifest`` and ``python -m repro cache
-stats``.
+``python -m repro run ... --manifest``; ``python -m repro store stats``
+counts the stored entries per stage.
 
 Every multi-point evaluation — fig10's in-design sweep
 (:meth:`~repro.flow.experiment.TuningFlow.sweep_comparisons`), the
@@ -327,7 +327,6 @@ class ArtifactPipeline:
                 if payload is not None:
                     value = decode(payload)
                     span.set(status="hit")
-                    tracer.add("store.artifact.hit", 1)
                     self.manifest.record(
                         stage, key, "hit", time.perf_counter() - start
                     )
@@ -336,7 +335,6 @@ class ArtifactPipeline:
             if self.store is not None:
                 self.store.store(stage, key, encode(value))
                 status = "miss"
-                tracer.add("store.artifact.miss", 1)
             else:
                 status = "computed"
             span.set(status=status)
@@ -344,11 +342,12 @@ class ArtifactPipeline:
             return value
 
     def note(self, stage: str, key: str, status: str, seconds: float) -> None:
-        """Record a stage resolved outside :meth:`resolve` (e.g. the
-        characterization stage, whose artifact lives in the ``.npz``
-        library cache).  The callers wrap the timed region in their own
-        trace span and count their own store hits; this only appends
-        the manifest record."""
+        """Record a stage resolved outside :meth:`resolve` (the
+        statistical library, loaded through its library codec, and the
+        synth/paths/stats chain, which hits or misses as a whole).  The
+        callers wrap the timed region in their own trace span, and the
+        store counts its own hits and misses; this only appends the
+        manifest record."""
         self.manifest.record(stage, key, status, seconds)
 
 
@@ -360,9 +359,9 @@ class ArtifactPipeline:
 def _sweep_worker(config, point: SweepPoint, trace=None):
     """Worker: evaluate one sweep point in a fresh flow.
 
-    The flow rebuilds its statistical library from the on-disk library
-    cache (the parent characterizes before fanning out) and serves or
-    stores synthesis artifacts through the shared store; worker-side
+    The flow loads its statistical library from the shared store
+    (the parent characterizes before fanning out) and serves or stores
+    synthesis artifacts through the same store; worker-side
     characterization parallelism is disabled — the sweep is the
     parallel axis here.  With a :class:`~repro.observe.TraceHandle`,
     the worker's spans merge into the parent's trace under the span

@@ -95,7 +95,7 @@ BACKEND_TASK_SECONDS: Histogram = _REGISTRY.histogram(
     buckets=log_buckets(-4, 2),
 )
 
-# -- stores: artifacts + .npz library cache (repro.parallel) -----------
+# -- the artifact store, both codecs (repro.parallel.artifacts) --------
 
 #: Artifact-store lookups by event (``hit`` / ``miss`` / ``healed``).
 STORE_ARTIFACT_EVENTS: Counter = _REGISTRY.counter(
@@ -108,20 +108,6 @@ STORE_ARTIFACT_EVENTS: Counter = _REGISTRY.counter(
 STORE_ARTIFACT_BYTES: Counter = _REGISTRY.counter(
     "repro_store_artifact_bytes_total",
     "Artifact store bytes by direction",
-    labelnames=("direction",),
-)
-
-#: ``.npz`` library-cache lookups by event (``hit`` / ``miss``).
-STORE_LIBRARY_EVENTS: Counter = _REGISTRY.counter(
-    "repro_store_library_total",
-    "Library (.npz) cache lookups by event",
-    labelnames=("event",),
-)
-
-#: Library-cache bytes crossing the disk boundary.
-STORE_LIBRARY_BYTES: Counter = _REGISTRY.counter(
-    "repro_store_library_bytes_total",
-    "Library (.npz) cache bytes by direction",
     labelnames=("direction",),
 )
 

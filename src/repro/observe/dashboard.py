@@ -198,17 +198,8 @@ def render_dashboard(
     artifact_misses = _counter_sum(
         snapshot, "repro_store_artifact_total", event="miss"
     )
-    library_hits = _counter_sum(
-        snapshot, "repro_store_library_total", event="hit"
-    )
-    library_misses = _counter_sum(
-        snapshot, "repro_store_library_total", event="miss"
-    )
     lines.append(
-        "stores     artifact-hit "
-        + _ratio(artifact_hits, artifact_misses)
-        + "  library-hit "
-        + _ratio(library_hits, library_misses)
+        "stores     artifact-hit " + _ratio(artifact_hits, artifact_misses)
     )
     pending = _gauge_value(snapshot, "repro_dispatch_pending")
     capacity = _gauge_value(snapshot, "repro_dispatch_capacity")

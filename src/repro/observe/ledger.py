@@ -48,8 +48,8 @@ LEDGER_FILENAME = "ledger.jsonl"
 
 def default_ledger_path() -> Path:
     """The ledger's home: ``$REPRO_CACHE_DIR`` (or ``~/.cache/repro``)
-    next to the library cache and the artifact store."""
-    from repro.parallel.cache import default_cache_dir
+    next to the artifact store."""
+    from repro.parallel.artifacts import default_cache_dir
 
     return default_cache_dir() / LEDGER_FILENAME
 

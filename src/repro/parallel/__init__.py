@@ -4,7 +4,7 @@ The Monte-Carlo characterization of the 304-cell catalog is
 embarrassingly parallel across (cell, sample) pairs, and its inputs are
 fully determined by a small, hashable configuration — which makes it
 both a perfect fan-out target and a perfect cache key.  This package
-provides the two halves:
+provides both, plus the store every other stage persists through:
 
 * :mod:`repro.parallel.executor` — a :class:`concurrent.futures.
   ProcessPoolExecutor` fan-out that shards cells (and, for per-sample
@@ -14,13 +14,17 @@ provides the two halves:
   regenerate exactly the draws the serial loop would have used and the
   results are bit-identical to serial execution, for any worker count
   and any chunking.
-* :mod:`repro.parallel.cache` — an on-disk library cache
-  (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``) keyed by a content hash
-  of (catalog spec, grid, technology/corner/mismatch parameters, seed,
-  sample count) that stores the mean/sigma LUT arrays as ``.npz`` and
-  rebuilds full Liberty libraries from them without re-running the
-  delay model.  Writes are atomic (temp file + ``os.replace``) so a
-  killed run can never poison later runs.
+* :mod:`repro.parallel.artifacts` — the one on-disk store
+  (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``) of every stage's
+  artifact, content-addressed by ``(stage, fingerprint)``: libraries as
+  ``.npz`` arrays, everything else as gzip JSON.  Writes are atomic
+  (temp file + ``os.replace``) so a killed run can never poison later
+  runs, and unreadable entries heal into misses.
+* :mod:`repro.parallel.cache` — the library codec on top of it: keyed
+  by a content hash of (catalog spec, grid, technology/corner/mismatch
+  parameters, seed, sample count), it stores the mean/sigma LUT arrays
+  and rebuilds full Liberty libraries from them without re-running the
+  delay model.
 
 * :mod:`repro.parallel.backends` — the pluggable execution layer every
   fan-out site dispatches through: an :class:`~repro.parallel.
@@ -34,7 +38,7 @@ All layers thread through :class:`~repro.characterization.
 characterize.Characterizer` (``n_workers=...``, ``cache=...``,
 ``backend=...``), :class:`~repro.flow.experiment.FlowConfig` and the
 ``python -m repro`` CLI (``--jobs``, ``--backend``, ``--no-cache``,
-``cache stats|clear``).
+``store stats|clear``).
 """
 
 from __future__ import annotations
@@ -53,13 +57,12 @@ from repro.parallel.backends import (
     resolve_backend,
     validate_backend,
 )
-from repro.parallel.cache import CacheStats, LibraryCache
+from repro.parallel.cache import LibraryCache
 
 __all__ = [
     "ArtifactStats",
     "ArtifactStore",
     "BACKEND_NAMES",
-    "CacheStats",
     "DEFAULT_BACKEND",
     "ExecutorBackend",
     "LibraryCache",

@@ -1,33 +1,24 @@
-"""On-disk library cache keyed by characterization content.
+"""The library codec of the artifact store.
 
 A statistical (or per-sample) library is a pure function of a small
 configuration: the catalog specs, the characterization grid, the
 technology/corner/mismatch parameters, the power switch, the seed and
-the sample count.  The cache hashes exactly that configuration
-(sha256 over a canonical JSON rendering) and stores the resulting LUT
-value arrays in a compressed ``.npz`` file; everything else — cell
-shells, pin capacitances, axes, templates — is rebuilt from the specs
-on load, which keeps files small and immune to model-object drift.
+the sample count.  :func:`characterization_key` fingerprints exactly
+that configuration, and :class:`LibraryCache` packs the library's LUT
+value arrays into named arrays stored in the
+:class:`~repro.parallel.artifacts.ArtifactStore` under the ``stat`` or
+``samples`` stage (its ``.npz`` codec); everything else — cell shells,
+pin capacitances, axes, templates — is rebuilt from the specs on load,
+which keeps files small and immune to model-object drift.  Atomic
+writes, self-healing and the store counters are the store's.
 
-Durability: files are written to a temporary sibling and moved into
-place with :func:`os.replace`, which is atomic on POSIX and Windows —
-a killed run leaves at worst a stray ``*.tmp`` file, never a truncated
-cache entry.  Unreadable or structurally wrong entries are treated as
-misses and deleted, so a corrupted cache heals itself on the next run.
-
-The cache directory is ``$REPRO_CACHE_DIR`` when set, else
-``~/.cache/repro``.  Bump :data:`CACHE_VERSION` whenever the delay
-model or the stored layout changes meaning.
+Bump :data:`CACHE_VERSION` whenever the delay model or the stored
+layout changes meaning.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-import os
-import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -35,9 +26,9 @@ import numpy as np
 
 from repro.cells.catalog import CellSpec
 from repro.liberty.model import Library
-from repro.observe.catalog import STORE_LIBRARY_BYTES, STORE_LIBRARY_EVENTS
+from repro.parallel.artifacts import ArtifactStore, fingerprint
 
-#: Format/semantics version folded into every cache key.
+#: Format/semantics version folded into every characterization key.
 CACHE_VERSION = 1
 
 #: LUT slots a statistical-library entry may store, core slots first.
@@ -68,19 +59,11 @@ SAMPLE_SLOTS = (
 _SAMPLE_REQUIRED = SAMPLE_SLOTS[:4]
 
 
-def default_cache_dir() -> Path:
-    """``$REPRO_CACHE_DIR`` when set, else ``~/.cache/repro``."""
-    override = os.environ.get("REPRO_CACHE_DIR")
-    if override:
-        return Path(override).expanduser()
-    return Path.home() / ".cache" / "repro"
-
-
 def spec_fingerprint(spec: CellSpec) -> dict:
     """Everything about a spec that characterization results depend on.
 
-    Shared by the library cache key and the artifact pipeline's catalog
-    stage fingerprint (:mod:`repro.flow.pipeline`).
+    Shared by :func:`characterization_key` and the artifact pipeline's
+    catalog stage fingerprint (:mod:`repro.flow.pipeline`).
     """
     function = spec.function
     return {
@@ -117,7 +100,7 @@ def characterization_key(
     library *name* is deliberately excluded (it is presentation, not
     content) and re-applied when a cached library is rebuilt.
     """
-    payload = {
+    return fingerprint({
         "version": CACHE_VERSION,
         "kind": kind,
         "n_samples": n_samples,
@@ -130,52 +113,28 @@ def characterization_key(
         "grid": dataclasses.asdict(characterizer.grid),
         "global_sigmas": dataclasses.asdict(characterizer.global_sigmas),
         "specs": [spec_fingerprint(spec) for spec in specs],
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    })
 
 
 def _arc_key(cell: str, output_pin: str, related_pin: str, slot: str) -> str:
     return "\t".join((cell, output_pin, related_pin, slot))
 
 
-@dataclass(frozen=True)
-class CacheStats:
-    """Summary of a cache directory's contents."""
-
-    directory: Path
-    entries: int
-    total_bytes: int
-
-    def to_text(self) -> str:
-        """One-line human-readable rendering."""
-        mib = self.total_bytes / (1024 * 1024)
-        return f"{self.directory}: {self.entries} entries, {mib:.1f} MiB"
-
-
 class LibraryCache:
-    """Content-addressed on-disk store of characterized libraries."""
+    """Characterized libraries in an :class:`ArtifactStore`: packs LUTs
+    into named arrays and back."""
 
-    def __init__(self, directory: Optional[Path] = None):
-        self.directory = Path(directory) if directory else default_cache_dir()
+    def __init__(self, store: Optional[ArtifactStore] = None):
+        self.store = store if store is not None else ArtifactStore()
+
+    @property
+    def directory(self) -> Path:
+        """The directory of the underlying store."""
+        return self.store.directory
 
     # ------------------------------------------------------------------
     # Statistical libraries
     # ------------------------------------------------------------------
-
-    def has_statistical(
-        self,
-        characterizer,
-        specs: Sequence[CellSpec],
-        n_samples: int,
-        seed: int,
-        include_global: bool,
-    ) -> bool:
-        """Cheap existence probe for a statistical entry (no integrity
-        check) — used by the pipeline manifest to label hit vs miss."""
-        return self._path(
-            characterizer, specs, n_samples, seed, include_global, "stat"
-        ).is_file()
 
     def load_statistical(
         self,
@@ -188,27 +147,26 @@ class LibraryCache:
     ) -> Optional[Library]:
         """Rebuild a cached statistical library, or ``None`` on miss.
 
-        A file that exists but cannot be read back intact (truncated,
-        garbage, missing arrays) counts as a miss and is deleted.
+        An entry missing any required array counts as a miss and
+        heals like any other unreadable store entry.
         """
-        path = self._path(characterizer, specs, n_samples, seed, include_global, "stat")
-        arrays = self._read(path, "stat", n_samples, len(list(specs)))
-        if arrays is None:
-            return None
-        library = characterizer.library_shell(
-            name or f"{characterizer.corner.name}_stat"
-        )
-        library.is_statistical = True
-        try:
+
+        def decode(arrays: Dict[str, np.ndarray]) -> Library:
+            library = characterizer.library_shell(
+                name or f"{characterizer.corner.name}_stat"
+            )
+            library.is_statistical = True
             for spec in specs:
-                tables = self._cell_tables(
+                tables = _cell_tables(
                     arrays, spec, STATISTICAL_SLOTS, _STATISTICAL_REQUIRED
                 )
                 library.add_cell(characterizer.cell_from_tables(spec, tables))
-        except (KeyError, ValueError):
-            self._discard(path)
-            return None
-        return library
+            return library
+
+        key = characterization_key(
+            characterizer, specs, n_samples, seed, include_global, "stat"
+        )
+        return self.store.load("stat", key, decode)
 
     def store_statistical(
         self,
@@ -219,7 +177,7 @@ class LibraryCache:
         include_global: bool,
         library: Library,
     ) -> Path:
-        """Persist a statistical library's LUT arrays (atomically)."""
+        """Persist a statistical library's LUT arrays."""
         arrays: Dict[str, np.ndarray] = {}
         for cell in library:
             for pin in cell.output_pins():
@@ -230,9 +188,10 @@ class LibraryCache:
                             arrays[_arc_key(cell.name, pin.name, arc.related_pin, slot)] = (
                                 table.values
                             )
-        path = self._path(characterizer, specs, n_samples, seed, include_global, "stat")
-        self._write(path, arrays, "stat", n_samples, len(list(specs)))
-        return path
+        key = characterization_key(
+            characterizer, specs, n_samples, seed, include_global, "stat"
+        )
+        return self.store.store("stat", key, arrays)
 
     # ------------------------------------------------------------------
     # Per-sample libraries
@@ -247,32 +206,27 @@ class LibraryCache:
         include_global: bool,
     ) -> Optional[List[Library]]:
         """Rebuild the N cached Monte-Carlo sample libraries, or ``None``."""
-        path = self._path(
-            characterizer, specs, n_samples, seed, include_global, "samples"
-        )
-        arrays = self._read(path, "samples", n_samples, len(list(specs)))
-        if arrays is None:
-            return None
-        libraries: List[Library] = []
-        try:
+
+        def decode(arrays: Dict[str, np.ndarray]) -> List[Library]:
+            libraries: List[Library] = []
             for k in range(n_samples):
                 library = characterizer.library_shell(
                     f"{characterizer.corner.name}_mc{k:03d}"
                 )
                 for spec in specs:
-                    stacked = self._cell_tables(
-                        arrays, spec, SAMPLE_SLOTS, _SAMPLE_REQUIRED
-                    )
+                    stacked = _cell_tables(arrays, spec, SAMPLE_SLOTS, _SAMPLE_REQUIRED)
                     tables = {
                         arc: {slot: values[k] for slot, values in slots.items()}
                         for arc, slots in stacked.items()
                     }
                     library.add_cell(characterizer.cell_from_tables(spec, tables))
                 libraries.append(library)
-        except (KeyError, ValueError, IndexError):
-            self._discard(path)
-            return None
-        return libraries
+            return libraries
+
+        key = characterization_key(
+            characterizer, specs, n_samples, seed, include_global, "samples"
+        )
+        return self.store.load("samples", key, decode)
 
     def store_samples(
         self,
@@ -300,136 +254,30 @@ class LibraryCache:
                             for library in libraries
                         ])
                         arrays[_arc_key(cell.name, pin.name, arc.related_pin, slot)] = stack
-        path = self._path(
+        key = characterization_key(
             characterizer, specs, n_samples, seed, include_global, "samples"
         )
-        self._write(path, arrays, "samples", n_samples, len(list(specs)))
-        return path
+        return self.store.store("samples", key, arrays)
 
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
 
-    def stats(self) -> CacheStats:
-        """Entry count and total size of the cache directory."""
-        entries = 0
-        total = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.npz"):
-                entries += 1
-                total += path.stat().st_size
-        return CacheStats(directory=self.directory, entries=entries, total_bytes=total)
-
-    def clear(self) -> int:
-        """Delete every cache entry (and stray temp file); returns the
-        number of entries removed."""
-        removed = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.npz"):
-                self._discard(path)
-                removed += 1
-            for path in self.directory.glob("*.tmp"):
-                self._discard(path)
-        return removed
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _path(self, characterizer, specs, n_samples, seed, include_global, kind) -> Path:
-        key = characterization_key(
-            characterizer, specs, n_samples, seed, include_global, kind
-        )
-        return self.directory / f"{kind}-{key[:40]}.npz"
-
-    def _write(
-        self,
-        path: Path,
-        arrays: Dict[str, np.ndarray],
-        kind: str,
-        n_samples: int,
-        n_cells: int,
-    ) -> None:
-        """Atomic write: temp file in the same directory + os.replace."""
-        meta = json.dumps({
-            "version": CACHE_VERSION,
-            "kind": kind,
-            "n_samples": n_samples,
-            "n_cells": n_cells,
-        })
-        self.directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            dir=self.directory, prefix=path.stem + "-", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                np.savez_compressed(handle, __meta__=np.array(meta), **arrays)
-            os.replace(tmp_name, path)
-            STORE_LIBRARY_BYTES.labels(direction="written").inc(
-                path.stat().st_size
+def _cell_tables(
+    arrays: Dict[str, np.ndarray],
+    spec: CellSpec,
+    slots: Tuple[str, ...],
+    required: Tuple[str, ...],
+) -> Dict[Tuple[str, str], Dict[str, np.ndarray]]:
+    """Group one cell's stored arrays by arc, checking completeness."""
+    tables: Dict[Tuple[str, str], Dict[str, np.ndarray]] = {}
+    for input_pin, output_pin in spec.function.arcs():
+        arc_tables: Dict[str, np.ndarray] = {}
+        for slot in slots:
+            key = _arc_key(spec.name, output_pin, input_pin, slot)
+            if key in arrays:
+                arc_tables[slot] = arrays[key]
+        missing = [slot for slot in required if slot not in arc_tables]
+        if missing:
+            raise KeyError(
+                f"{spec.name} {input_pin}->{output_pin}: missing {missing}"
             )
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
-    def _read(
-        self, path: Path, kind: str, n_samples: int, n_cells: int
-    ) -> Optional[Dict[str, np.ndarray]]:
-        """Load and validate an entry; any defect is a miss + delete."""
-        if not path.is_file():
-            STORE_LIBRARY_EVENTS.labels(event="miss").inc()
-            return None
-        try:
-            size = path.stat().st_size
-            with np.load(path, allow_pickle=False) as data:
-                meta = json.loads(str(data["__meta__"]))
-                if (
-                    meta.get("version") != CACHE_VERSION
-                    or meta.get("kind") != kind
-                    or meta.get("n_samples") != n_samples
-                    or meta.get("n_cells") != n_cells
-                ):
-                    raise ValueError("cache metadata mismatch")
-                arrays = {
-                    key: data[key] for key in data.files if key != "__meta__"
-                }
-            STORE_LIBRARY_EVENTS.labels(event="hit").inc()
-            STORE_LIBRARY_BYTES.labels(direction="read").inc(size)
-            return arrays
-        except Exception:
-            self._discard(path)
-            STORE_LIBRARY_EVENTS.labels(event="miss").inc()
-            return None
-
-    @staticmethod
-    def _cell_tables(
-        arrays: Dict[str, np.ndarray],
-        spec: CellSpec,
-        slots: Tuple[str, ...],
-        required: Tuple[str, ...],
-    ) -> Dict[Tuple[str, str], Dict[str, np.ndarray]]:
-        """Group one cell's stored arrays by arc, checking completeness."""
-        tables: Dict[Tuple[str, str], Dict[str, np.ndarray]] = {}
-        for input_pin, output_pin in spec.function.arcs():
-            arc_tables: Dict[str, np.ndarray] = {}
-            for slot in slots:
-                key = _arc_key(spec.name, output_pin, input_pin, slot)
-                if key in arrays:
-                    arc_tables[slot] = arrays[key]
-            missing = [slot for slot in required if slot not in arc_tables]
-            if missing:
-                raise KeyError(
-                    f"{spec.name} {input_pin}->{output_pin}: missing {missing}"
-                )
-            tables[(input_pin, output_pin)] = arc_tables
-        return tables
-
-    @staticmethod
-    def _discard(path: Path) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass
+        tables[(input_pin, output_pin)] = arc_tables
+    return tables

@@ -328,7 +328,11 @@ class TuningService:
     # -- introspection ------------------------------------------------
 
     def status(self) -> Dict[str, Any]:
-        """A JSON-ready snapshot of the service's health and load."""
+        """A JSON-ready snapshot of the service's health and load.
+
+        ``store.entries`` counts every stored artifact, characterized
+        libraries included.
+        """
         import repro
         from repro.parallel.artifacts import ArtifactStore
 

@@ -18,10 +18,10 @@ from repro.characterization.characterize import Characterizer
 
 @pytest.fixture(scope="session", autouse=True)
 def _isolated_cache_dir(tmp_path_factory):
-    """Point the on-disk library cache at a per-session temp directory.
+    """Point the on-disk artifact store at a per-session temp directory.
 
     Keeps the suite hermetic (never touches ``~/.cache/repro``) while
-    still exercising the cache layer wherever flows enable it.
+    still exercising the store wherever flows enable it.
     """
     directory = tmp_path_factory.mktemp("repro-cache")
     previous = os.environ.get("REPRO_CACHE_DIR")

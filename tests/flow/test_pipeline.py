@@ -62,7 +62,7 @@ def _mini_config(**overrides) -> FlowConfig:
 
 @pytest.fixture()
 def cache_dir(tmp_path, monkeypatch):
-    """A fresh, empty artifact store / library cache per test."""
+    """A fresh, empty artifact store per test."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
     return tmp_path / "store"
 

@@ -260,12 +260,13 @@ class TestCliSurface:
         assert args.trace == "out.jsonl"
 
     def test_store_stats(self, capsys):
-        """``store stats`` reports both on-disk halves and exits 0."""
+        """``store stats`` prints one line for the one store and exits 0."""
         from repro.__main__ import main
 
         assert main(["store", "stats"]) == 0
         out = capsys.readouterr().out
-        assert "entries" in out and "artifacts" in out
+        assert len(out.splitlines()) == 1
+        assert "artifacts" in out
 
     def test_cache_alias_removed(self, capsys):
         """The deprecated ``cache`` alias is gone: the parser rejects it

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 import repro.__main__ as cli
@@ -77,14 +78,21 @@ def baseline_path(tmp_path, ledger_path):
 
 
 class TestStoreClear:
-    """``store clear`` empties both on-disk halves and exits 0."""
+    """``store clear`` empties the one store, both codecs, and exits 0."""
 
     def test_clear_reports_both_halves(self, tmp_path, monkeypatch, capsys):
+        """Libraries (``.npz``) and stage artifacts (``.json.gz``) go in
+        one pass, reported on one line."""
+        from repro.parallel.artifacts import ArtifactStore, fingerprint
+
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        store = ArtifactStore()
+        store.store("stat", fingerprint({"lib": 1}), {"a": np.zeros(3)})
+        store.store("synth", fingerprint({"run": 1}), {"met": True})
         assert cli.main(["store", "clear"]) == 0
         out = capsys.readouterr().out
-        assert "cache entries" in out
-        assert "stage artifacts" in out
+        assert out.splitlines() == [f"removed 2 artifacts from {store.directory}"]
+        assert store.stats().entries == 0
 
 
 class TestTraceCli:

@@ -56,7 +56,7 @@ def _mini_config(**overrides) -> FlowConfig:
 
 @pytest.fixture()
 def cache_dir(tmp_path, monkeypatch):
-    """A fresh, empty artifact store / library cache per test."""
+    """A fresh, empty artifact store per test."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "store"))
     return tmp_path / "store"
 
@@ -152,6 +152,46 @@ class TestCounterTruth:
             if s.name.startswith("stage.") and s.attrs.get("status") == "hit"
         ]
         assert len(hit_spans) > 0
+
+    def test_store_counters_match_registry(self, cache_dir):
+        """The tracer's ``store.artifact.{hit,miss}`` and the registry's
+        ``repro_store_artifact_total`` count the same lookups on a cold
+        then a warm tiny-scale compare — the statistical library's
+        included, since it lives in the same store."""
+        from repro.observe.catalog import STORE_ARTIFACT_EVENTS
+
+        def registry():
+            return {
+                event: STORE_ARTIFACT_EVENTS.labels(event=event).value
+                for event in ("hit", "miss")
+            }
+
+        config = dataclasses.replace(
+            FlowConfig.tiny(), n_workers=1, backend="serial", metrics=True
+        )
+        for phase in ("cold", "warm"):
+            set_tracer(None)
+            tracer = Tracer(MemorySink())
+            before = registry()
+            flow = TuningFlow(dataclasses.replace(config, tracer=tracer))
+            flow.compare(3.0, "sigma_ceiling", 0.5)
+            after = registry()
+            counters = tracer.counters()
+            for event in ("hit", "miss"):
+                assert counters.get(f"store.artifact.{event}", 0) == (
+                    after[event] - before[event]
+                ), (phase, event)
+            if phase == "cold":
+                misses = [
+                    record.stage
+                    for record in flow.manifest.records
+                    if record.status == "miss"
+                ]
+                assert "statlib" in misses
+                assert counters["store.artifact.miss"] == len(misses)
+            else:
+                assert counters.get("store.artifact.miss", 0) == 0
+                assert counters["store.artifact.hit"] > 0
 
 
 class TestConfigTracer:

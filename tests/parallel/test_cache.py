@@ -1,8 +1,9 @@
-"""On-disk cache behaviour: keys, atomicity, corruption recovery.
+"""Library codec behaviour: keys, atomicity, corruption recovery.
 
-A killed or interrupted run must never poison later runs: entries are
-written atomically (temp file + ``os.replace``) and any entry that
-fails to read back intact is treated as a miss and deleted.
+A killed or interrupted run must never poison later runs: libraries are
+written through the artifact store, atomically (temp file +
+``os.replace``), and any entry that fails to read back intact is
+treated as a miss and deleted.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from repro.characterization.characterize import (
     reset_characterization_call_count,
 )
 from repro.characterization.grids import GridConfig
+from repro.parallel.artifacts import ArtifactStore, fingerprint
 from repro.parallel.cache import CACHE_VERSION, LibraryCache, characterization_key
 
 from tests.parallel.test_equivalence import assert_libraries_bit_identical
@@ -23,7 +25,7 @@ from tests.parallel.test_equivalence import assert_libraries_bit_identical
 
 @pytest.fixture()
 def cache(tmp_path):
-    return LibraryCache(tmp_path / "cache")
+    return LibraryCache(ArtifactStore(tmp_path / "cache"))
 
 
 @pytest.fixture()
@@ -120,29 +122,35 @@ class TestCorruptionRecovery:
         self, cache, characterizer, small_specs
     ):
         """A write killed between mkstemp and os.replace leaves a .tmp
-        file; it must not count as an entry and clear() removes it."""
+        file; it must not count as an entry and clear() removes it.
+        One stats() counts both codecs, one clear() removes both."""
+        store = cache.store
         characterizer.statistical_library(small_specs[:4], n_samples=6, seed=1)
-        stray = cache.directory / "stat-deadbeef-12345.tmp"
+        store.store("tuning", fingerprint({"i": 1}), {"i": 1})
+        stray = store.directory / "stat-deadbeef-12345.tmp"
         stray.write_bytes(b"partial write")
-        assert cache.stats().entries == 1
-        removed = cache.clear()
-        assert removed == 1
+        stats = store.stats()
+        assert stats.entries == 2
+        assert stats.by_stage == {"stat": 1, "tuning": 1}
+        removed = store.clear()
+        assert removed == 2
         assert not stray.exists()
-        assert cache.stats().entries == 0
+        assert store.stats().entries == 0
 
 
 class TestMaintenance:
     def test_stats_on_missing_directory(self, tmp_path):
-        cache = LibraryCache(tmp_path / "never-created")
-        stats = cache.stats()
+        store = ArtifactStore(tmp_path / "never-created")
+        stats = store.stats()
         assert stats.entries == 0
         assert stats.total_bytes == 0
-        assert "0 entries" in stats.to_text()
+        assert "0 artifacts" in stats.to_text()
+        assert store.clear() == 0
 
     def test_clear_then_recompute(self, cache, characterizer, small_specs):
         specs = small_specs[:4]
         characterizer.statistical_library(specs, n_samples=6, seed=1)
-        assert cache.clear() == 1
+        assert cache.store.clear() == 1
         reset_characterization_call_count()
         characterizer.statistical_library(specs, n_samples=6, seed=1)
         assert characterization_call_count() == len(specs)
@@ -154,7 +162,7 @@ class TestMaintenance:
         specs = small_specs[:4]
         library = characterizer.statistical_library(specs, n_samples=6, seed=1)
         cache.store_statistical(characterizer, specs, 6, 1, False, library)
-        assert cache.stats().entries == 1
+        assert cache.store.stats().entries == 1
         loaded = cache.load_statistical(characterizer, specs, 6, 1, False)
         assert loaded is not None
         assert_libraries_bit_identical(library, loaded)
@@ -163,7 +171,7 @@ class TestMaintenance:
     def test_use_cache_false_bypasses_cache(self, cache, characterizer, small_specs):
         specs = small_specs[:4]
         characterizer.statistical_library(specs, n_samples=6, seed=1, use_cache=False)
-        assert cache.stats().entries == 0
+        assert cache.store.stats().entries == 0
         reference = characterizer.statistical_library(specs, n_samples=6, seed=1)
         bypass = characterizer.statistical_library(
             specs, n_samples=6, seed=1, use_cache=False
@@ -173,4 +181,5 @@ class TestMaintenance:
 
 def test_default_directory_honors_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "elsewhere"))
-    assert LibraryCache().directory == tmp_path / "elsewhere"
+    assert ArtifactStore().directory == tmp_path / "elsewhere"
+    assert LibraryCache().store.directory == tmp_path / "elsewhere"
