@@ -21,20 +21,22 @@ from repro.kernels.dispatch import (
 )
 from repro.kernels.lut import LutBatch, batch_interpolate, interpolate_many_scalar
 from repro.kernels.characterization import scalar_arc_energy, scalar_arc_tables
-from repro.kernels.sta import evaluate_table_groups
+from repro.kernels.sta import LibraryTables, library_tables, worst_values
 
 __all__ = [
     "DEFAULT_KERNEL",
     "KERNEL_NAMES",
+    "LibraryTables",
     "LutBatch",
     "batch_interpolate",
-    "evaluate_table_groups",
     "get_kernel",
     "interpolate_many_scalar",
+    "library_tables",
     "resolve_kernel",
     "scalar_arc_energy",
     "scalar_arc_tables",
     "set_kernel",
     "use_kernel",
     "validate_kernel",
+    "worst_values",
 ]

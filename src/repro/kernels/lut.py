@@ -2,16 +2,18 @@
 
 :func:`~repro.liberty.lut.bilinear_interpolate_many` evaluates *one*
 table at many query points.  The STA engine, however, needs *many
-tables* at many points — every arc group of a topological level carries
-its own delay/transition LUTs over its own (per-cell) load axis.
+tables* at many points — every arc of a topological level carries its
+own delay/transition LUTs over its own (per-cell) load axis.
 :class:`LutBatch` stacks same-shape tables into one (T, n_slew, n_load)
-array so a whole level resolves in a single gather-based interpolation.
+array (:class:`~repro.kernels.sta.LibraryTables` builds one per library)
+so a whole level resolves in a single gather-based interpolation.
 
 Bit-identity with the scalar reference is by construction:
 
 * ``searchsorted(axis, v, side="left")`` equals the count of axis
-  entries strictly below ``v``, which is what the batched bracket
-  computes (``(axes < v[:, None]).sum(axis=1)``);
+  entries strictly below ``v``; clipped to ``[1, n - 1]`` that is one
+  plus the count of interior entries below ``v``, which is what the
+  batched bracket sums column by column;
 * clamping, the interpolation fractions and the blend are written as
   the *same* elementwise expressions as the scalar path, and IEEE-754
   elementwise arithmetic does not depend on array shape.
@@ -78,17 +80,14 @@ def batch_interpolate(
     tid = np.asarray(table_ids, dtype=np.intp)
     slews = np.asarray(slews, dtype=float)
     loads = np.asarray(loads, dtype=float)
-    s_axes = batch.slew_axes[tid]  # (Q, n_slew)
-    l_axes = batch.load_axes[tid]  # (Q, n_load)
-    s = np.clip(slews, s_axes[:, 0], s_axes[:, -1])
-    load = np.clip(loads, l_axes[:, 0], l_axes[:, -1])
+    s_axes, l_axes = batch.slew_axes, batch.load_axes
+    s = np.clip(slews, s_axes[tid, 0], s_axes[tid, -1])
+    load = np.clip(loads, l_axes[tid, 0], l_axes[tid, -1])
 
-    # row-wise searchsorted(side="left"): entries strictly below s
-    si = np.clip(np.sum(s_axes < s[:, None], axis=1), 1, s_axes.shape[1] - 1)
-    li = np.clip(np.sum(l_axes < load[:, None], axis=1), 1, l_axes.shape[1] - 1)
-    rows = np.arange(tid.shape[0])
-    s0, s1 = s_axes[rows, si - 1], s_axes[rows, si]
-    l0, l1 = l_axes[rows, li - 1], l_axes[rows, li]
+    si = _upper_index(s_axes, tid, s)
+    li = _upper_index(l_axes, tid, load)
+    s0, s1 = s_axes[tid, si - 1], s_axes[tid, si]
+    l0, l1 = l_axes[tid, li - 1], l_axes[tid, li]
     ts = (s - s0) / (s1 - s0)
     tl = (load - l0) / (l1 - l0)
 
@@ -100,6 +99,19 @@ def batch_interpolate(
     top = q00 * (1.0 - tl) + q01 * tl
     bot = q10 * (1.0 - tl) + q11 * tl
     return top * (1.0 - ts) + bot * ts
+
+
+def _upper_index(axes: np.ndarray, tid: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Row-wise ``clip(searchsorted(axis, v, side="left"), 1, n - 1)``.
+
+    That is one plus the count of *interior* axis points strictly below
+    ``v``; summed one axis column at a time, so the temporaries stay one
+    query long instead of ``(Q, n)``.
+    """
+    upper = np.ones(tid.shape, dtype=np.intp)
+    for column in range(1, axes.shape[1] - 1):
+        upper += axes[tid, column] < values
+    return upper
 
 
 def interpolate_many_scalar(

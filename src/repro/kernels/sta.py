@@ -1,144 +1,172 @@
-"""Whole-level STA evaluation: many arc groups, one interpolation.
+"""Compiled library tables: every timing LUT of a library, one gather.
 
-The STA engine walks the timing graph level by level; each level holds
-many arc groups (same cell, same arc), each needing the max over its
-delay (or transition, or sigma) tables at its own query points.
-:func:`evaluate_table_groups` resolves all groups of a level at once:
+STA, the sizer and the statistics stage all ask one question many
+times over: the worst (max of rise/fall) value of an arc's delay,
+transition or sigma tables at a (slew, load) point.
+:class:`LibraryTables` compiles a :class:`~repro.liberty.model.Library`
+once — :func:`library_tables` caches it per library object:
 
-* ``"vectorized"`` — stack every table of every group into one
-  :class:`~repro.kernels.lut.LutBatch` and gather-interpolate the
-  concatenated queries in one shot, max-merging table variants with a
-  masked second pass.  Falls back to per-group
-  :func:`~repro.liberty.lut.bilinear_interpolate_many` when table
-  shapes are heterogeneous (never the case for one characterizer's
-  grids) or when there is only one group (a batch of one would only
-  add stacking overhead).
-* ``"scalar"`` — the reference: one scalar bilinear lookup per query
-  per table.
+* every timing LUT of every arc is stacked into a
+  :class:`~repro.kernels.lut.LutBatch` (one per table shape; one
+  characterizer grid yields exactly one), addressed by a table id;
+* every arc gets a row, and per kind (``delay``, ``transition``,
+  ``sigma``) a pair of table ids — rise then fall.  An arc with a
+  single table of a kind repeats its id (``max(x, x) == x``), an arc
+  without any stores ``-1``.
 
-Max-merging is exact and commutative for floats, and both paths use
-identical interpolation arithmetic, so results are bit-identical —
-``tests/kernels`` holds both to the scalar lookup.
+:func:`worst_values` then resolves any number of (table pair, slew,
+load) queries:
+
+* ``"vectorized"`` — both tables of every query in one gather
+  interpolation, then ``np.maximum(first, second)``;
+* ``"scalar"`` — the reference: one scalar bilinear lookup per table
+  per query, max-merged the same way.
+
+Max-merging is exact and both kernels use identical interpolation
+arithmetic, so results are bit-identical — ``tests/kernels`` holds the
+gather to the scalar lookup.  A library is treated as immutable once
+compiled: every producer finishes building it before it is timed.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+import weakref
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import LibertyError
 from repro.kernels.dispatch import resolve_kernel
-from repro.kernels.lut import LutBatch, batch_interpolate, interpolate_many_scalar
-from repro.liberty.lut import bilinear_interpolate_many
-from repro.liberty.model import Lut
+from repro.kernels.lut import LutBatch, batch_interpolate
+from repro.liberty.lut import bilinear_interpolate
+from repro.liberty.model import Library, Lut
+
+#: Table kinds with a per-arc id pair, in :class:`LibraryTables` order.
+KINDS = ("delay", "transition", "sigma")
+
+#: Queries per gather.  The kernel keeps ~20 temporaries of this length
+#: alive, so the bound caps its peak memory; no STA level of the
+#: benchmark's tiny design comes near it, so each level stays one call.
+_CHUNK = 4096
 
 
-def _maxmerge_many(
-    tables: Sequence[Lut], slews: np.ndarray, loads: np.ndarray
-) -> np.ndarray:
-    """Max over per-table vectorized interpolation (one group)."""
-    merged: Optional[np.ndarray] = None
-    for table in tables:
-        values = bilinear_interpolate_many(table, slews, loads)
-        merged = values if merged is None else np.maximum(merged, values)
-    if merged is None:
-        raise LibertyError("cannot interpolate an empty table group")
-    return merged
+class LibraryTables:
+    """Every timing LUT of one library, stacked and addressed per arc."""
 
+    __slots__ = ("luts", "rows", "delay", "transition", "sigma",
+                 "_batches", "_batch_of", "_local")
 
-def _maxmerge_scalar(
-    tables: Sequence[Lut], slews: np.ndarray, loads: np.ndarray
-) -> np.ndarray:
-    """Max over per-table scalar-reference interpolation (one group)."""
-    merged: Optional[np.ndarray] = None
-    for table in tables:
-        values = interpolate_many_scalar(table, slews, loads)
-        merged = values if merged is None else np.maximum(merged, values)
-    if merged is None:
-        raise LibertyError("cannot interpolate an empty table group")
-    return merged
+    def __init__(self, library: Library) -> None:
+        #: Table id -> LUT.
+        self.luts: List[Lut] = []
+        #: (cell, output pin, related pin) -> arc row.
+        self.rows: Dict[Tuple[str, str, str], int] = {}
+        pairs: Dict[str, List[Tuple[int, int]]] = {kind: [] for kind in KINDS}
+        for cell in library:
+            for pin, arc in cell.arcs():
+                self.rows[(cell.name, pin.name, arc.related_pin)] = len(self.rows)
+                for kind, tables in zip(
+                    KINDS,
+                    (arc.delay_tables(), arc.transition_tables(), arc.sigma_tables()),
+                ):
+                    ids = list(range(len(self.luts), len(self.luts) + len(tables)))
+                    self.luts.extend(tables)
+                    pairs[kind].append((ids[0], ids[-1]) if ids else (-1, -1))
+        #: (arcs, 2) rise/fall table ids per kind; ``-1`` when absent.
+        self.delay = np.asarray(pairs["delay"], dtype=np.intp).reshape(-1, 2)
+        self.transition = np.asarray(pairs["transition"], dtype=np.intp).reshape(-1, 2)
+        self.sigma = np.asarray(pairs["sigma"], dtype=np.intp).reshape(-1, 2)
 
-
-def _evaluate_batched(
-    groups: Sequence[Sequence[Lut]],
-    slews_list: Sequence[np.ndarray],
-    loads_list: Sequence[np.ndarray],
-) -> List[np.ndarray]:
-    """All groups through one stacked gather-interpolation."""
-    broadcasts = [
-        np.broadcast_arrays(
-            np.asarray(slews, dtype=float), np.asarray(loads, dtype=float)
-        )
-        for slews, loads in zip(slews_list, loads_list)
-    ]
-    shapes = [pair[0].shape for pair in broadcasts]
-    sizes = np.array([pair[0].size for pair in broadcasts], dtype=np.intp)
-    starts = np.concatenate([[0], np.cumsum(sizes)])
-    q_slew = np.concatenate([pair[0].ravel() for pair in broadcasts])
-    q_load = np.concatenate([pair[1].ravel() for pair in broadcasts])
-
-    batch = LutBatch([table for group in groups for table in group])
-    offsets = np.concatenate(
-        [[0], np.cumsum([len(group) for group in groups])]
-    )
-    out = np.empty(q_slew.size)
-    max_variants = max(len(group) for group in groups)
-    for variant in range(max_variants):
-        selected = [
-            index for index, group in enumerate(groups) if len(group) > variant
+        by_shape: Dict[Tuple[int, int], List[int]] = {}
+        for tid, lut in enumerate(self.luts):
+            by_shape.setdefault(lut.values.shape, []).append(tid)
+        self._batches = [
+            LutBatch([self.luts[tid] for tid in tids]) for tids in by_shape.values()
         ]
-        tids = np.concatenate([
-            np.full(sizes[index], offsets[index] + variant, dtype=np.intp)
-            for index in selected
-        ])
-        query_index = np.concatenate([
-            np.arange(starts[index], starts[index] + sizes[index])
-            for index in selected
-        ])
-        values = batch_interpolate(
-            batch, tids, q_slew[query_index], q_load[query_index]
-        )
-        if variant == 0:  # every group has at least one table
-            out[query_index] = values
-        else:
-            out[query_index] = np.maximum(out[query_index], values)
-    return [
-        out[starts[index]:starts[index] + sizes[index]].reshape(shapes[index])
-        for index in range(len(groups))
-    ]
+        self._batch_of = np.empty(len(self.luts), dtype=np.intp)
+        self._local = np.empty(len(self.luts), dtype=np.intp)
+        for index, tids in enumerate(by_shape.values()):
+            self._batch_of[tids] = index
+            self._local[tids] = np.arange(len(tids))
+
+    def row(self, cell_name: str, output_pin: str, related_pin: str) -> int:
+        """Arc row of ``cell_name``'s ``related_pin -> output_pin`` arc."""
+        try:
+            return self.rows[(cell_name, output_pin, related_pin)]
+        except KeyError:
+            raise LibertyError(
+                f"cell {cell_name}: no arc {related_pin} -> {output_pin}"
+            ) from None
+
+    def interpolate(
+        self, table_ids: np.ndarray, slews: np.ndarray, loads: np.ndarray
+    ) -> np.ndarray:
+        """Gather-interpolate table ``table_ids[q]`` at each query ``q``."""
+        if len(self._batches) == 1:
+            return batch_interpolate(self._batches[0], table_ids, slews, loads)
+        out = np.empty(table_ids.size)
+        which = self._batch_of[table_ids]
+        for index, batch in enumerate(self._batches):
+            mask = which == index
+            if mask.any():
+                out[mask] = batch_interpolate(
+                    batch, self._local[table_ids[mask]], slews[mask], loads[mask]
+                )
+        return out
 
 
-def evaluate_table_groups(
-    groups: Sequence[Sequence[Lut]],
-    slews_list: Sequence[np.ndarray],
-    loads_list: Sequence[np.ndarray],
+_COMPILED: "weakref.WeakKeyDictionary[Library, LibraryTables]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def library_tables(library: Library) -> LibraryTables:
+    """The compiled tables of ``library``, built on first use."""
+    tables = _COMPILED.get(library)
+    if tables is None:
+        tables = _COMPILED[library] = LibraryTables(library)
+    return tables
+
+
+def worst_values(
+    tables: LibraryTables,
+    pairs: np.ndarray,
+    slews: np.ndarray,
+    loads: np.ndarray,
     kernel: Optional[str] = None,
-) -> List[np.ndarray]:
-    """Per group: elementwise max over its tables at its query points.
+) -> np.ndarray:
+    """Per query ``q``: max of tables ``pairs[q]`` at ``(slews[q], loads[q])``.
 
-    ``groups[g]`` is a non-empty sequence of LUTs (e.g. the rise/fall
-    delay tables of one arc); ``slews_list[g]``/``loads_list[g]`` are
-    its broadcast-compatible query arrays.  Returns one value array per
-    group, bit-identical across kernels.
+    ``pairs`` is a ``(Q, 2)`` array of table ids (rows of
+    :attr:`LibraryTables.delay` and friends); the result is bit-identical
+    across kernels.
     """
-    if len(groups) != len(slews_list) or len(groups) != len(loads_list):
-        raise LibertyError("groups and query lists must align")
-    for group in groups:
-        if not group:
-            raise LibertyError("cannot interpolate an empty table group")
-    kernel = resolve_kernel(kernel)
-    if kernel == "scalar":
-        return [
-            _maxmerge_scalar(group, slews, loads)
-            for group, slews, loads in zip(groups, slews_list, loads_list)
-        ]
-    if len(groups) == 1:
-        return [_maxmerge_many(groups[0], slews_list[0], loads_list[0])]
-    shapes = {table.values.shape for group in groups for table in group}
-    if len(shapes) != 1:
-        return [
-            _maxmerge_many(group, slews, loads)
-            for group, slews, loads in zip(groups, slews_list, loads_list)
-        ]
-    return _evaluate_batched(groups, slews_list, loads_list)
+    ids = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    q_slew = np.asarray(slews, dtype=float).ravel()
+    q_load = np.asarray(loads, dtype=float).ravel()
+    if ids.shape[0] != q_slew.size or q_slew.size != q_load.size:
+        raise LibertyError("table pairs and query points must align")
+    if ids.size and ids.min() < 0:
+        raise LibertyError("cannot interpolate an arc without tables")
+    if resolve_kernel(kernel) == "scalar":
+        luts = tables.luts
+        out = np.empty(q_slew.size)
+        for query, (first, second) in enumerate(ids.tolist()):
+            slew, load = float(q_slew[query]), float(q_load[query])
+            out[query] = np.maximum(
+                bilinear_interpolate(luts[first], slew, load),
+                bilinear_interpolate(luts[second], slew, load),
+            )
+        return out
+    out = np.empty(q_slew.size)
+    for start in range(0, q_slew.size, _CHUNK):
+        stop = min(start + _CHUNK, q_slew.size)
+        size = stop - start
+        chunk_slew, chunk_load = q_slew[start:stop], q_load[start:stop]
+        values = tables.interpolate(
+            ids[start:stop].T.ravel(),
+            np.concatenate([chunk_slew, chunk_slew]),
+            np.concatenate([chunk_load, chunk_load]),
+        )
+        out[start:stop] = np.maximum(values[:size], values[size:])
+    return out

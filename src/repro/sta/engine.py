@@ -5,25 +5,25 @@ maximum over rise/fall and over incoming arcs.  The characterization
 surrogate keeps rise and fall close, so the merged analysis loses
 little accuracy while halving the state.
 
-The engine evaluates whole arc groups (same LUTs, same logic level)
-with one vectorized bilinear interpolation; a full pass over the
-~18k-gate microcontroller takes tens of milliseconds, which is what
-makes the synthesis sizing loop and the paper's 80-run evaluation sweep
-tractable in pure Python.
+The engine walks the graph's level schedule: each logic level is one
+:func:`~repro.kernels.sta.worst_values` call over four table ids per
+arc (rise/fall delay and transition, max-merged in pairs) plus one
+scatter per propagated array; the backward pass scatters once per
+level.  A full pass over the ~18k-gate microcontroller takes tens of
+milliseconds, which is what makes the synthesis sizing loop and the
+paper's 80-run evaluation sweep tractable in pure Python.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import TimingError
 from repro.kernels.dispatch import resolve_kernel
-from repro.kernels.sta import evaluate_table_groups
-from repro.liberty.model import TimingArc
+from repro.kernels.sta import worst_values
 from repro.observe import get_tracer
 from repro.sta.graph import Endpoint, TimingGraph
 from repro.units import GUARD_BAND_NS
@@ -32,21 +32,27 @@ _NEG_INF = -1e30
 _POS_INF = 1e30
 
 
-def _arc_delay_transition(
-    arc: TimingArc,
+def _delay_transition(
+    graph: TimingGraph,
+    table_ids: np.ndarray,
     slews: np.ndarray,
     loads: np.ndarray,
-    kernel: Optional[str] = None,
+    kernel: str,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Worst (rise/fall-merged) delay and output transition of an arc."""
-    delay_tables = arc.delay_tables()
-    transition_tables = arc.transition_tables()
-    if not delay_tables or not transition_tables:
-        raise TimingError("timing arc lacks delay or transition tables")
-    delay, transition = evaluate_table_groups(
-        [delay_tables, transition_tables], [slews, slews], [loads, loads], kernel
+    """Worst delay and output transition of arcs, one kernel call.
+
+    ``table_ids`` holds one (delay rise, delay fall, transition rise,
+    transition fall) row per arc.
+    """
+    n = slews.size
+    values = worst_values(
+        graph.tables,
+        np.concatenate([table_ids[:, :2], table_ids[:, 2:]]),
+        np.concatenate([slews, slews]),
+        np.concatenate([loads, loads]),
+        kernel,
     )
-    return delay, transition
+    return values[:n], values[n:]
 
 
 @dataclass
@@ -140,7 +146,7 @@ def _analyze(
     graph: TimingGraph,
     clock_period: float,
     guard_band: float,
-    kernel: Optional[str] = None,
+    kernel: str,
 ) -> TimingResult:
     config = graph.config
     n_nets = len(graph.net_names)
@@ -152,71 +158,46 @@ def _analyze(
         arrival[net_id] = 0.0
         slew[net_id] = config.input_slew
 
-    # sources: sequential launches (group by cell for vectorization)
+    # sources: sequential launches
     launches: Dict[int, LaunchInfo] = {}
-    by_cell: Dict[str, List] = {}
-    for instance in graph.launch_instances:
-        by_cell.setdefault(instance.cell, []).append(instance)
-    for cell_name, instances in by_cell.items():
-        cell = graph.library.cell(cell_name)
-        out_pin = instances[0].function.output_pins[0]
-        clock_pin = instances[0].function.clock_pin
-        arc = cell.pin(out_pin).arc_from(clock_pin)
-        q_ids = np.array(
-            [graph.net_ids[i.net_of(out_pin)] for i in instances], dtype=np.int64
-        )
-        clock_slews = np.full(q_ids.size, config.clock_slew)
-        delays, transitions = _arc_delay_transition(
-            arc, clock_slews, graph.loads[q_ids], kernel
+    if graph.launches:
+        q_ids = graph.launch_q
+        delays, transitions = _delay_transition(
+            graph,
+            graph.launch_tables,
+            np.full(q_ids.size, config.clock_slew),
+            graph.loads[q_ids],
+            kernel,
         )
         arrival[q_ids] = delays
         slew[q_ids] = transitions
-        for instance, q_id, delay in zip(instances, q_ids, delays):
-            launches[int(q_id)] = LaunchInfo(
-                instance=instance.name,
+        for (instance, cell_name, out_pin, q_id), delay in zip(
+            graph.launches, delays.tolist()
+        ):
+            launches[q_id] = LaunchInfo(
+                instance=instance,
                 cell_name=cell_name,
                 out_pin=out_pin,
-                delay=float(delay),
-                q_net=int(q_id),
+                delay=delay,
+                q_net=q_id,
             )
 
-    # forward propagation, level by level — all arc groups of a level
-    # interpolate in one batched kernel call (arcs within a level never
+    # forward propagation, level by level: arcs within a level never
     # feed each other, so their input slews are final before the level
-    # evaluates; the per-group scatter below runs in the same order as
-    # the former per-group loop, and max-merges are exact anyway)
+    # evaluates, and every arc into a net belongs to the net's (single)
+    # driver — one level — so the first scatter into a net replaces its
+    # default slew and max-merges the driver's arcs exactly
     arc_delay = np.zeros(graph.n_arcs)
     arc_transition = np.zeros(graph.n_arcs)
-    slew_written = np.zeros(n_nets, dtype=bool)
-    for _level, members in groupby(graph.level_groups, key=lambda pair: pair[0]):
-        groups = [group for _, group in members]
-        indices_list = [np.asarray(g.indices, dtype=np.int64) for g in groups]
-        src_list = [graph.arc_src[indices] for indices in indices_list]
-        dst_list = [graph.arc_dst[indices] for indices in indices_list]
-        delay_groups = [g.arc.delay_tables() for g in groups]
-        transition_groups = [g.arc.transition_tables() for g in groups]
-        if any(not d or not t for d, t in zip(delay_groups, transition_groups)):
-            raise TimingError("timing arc lacks delay or transition tables")
-        slews_list = [slew[src] for src in src_list]
-        loads_list = [graph.loads[dst] for dst in dst_list]
-        delays_list = evaluate_table_groups(
-            delay_groups, slews_list, loads_list, kernel
+    for arcs, src, dst in graph.level_schedule:
+        delays, transitions = _delay_transition(
+            graph, graph.arc_tables[arcs], slew[src], graph.loads[dst], kernel
         )
-        transitions_list = evaluate_table_groups(
-            transition_groups, slews_list, loads_list, kernel
-        )
-        for indices, src, dst, delays, transitions in zip(
-            indices_list, src_list, dst_list, delays_list, transitions_list
-        ):
-            arc_delay[indices] = delays
-            arc_transition[indices] = transitions
-            np.maximum.at(arrival, dst, arrival[src] + delays)
-            # the first writer replaces the default slew; later writers
-            # of the same net (other input arcs of its driver) max-merge
-            fresh = dst[~slew_written[dst]]
-            slew[fresh] = _NEG_INF
-            slew_written[dst] = True
-            np.maximum.at(slew, dst, transitions)
+        arc_delay[arcs] = delays
+        arc_transition[arcs] = transitions
+        np.maximum.at(arrival, dst, arrival[src] + delays)
+        slew[dst] = _NEG_INF
+        np.maximum.at(slew, dst, transitions)
 
     if np.any(arrival[graph.arc_dst] <= _NEG_INF / 2):
         bad = graph.arc_dst[arrival[graph.arc_dst] <= _NEG_INF / 2][:3]
@@ -225,24 +206,14 @@ def _analyze(
 
     # endpoint slacks
     effective = clock_period - guard_band
-    endpoint_slacks = np.array(
-        [
-            (effective - endpoint.setup) - arrival[endpoint.net_id]
-            for endpoint in graph.endpoints
-        ]
-    )
+    endpoint_required = effective - graph.endpoint_setups
+    endpoint_slacks = endpoint_required - arrival[graph.endpoint_net_ids]
 
-    # backward required times (levels descending)
+    # backward required times (levels descending), one scatter per level
     required = np.full(n_nets, _POS_INF)
-    for endpoint in graph.endpoints:
-        required[endpoint.net_id] = min(
-            required[endpoint.net_id], effective - endpoint.setup
-        )
-    for _level, group in reversed(graph.level_groups):
-        indices = np.asarray(group.indices, dtype=np.int64)
-        src = graph.arc_src[indices]
-        dst = graph.arc_dst[indices]
-        np.minimum.at(required, src, required[dst] - arc_delay[indices])
+    np.minimum.at(required, graph.endpoint_net_ids, endpoint_required)
+    for arcs, src, dst in reversed(graph.level_schedule):
+        np.minimum.at(required, src, required[dst] - arc_delay[arcs])
 
     return TimingResult(
         graph=graph,

@@ -4,9 +4,9 @@ The graph is an arc-level, array-oriented view of a mapped netlist:
 
 * **nets** are the timing nodes (every net has exactly one driver);
 * **arcs** connect an input net to an output net through a cell's
-  timing arc; arcs are grouped by (logic level of the driving
-  instance, LUT identity) so the engine can evaluate whole groups with
-  one vectorized bilinear interpolation;
+  timing arc; the *level schedule* lists, per logic level of the
+  driving instances, the arc indices with their source and sink nets,
+  so the engine evaluates a whole level with one kernel call;
 * **loads** are static per mapping: sink input-pin capacitances plus a
   per-fanout wire estimate and output-port loads.
 
@@ -14,10 +14,12 @@ Sequential cells split the graph: their CP->Q arc launches new source
 nets at the clock edge, and their D pins are endpoints checked against
 ``period - guard_band - setup``.
 
-The netlist *topology* part of the graph (arc src/dst, levels,
-endpoints) is built once; :meth:`TimingGraph.remap` refreshes the parts
-that depend on the instance->cell binding (loads, LUT groups), which is
-what the synthesizer's sizing loop iterates on.
+The netlist *topology* part of the graph (arc src/dst, the level
+schedule, endpoints) is built once; :meth:`TimingGraph.remap` refreshes
+the parts that depend on the instance->cell binding (loads, endpoint
+setups, and each arc's table ids into the library's compiled
+:class:`~repro.kernels.sta.LibraryTables`), which is what the
+synthesizer's sizing loop iterates on.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.errors import TimingError
-from repro.liberty.model import Cell, Library, TimingArc
+from repro.kernels.sta import LibraryTables, library_tables
+from repro.liberty.model import Cell, Library
 from repro.netlist.model import Instance, Netlist
 
 
@@ -78,15 +81,6 @@ class Endpoint:
         )
 
 
-@dataclass
-class ArcGroup:
-    """Arcs sharing LUTs and a logic level, evaluated together."""
-
-    cell: Cell
-    arc: TimingArc
-    indices: np.ndarray
-
-
 class TimingGraph:
     """Array-oriented timing graph of a mapped netlist."""
 
@@ -99,6 +93,7 @@ class TimingGraph:
         self.netlist = netlist
         self.library = library
         self.config = config or StaConfig()
+        self.tables: LibraryTables = library_tables(library)
         self._build_topology()
         self.remap()
 
@@ -153,6 +148,8 @@ class TimingGraph:
         self.arc_instance: List[str] = []
         self.arc_related: List[str] = []
         self.arc_out_pin: List[str] = []
+        #: Instances owning arcs, in arc order (each owns a contiguous run).
+        self._arc_owners: List[Instance] = list(order)
         for instance in order:
             level = levels[instance.name]
             for input_pin, output_pin in instance.function.arcs():
@@ -168,23 +165,52 @@ class TimingGraph:
         self.arc_level = np.asarray(arc_level, dtype=np.int64)
         self.n_arcs = len(arc_src)
 
+        # level schedule: (arc indices, src nets, dst nets) per level,
+        # ascending; arcs of one level never feed each other
+        by_level = np.argsort(self.arc_level, kind="stable")
+        bounds = np.flatnonzero(np.diff(self.arc_level[by_level])) + 1
+        self.level_schedule: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = [
+            (arcs, self.arc_src[arcs], self.arc_dst[arcs])
+            for arcs in (np.split(by_level, bounds) if self.n_arcs else [])
+        ]
+        self.endpoint_net_ids = np.array(
+            [endpoint.net_id for endpoint in self.endpoints], dtype=np.int64
+        )
+
         incoming: Dict[int, List[int]] = {}
         for index, dst in enumerate(arc_dst):
             incoming.setdefault(dst, []).append(index)
         self.incoming_arcs = incoming
 
-        # per-net sink pin lists for fast load recomputation
-        self._net_sinks: List[List[Tuple[str, str]]] = []
-        self._net_port_sinks: List[int] = []
-        for name in self.net_names:
-            net = netlist.nets[name]
-            sinks = [
-                (sink.instance, sink.pin)
-                for sink in net.sinks
-                if sink.instance is not None
-            ]
-            self._net_sinks.append(sinks)
-            self._net_port_sinks.append(sum(1 for s in net.sinks if s.instance is None))
+        # sink pins in (net, pin) order: the loads' static part, and
+        # which bound cell's pin capacitance each remap adds where
+        config = self.config
+        n_sinks: List[int] = []
+        n_ports: List[int] = []
+        self._sink_nets: List[int] = []
+        self._sink_owners: List[int] = []
+        self._sink_pins: List[str] = []
+        owners: Dict[str, int] = {}
+        for net_id, name in enumerate(self.net_names):
+            sinks = ports = 0
+            for sink in netlist.nets[name].sinks:
+                if sink.instance is None:
+                    ports += 1
+                    continue
+                sinks += 1
+                self._sink_nets.append(net_id)
+                self._sink_owners.append(owners.setdefault(sink.instance, len(owners)))
+                self._sink_pins.append(sink.pin)
+            n_sinks.append(sinks)
+            n_ports.append(ports)
+        self._sink_instances = [netlist.instances[name] for name in owners]
+        sink_counts = np.asarray(n_sinks, dtype=np.int64)
+        port_counts = np.asarray(n_ports, dtype=np.int64)
+        self._fanouts = sink_counts + port_counts
+        self._static_loads = (
+            config.wire_cap_per_fanout * self._fanouts
+            + config.output_port_cap * port_counts
+        )
 
     # ------------------------------------------------------------------
 
@@ -194,7 +220,7 @@ class TimingGraph:
         Call after changing drive strengths; topology edits (buffer
         insertion) need a full :class:`TimingGraph` rebuild instead.
         """
-        netlist, config = self.netlist, self.config
+        netlist, tables = self.netlist, self.tables
         # endpoint setups depend on the bound sequential cells
         endpoints: List[Endpoint] = []
         for endpoint in self.endpoints:
@@ -207,53 +233,66 @@ class TimingGraph:
             else:
                 endpoints.append(endpoint)
         self.endpoints = endpoints
+        self.endpoint_setups = np.array([endpoint.setup for endpoint in endpoints])
 
-        # loads
-        loads = np.empty(len(self.net_names))
-        cell_cache: Dict[str, Cell] = {}
-        instances = netlist.instances
-        for net_id, sinks in enumerate(self._net_sinks):
-            total = config.wire_cap_per_fanout * (
-                len(sinks) + self._net_port_sinks[net_id]
-            )
-            total += config.output_port_cap * self._net_port_sinks[net_id]
-            for instance_name, pin in sinks:
-                cell_name = instances[instance_name].cell
-                cell = cell_cache.get(cell_name)
-                if cell is None:
-                    cell = cell_cache[cell_name] = self.library.cell(cell_name)
-                total += cell.pins[pin].capacitance
-            loads[net_id] = total
+        # loads: static part plus the bound sink pins' capacitances,
+        # accumulated per net in sink order
+        cells = [instance.cell for instance in self._sink_instances]
+        pin_caps: Dict[Tuple[str, str], float] = {}
+        caps: List[float] = []
+        for owner, pin in zip(self._sink_owners, self._sink_pins):
+            key = (cells[owner], pin)
+            cap = pin_caps.get(key)
+            if cap is None:
+                cap = pin_caps[key] = self.library.cell(key[0]).pins[pin].capacitance
+            caps.append(cap)
+        loads = self._static_loads.copy()
+        np.add.at(loads, np.asarray(self._sink_nets, dtype=np.int64), caps)
         self.loads = loads
 
-        # arc groups keyed by (level, cell, in pin, out pin)
-        group_indices: Dict[Tuple[int, str, str, str], List[int]] = {}
-        for index in range(self.n_arcs):
-            key = (
-                int(self.arc_level[index]),
-                instances[self.arc_instance[index]].cell,
-                self.arc_related[index],
-                self.arc_out_pin[index],
-            )
-            group_indices.setdefault(key, []).append(index)
-        level_groups: List[Tuple[int, ArcGroup]] = []
-        for key in sorted(group_indices, key=lambda k: k[0]):
-            level, cell_name, input_pin, output_pin = key
-            cell = cell_cache.get(cell_name)
-            if cell is None:
-                cell = cell_cache[cell_name] = self.library.cell(cell_name)
-            arc = cell.pin(output_pin).arc_from(input_pin)
-            level_groups.append(
-                (
-                    level,
-                    ArcGroup(
-                        cell=cell,
-                        arc=arc,
-                        indices=np.asarray(group_indices[key], dtype=np.int64),
-                    ),
-                )
-            )
-        self.level_groups = level_groups
+        # per-arc (delay rise, delay fall, transition rise, transition
+        # fall) table ids of the bound cells
+        cell_rows: Dict[Tuple[str, str], List[int]] = {}
+        rows: List[int] = []
+        for instance in self._arc_owners:
+            key = (instance.family, instance.cell)
+            owned = cell_rows.get(key)
+            if owned is None:
+                owned = cell_rows[key] = [
+                    tables.row(instance.cell, output_pin, input_pin)
+                    for input_pin, output_pin in instance.function.arcs()
+                ]
+            rows.extend(owned)
+        self.arc_tables = self._table_ids(np.asarray(rows, dtype=np.intp))
+
+        # clock->Q launches, grouped by bound cell
+        by_cell: Dict[str, List[Instance]] = {}
+        for instance in self.launch_instances:
+            by_cell.setdefault(instance.cell, []).append(instance)
+        #: (instance, cell, output pin, Q net) per launch, in scan order.
+        self.launches: List[Tuple[str, str, str, int]] = []
+        launch_rows: List[int] = []
+        for cell_name, members in by_cell.items():
+            function = members[0].function
+            out_pin = function.output_pins[0]
+            row = tables.row(cell_name, out_pin, function.clock_pin)
+            for instance in members:
+                q_net = self.net_ids[instance.net_of(out_pin)]
+                self.launches.append((instance.name, cell_name, out_pin, q_net))
+                launch_rows.append(row)
+        self.launch_q = np.array(
+            [launch[3] for launch in self.launches], dtype=np.int64
+        )
+        self.launch_tables = self._table_ids(np.asarray(launch_rows, dtype=np.intp))
+
+    def _table_ids(self, rows: np.ndarray) -> np.ndarray:
+        """(n, 4) delay + transition table-id pairs of library arc rows."""
+        ids = np.concatenate(
+            [self.tables.delay[rows], self.tables.transition[rows]], axis=1
+        )
+        if ids.size and ids.min() < 0:
+            raise TimingError("timing arc lacks delay or transition tables")
+        return ids
 
     # ------------------------------------------------------------------
 
@@ -267,4 +306,4 @@ class TimingGraph:
 
     def fanout_of(self, net_id: int) -> int:
         """Number of sink pins on a net."""
-        return len(self._net_sinks[net_id]) + self._net_port_sinks[net_id]
+        return int(self._fanouts[net_id])

@@ -28,52 +28,43 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import TimingError
-from repro.kernels.sta import evaluate_table_groups
-from repro.liberty.model import Library, Lut
+from repro.kernels.sta import library_tables, worst_values
+from repro.liberty.model import Library
 from repro.sta.paths import PathStep, TimingPath
 
 
-def _step_sigma_tables(library: Library, step: PathStep) -> Tuple[Lut, ...]:
-    """Sigma tables of a step's arc, or raise the standard error."""
-    cell = library.cell(step.cell_name)
-    arc = cell.pin(step.out_pin).arc_from(step.related_pin)
-    tables = arc.sigma_tables()
-    if not tables:
+def _step_sigmas(
+    library: Library, steps: Sequence[PathStep], kernel: Optional[str] = None
+) -> Tuple[float, ...]:
+    """Sigmas (worst of rise/fall tables) of steps, in one kernel call."""
+    if not steps:
+        return ()
+    tables = library_tables(library)
+    rows = [
+        tables.row(step.cell_name, step.out_pin, step.related_pin) for step in steps
+    ]
+    pairs = tables.sigma[np.asarray(rows, dtype=np.intp)]
+    if pairs.size and pairs.min() < 0:
+        missing = steps[int(np.flatnonzero(pairs.min(axis=1) < 0)[0])]
         raise TimingError(
-            f"cell {step.cell_name} has no sigma tables; statistical analysis "
-            "needs the statistical library"
+            f"cell {missing.cell_name} has no sigma tables; statistical "
+            "analysis needs the statistical library"
         )
-    return tables
+    values = worst_values(
+        tables,
+        pairs,
+        np.array([step.slew for step in steps], dtype=float),
+        np.array([step.load for step in steps], dtype=float),
+        kernel,
+    )
+    return tuple(values.tolist())
 
 
 def step_sigma(
     library: Library, step: PathStep, kernel: Optional[str] = None
 ) -> float:
     """Delay sigma of one path step (worst of rise/fall tables)."""
-    tables = _step_sigma_tables(library, step)
-    (values,) = evaluate_table_groups(
-        [tables],
-        [np.asarray([step.slew], dtype=float)],
-        [np.asarray([step.load], dtype=float)],
-        kernel,
-    )
-    return float(values[0])
-
-
-def _step_sigmas(
-    library: Library, steps: Sequence[PathStep], kernel: Optional[str] = None
-) -> Tuple[float, ...]:
-    """Sigmas of all steps of one path in one whole-path kernel call."""
-    groups: List[Tuple[Lut, ...]] = [
-        _step_sigma_tables(library, step) for step in steps
-    ]
-    values = evaluate_table_groups(
-        groups,
-        [np.asarray([step.slew], dtype=float) for step in steps],
-        [np.asarray([step.load], dtype=float) for step in steps],
-        kernel,
-    )
-    return tuple(float(value[0]) for value in values)
+    return _step_sigmas(library, [step], kernel)[0]
 
 
 @dataclass(frozen=True)
@@ -132,7 +123,12 @@ def path_statistics(
     kernel: Optional[str] = None,
 ) -> PathStatistics:
     """Mean and sigma of a path (eqs. 5, 9/10)."""
-    sigmas = _step_sigmas(library, path.steps, kernel)
+    return _path_statistics(path, _step_sigmas(library, path.steps, kernel), rho)
+
+
+def _path_statistics(
+    path: TimingPath, sigmas: Tuple[float, ...], rho: float
+) -> PathStatistics:
     mean = float(sum(step.delay for step in path.steps))
     return PathStatistics(
         mean=mean,
@@ -187,11 +183,18 @@ def design_statistics(
     """Eq. (11) over the given worst paths."""
     if not paths:
         raise TimingError("design statistics need at least one path")
-    stats = tuple(
-        path_statistics(path, library, rho=rho, kernel=kernel) for path in paths
+    # every step of every path resolves in one kernel call
+    sigmas = _step_sigmas(
+        library, [step for path in paths for step in path.steps], kernel
     )
+    stats: List[PathStatistics] = []
+    start = 0
+    for path in paths:
+        end = start + len(path.steps)
+        stats.append(_path_statistics(path, sigmas[start:end], rho))
+        start = end
     mean = float(sum(p.mean for p in stats))
     sigma = float(np.sqrt(sum(p.sigma**2 for p in stats)))
     return DesignStatistics(
-        mean=mean, sigma=sigma, n_paths=len(stats), path_stats=stats
+        mean=mean, sigma=sigma, n_paths=len(stats), path_stats=tuple(stats)
     )

@@ -26,7 +26,10 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.errors import SynthesisError
+from repro.kernels.sta import worst_values
 from repro.liberty.model import Library
 from repro.netlist.model import Instance, Netlist
 from repro.observe import get_tracer
@@ -37,6 +40,13 @@ from repro.synth.constraints import SynthesisConstraints
 from repro.synth.mapping import CellChoices, initial_mapping
 
 _EPS = 1e-9
+
+#: Queries per batched stage lookup (see ``Synthesizer._stage_values``).
+_STAGE_BLOCK = 512
+
+#: Of one instance bound to one cell: the stage delay (worst arc delay)
+#: and the worst output transition per output pin (``output_pins`` order).
+StageValues = Tuple[float, List[float]]
 
 #: Process-wide synthesis invocation counter (see the test hooks below).
 _SYNTHESIS_CALLS = 0
@@ -101,6 +111,8 @@ class Synthesizer:
         self.buffer_instances = 0
         self._graph: Optional[TimingGraph] = None
         self._fanout_stuck: Set[str] = set()
+        #: Presizing utilization the last sizing loop reached.
+        self._last_utilization = 1.0
 
     # ------------------------------------------------------------------
 
@@ -224,7 +236,7 @@ class Synthesizer:
         views = self._instance_views()
         # later buffer rounds resume from the utilization the first
         # round reached instead of re-walking the whole descent
-        utilization = min(self._UTIL_START, getattr(self, "_last_utilization", 1.0))
+        utilization = min(self._UTIL_START, self._last_utilization)
         if presize_all:
             self._presize(views, utilization, critical_only=False, result=None)
         self.graph.remap()
@@ -380,7 +392,8 @@ class Synthesizer:
             if slack < -_EPS:
                 negative.append((slack, view))
         negative.sort(key=lambda item: item[0])
-        for slack, (instance, outs, ins) in negative[: self._FINE_CANDIDATES]:
+        moves: List[Tuple[Instance, str]] = []
+        for _slack, (instance, outs, _ins) in negative[: self._FINE_CANDIDATES]:
             up = choices.next_up(instance.cell)
             if up is None:
                 continue
@@ -390,13 +403,19 @@ class Synthesizer:
                 if stronger.strength <= choices.variant_of(instance.cell).strength:
                     continue
                 up = stronger
-            benefit = self._stage_delay(instance, instance.cell, result) - (
-                self._stage_delay(instance, up.cell_name, result)
-            )
+            moves.append((instance, up.cell_name))
+        # stage delays read only the pass's slews and loads: one batch
+        stages = self._stage_values(
+            [(instance, instance.cell) for instance, _up in moves] + moves, result
+        )
+        for (instance, up_cell), (current, _), (upsized, _) in zip(
+            moves, stages, stages[len(moves):]
+        ):
+            benefit = current - upsized
             if benefit <= 0:
                 continue
             old_cell = library.cell(instance.cell)
-            new_cell = library.cell(up.cell_name)
+            new_cell = library.cell(up_cell)
             penalty = 0.0
             function = instance.function
             input_pins = [p for p in function.input_pins if p != function.clock_pin]
@@ -414,7 +433,7 @@ class Synthesizer:
                 if penalty >= benefit:
                     break
             if benefit > penalty:
-                instance.cell = up.cell_name
+                instance.cell = up_cell
                 changes += 1
         return changes
 
@@ -527,61 +546,101 @@ class Synthesizer:
         return created
 
     # ------------------------------------------------------------------
-    # Area recovery
+    # Stage lookups (batched per pass) and area recovery
     # ------------------------------------------------------------------
 
-    def _stage_delay(self, instance: Instance, cell_name: str, result: TimingResult) -> float:
-        """Worst arc delay of ``instance`` if bound to ``cell_name``."""
+    def _stage_values(
+        self, queries: List[Tuple[Instance, str]], result: TimingResult
+    ) -> List[StageValues]:
+        """Per ``(instance, cell name)``, with the instance bound to that
+        cell, at the result's slews and the graph's loads: the stage
+        delay (worst arc delay) and each output pin's worst transition.
+
+        Every arc's lookup runs in one batched kernel call, bit-identical
+        to ``TimingArc.worst_delay`` / ``TimingArc.worst_transition``;
+        the maxima equal the former fold from 0 over the arcs.
+        """
         graph = self.graph
-        cell = self.library.cell(cell_name)
-        worst = 0.0
-        function = instance.function
-        for input_pin, output_pin in function.arcs():
-            in_net = graph.net_ids[instance.net_of(input_pin)]
-            out_net = graph.net_ids[instance.net_of(output_pin)]
-            slew = (
-                self.sta_config.clock_slew
-                if input_pin == function.clock_pin
-                else float(result.slew[in_net])
+        tables = graph.tables
+        # a clock pin's arc reads index -1: the ideal clock slew
+        slew_of = np.append(result.slew, self.sta_config.clock_slew)
+        cell_rows: Dict[Tuple[str, str], List[int]] = {}
+        layouts: Dict[str, Tuple[List[int], List[int], List[int]]] = {}
+        stages: List[StageValues] = []
+        # blocks bound the kernel's temporaries to small arrays
+        for first in range(0, len(queries), _STAGE_BLOCK):
+            block = queries[first:first + _STAGE_BLOCK]
+            rows: List[int] = []
+            in_nets: List[int] = []
+            out_nets: List[int] = []
+            stage_starts: List[int] = []
+            pin_starts: List[int] = []
+            for instance, cell_name in block:
+                function = instance.function
+                key = (instance.family, cell_name)
+                if key not in cell_rows:
+                    cell_rows[key] = [
+                        tables.row(cell_name, output_pin, input_pin)
+                        for input_pin, output_pin in function.arcs()
+                    ]
+                if instance.name not in layouts:
+                    arcs = function.arcs()
+                    # arcs() lists each output pin's arcs as one run
+                    layouts[instance.name] = (
+                        [
+                            -1
+                            if input_pin == function.clock_pin
+                            else graph.net_ids[instance.net_of(input_pin)]
+                            for input_pin, _output_pin in arcs
+                        ],
+                        [
+                            graph.net_ids[instance.net_of(output_pin)]
+                            for _input_pin, output_pin in arcs
+                        ],
+                        [
+                            next((i for i, arc in enumerate(arcs) if arc[1] == pin), len(arcs))
+                            for pin in function.output_pins
+                        ],
+                    )
+                sources, sinks, runs = layouts[instance.name]
+                stage_starts.append(len(rows))
+                pin_starts.extend(len(rows) + run for run in runs)
+                rows.extend(cell_rows[key])
+                in_nets.extend(sources)
+                out_nets.extend(sinks)
+            index = np.asarray(rows, dtype=np.intp)
+            slews = slew_of[np.asarray(in_nets, dtype=np.intp)]
+            loads = graph.loads[np.asarray(out_nets, dtype=np.intp)]
+            values = worst_values(
+                tables,
+                np.concatenate([tables.delay[index], tables.transition[index]]),
+                np.concatenate([slews, slews]),
+                np.concatenate([loads, loads]),
             )
-            arc = cell.pin(output_pin).arc_from(input_pin)
-            worst = max(worst, arc.worst_delay(slew, float(graph.loads[out_net])))
-        return worst
+            delays = _run_maxima(values[: index.size], stage_starts)
+            transitions = _run_maxima(values[index.size:], pin_starts)
+            pin = 0
+            for (instance, _cell_name), delay in zip(block, delays):
+                n_pins = len(instance.function.output_pins)
+                stages.append((delay, transitions[pin:pin + n_pins]))
+                pin += n_pins
+        return stages
 
     def _transition_legal_after_downsize(
-        self,
-        instance: Instance,
-        cell_name: str,
-        outs: List[int],
-        ins: List[int],
-        result: TimingResult,
+        self, instance: Instance, worst_by_pin: List[float]
     ) -> bool:
         """Check the downsized cell's output slews stay legal.
 
-        Legal means: under the global ``max_transition`` and under the
-        tuning-window maximum input slew of every sink cell.
+        ``worst_by_pin`` holds the downsized worst output transition per
+        output pin.  Legal means: under the global ``max_transition``
+        and under the tuning-window maximum input slew of every sink
+        cell (read live: an earlier move of the pass may have changed a
+        sink).
         """
-        graph = self.graph
-        cell = self.library.cell(cell_name)
-        function = instance.function
-        for output_pin in function.output_pins:
-            net_name = instance.net_of(output_pin)
-            net_id = graph.net_ids[net_name]
-            load = float(graph.loads[net_id])
-            worst = 0.0
-            for input_pin, out_pin in function.arcs():
-                if out_pin != output_pin:
-                    continue
-                slew = (
-                    self.sta_config.clock_slew
-                    if input_pin == function.clock_pin
-                    else float(result.slew[graph.net_ids[instance.net_of(input_pin)]])
-                )
-                arc = cell.pin(output_pin).arc_from(input_pin)
-                worst = max(worst, arc.worst_transition(slew, load))
+        for output_pin, worst in zip(instance.function.output_pins, worst_by_pin):
             if worst > self.constraints.max_transition + _EPS:
                 return False
-            for sink in self.netlist.net(net_name).sinks:
+            for sink in self.netlist.net(instance.net_of(output_pin)).sinks:
                 if sink.instance is None:
                     continue
                 sink_variant = self.choices.variant_of(
@@ -607,26 +666,32 @@ class Synthesizer:
         for pass_index in range(passes):
             margin = constraints.downsize_margin * (passes - pass_index)
             snapshot = {i.name: i.cell for i in self.netlist}
-            views = self._instance_views()
+            moves = []
+            for view in self._instance_views():
+                down = self.choices.next_down(view[0].cell)
+                if down is not None:
+                    moves.append((view, down))
+            # stage delays and downsized transitions read only the
+            # pass's slews and loads: one batch for the whole pass
+            stages = self._stage_values(
+                [(view[0], view[0].cell) for view, _down in moves]
+                + [(view[0], down.cell_name) for view, down in moves],
+                result,
+            )
             changes = 0
-            for instance, outs, ins in views:
-                down = self.choices.next_down(instance.cell)
-                if down is None:
-                    continue
+            for ((instance, outs, ins), down), (current, _), downsized in zip(
+                moves, stages, stages[len(moves):]
+            ):
                 load = max(self.graph.loads[o] for o in outs)
                 if load > down.max_load + _EPS:
                     continue
                 if ins and not math.isinf(down.max_slew):
                     if max(result.slew[i] for i in ins) > down.max_slew + _EPS:
                         continue
-                if not self._transition_legal_after_downsize(
-                    instance, down.cell_name, outs, ins, result
-                ):
+                if not self._transition_legal_after_downsize(instance, downsized[1]):
                     continue
                 slack = min(result.required[o] - result.arrival[o] for o in outs)
-                delta = self._stage_delay(instance, down.cell_name, result) - (
-                    self._stage_delay(instance, instance.cell, result)
-                )
+                delta = downsized[0] - current
                 if slack - delta < margin:
                     continue
                 instance.cell = down.cell_name
@@ -642,6 +707,23 @@ class Synthesizer:
                 result = self._analyze()
                 break
         return result
+
+
+def _run_maxima(values: np.ndarray, starts: List[int]) -> List[float]:
+    """``max(0, max(run))`` of each run of ``values``; run ``k`` spans
+    ``starts[k]`` up to the next start, the last one to the end.
+
+    Maxima are exact, so this equals a fold ``worst = max(worst, v)``
+    from ``worst = 0.0`` over each run.
+    """
+    maxima = np.zeros(len(starts))
+    bounds = np.asarray(starts + [values.size], dtype=np.intp)
+    filled = bounds[:-1] < bounds[1:]
+    if filled.any():
+        maxima[filled] = np.maximum(
+            0.0, np.maximum.reduceat(values, bounds[:-1][filled])
+        )
+    return maxima.tolist()
 
 
 def synthesize(

@@ -4,9 +4,9 @@
 once; these properties hold it bit-for-bit to the scalar
 :func:`~repro.liberty.lut.bilinear_interpolate` lookup over random
 monotone grids and query points well outside the characterized ranges
-(the clamping path on both axes), and pin the group-level
-:func:`~repro.kernels.sta.evaluate_table_groups` max-merge to its
-scalar twin.
+(the clamping path on both axes), and pin the library-wide
+:func:`~repro.kernels.sta.worst_values` rise/fall max-merge — over
+libraries mixing table shapes — to its scalar twin.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 from repro.errors import LibertyError
 from repro.kernels.lut import LutBatch, batch_interpolate, interpolate_many_scalar
-from repro.kernels.sta import evaluate_table_groups
+from repro.kernels.sta import LibraryTables, library_tables, worst_values
 from repro.liberty.lut import bilinear_interpolate, bilinear_interpolate_many
-from repro.liberty.model import Lut
+from repro.liberty.model import Cell, Library, Lut, Pin, PinDirection, TimingArc
 from tests.liberty.test_lut_properties import POINTS, luts
 
 
@@ -135,57 +135,96 @@ class TestScalarReference:
         assert np.array_equal(grid, lut.values)
 
 
-class TestEvaluateTableGroups:
+def _library(groups):
+    """One single-arc cell per table group: delay tables from the
+    group's head, transition and sigma tables from its tail (a group
+    of one table gets single-table kinds and no sigma)."""
+    library = Library("batch")
+    for index, tables in enumerate(groups):
+        cell = Cell(f"C{index}")
+        cell.add_pin(Pin("A", PinDirection.INPUT, capacitance=0.001))
+        arc = TimingArc(
+            "A",
+            cell_rise=tables[0],
+            cell_fall=tables[1] if len(tables) > 1 else None,
+            rise_transition=tables[-1],
+            fall_transition=tables[-2] if len(tables) > 2 else None,
+            sigma_rise=tables[1] if len(tables) > 1 else None,
+        )
+        cell.add_pin(Pin("Z", PinDirection.OUTPUT, timing=[arc]))
+        library.add_cell(cell)
+    return library
+
+
+class TestWorstValues:
     @given(
         groups=st.lists(shaped_luts(), min_size=1, max_size=4),
         data=st.data(),
     )
     @settings(max_examples=80, deadline=None)
-    def test_vectorized_equals_scalar_per_group(self, groups, data):
-        """Whole-level evaluation — homogeneous or heterogeneous table
-        shapes, any group sizes — matches the scalar kernel bit-for-bit."""
-        queries = [
-            data.draw(st.lists(POINTS, min_size=1, max_size=8))
-            for _ in groups
-        ]
-        slews_list = [np.array([p[0] for p in points]) for points in queries]
-        loads_list = [np.array([p[1] for p in points]) for points in queries]
-        vectorized = evaluate_table_groups(
-            groups, slews_list, loads_list, kernel="vectorized"
+    def test_vectorized_equals_scalar_per_query(self, groups, data):
+        """Mixed arcs, kinds and table shapes in one call match the
+        scalar kernel and the per-arc max over scalar lookups,
+        bit-for-bit."""
+        library = _library(groups)
+        tables = LibraryTables(library)
+        points = data.draw(st.lists(POINTS, min_size=1, max_size=12))
+        picks = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, len(groups) - 1),
+                    st.sampled_from(["delay", "transition"]),
+                ),
+                min_size=len(points),
+                max_size=len(points),
+            )
         )
-        scalar = evaluate_table_groups(
-            groups, slews_list, loads_list, kernel="scalar"
-        )
-        assert len(vectorized) == len(scalar) == len(groups)
-        for fast, reference in zip(vectorized, scalar):
-            assert np.array_equal(fast, reference)
+        pairs = np.array([getattr(tables, kind)[row] for row, kind in picks])
+        slews = np.array([p[0] for p in points])
+        loads = np.array([p[1] for p in points])
+        vectorized = worst_values(tables, pairs, slews, loads, kernel="vectorized")
+        scalar = worst_values(tables, pairs, slews, loads, kernel="scalar")
+        expected = []
+        for (row, kind), slew, load in zip(picks, slews, loads):
+            arc = library.cell(f"C{row}").pin("Z").arc_from("A")
+            luts = arc.delay_tables() if kind == "delay" else arc.transition_tables()
+            expected.append(
+                max(bilinear_interpolate(lut, slew, load) for lut in luts)
+            )
+        assert np.array_equal(vectorized, scalar)
+        assert np.array_equal(vectorized, np.array(expected))
 
-    @given(tables=shaped_luts(min_tables=2))
+    @given(groups=st.lists(shaped_luts(), min_size=1, max_size=4))
     @settings(max_examples=40, deadline=None)
-    def test_broadcast_queries_keep_their_shape(self, tables):
-        """A broadcast (n, 1) x (1, m) query comes back with the full
-        (n, m) shape, equal across kernels."""
-        slews = tables[0].index_1[:, None]
-        loads = tables[0].index_2[None, :]
-        # two groups force the stacked-gather path
-        (fast_a, fast_b) = evaluate_table_groups(
-            [tables, tables[:1]], [slews, slews], [loads, loads],
-            kernel="vectorized",
-        )
-        (ref_a, ref_b) = evaluate_table_groups(
-            [tables, tables[:1]], [slews, slews], [loads, loads],
-            kernel="scalar",
-        )
-        expected = (tables[0].index_1.size, tables[0].index_2.size)
-        assert fast_a.shape == ref_a.shape == expected
-        assert np.array_equal(fast_a, ref_a)
-        assert np.array_equal(fast_b, ref_b)
+    def test_rows_address_each_arcs_own_tables(self, groups):
+        """Every kind's id pair names the arc's rise then fall table
+        (a lone table twice); an absent kind is ``-1``."""
+        library = _library(groups)
+        tables = library_tables(library)
+        assert library_tables(library) is tables
+        for cell in library:
+            for pin, arc in cell.arcs():
+                row = tables.row(cell.name, pin.name, arc.related_pin)
+                for kind, luts in (
+                    ("delay", arc.delay_tables()),
+                    ("transition", arc.transition_tables()),
+                    ("sigma", arc.sigma_tables()),
+                ):
+                    first, second = getattr(tables, kind)[row]
+                    if not luts:
+                        assert first == second == -1
+                        continue
+                    assert tables.luts[first] is luts[0]
+                    assert tables.luts[second] is luts[-1]
 
-    def test_rejects_empty_group_and_misalignment(self):
+    def test_rejects_missing_tables_and_misalignment(self):
         lut = Lut(np.array([0.01, 0.1]), np.array([0.001, 0.01]),
                   np.array([[1.0, 2.0], [3.0, 4.0]]))
+        tables = LibraryTables(_library([[lut]]))
         point = np.array([0.05])
-        with pytest.raises(LibertyError, match="empty table group"):
-            evaluate_table_groups([[lut], []], [point, point], [point, point])
+        with pytest.raises(LibertyError, match="without tables"):
+            worst_values(tables, tables.sigma[:1], point, point)
         with pytest.raises(LibertyError, match="must align"):
-            evaluate_table_groups([[lut]], [point, point], [point])
+            worst_values(tables, tables.delay[:1], np.array([0.05, 0.06]), point)
+        with pytest.raises(LibertyError, match="no arc"):
+            tables.row("C0", "Z", "B")

@@ -7,6 +7,8 @@ self-heal path, so every case here runs on both.
 
 from __future__ import annotations
 
+import gzip
+import json
 import multiprocessing
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 
 from repro.observe import MemorySink, Tracer, set_metrics_enabled, set_tracer
 from repro.observe.catalog import STORE_ARTIFACT_EVENTS
-from repro.parallel.artifacts import ArtifactStore, fingerprint
+from repro.parallel.artifacts import ARTIFACT_VERSION, ArtifactStore, fingerprint
 
 #: Codec -> (stage, payload) of one representative entry.
 ENTRIES = {
@@ -82,6 +84,38 @@ def test_truncated_entry_heals_into_a_miss(tmp_path, tracer, codec):
     (event,) = span.events
     assert event["name"] == "store.self_heal"
     assert event["attrs"]["stage"] == stage
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {
+            "sigma": 0.1 + 0.2,
+            "paths": [{"depth": 3, "step_sigmas": [1e-17, 2.5, -0.0]}],
+            "name": "caf\u00e9 \"quoted\"",
+            "met": True,
+            "none": None,
+        },
+        [{"steps": [{"cell": "ND2_1", "slew": 0.5}], "depth": 1}, [], {}],
+        {"b": [[1, [2, [3.0]]], (4, 5)], "a": {"z": {}, "y": [float("inf")]}},
+        {2: "int keys", 1: "sort before they turn into strings"},
+        [],
+        "scalar",
+    ],
+)
+def test_json_entry_holds_canonical_text(tmp_path, payload):
+    """A JSON entry decompresses to exactly the canonical (sorted,
+    compact) ``json.dumps`` of its envelope and payload — the text the
+    stage keys and every reader have always seen."""
+    stage = "stats"
+    key = fingerprint({"canonical": stage})
+    path = ArtifactStore(tmp_path).store(stage, key, payload)
+    envelope = {"version": ARTIFACT_VERSION, "stage": stage, "key": key}
+    expected = json.dumps(
+        {**envelope, "payload": payload}, sort_keys=True, separators=(",", ":")
+    )
+    with gzip.open(path, "rt", encoding="utf-8") as stream:
+        assert stream.read() == expected
 
 
 def test_rejected_decode_heals(tmp_path, tracer):

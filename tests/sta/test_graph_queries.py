@@ -1,5 +1,6 @@
 """TimingGraph query helpers."""
 
+import numpy as np
 import pytest
 
 from repro.sta.graph import TimingGraph
@@ -35,10 +36,19 @@ class TestQueries:
         after = [e.setup for e in graph.endpoints if e.kind == "ff_data"]
         assert before == after
 
-    def test_level_groups_sorted_by_level(self, adder_netlist, statistical_library):
+    def test_level_schedule_sorted_by_level(self, adder_netlist, statistical_library):
+        """One entry per level, ascending, covering every arc once with
+        its own source and sink nets."""
         graph = TimingGraph(adder_netlist, statistical_library)
-        levels = [level for level, _group in graph.level_groups]
-        assert levels == sorted(levels)
+        levels = []
+        for arcs, src, dst in graph.level_schedule:
+            assert len(set(graph.arc_level[arcs].tolist())) == 1
+            levels.append(int(graph.arc_level[arcs[0]]))
+            assert np.array_equal(src, graph.arc_src[arcs])
+            assert np.array_equal(dst, graph.arc_dst[arcs])
+        assert levels == sorted(set(levels))
+        covered = np.concatenate([arcs for arcs, _s, _d in graph.level_schedule])
+        assert np.array_equal(np.sort(covered), np.arange(graph.n_arcs))
 
     def test_arc_counts_match_function_topology(
         self, adder_netlist, statistical_library

@@ -4,11 +4,12 @@ import pytest
 
 from repro.core import LibraryTuner
 from repro.errors import SynthesisError
+from repro.kernels.dispatch import use_kernel
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.simulate import int_to_bus_inputs, simulate
 from repro.sta.graph import StaConfig
 from repro.synth.constraints import SynthesisConstraints
-from repro.synth.synthesizer import synthesize
+from repro.synth.synthesizer import Synthesizer, synthesize
 
 
 def registered_adder(width=8):
@@ -97,6 +98,58 @@ class TestBaselineSynthesis:
         result = synthesize(registered_adder(), statistical_library, constraints)
         driven = result.timing.graph.arc_dst
         assert float(result.timing.slew[driven].max()) <= 0.4 + 1e-6
+
+
+class TestBatchedStageValues:
+    @pytest.mark.parametrize("kernel", ["vectorized", "scalar"])
+    def test_stage_values_equal_per_arc_worst_lookups(
+        self, statistical_library, kernel
+    ):
+        """The sizer's batched stage delays and per-pin output
+        transitions — for the bound cell and both neighbours of every
+        instance — are exactly the folds of ``worst_delay`` /
+        ``worst_transition`` over each arc."""
+        constraints = SynthesisConstraints(clock_period=4.0)
+        netlist = synthesize(
+            registered_adder(), statistical_library, constraints
+        ).netlist
+        sizer = Synthesizer(netlist, statistical_library, constraints)
+        sizer._rebuild_graph()
+        timing = sizer._analyze()
+        graph = sizer.graph
+        queries = []
+        for instance in netlist:
+            queries.append((instance, instance.cell))
+            for variant in (
+                sizer.choices.next_up(instance.cell),
+                sizer.choices.next_down(instance.cell),
+            ):
+                if variant is not None:
+                    queries.append((instance, variant.cell_name))
+        with use_kernel(kernel):
+            stages = sizer._stage_values(queries, timing)
+        assert len(stages) == len(queries)
+        for (instance, cell_name), (delay, worst_by_pin) in zip(queries, stages):
+            function = instance.function
+            expected_delay = 0.0
+            expected_by_pin = {pin: 0.0 for pin in function.output_pins}
+            for input_pin, output_pin in function.arcs():
+                arc = statistical_library.cell(cell_name).pin(output_pin).arc_from(
+                    input_pin
+                )
+                slew = (
+                    sizer.sta_config.clock_slew
+                    if input_pin == function.clock_pin
+                    else float(timing.slew[graph.net_ids[instance.net_of(input_pin)]])
+                )
+                load = float(graph.loads[graph.net_ids[instance.net_of(output_pin)]])
+                expected_delay = max(expected_delay, arc.worst_delay(slew, load))
+                expected_by_pin[output_pin] = max(
+                    expected_by_pin[output_pin], arc.worst_transition(slew, load)
+                )
+            assert delay == expected_delay
+            assert worst_by_pin == [expected_by_pin[p] for p in function.output_pins]
+            assert expected_delay > 0.0
 
 
 class TestFanoutHandling:
