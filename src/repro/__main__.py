@@ -324,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     metrics_parser.add_argument(
         "paths", nargs="*", metavar="PATH",
-        help="metric snapshot files (JSON or spool JSONL) to merge and "
+        help="metric snapshot files ('metrics --format json') to merge and "
         "render; with none, scrape the live server instead",
     )
     metrics_parser.add_argument(
@@ -452,13 +452,9 @@ def _run_serve_command(args: argparse.Namespace) -> int:
     (invalid config — e.g. ``--no-cache``, which the service rejects
     because warm hits stream from the artifact store).
     """
-    import os
-    import tempfile
-
     from repro.errors import ConfigError
     from repro.flow.experiment import FlowConfig
     from repro.serve.server import TuningServer
-    from repro.observe.metrics import METRICS_SPOOL_ENV
 
     tracer = _build_run_tracer(args)
     try:
@@ -470,14 +466,6 @@ def _run_serve_command(args: argparse.Namespace) -> int:
             cache=False if args.no_cache else None,
             tracer=tracer,
         )
-        if config.metrics and not os.environ.get(METRICS_SPOOL_ENV):
-            # Give worker processes a delta spool so their counters show
-            # up in /metrics; inherited through the pool's environment.
-            fd, spool = tempfile.mkstemp(
-                prefix="repro-metrics-", suffix=".jsonl"
-            )
-            os.close(fd)
-            os.environ[METRICS_SPOOL_ENV] = spool
         server = TuningServer(
             config=config,
             host=args.host,
@@ -665,8 +653,9 @@ def _build_run_tracer(args: argparse.Namespace):
 def _report_trace(tracer, args: argparse.Namespace) -> None:
     """Close out the run's tracer: flush, then print what was asked.
 
-    With ``--trace`` the tree is rebuilt from the file, so spans and
-    counter deltas appended by worker processes are included.
+    With ``--trace`` the tree is rebuilt from the file, so spans
+    appended by worker processes are included; worker counts are in
+    the registry either way.
     """
     from repro.observe import Trace, load_trace, render_trace, set_tracer
 
@@ -679,7 +668,6 @@ def _report_trace(tracer, args: argparse.Namespace) -> None:
         trace = Trace(
             spans=[span.to_record() for span in tracer.spans],
             counters=tracer.counters(),
-            gauges=tracer.gauges(),
         )
     if args.profile:
         print(render_trace(trace))

@@ -199,7 +199,6 @@ class Characterizer:
         """
         if n_samples < 2:
             raise CharacterizationError("need at least 2 Monte-Carlo samples")
-        get_tracer().add("characterize.mc_samples", n_samples * len(specs))
         CHARACTERIZE_MC_SAMPLES.inc(n_samples * len(specs))
         draws: Dict[str, CellDraws] = {}
         for spec in specs:
@@ -351,7 +350,6 @@ class Characterizer:
         global _characterize_calls
         _characterize_calls += 1
         tracer = get_tracer()
-        tracer.add("characterize.cells", 1)
         CHARACTERIZE_CELLS.inc()
         with tracer.span("characterize.cell", cell=spec.name):
             return self._characterize_cell(
@@ -588,7 +586,6 @@ class Characterizer:
         global _characterize_calls
         _characterize_calls += len(sample_indices)
         tracer = get_tracer()
-        tracer.add("characterize.cells", len(sample_indices))
         CHARACTERIZE_CELLS.inc(len(sample_indices))
         with tracer.span(
             "characterize.cell_samples",

@@ -168,12 +168,6 @@ def run_experiments(
     from repro.observe import JsonlExporter, Tracer, get_metrics, get_tracer, set_tracer
     from repro.observe.ledger import resolve_ledger
 
-    def metric_counters() -> Dict[str, float]:
-        """Live metric counter totals, flattened into ledger-counter
-        names (``repro_..._total{label="..."}``) — disjoint from tracer
-        counter names, so the two merge without collisions."""
-        return get_metrics().snapshot().counter_totals()
-
     context = context or build_context()
     chosen = ids if ids is not None else list(ALL_EXPERIMENTS)
     directory = None if trace_dir is None else Path(trace_dir)
@@ -185,14 +179,12 @@ def run_experiments(
         ledger = None
     results: Dict[str, ExperimentResult] = {}
     for experiment_id in chosen:
-        session = get_tracer()
         manifest_start = len(context.flow.manifest.records)
         start = time.perf_counter()
-        metrics_start = metric_counters()
+        counters_start = get_metrics().snapshot().counter_totals()
         if directory is not None:
             path = directory / f"{experiment_id}.trace.jsonl"
             artifact_tracer = Tracer(JsonlExporter(path, truncate=True))
-            counters_start = artifact_tracer.counters()
             previous = set_tracer(artifact_tracer)
             try:
                 with artifact_tracer.span(f"experiment.{experiment_id}"):
@@ -200,12 +192,9 @@ def run_experiments(
                 artifact_tracer.finish()
             finally:
                 set_tracer(previous)
-            counters_end = artifact_tracer.counters()
         else:
-            counters_start = session.counters()
-            with session.span(f"experiment.{experiment_id}"):
+            with get_tracer().span(f"experiment.{experiment_id}"):
                 results[experiment_id] = ALL_EXPERIMENTS[experiment_id](context)
-            counters_end = session.counters()
         if ledger is not None:
             _record_in_ledger(
                 ledger,
@@ -213,8 +202,8 @@ def run_experiments(
                 results[experiment_id],
                 context,
                 manifest_start,
-                {**counters_start, **metrics_start},
-                {**counters_end, **metric_counters()},
+                counters_start,
+                get_metrics().snapshot().counter_totals(),
                 wall=time.perf_counter() - start,
             )
     return results

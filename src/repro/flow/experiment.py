@@ -123,8 +123,9 @@ class FlowConfig:
     #: Excluded from comparison — tracing never changes results.
     tracer: Optional[Tracer] = field(default=None, compare=False, repr=False)
     #: Live metrics collection (:mod:`repro.observe.metrics`) on/off;
-    #: the flow applies it process-wide on construction.  Excluded from
-    #: comparison — telemetry never changes results.
+    #: the flow applies it process-wide on construction.  Off also
+    #: silences trace counters, which read the same registry.  Excluded
+    #: from comparison — telemetry never changes results.
     metrics: bool = field(default=True, compare=False)
 
     @staticmethod
@@ -216,7 +217,8 @@ class FlowConfig:
         backend    ``REPRO_BACKEND``  execution backend (``process``)
         cache      —                  artifact store on/off (on)
         tracer     —                  tracer the flow installs (none)
-        metrics    ``REPRO_METRICS``  live metrics collection on/off (on)
+        metrics    ``REPRO_METRICS``  live metrics collection on/off (on);
+                                      off also silences trace counters
         =========  =================  ====================================
 
         ``REPRO_LEDGER`` (run-ledger path, or ``off``) is deliberately

@@ -386,7 +386,6 @@ def _sweep_worker(config, point: SweepPoint, trace=None):
             result = None
         else:
             result = flow.compare(period, method, parameter)
-    tracer.flush_counters()
     return result
 
 

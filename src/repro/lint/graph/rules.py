@@ -13,9 +13,9 @@ at once — the per-file engine cannot see these invariants:
   acquisition anywhere in its class is lock-guarded state; every other
   mutation of it must either sit under the lock lexically or be
   *lock-dominated* — every call path into the mutating function holds
-  the lock at the call site (how ``MetricsRegistry._collect_spool``
-  stays legal: only ``snapshot()`` calls it, inside ``with
-  self.lock``).
+  the lock at the call site (how ``JsonlExporter._ensure_open``
+  stays legal: ``write()`` calls it inside ``with self._lock``, and
+  ``__init__`` runs before the object is shared).
 * **DET003** — the interprocedural half of DET002: a function whose
   return value derives from wall clock or global RNG (directly or
   through further calls) is a nondeterminism *source*; its value may

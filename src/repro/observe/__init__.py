@@ -4,10 +4,10 @@ The package answers "where does the wall time of a run go?" with three
 pieces:
 
 * :mod:`repro.observe.tracer` — a lightweight :class:`Tracer` with
-  nested spans (name, attributes, wall/CPU time, peak-RSS delta),
-  monotone counters and last-write gauges.  A no-op
-  :class:`NullTracer` is the process default, so instrumentation costs
-  nothing when tracing is off.
+  nested spans (name, attributes, wall/CPU time, peak-RSS delta) and a
+  dotted-name view of the registry's work counters
+  (:meth:`Tracer.counters`).  A no-op :class:`NullTracer` is the
+  process default, so spans cost nothing when tracing is off.
 * :mod:`repro.observe.export` — a process-safe JSONL exporter
   (``O_APPEND`` single-write lines) so spans emitted by
   ``ProcessPoolExecutor`` workers merge into one trace file, plus
@@ -20,11 +20,12 @@ pieces:
 * :mod:`repro.observe.analyze` — trace summarize/diff, the ledger
   trend report and the baseline regression gate behind ``python -m
   repro trace|report|check``.
-* :mod:`repro.observe.metrics` — *live* telemetry: a process-wide
-  registry of counters/gauges/histograms with labeled children,
-  Prometheus text exposition (``GET /metrics`` on the tuning server),
-  and worker-delta spooling so totals stay exact across process
-  backends.  Instruments are declared in
+* :mod:`repro.observe.metrics` — the one counter store: a
+  process-wide registry of counters/gauges/histograms with labeled
+  children and Prometheus text exposition (``GET /metrics`` on the
+  tuning server).  Process-backend workers hand their growth back with
+  each task result, so totals stay exact across processes; traces,
+  the ledger and ``/metrics`` all read it.  Instruments are declared in
   :mod:`repro.observe.catalog`; :mod:`repro.observe.dashboard` renders
   snapshots for ``python -m repro metrics [--watch]``.
 
@@ -51,14 +52,12 @@ from repro.observe.analyze import (
 from repro.observe.export import JsonlExporter, MemorySink, Trace, load_trace, merge_records
 from repro.observe.ledger import RunLedger, RunRecord, metrics_from_result
 from repro.observe.metrics import (
-    METRICS_SPOOL_ENV,
     Counter,
     Gauge,
     Histogram,
     HistogramValue,
     MetricsRegistry,
     MetricsSnapshot,
-    flush_worker_metrics,
     get_metrics,
     histogram_quantile,
     install_worker_metrics,
@@ -86,7 +85,6 @@ __all__ = [
     "Histogram",
     "HistogramValue",
     "JsonlExporter",
-    "METRICS_SPOOL_ENV",
     "MemorySink",
     "MetricsRegistry",
     "MetricsSnapshot",
@@ -101,7 +99,6 @@ __all__ = [
     "Tracer",
     "check_record",
     "diff_traces",
-    "flush_worker_metrics",
     "get_metrics",
     "get_tracer",
     "histogram_quantile",

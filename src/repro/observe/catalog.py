@@ -8,10 +8,14 @@ at the point of use.  The OBS001 lint rule enforces the closure: a
 can never silently fork a time series.
 
 The full name / type / labels / owner table is documented in
-DESIGN.md §17; keep the two in sync when adding instruments.
+DESIGN.md §17; keep the two in sync when adding instruments (a test
+checks both directions).  :data:`TRACE_COUNTERS` maps the dotted names
+a trace reports (``Tracer.counters()``) onto these counters.
 """
 
 from __future__ import annotations
+
+from typing import Dict, Tuple
 
 from repro.observe.metrics import (
     Counter,
@@ -124,3 +128,59 @@ CHARACTERIZE_MC_SAMPLES: Counter = _REGISTRY.counter(
     "repro_characterize_mc_samples_total",
     "Monte-Carlo samples evaluated",
 )
+
+# -- synthesis and timing (repro.synth.synthesizer, repro.sta.engine) --
+
+#: Synthesis runs (one per ``synthesize`` call, min-period probes too).
+SYNTH_CALLS: Counter = _REGISTRY.counter(
+    "repro_synth_calls_total",
+    "Synthesis runs",
+)
+
+#: Sizing-loop iterations across all synthesis runs.
+SYNTH_SIZING_ITERATIONS: Counter = _REGISTRY.counter(
+    "repro_synth_sizing_iterations_total",
+    "Sizing-loop iterations",
+)
+
+#: Buffers inserted across all synthesis runs.
+SYNTH_BUFFER_INSTANCES: Counter = _REGISTRY.counter(
+    "repro_synth_buffer_instances_total",
+    "Buffer instances inserted",
+)
+
+#: Full static-timing passes.
+STA_ANALYZE_CALLS: Counter = _REGISTRY.counter(
+    "repro_sta_analyze_calls_total",
+    "Static timing analysis passes",
+)
+
+#: Timing-graph nodes (nets) visited across all passes.
+STA_NODE_VISITS: Counter = _REGISTRY.counter(
+    "repro_sta_node_visits_total",
+    "Timing-graph nodes visited",
+)
+
+#: Timing arcs evaluated across all passes.
+STA_ARC_EVALUATIONS: Counter = _REGISTRY.counter(
+    "repro_sta_arc_evaluations_total",
+    "Timing arcs evaluated",
+)
+
+# -- the trace's view of the registry (repro.observe.tracer) -----------
+
+#: Dotted trace-counter name -> (catalog counter, label values).
+#: ``Tracer.counters()`` reports the growth of exactly these samples.
+TRACE_COUNTERS: Dict[str, Tuple[Counter, Tuple[str, ...]]] = {
+    "characterize.cells": (CHARACTERIZE_CELLS, ()),
+    "characterize.mc_samples": (CHARACTERIZE_MC_SAMPLES, ()),
+    "store.artifact.hit": (STORE_ARTIFACT_EVENTS, ("hit",)),
+    "store.artifact.miss": (STORE_ARTIFACT_EVENTS, ("miss",)),
+    "store.artifact.healed": (STORE_ARTIFACT_EVENTS, ("healed",)),
+    "synth.calls": (SYNTH_CALLS, ()),
+    "synth.sizing_iterations": (SYNTH_SIZING_ITERATIONS, ()),
+    "synth.buffer_instances": (SYNTH_BUFFER_INSTANCES, ()),
+    "sta.analyze_calls": (STA_ANALYZE_CALLS, ()),
+    "sta.node_visits": (STA_NODE_VISITS, ()),
+    "sta.arc_evaluations": (STA_ARC_EVALUATIONS, ()),
+}

@@ -2,17 +2,17 @@
 
 One trace is one JSON-Lines file: each line is a self-contained record
 — ``{"type": "span", ...}`` for finished spans (see
-:meth:`~repro.observe.tracer.Span.to_record`) or ``{"type":
-"counters", ...}`` for counter/gauge flushes.  Counter records carry
-*deltas*, so records from any number of processes sum to the true
-totals.
+:meth:`~repro.observe.tracer.Span.to_record`) or one ``{"type":
+"counters", ...}`` record that the parent's tracer writes when the run
+finishes (:meth:`~repro.observe.tracer.Tracer.finish`).  Worker
+processes write spans only: their counts reach the parent's registry
+with each task result, so the parent's record already includes them.
 
 Process safety relies on POSIX append semantics: every record is
 written as a single ``os.write`` to a file descriptor opened with
 ``O_APPEND``, so concurrent writers — the ``ProcessPoolExecutor``
 characterization and sweep workers — interleave whole lines and a
-merged trace is always parseable.  No locks or temp files are needed,
-and a worker killed mid-run loses at most its unflushed counters.
+merged trace is always parseable.  No locks or temp files are needed.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class MemorySink:
 
 @dataclass
 class Trace:
-    """Parsed contents of a trace: spans plus merged counters/gauges.
+    """Parsed contents of a trace: spans plus counter totals.
 
     ``trace_ids`` keeps the distinct trace ids seen in file order —
     more than one means the file accumulated several runs (an
@@ -123,7 +123,6 @@ class Trace:
 
     spans: List[Dict[str, Any]] = field(default_factory=list)
     counters: Dict[str, float] = field(default_factory=dict)
-    gauges: Dict[str, Any] = field(default_factory=dict)
     trace_ids: List[str] = field(default_factory=list)
 
     def span_names(self) -> List[str]:
@@ -148,9 +147,10 @@ class Trace:
 def merge_records(records: List[Dict[str, Any]]) -> Trace:
     """Fold raw trace records into a :class:`Trace`.
 
-    Span records collect in file order; counter records (deltas) sum;
-    gauge values take the last write.  Records that are not JSON
-    objects (noise in a hand-edited or corrupted file) are skipped.
+    Span records collect in file order; counter records sum (a file
+    holding several runs sums their totals).  Records that are not
+    JSON objects (noise in a hand-edited or corrupted file) are
+    skipped.
     """
     trace = Trace()
     for record in records:
@@ -165,7 +165,6 @@ def merge_records(records: List[Dict[str, Any]]) -> Trace:
         elif kind == "counters":
             for name, value in record.get("counters", {}).items():
                 trace.counters[name] = trace.counters.get(name, 0) + value
-            trace.gauges.update(record.get("gauges", {}))
     return trace
 
 

@@ -24,7 +24,8 @@ A record carries:
   the memoized minimum period when the flow searched for one;
 * execution — wall time, per-stage aggregates from the
   :class:`~repro.flow.pipeline.RunManifest` (count, hit/miss/computed,
-  seconds) and the tracer's counter deltas (cache hit/miss totals).
+  seconds) and the metrics registry's counter deltas (store traffic,
+  characterization and synthesis work).
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def capture_run(
 
     ``stage_records`` is the slice of the flow's manifest the run
     appended (so records of earlier experiments sharing the context
-    are not re-attributed); ``counters`` the tracer counter deltas
+    are not re-attributed); ``counters`` the registry counter deltas
     observed across the run.
     """
     from repro.flow.pipeline import stage_aggregates

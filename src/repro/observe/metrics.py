@@ -18,15 +18,17 @@ label combination is created on first touch and lives for the life of
 the registry.  All mutation goes through one registry lock, so any
 number of threads may hammer one instrument and totals stay exact.
 
-**Process safety** reuses the tracer's discipline: worker processes
-never share the parent's registry — they accumulate into their own
-(fork-inherited values are re-based away by
-:func:`install_worker_metrics`) and :func:`flush_worker_metrics`
-appends the *growth* as one JSONL record (a single ``O_APPEND``
-``os.write`` via :class:`~repro.observe.export.JsonlExporter`) to the
-spool file named by :data:`METRICS_SPOOL_ENV`.  The parent's
-:meth:`MetricsRegistry.snapshot` folds spool deltas in incrementally,
-so counter totals across any process topology are exact, not sampled.
+**Process safety**: worker processes never share the parent's
+registry — they accumulate into their own (fork-inherited values are
+re-based away by :func:`install_worker_metrics`).  The process
+backend's task shim returns :meth:`MetricsRegistry.take_deltas` with
+each task's result (or on its exception), and the parent folds it in
+with :meth:`MetricsRegistry.absorb`, so counter totals across any
+process topology are exact, not sampled.
+
+This registry is the repo's only counter store: the work counters a
+trace reports (``Tracer.counters()``) are read from it too, so
+``REPRO_METRICS=off`` silences those as well.
 
 **Exposition** is Prometheus text format
 (:func:`render_prometheus` / :func:`parse_prometheus` round-trip),
@@ -52,13 +54,6 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError, ObservabilityError
-from repro.observe.export import JsonlExporter
-
-#: Environment variable naming the worker-delta spool file.  Set by
-#: the parent (``python -m repro serve`` sets a temp default) and
-#: inherited by every worker process; workers append delta records,
-#: the parent merges them on :meth:`MetricsRegistry.snapshot`.
-METRICS_SPOOL_ENV = "REPRO_METRICS_SPOOL"
 
 #: One sample's label values, in the family's declared label order.
 LabelKey = Tuple[str, ...]
@@ -189,7 +184,7 @@ class MetricsSnapshot:
 
         Counters and histograms sum (the values are deltas or totals —
         either way addition is the right fold); gauges take the last
-        write, matching :func:`repro.observe.export.merge_records`.
+        write.
         """
         for name, theirs in other.families.items():
             mine = self.families.get(name)
@@ -248,7 +243,7 @@ class MetricsSnapshot:
         return totals
 
     def to_payload(self) -> Dict[str, Any]:
-        """JSON-safe form (spool records, ``metrics --format json``)."""
+        """JSON-safe form (``metrics --format json``)."""
         families: Dict[str, Any] = {}
         for name in sorted(self.families):
             family = self.families[name]
@@ -313,12 +308,12 @@ class MetricsSnapshot:
 class CounterChild:
     """One labeled counter sample; mutation under the registry lock."""
 
-    __slots__ = ("_family", "value", "_flushed")
+    __slots__ = ("_family", "value", "_taken")
 
     def __init__(self, family: "Counter"):
         self._family = family
         self.value = 0.0
-        self._flushed = 0.0
+        self._taken = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (>= 0; counters are monotonic)."""
@@ -367,14 +362,14 @@ class GaugeChild:
 class HistogramChild:
     """One labeled histogram sample over the family's fixed buckets."""
 
-    __slots__ = ("_family", "counts", "total", "count", "_flushed")
+    __slots__ = ("_family", "counts", "total", "count", "_taken")
 
     def __init__(self, family: "Histogram"):
         self._family = family
         self.counts = [0] * (len(family.buckets) + 1)
         self.total = 0.0
         self.count = 0
-        self._flushed: Tuple[Tuple[int, ...], float, int] = (
+        self._taken: Tuple[Tuple[int, ...], float, int] = (
             tuple(self.counts), 0.0, 0,
         )
 
@@ -477,6 +472,12 @@ class Counter(_Family):
         """Increment the unlabeled sample."""
         self._unlabeled().inc(amount)
 
+    def value(self, *values: Any) -> float:
+        """Total of the sample with these label values (0 if untouched);
+        reading never creates a child."""
+        child = self._children.get(tuple(str(v) for v in values))
+        return 0.0 if child is None else child.value
+
 
 class Gauge(_Family):
     """A level that can move both ways, optionally labeled."""
@@ -558,10 +559,6 @@ class MetricsRegistry:
         self.enabled = True
         self._families: Dict[str, _Family] = {}
         self._pid = os.getpid()
-        #: Incremental spool-merge state: bytes consumed per path, and
-        #: the accumulated worker deltas folded so far.
-        self._spool_offsets: Dict[str, int] = {}
-        self._spool_acc: Dict[str, MetricsSnapshot] = {}
 
     # -- registration --------------------------------------------------
 
@@ -632,15 +629,8 @@ class MetricsRegistry:
 
     # -- snapshots -----------------------------------------------------
 
-    def snapshot(self, include_spool: bool = True) -> MetricsSnapshot:
-        """Copy out every family; optionally fold in worker deltas.
-
-        With ``include_spool`` (the default) the spool file named by
-        :data:`METRICS_SPOOL_ENV` is read incrementally — only bytes
-        appended since the last snapshot are parsed, and only complete
-        (newline-terminated) lines are consumed, so a worker writing
-        concurrently can never tear a record.
-        """
+    def snapshot(self) -> MetricsSnapshot:
+        """Copy out every family."""
         with self.lock:
             snapshot = MetricsSnapshot()
             for name, family in self._families.items():
@@ -661,153 +651,117 @@ class MetricsRegistry:
                     else:
                         family_snapshot.samples[key] = child.value
                 snapshot.families[name] = family_snapshot
-            if include_spool:
-                spooled = self._collect_spool()
-                if spooled is not None:
-                    snapshot.merge(spooled)
         return snapshot
 
-    def _collect_spool(self) -> Optional[MetricsSnapshot]:
-        """Fold newly appended spool records into the accumulator."""
-        path = os.environ.get(METRICS_SPOOL_ENV)
-        if not path:
-            return None
-        try:
-            size = os.path.getsize(path)
-        except OSError:
-            return None
-        offset = self._spool_offsets.get(path, 0)
-        accumulated = self._spool_acc.get(path)
-        if accumulated is None or size < offset:
-            # A fresh or recycled (truncated) spool: start over.
-            accumulated = MetricsSnapshot()
-            self._spool_acc = {path: accumulated}
-            self._spool_offsets = {path: 0}
-            offset = 0
-        if size > offset:
-            with open(path, "rb") as handle:
-                handle.seek(offset)
-                chunk = handle.read(size - offset)
-            complete = chunk.rfind(b"\n")
-            if complete >= 0:
-                for line in chunk[: complete + 1].splitlines():
-                    record = _parse_spool_line(line)
-                    if record is not None:
-                        accumulated.merge(record)
-                self._spool_offsets[path] = offset + complete + 1
-        return accumulated
+    # -- worker deltas -------------------------------------------------
 
-    # -- worker-delta export -------------------------------------------
-
-    def flush_deltas(self, sink: Any) -> bool:
-        """Write growth since the last flush as one spool record.
+    def take_deltas(self) -> MetricsSnapshot:
+        """Growth since the previous call (or :meth:`rebase`).
 
         Gauges are skipped — a worker's level has no meaning in the
-        parent.  Returns whether anything was written.
+        parent.  The result is what a worker task hands back to the
+        parent's :meth:`absorb`.
         """
+        deltas = MetricsSnapshot()
         with self.lock:
-            families: Dict[str, Any] = {}
             for name, family in self._families.items():
                 if family.kind == "gauge":
                     continue
-                samples: List[Dict[str, Any]] = []
+                samples: Dict[LabelKey, Value] = {}
                 for key, child in family._children.items():
-                    entry = _take_delta(child)
-                    if entry is not None:
-                        entry["labels"] = list(key)
-                        samples.append(entry)
+                    delta = _take_delta(child)
+                    if delta is not None:
+                        samples[key] = delta
                 if samples:
-                    families[name] = {
-                        "kind": family.kind,
-                        "help": family.help,
-                        "labelnames": list(family.labelnames),
-                        "buckets": list(getattr(family, "buckets", ())),
-                        "samples": samples,
-                    }
-        if not families:
-            return False
-        sink.write(
-            {"type": "metrics", "pid": os.getpid(), "families": families}
-        )
-        return True
+                    deltas.families[name] = FamilySnapshot(
+                        name=name,
+                        kind=family.kind,
+                        help=family.help,
+                        labelnames=family.labelnames,
+                        buckets=getattr(family, "buckets", ()),
+                        samples=samples,
+                    )
+        return deltas
+
+    def absorb(self, deltas: MetricsSnapshot) -> None:
+        """Add a worker's :meth:`take_deltas` to this registry's totals.
+
+        A family only the worker registered is registered here first
+        (a kind or label mismatch raises, as any re-registration
+        does).  No-op while collection is disabled.
+        """
+        if not self.enabled:
+            return
+        with self.lock:
+            for name, theirs in deltas.families.items():
+                if theirs.kind == "histogram":
+                    family: _Family = self.histogram(
+                        name, theirs.help, theirs.labelnames, theirs.buckets
+                    )
+                else:
+                    family = self.counter(name, theirs.help, theirs.labelnames)
+                for key, value in theirs.samples.items():
+                    child = family._resolve(key)
+                    if isinstance(value, HistogramValue):
+                        child.counts = [
+                            a + b for a, b in zip(child.counts, value.counts)
+                        ]
+                        child.total += value.total
+                        child.count += value.count
+                    else:
+                        child.value += value
 
     def rebase(self) -> None:
-        """Mark current values as already-flushed (and adopt this pid).
+        """Adopt this pid and drop all growth so far.
 
         The fork-safety hinge: a forked worker inherits the parent's
-        totals, and without re-basing it would flush the parent's whole
-        history as its own delta — double counting everything.
+        totals, and without re-basing it would hand the parent's whole
+        history back as its own delta — double counting everything.
         """
         with self.lock:
             self._pid = os.getpid()
-            self._spool_offsets = {}
-            self._spool_acc = {}
-            for family in self._families.values():
-                for child in family._children.values():
-                    if isinstance(child, CounterChild):
-                        child._flushed = child.value
-                    elif isinstance(child, HistogramChild):
-                        child._flushed = (
-                            tuple(child.counts), child.total, child.count,
-                        )
+            self.take_deltas()
 
     def reset(self) -> None:
-        """Zero every sample and forget spool progress (test isolation).
+        """Zero every sample (test isolation).
 
         Families survive (catalog instruments stay bound); only their
         children are dropped, so the next touch starts from zero.
         """
         with self.lock:
-            self._spool_offsets = {}
-            self._spool_acc = {}
             for family in self._families.values():
                 family._children.clear()
                 if not family.labelnames:
                     family._resolve(())
 
 
-def _take_delta(child: Any) -> Optional[Dict[str, Any]]:
-    """Growth since the last flush, updating the baseline (or None)."""
+def _take_delta(child: Any) -> Optional[Value]:
+    """Growth since the last take, updating the baseline (or None)."""
     if isinstance(child, CounterChild):
-        delta = child.value - child._flushed
+        delta = child.value - child._taken
         if delta <= 0:
             return None
-        child._flushed = child.value
-        return {"value": delta}
+        child._taken = child.value
+        return delta
     if isinstance(child, HistogramChild):
-        counts_base, total_base, count_base = child._flushed
+        counts_base, total_base, count_base = child._taken
         if child.count <= count_base:
             return None
-        entry = {
-            "counts": [
+        value = HistogramValue(
+            counts=tuple(
                 now - base for now, base in zip(child.counts, counts_base)
-            ],
-            "sum": child.total - total_base,
-            "count": child.count - count_base,
-        }
-        child._flushed = (tuple(child.counts), child.total, child.count)
-        return entry
+            ),
+            total=child.total - total_base,
+            count=child.count - count_base,
+        )
+        child._taken = (tuple(child.counts), child.total, child.count)
+        return value
     return None
-
-
-def _parse_spool_line(line: bytes) -> Optional[MetricsSnapshot]:
-    """One spool record -> snapshot delta (None for noise lines)."""
-    line = line.strip()
-    if not line:
-        return None
-    try:
-        record = json.loads(line)
-    except ValueError:
-        return None
-    if not isinstance(record, dict) or record.get("type") != "metrics":
-        return None
-    return MetricsSnapshot.from_payload(record)
 
 
 # -- process-global plumbing -------------------------------------------
 
 _REGISTRY = MetricsRegistry()
-_SPOOL_SINKS: Dict[str, JsonlExporter] = {}
 
 
 def get_metrics() -> MetricsRegistry:
@@ -832,7 +786,7 @@ def install_worker_metrics() -> MetricsRegistry:
     """Prepare the registry inside a worker process.
 
     Under ``fork`` the worker inherits the parent's totals; re-base so
-    only *this process's* growth is ever flushed.  Under ``spawn`` the
+    only *this process's* growth is ever handed back.  Under ``spawn`` the
     fresh import already starts from zero and this is a no-op.  Safe to
     call once per task — after the first call the pid matches.
     """
@@ -840,26 +794,6 @@ def install_worker_metrics() -> MetricsRegistry:
     if registry._pid != os.getpid():
         registry.rebase()
     return registry
-
-
-def flush_worker_metrics() -> bool:
-    """Append this worker's growth to the spool (one O_APPEND write).
-
-    No-op without :data:`METRICS_SPOOL_ENV` in the environment or with
-    collection disabled.  The exporter is memoized per path so a worker
-    reused across tasks keeps one file descriptor.
-    """
-    path = os.environ.get(METRICS_SPOOL_ENV)
-    if not path:
-        return False
-    registry = get_metrics()
-    if not registry.enabled:
-        return False
-    sink = _SPOOL_SINKS.get(path)
-    if sink is None:
-        sink = JsonlExporter(path)
-        _SPOOL_SINKS[path] = sink
-    return registry.flush_deltas(sink)
 
 
 # -- Prometheus text exposition ----------------------------------------
@@ -1105,15 +1039,12 @@ def _histogram_base(
 
 
 def load_metrics(paths: Iterable[Union[str, Path]]) -> MetricsSnapshot:
-    """Fold on-disk metric records into one snapshot.
+    """Fold saved ``metrics --format json`` snapshots into one.
 
-    Accepts both spool files (one ``{"type": "metrics", ...}`` delta
-    record per line) and saved ``metrics --format json`` snapshots (a
-    single, possibly pretty-printed ``{"families": ...}`` document).
-    Noise lines in a spool skip, but a file that yields no metric
-    record at all raises :class:`~repro.errors.ObservabilityError` —
-    a wrong path or a truncated snapshot must not render as an empty
-    dashboard.
+    A file that is not such a snapshot (a single, possibly
+    pretty-printed ``{"families": ...}`` document) raises
+    :class:`~repro.errors.ObservabilityError` — a wrong path or a
+    truncated snapshot must not render as an empty dashboard.
     """
     snapshot = MetricsSnapshot()
     for path in paths:
@@ -1123,26 +1054,10 @@ def load_metrics(paths: Iterable[Union[str, Path]]) -> MetricsSnapshot:
             document = json.loads(text)
         except ValueError:
             document = None
-        if isinstance(document, dict) and "families" in document:
-            snapshot.merge(MetricsSnapshot.from_payload(document))
-            continue
-        merged_any = False
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue
-            if not isinstance(record, dict):
-                continue
-            if record.get("type") == "metrics" or "families" in record:
-                snapshot.merge(MetricsSnapshot.from_payload(record))
-                merged_any = True
-        if not merged_any:
+        if not isinstance(document, dict) or "families" not in document:
             raise ObservabilityError(
-                f"no metric records in {path} (expected a spool JSONL "
-                "or a 'metrics --format json' snapshot)"
+                f"no metrics snapshot in {path} (expected a "
+                "'metrics --format json' document)"
             )
+        snapshot.merge(MetricsSnapshot.from_payload(document))
     return snapshot

@@ -126,21 +126,15 @@ def render_tree(spans: List[Dict[str, Any]]) -> str:
     return "\n".join(lines)
 
 
-def render_counters(
-    counters: Dict[str, float], gauges: Optional[Dict[str, Any]] = None
-) -> str:
-    """Fixed-width table of counter totals (and gauges, when present)."""
-    if not counters and not gauges:
+def render_counters(counters: Dict[str, float]) -> str:
+    """Fixed-width table of counter totals."""
+    if not counters:
         return "counters: none recorded"
     lines = ["counters:"]
     for name in sorted(counters):
         value = counters[name]
         rendered = f"{value:g}" if isinstance(value, float) else str(value)
         lines.append(f"  {name:<40s} {rendered:>12s}")
-    if gauges:
-        lines.append("gauges:")
-        for name in sorted(gauges):
-            lines.append(f"  {name:<40s} {str(gauges[name]):>12s}")
     return "\n".join(lines)
 
 
@@ -152,6 +146,6 @@ def render_trace(trace: Trace) -> str:
             f"warning: file holds {len(trace.trace_ids)} interleaved traces "
             "(appending exporter on a recycled path?)\n" + parts[0]
         )
-    if trace.counters or trace.gauges:
-        parts.append(render_counters(trace.counters, trace.gauges))
+    if trace.counters:
+        parts.append(render_counters(trace.counters))
     return "\n\n".join(parts)

@@ -1,6 +1,6 @@
-"""Nested-span tracing, counters and gauges.
+"""Nested-span tracing and the trace's view of the work counters.
 
-The tracing model is deliberately small — three record kinds cover the
+The tracing model is deliberately small — two record kinds cover the
 whole flow:
 
 * a **span** is one timed region of work: a name, free-form attributes,
@@ -10,11 +10,12 @@ whole flow:
   synthesis phase -> STA pass -> per-cell characterization.
 * a **counter** is a monotone named total (cells characterized, MC
   samples drawn, sizing iterations, STA node visits, cache hits and
-  misses per store).
-* a **gauge** is a last-write-wins named value (worker count, design
-  size).
+  misses per store).  Counters live in the metrics registry
+  (:mod:`repro.observe.metrics`), not here: :meth:`Tracer.counters`
+  reads their growth since the tracer was built, under the dotted
+  names of :data:`repro.observe.catalog.TRACE_COUNTERS`.
 
-A :class:`Tracer` owns all three plus an optional export sink (see
+A :class:`Tracer` owns the spans plus an optional export sink (see
 :mod:`repro.observe.export`).  The active tracer is a per-process
 global (:func:`get_tracer` / :func:`set_tracer`) defaulting to a
 :class:`NullTracer` whose every operation is a no-op — instrumentation
@@ -36,6 +37,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
+
+from repro.observe.catalog import TRACE_COUNTERS
 
 try:
     import resource
@@ -191,11 +194,19 @@ class TraceHandle:
         )
 
 
+def _counter_totals() -> Dict[str, float]:
+    """Current registry totals under their dotted trace names."""
+    return {
+        name: family.value(*labels)
+        for name, (family, labels) in TRACE_COUNTERS.items()
+    }
+
+
 class Tracer:
-    """Collects spans, counters and gauges; optionally exports them.
+    """Collects spans and reads counter growth; optionally exports them.
 
     Thread-safe: each thread keeps its own span stack (spans nest per
-    thread), counters and the finished-span list are lock-guarded.
+    thread), the finished-span list is lock-guarded.
     Process-safe export: every finished span is written as one
     appended JSONL line, so tracers in different processes sharing one
     file interleave without tearing (see :mod:`repro.observe.export`).
@@ -222,9 +233,7 @@ class Tracer:
         self._local = threading.local()
         self._lock = threading.Lock()
         self.spans: List[Span] = []
-        self._counters: Dict[str, float] = {}
-        self._gauges: Dict[str, Any] = {}
-        self._flushed: Dict[str, float] = {}
+        self._counter_base = _counter_totals()
 
     # ------------------------------------------------------------------
     # Spans
@@ -300,18 +309,8 @@ class Tracer:
         return span
 
     # ------------------------------------------------------------------
-    # Counters and gauges
+    # Events and counters
     # ------------------------------------------------------------------
-
-    def add(self, name: str, value: float = 1) -> None:
-        """Increment counter ``name`` by ``value``."""
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + value
-
-    def gauge(self, name: str, value: Any) -> None:
-        """Set gauge ``name`` to ``value`` (last write wins)."""
-        with self._lock:
-            self._gauges[name] = value
 
     def event(self, name: str, **attrs: Any) -> None:
         """Attach an event to this thread's innermost open span.
@@ -327,50 +326,36 @@ class Tracer:
             stack[-1].event(name, **attrs)
 
     def counters(self) -> Dict[str, float]:
-        """Snapshot of all counter totals."""
-        with self._lock:
-            return dict(self._counters)
+        """Registry growth since this tracer was built, by dotted name.
 
-    def gauges(self) -> Dict[str, Any]:
-        """Snapshot of all gauges."""
-        with self._lock:
-            return dict(self._gauges)
+        Only counters that grew appear.  Process-backend workers hand
+        their growth back with each task result, so the totals include
+        them; with collection off (``REPRO_METRICS=off``) nothing grows.
+        """
+        return {
+            name: total - self._counter_base[name]
+            for name, total in _counter_totals().items()
+            if total != self._counter_base[name]
+        }
 
     # ------------------------------------------------------------------
     # Export plumbing
     # ------------------------------------------------------------------
 
-    def flush_counters(self) -> None:
-        """Export counter growth since the previous flush.
-
-        Counter records in the trace file are *deltas*, so tracers in
-        many processes (each flushing at task end) sum correctly when
-        the file is read back; the in-memory totals are unaffected.
-        """
+    def finish(self) -> None:
+        """Write :meth:`counters` as the trace's one ``counters`` record
+        and sync the sink.  Call once, when the traced run ends."""
         if self.sink is None:
             return
-        with self._lock:
-            delta = {
-                name: total - self._flushed.get(name, 0)
-                for name, total in self._counters.items()
-                if total != self._flushed.get(name, 0)
-            }
-            gauges = dict(self._gauges)
-            self._flushed = dict(self._counters)
-        if delta or gauges:
+        counters = self.counters()
+        if counters:
             self.sink.write({
                 "type": "counters",
                 "trace": self.trace_id,
                 "pid": self._pid,
-                "counters": delta,
-                "gauges": gauges,
+                "counters": counters,
             })
-
-    def finish(self) -> None:
-        """Flush pending counters and sync the sink."""
-        self.flush_counters()
-        if self.sink is not None:
-            self.sink.flush()
+        self.sink.flush()
 
     def handle(self) -> Optional[TraceHandle]:
         """A picklable handle for worker processes, or ``None`` when
@@ -422,17 +407,12 @@ class NullTracer(Tracer):
         """Discard the record; returns the shared dummy span."""
         return _NULL_SPAN
 
-    def add(self, name: str, value: float = 1) -> None:
-        """Discard the increment."""
-
-    def gauge(self, name: str, value: Any) -> None:
-        """Discard the value."""
-
     def event(self, name: str, **attrs: Any) -> None:
         """Discard the event."""
 
-    def flush_counters(self) -> None:
-        """Nothing to flush."""
+    def counters(self) -> Dict[str, float]:
+        """Nothing is counted against the null tracer."""
+        return {}
 
     def handle(self) -> Optional[TraceHandle]:
         """Null tracers never merge across processes."""

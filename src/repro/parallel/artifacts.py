@@ -183,10 +183,8 @@ class ArtifactStore:
         counts as ``healed``.
         """
         path = self.path_for(stage, key)
-        tracer = get_tracer()
         if not path.is_file():
             STORE_ARTIFACT_EVENTS.labels(event="miss").inc()
-            tracer.add("store.artifact.miss", 1)
             return None
         try:
             size = path.stat().st_size
@@ -207,8 +205,7 @@ class ArtifactStore:
             # unhealthy store (disk trouble, version skew, races).
             self._discard(path)
             STORE_ARTIFACT_EVENTS.labels(event="healed").inc()
-            tracer.add("store.artifact.healed", 1)
-            tracer.event(
+            get_tracer().event(
                 "store.self_heal",
                 stage=stage,
                 file=path.name,
@@ -217,7 +214,6 @@ class ArtifactStore:
             return None
         STORE_ARTIFACT_EVENTS.labels(event="hit").inc()
         STORE_ARTIFACT_BYTES.labels(direction="read").inc(size)
-        tracer.add("store.artifact.hit", 1)
         return payload
 
     def store(self, stage: str, key: str, payload: Any) -> Path:

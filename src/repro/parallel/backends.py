@@ -32,6 +32,10 @@ The contract every backend honors:
   merge into the parent's trace; the serial backend leaves the
   caller's tracer active and lets ``fn``'s default ``trace=None``
   plumbing find it.
+* **Worker counts** — an out-of-process task hands its metrics-registry
+  growth back with its result (or on its exception), and the parent
+  folds it into its own registry, so counters stay exact across
+  processes.  A worker that dies outright loses its growth.
 * **Determinism** — a backend never changes results, so the choice
   (like the kernel choice, see :mod:`repro.kernels`) must never enter
   stage fingerprints or cache keys.
@@ -52,7 +56,11 @@ from repro.observe.catalog import (
     DISPATCH_CAPACITY,
     DISPATCH_PENDING,
 )
-from repro.observe.metrics import flush_worker_metrics, install_worker_metrics
+from repro.observe.metrics import (
+    MetricsSnapshot,
+    get_metrics,
+    install_worker_metrics,
+)
 
 #: The recognized backend names, in documentation order.
 BACKEND_NAMES: Tuple[str, ...] = ("serial", "process")
@@ -168,7 +176,8 @@ class ProcessBackend(ExecutorBackend):
         thread, while the caller's span is still open — the executor
         pickles arguments from its queue-feeder thread, where the
         thread-local span stack is empty and the parent link would be
-        lost.
+        lost.  Every task's metrics delta is folded in, failed tasks'
+        too; then the first failure, if any, is re-raised.
         """
         tasks = list(tasks)
         if not tasks:
@@ -184,7 +193,21 @@ class ProcessBackend(ExecutorBackend):
                 pool.submit(_run_worker_task, fn, tuple(task), trace, self.name)
                 for task in tasks
             ]
-            results = [future.result() for future in futures]
+            registry = get_metrics()
+            results = []
+            failure: Optional[Exception] = None
+            for future in futures:
+                try:
+                    result, deltas = future.result()
+                except Exception as error:
+                    deltas = getattr(error, "metrics_deltas", None)
+                    failure = failure or error
+                else:
+                    results.append(result)
+                if deltas is not None:
+                    registry.absorb(deltas)
+        if failure is not None:
+            raise failure
         BACKEND_TASKS.labels(backend=self.name, event="completed").inc(
             len(tasks)
         )
@@ -197,24 +220,32 @@ def _run_worker_task(
     trace: Optional[TraceHandle],
     backend_name: str,
 ) -> Any:
-    """Worker shim: run one task with metrics plumbing around it.
+    """Worker shim: run one task, return ``(result, metrics deltas)``.
 
     Module-level (PROC002) so the pool can pickle it by name.  The
     fork-inherited registry is re-based before the task runs
-    (:func:`~repro.observe.metrics.install_worker_metrics`) and this
-    process's growth — including the task wall-time observation — is
-    flushed to the spool afterwards, win or lose.  The task callable
-    keeps its existing ``fn(*args, trace)`` contract.
+    (:func:`~repro.observe.metrics.install_worker_metrics`).  This
+    process's growth since the previous task — including the task
+    wall-time observation — travels back with the result or, when the
+    task raises, as the exception's ``metrics_deltas`` attribute (it
+    pickles with the exception).  The task callable keeps its
+    ``fn(*args, trace)`` contract.
     """
-    install_worker_metrics()
+    registry = install_worker_metrics()
     started = time.perf_counter()
-    try:
-        return fn(*args, trace)
-    finally:
+
+    def deltas() -> MetricsSnapshot:
         BACKEND_TASK_SECONDS.labels(backend_name).observe(
             time.perf_counter() - started
         )
-        flush_worker_metrics()
+        return registry.take_deltas()
+
+    try:
+        result = fn(*args, trace)
+    except BaseException as error:
+        error.metrics_deltas = deltas()
+        raise
+    return result, deltas()
 
 
 class AsyncDispatcher:

@@ -67,7 +67,6 @@ def _statistical_chunk(
             )
             for spec in specs
         ]
-    tracer.flush_counters()
     return cells
 
 
@@ -99,7 +98,6 @@ def _sample_chunk(
             [column[row] for column in columns]
             for row in range(len(sample_indices))
         ]
-    tracer.flush_counters()
     return tile
 
 

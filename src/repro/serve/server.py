@@ -334,9 +334,7 @@ class TuningServer:
                 kind = "metrics"
                 if method != "GET":
                     raise RequestError("/metrics only answers GET")
-                # snapshot() folds in the worker spool from disk —
-                # render off the event loop.
-                text = await asyncio.to_thread(self._render_metrics)
+                text = render_prometheus(get_metrics().snapshot())
                 await self._observe(
                     kind, trace_id, "ok", 200,
                     time.perf_counter() - start, ledger=False,
@@ -392,11 +390,6 @@ class TuningServer:
         return status, payload
 
     # -- observability ------------------------------------------------
-
-    @staticmethod
-    def _render_metrics() -> str:
-        """Prometheus exposition text (sync: snapshot reads the spool)."""
-        return render_prometheus(get_metrics().snapshot())
 
     async def _observe(
         self,

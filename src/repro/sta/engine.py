@@ -25,6 +25,11 @@ from repro.errors import TimingError
 from repro.kernels.dispatch import resolve_kernel
 from repro.kernels.sta import worst_values
 from repro.observe import get_tracer
+from repro.observe.catalog import (
+    STA_ANALYZE_CALLS,
+    STA_ARC_EVALUATIONS,
+    STA_NODE_VISITS,
+)
 from repro.sta.graph import Endpoint, TimingGraph
 from repro.units import GUARD_BAND_NS
 
@@ -134,11 +139,10 @@ def analyze(
             f"{guard_band} ns"
         )
     kernel = resolve_kernel(kernel)
-    tracer = get_tracer()
-    tracer.add("sta.analyze_calls", 1)
-    tracer.add("sta.node_visits", len(graph.net_names))
-    tracer.add("sta.arc_evaluations", graph.n_arcs)
-    with tracer.span("sta.analyze", nets=len(graph.net_names), arcs=graph.n_arcs):
+    STA_ANALYZE_CALLS.inc()
+    STA_NODE_VISITS.inc(len(graph.net_names))
+    STA_ARC_EVALUATIONS.inc(graph.n_arcs)
+    with get_tracer().span("sta.analyze", nets=len(graph.net_names), arcs=graph.n_arcs):
         return _analyze(graph, clock_period, guard_band, kernel)
 
 

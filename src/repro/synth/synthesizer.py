@@ -33,6 +33,11 @@ from repro.kernels.sta import worst_values
 from repro.liberty.model import Library
 from repro.netlist.model import Instance, Netlist
 from repro.observe import get_tracer
+from repro.observe.catalog import (
+    SYNTH_BUFFER_INSTANCES,
+    SYNTH_CALLS,
+    SYNTH_SIZING_ITERATIONS,
+)
 from repro.sta.engine import TimingResult, analyze
 from repro.sta.graph import StaConfig, TimingGraph
 from repro.synth.buffering import plan_groups, split_fanout
@@ -139,8 +144,8 @@ class Synthesizer:
         if result.met:
             with tracer.span("synth.recover"):
                 result = self._area_recovery(result)
-        tracer.add("synth.sizing_iterations", self.sizing_iterations)
-        tracer.add("synth.buffer_instances", self.buffer_instances)
+        SYNTH_SIZING_ITERATIONS.inc(self.sizing_iterations)
+        SYNTH_BUFFER_INSTANCES.inc(self.buffer_instances)
         met = result.met
         reason = "" if met else (
             f"WNS {result.wns:+.4f} ns at sizing fixpoint "
@@ -735,9 +740,8 @@ def synthesize(
     """Map and size ``netlist`` against ``library`` under ``constraints``."""
     global _SYNTHESIS_CALLS
     _SYNTHESIS_CALLS += 1
-    tracer = get_tracer()
-    tracer.add("synth.calls", 1)
-    with tracer.span(
+    SYNTH_CALLS.inc()
+    with get_tracer().span(
         "synth.run",
         period=constraints.clock_period,
         instances=len(netlist),

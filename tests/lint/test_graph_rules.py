@@ -150,7 +150,7 @@ class TestLock001:
 
     def test_good_lock_dominated_helper(self):
         # Same helper, but every caller holds the lock at the call
-        # site — the MetricsRegistry._collect_spool shape.
+        # site — the JsonlExporter._ensure_open shape.
         findings = findings_for(Lock001UnguardedMutation(), {
             "src/repro/flow/reg.py": LOCKED_CLASS + (
                 "    def _clear(self):\n"

@@ -354,12 +354,12 @@ class TestCliSurface:
         import repro.experiments.runner as runner
         from repro.experiments.base import ExperimentResult
         from repro.observe import get_tracer, load_trace
+        from repro.observe.catalog import SYNTH_CALLS
 
         def fake_run(context):
             """Stub experiment recording one span and one counter."""
-            tracer = get_tracer()
-            with tracer.span("fake.work"):
-                tracer.add("fake.items", 3)
+            with get_tracer().span("fake.work"):
+                SYNTH_CALLS.inc(3)
             return ExperimentResult("fake", "stub", rows=[])
 
         fake_table = {"fake": fake_run}
@@ -372,7 +372,7 @@ class TestCliSurface:
         assert "experiment.fake" in out  # the rendered tree
         trace = load_trace(path)
         assert "fake.work" in trace.span_names()
-        assert trace.counters["fake.items"] == 3
+        assert trace.counters["synth.calls"] == 3
 
     def test_trace_dir_writes_per_experiment_artifacts(
         self, tmp_path, monkeypatch
@@ -383,6 +383,7 @@ class TestCliSurface:
         import repro.experiments.runner as runner
         from repro.experiments.base import ExperimentResult
         from repro.observe import get_tracer, load_trace
+        from repro.observe.catalog import SYNTH_CALLS
 
         def make_run(experiment_id):
             """A stub experiment factory recording one counted span."""
@@ -390,7 +391,7 @@ class TestCliSurface:
             def run(context):
                 """Stub experiment body."""
                 with get_tracer().span("stub.work"):
-                    get_tracer().add("stub.items", 1)
+                    SYNTH_CALLS.inc()
                 return ExperimentResult(experiment_id, "stub", rows=[])
 
             return run
@@ -404,4 +405,4 @@ class TestCliSurface:
             trace = load_trace(directory / f"{experiment_id}.trace.jsonl")
             assert f"experiment.{experiment_id}" in trace.span_names()
             assert "stub.work" in trace.span_names()
-            assert trace.counters["stub.items"] == 1
+            assert trace.counters["synth.calls"] == 1

@@ -20,15 +20,15 @@ from repro.observe import (
     merge_records,
     set_tracer,
 )
+from repro.observe.catalog import SYNTH_CALLS
 
 
 def _worker_task(handle, index):
-    """Pool task: join the trace, record one span and one counter."""
+    """Pool task: join the trace, record one span."""
     tracer = install_worker_tracer(handle)
     try:
         with tracer.span("worker.task", index=index):
-            tracer.add("worker.items", 1)
-        tracer.flush_counters()
+            pass
     finally:
         set_tracer(None)
     return index
@@ -44,14 +44,14 @@ class TestJsonlRoundTrip:
         with tracer.span("root") as root:
             with tracer.span("child", key="abc"):
                 pass
-            tracer.add("n", 7)
+            SYNTH_CALLS.inc(7)
         tracer.finish()
         trace = load_trace(path)
         assert trace.span_names() == ["child", "root"]
         child = next(s for s in trace.spans if s["name"] == "child")
         assert child["parent"] == root.span_id
         assert child["attrs"] == {"key": "abc"}
-        assert trace.counters == {"n": 7}
+        assert trace.counters == {"synth.calls": 7}
         assert trace.total_wall("root") == root.wall
 
     def test_truncate_clears_previous_contents(self, tmp_path):
@@ -84,21 +84,19 @@ class TestJsonlRoundTrip:
         assert trace.span_names() == ["ok"]
 
     def test_merge_records_sums_counter_deltas(self):
-        """Counter records are deltas: records from N writers sum."""
+        """Counter records from several runs in one file sum."""
         trace = merge_records([
-            {"type": "counters", "counters": {"n": 3}, "gauges": {"w": 1}},
-            {"type": "counters", "counters": {"n": 4, "m": 1}, "gauges": {"w": 8}},
+            {"type": "counters", "counters": {"n": 3}},
+            {"type": "counters", "counters": {"n": 4, "m": 1}},
         ])
         assert trace.counters == {"n": 7, "m": 1}
-        assert trace.gauges == {"w": 8}
 
 
 class TestWorkerMerge:
     """Spans from pool workers merge into the parent's trace file."""
 
     def test_worker_spans_nest_under_submitting_span(self, tmp_path):
-        """Every worker span links to the span open at submission, and
-        per-worker counter flushes sum to the true total."""
+        """Every worker span links to the span open at submission."""
         path = tmp_path / "t.jsonl"
         tracer = Tracer(JsonlExporter(path, truncate=True))
         n_tasks = 6
@@ -118,7 +116,6 @@ class TestWorkerMerge:
         assert sorted(s["attrs"]["index"] for s in worker_spans) == list(
             range(n_tasks)
         )
-        assert trace.counters["worker.items"] == n_tasks
 
     def test_install_worker_tracer_drops_foreign_tracer(self):
         """Without a handle, a fork-inherited tracer must not leak:

@@ -259,11 +259,13 @@ class TestRunnerAutoLedger:
 
     def _stub_table(self, monkeypatch):
         import repro.experiments.runner as runner
-        from repro.observe import get_tracer
+        from repro.observe import get_metrics
 
         def fake_run(context):
-            """Stub experiment recording one counter."""
-            get_tracer().add("fake.items", 2)
+            """Stub experiment growing a test-registered counter."""
+            get_metrics().counter(
+                "repro_test_fake_items_total", "Ledger probe."
+            ).inc(2)
             return ExperimentResult(
                 "fake", "stub", rows=[{"method": "vt", "sigma": 1.5}]
             )
@@ -279,6 +281,7 @@ class TestRunnerAutoLedger:
         records = ledger.read(experiment="fake")
         assert len(records) == 2
         assert records[0].metrics["sigma[vt]"] == 1.5
+        assert records[0].counters["repro_test_fake_items_total"] == 2
         assert records[0].wall > 0
 
     def test_env_redirect_is_honored(self, tmp_path, monkeypatch):

@@ -1,8 +1,9 @@
-"""The live-metrics registry: exactness, exposition, worker spooling.
+"""The live-metrics registry: exactness, exposition, worker deltas.
 
 Three layers under test.  The registry itself must deliver *exact*
 totals under concurrency (threads share one registry; worker processes
-flush deltas through the spool and the parent folds them in).  The
+hand their deltas back with each task result and the parent folds them
+in).  The
 Prometheus exposition must be byte-deterministic — sorted families,
 sorted samples, escaped labels, cumulative buckets — so the golden
 text below and the CI greps never flap.  And the snapshot round-trips
@@ -17,10 +18,9 @@ import threading
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ObservabilityError
 from repro.observe.metrics import (
     DEFAULT_TIME_BUCKETS,
-    METRICS_SPOOL_ENV,
     HistogramValue,
     MetricsRegistry,
     MetricsSnapshot,
@@ -301,16 +301,26 @@ class TestSnapshots:
         assert not any("depth" in name for name in totals)
 
     def test_load_metrics_merges_files(self, tmp_path):
-        document = tmp_path / "snap.json"
-        document.write_text(
+        pretty = tmp_path / "snap.json"
+        pretty.write_text(
             json.dumps(golden_registry().snapshot().to_payload(), indent=2)
         )
-        spool = tmp_path / "spool.jsonl"
+        compact = tmp_path / "snap2.json"
+        compact.write_text(
+            json.dumps(golden_registry().snapshot().to_payload())
+        )
+        merged = load_metrics([pretty, compact])
+        assert merged.value("repro_test_total", kind="a", who="plain") == 4
+
+    def test_load_metrics_rejects_jsonl_records(self, tmp_path):
+        """Only saved snapshots load; a JSONL of delta records is not
+        one."""
+        records = tmp_path / "records.jsonl"
         payload = golden_registry().snapshot().to_payload()
         payload["type"] = "metrics"
-        spool.write_text(json.dumps(payload) + "\n")
-        merged = load_metrics([document, spool])
-        assert merged.value("repro_test_total", kind="a", who="plain") == 4
+        records.write_text((json.dumps(payload) + "\n") * 2)
+        with pytest.raises(ObservabilityError, match="no metrics snapshot"):
+            load_metrics([records])
 
 
 class TestThreadExactness:
@@ -350,25 +360,30 @@ def _worker_bump(amount, trace=None):
     """Module-level (PROC002) worker: grow a counter, return the pid.
 
     The process backend's task wrapper installs worker metrics before
-    the call and flushes the delta spool after — this body only has to
-    do the counting.
+    the call and hands the delta back with the result — this body only
+    has to do the counting.  The family is registered here, in the
+    worker, and nowhere in the parent.
     """
     import os
 
     from repro.observe.metrics import get_metrics
 
     get_metrics().counter(
-        "repro_test_worker_total", "Spool-exactness probe."
+        "repro_test_worker_total", "Worker-exactness probe."
     ).inc(amount)
     return os.getpid()
 
 
-class TestWorkerSpool:
-    def test_process_backend_deltas_merge_exactly(self, tmp_path, monkeypatch):
+def _worker_bump_then_fail(amount, trace=None):
+    """Module-level worker: grow a counter, then raise."""
+    _worker_bump(amount)
+    raise ValueError(f"task {amount} failed")
+
+
+class TestWorkerDeltas:
+    def test_process_backend_deltas_merge_exactly(self):
         from repro.parallel.backends import ProcessBackend
 
-        spool = tmp_path / "metrics-spool.jsonl"
-        monkeypatch.setenv(METRICS_SPOOL_ENV, str(spool))
         registry = get_metrics()
         before = registry.snapshot().value("repro_test_worker_total") or 0.0
         amounts = list(range(1, 9))
@@ -377,48 +392,65 @@ class TestWorkerSpool:
         )
         after = registry.snapshot().value("repro_test_worker_total")
         assert after - before == sum(amounts)
-        assert spool.is_file()
         # Workers really were separate processes, not in-process calls.
         import os
 
         assert os.getpid() not in pids
 
-    def test_snapshot_consumes_spool_incrementally(
-        self, tmp_path, monkeypatch
-    ):
-        spool = tmp_path / "metrics-spool.jsonl"
-        monkeypatch.setenv(METRICS_SPOOL_ENV, str(spool))
+    def test_failed_task_still_reports_its_counts(self):
+        """A task that raises hands its delta back with the exception;
+        the caller still sees the original exception type."""
+        from repro.parallel.backends import ProcessBackend
+
+        def task_seconds_count():
+            value = get_metrics().snapshot().value(
+                "repro_backend_task_seconds", backend="process"
+            )
+            return 0 if value is None else value.count
+
+        registry = get_metrics()
+        before = registry.snapshot().value("repro_test_worker_total") or 0.0
+        seconds_before = task_seconds_count()
+        with pytest.raises(ValueError, match="task 3 failed"):
+            ProcessBackend(n_workers=2).map_tasks(
+                _worker_bump_then_fail, [(3,)]
+            )
+        after = registry.snapshot().value("repro_test_worker_total")
+        assert after - before == 3
+        assert task_seconds_count() - seconds_before == 1
+
+    def test_take_deltas_then_absorb_is_exact(self):
+        """Deltas carry counter and histogram growth once; absorbing
+        them registers missing families and adds to existing ones."""
+        worker = MetricsRegistry()
+        parent = MetricsRegistry()
+        counter = worker.counter("repro_test_total", "Help.", ("kind",))
+        histogram = worker.histogram(
+            "repro_test_seconds", "Help.", buckets=(1.0, 2.0)
+        )
+        worker.gauge("repro_test_depth", "Help.").set(4)
+        counter.labels(kind="a").inc(2)
+        histogram.observe(1.5)
+        parent.absorb(worker.take_deltas())
+        counter.labels(kind="a").inc(3)
+        histogram.observe(9.0)
+        parent.absorb(worker.take_deltas())
+        assert worker.take_deltas().families == {}
+        snapshot = parent.snapshot()
+        assert snapshot.value("repro_test_total", kind="a") == 5
+        assert snapshot.value("repro_test_seconds") == HistogramValue(
+            counts=(0, 1, 1), total=10.5, count=2
+        )
+        # Gauges are levels, not growth: they never travel.
+        assert "repro_test_depth" not in snapshot.families
+
+    def test_rebase_drops_inherited_growth(self):
         registry = MetricsRegistry()
-        record = {
-            "type": "metrics",
-            "pid": 1,
-            "families": {
-                "repro_test_worker_total": {
-                    "kind": "counter",
-                    "help": "",
-                    "labelnames": [],
-                    "buckets": [],
-                    "samples": [{"labels": [], "value": 5.0}],
-                }
-            },
-        }
-        line = json.dumps(record)
-        spool.write_text(line + "\n")
-        assert (
-            registry.snapshot().value("repro_test_worker_total") == 5.0
-        )
-        # A torn (unterminated) trailing line is not consumed ...
-        with spool.open("a") as handle:
-            handle.write(line)
-        assert (
-            registry.snapshot().value("repro_test_worker_total") == 5.0
-        )
-        # ... until its newline lands; then it merges exactly once.
-        with spool.open("a") as handle:
-            handle.write("\n")
-        assert (
-            registry.snapshot().value("repro_test_worker_total") == 10.0
-        )
+        registry.counter("repro_test_total", "Help.").inc(7)
+        registry.rebase()
+        registry.counter("repro_test_total", "Help.").inc(2)
+        deltas = registry.take_deltas()
+        assert deltas.value("repro_test_total") == 2
 
 
 class TestCliSurface:

@@ -13,6 +13,7 @@ from repro.observe import (
     render_trace,
     render_tree,
 )
+from repro.observe.catalog import SYNTH_CALLS
 
 
 def _span(name, span_id, parent, wall, start=0.0):
@@ -130,11 +131,10 @@ class TestPartialTraces:
 class TestRenderCounters:
     """The counter/gauge table."""
 
-    def test_counters_and_gauges_listed(self):
-        """Counter totals and gauges render sorted by name."""
-        text = render_counters({"b.count": 2, "a.count": 1}, {"workers": 4})
+    def test_counters_listed(self):
+        """Counter totals render sorted by name."""
+        text = render_counters({"b.count": 2, "a.count": 1})
         assert text.index("a.count") < text.index("b.count")
-        assert "workers" in text
 
     def test_empty(self):
         """Nothing recorded renders a placeholder."""
@@ -150,11 +150,11 @@ class TestRenderTrace:
         with tracer.span("run"):
             with tracer.span("step"):
                 pass
-            tracer.add("items", 3)
+            SYNTH_CALLS.inc(3)
         trace = Trace(
             spans=[s.to_record() for s in tracer.spans],
             counters=tracer.counters(),
         )
         text = render_trace(trace)
         assert "run" in text and "step" in text
-        assert "items" in text
+        assert "synth.calls" in text

@@ -20,8 +20,10 @@ from repro.observe import (
     TraceHandle,
     Tracer,
     get_tracer,
+    set_metrics_enabled,
     set_tracer,
 )
+from repro.observe.catalog import STORE_ARTIFACT_EVENTS, SYNTH_CALLS
 
 
 class TestSpans:
@@ -141,36 +143,42 @@ class TestSpanEvents:
             span.event("also-ignored")
 
 
-class TestCountersAndGauges:
-    """Counter accumulation and gauge last-write-wins."""
+class TestCounters:
+    """The tracer's dotted-name view of the metrics registry."""
 
-    def test_counters_accumulate(self):
-        """``add`` sums; missing counters start at zero."""
+    def test_counters_are_registry_growth_since_construction(self):
+        """Growth before the tracer existed is not reported; labeled
+        and unlabeled catalog samples map to their dotted names."""
+        SYNTH_CALLS.inc(5)
         tracer = Tracer()
-        tracer.add("x", 2)
-        tracer.add("x")
-        tracer.add("y", 0.5)
-        assert tracer.counters() == {"x": 3, "y": 0.5}
+        SYNTH_CALLS.inc(2)
+        SYNTH_CALLS.inc()
+        STORE_ARTIFACT_EVENTS.labels(event="hit").inc()
+        assert tracer.counters() == {
+            "synth.calls": 3,
+            "store.artifact.hit": 1,
+        }
 
-    def test_gauges_last_write_wins(self):
-        """A re-set gauge keeps only the latest value."""
+    def test_disabled_registry_counts_nothing(self):
+        """``REPRO_METRICS=off`` silences trace counters too."""
         tracer = Tracer()
-        tracer.gauge("workers", 2)
-        tracer.gauge("workers", 8)
-        assert tracer.gauges() == {"workers": 8}
+        previous = set_metrics_enabled(False)
+        try:
+            SYNTH_CALLS.inc(4)
+        finally:
+            set_metrics_enabled(previous)
+        assert tracer.counters() == {}
 
-    def test_flush_counters_exports_deltas(self):
-        """Each flush exports only the growth since the previous one."""
+    def test_finish_writes_one_counters_record(self):
+        """``finish`` exports the counter view once, as one record."""
         sink = MemorySink()
         tracer = Tracer(sink)
-        tracer.add("n", 3)
-        tracer.flush_counters()
-        tracer.add("n", 4)
-        tracer.flush_counters()
-        tracer.flush_counters()  # no growth -> no record
+        SYNTH_CALLS.inc(3)
+        tracer.finish()
         counter_records = [r for r in sink.records if r["type"] == "counters"]
-        assert [r["counters"]["n"] for r in counter_records] == [3, 4]
-        assert tracer.counters() == {"n": 7}
+        assert [r["counters"] for r in counter_records] == [
+            {"synth.calls": 3}
+        ]
 
 
 class TestNullTracer:
@@ -182,12 +190,13 @@ class TestNullTracer:
         assert not get_tracer().enabled
 
     def test_null_operations_are_noops(self):
-        """Spans, counters and gauges all discard on the null tracer."""
+        """Spans and events discard; no counters report on the null
+        tracer."""
         tracer = NullTracer()
         with tracer.span("ignored") as span:
             span.set(status="ignored")
-        tracer.add("n", 5)
-        tracer.gauge("g", 1)
+        tracer.event("ignored")
+        SYNTH_CALLS.inc()
         assert tracer.spans == []
         assert tracer.counters() == {}
         assert tracer.handle() is None

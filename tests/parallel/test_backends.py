@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro.characterization.characterize import Characterizer
 from repro.errors import ConfigError
+from repro.observe import Tracer, get_metrics, set_tracer
 from repro.parallel.backends import (
     BACKEND_NAMES,
     DEFAULT_BACKEND,
@@ -24,6 +25,7 @@ from repro.parallel.backends import (
     resolve_backend,
     validate_backend,
 )
+from repro.parallel.executor import characterize_statistical_cells
 from tests.parallel.test_equivalence import assert_libraries_bit_identical
 
 
@@ -157,6 +159,36 @@ class TestSerialFallbackSkipsPoolSpawn:
             small_specs[:6], n_samples=4, seed=1, n_workers=1
         )
         assert library.is_statistical
+
+
+class TestWorkerCounts:
+    def test_process_worker_counts_reach_the_parent(
+        self, characterizer, small_specs
+    ):
+        """Outside ``serve`` too: cells characterized in process
+        workers show in the parent's registry and in its trace
+        counters, exactly once each."""
+        specs = small_specs[:6]
+
+        def cells_total():
+            return (
+                get_metrics().snapshot().value("repro_characterize_cells_total")
+                or 0.0
+            )
+
+        before = cells_total()
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            cells = characterize_statistical_cells(
+                characterizer, specs, n_samples=4, seed=1,
+                global_draws=None, n_workers=2, backend="process",
+            )
+        finally:
+            set_tracer(previous)
+        assert len(cells) == len(specs)
+        assert tracer.counters()["characterize.cells"] == len(specs)
+        assert cells_total() - before == len(specs)
 
 
 class TestBackendEquivalence:
