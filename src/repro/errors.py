@@ -71,6 +71,11 @@ class ConfigError(ReproError):
     """
 
 
+class ParallelError(ReproError):
+    """Raised by :mod:`repro.parallel`: a process worker that died
+    outright, or stage-key inputs the stage table does not declare."""
+
+
 class ObservabilityError(ReproError):
     """Raised by the tracing/metrics layer (:mod:`repro.observe`)."""
 

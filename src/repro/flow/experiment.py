@@ -5,7 +5,8 @@ One :class:`TuningFlow` owns the evaluation's stage chain::
     catalog -> statistical library -> tuning -> synthesis -> paths
             -> design statistics          (+ the minimum-period search)
 
-Every stage is a pure function of a content-addressed fingerprint (see
+Every stage is a pure function of a content-addressed fingerprint
+(declared in :data:`repro.parallel.artifacts.STAGES`; see
 :mod:`repro.flow.pipeline`) and its artifact is persisted in the
 on-disk store under ``$REPRO_CACHE_DIR``, so a warm run of the Fig. 10
 / Table 3 evaluation sweep (5 methods x Table 2 parameters x 4 clock
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cells.catalog import CellSpec, build_catalog
@@ -41,7 +42,9 @@ from repro.core.methods import TuningMethod, method_by_name
 from repro.core.tuner import LibraryTuner, TuningResult
 from repro.errors import ConfigError, ReproError
 from repro.kernels.dispatch import DEFAULT_KERNEL, set_kernel, validate_kernel
+from repro.parallel.artifacts import stage_fingerprint
 from repro.parallel.backends import DEFAULT_BACKEND, validate_backend
+from repro.parallel.cache import characterization_key, spec_fingerprint
 from repro.observe import Tracer, get_tracer, set_metrics_enabled, set_tracer
 from repro.flow.metrics import TuningComparison, compare_runs
 from repro.flow.minperiod import minimum_clock_period
@@ -52,14 +55,8 @@ from repro.flow.pipeline import (
     RunKeys,
     RunManifest,
     SweepPoint,
-    catalog_fingerprint,
-    design_fingerprint,
     minperiod_fingerprint,
-    paths_fingerprint,
-    stats_fingerprint,
     sweep_stale,
-    synthesis_fingerprint,
-    tuning_fingerprint,
 )
 from repro.liberty.model import Library
 from repro.netlist.generators.microcontroller import (
@@ -68,6 +65,7 @@ from repro.netlist.generators.microcontroller import (
 )
 from repro.netlist.model import Netlist
 from repro.sta.engine import TimingResult
+from repro.sta.graph import StaConfig
 from repro.sta.paths import TimingPath, extract_worst_paths
 from repro.sta.statistics import DesignStatistics, design_statistics
 from repro.synth.constraints import SynthesisConstraints
@@ -415,6 +413,17 @@ class SynthesisRun:
         return dict(sorted(histogram.items()))
 
 
+#: The run chain's payload codecs: stage -> (encode, decode).
+_RUN_CODECS = {
+    "synth": (RunSummary.to_payload, RunSummary.from_payload),
+    "paths": (
+        lambda paths: [path.to_payload() for path in paths],
+        lambda payload: [TimingPath.from_payload(item) for item in payload],
+    ),
+    "stats": (DesignStatistics.to_payload, DesignStatistics.from_payload),
+}
+
+
 class TuningFlow:
     """Characterize once, tune and synthesize many times — every stage
     memoized in-process and content-addressed on disk."""
@@ -462,9 +471,12 @@ class TuningFlow:
             with self.tracer.span("stage.catalog", status="computed"):
                 start = time.perf_counter()
                 self._specs = build_catalog()
-                self._pipeline.note(
+                self.manifest.record(
                     "catalog",
-                    catalog_fingerprint(self._specs),
+                    stage_fingerprint(
+                        "catalog",
+                        specs=[spec_fingerprint(spec) for spec in self._specs],
+                    ),
                     "computed",
                     time.perf_counter() - start,
                 )
@@ -487,8 +499,6 @@ class TuningFlow:
     def statlib_key(self) -> str:
         """Content fingerprint of the statistical-library stage."""
         if self._statlib_key is None:
-            from repro.parallel.cache import characterization_key
-
             self._statlib_key = characterization_key(
                 self.characterizer,
                 self.specs,
@@ -503,7 +513,9 @@ class TuningFlow:
     def design_key(self) -> str:
         """Content fingerprint of the evaluation design's parameters."""
         if self._design_key is None:
-            self._design_key = design_fingerprint(self.config.design)
+            self._design_key = stage_fingerprint(
+                "design", params=asdict(self.config.design)
+            )
         return self._design_key
 
     @property
@@ -521,7 +533,7 @@ class TuningFlow:
                 self._statistical = self.characterizer.statistical_library(
                     self.specs, n_samples=self.config.n_samples, seed=self.config.seed
                 )
-                self._pipeline.note(
+                self.manifest.record(
                     "statlib", self.statlib_key, status, time.perf_counter() - start
                 )
         return self._statistical
@@ -536,6 +548,17 @@ class TuningFlow:
         """Resolve (and validate) a method given by name or value."""
         return method_by_name(method) if isinstance(method, str) else method
 
+    def _tuning_key(self, method: TuningMethod, parameter: float) -> str:
+        """Key of the tuning stage.  ``method`` enters with its
+        clustering and swept-bound kind, so a semantic change
+        invalidates the artifact even when its name stays the same."""
+        method_payload = {
+            "name": method.name, "clustering": method.clustering, "kind": method.kind,
+        }
+        return stage_fingerprint(
+            "tuning", statlib=self.statlib_key, method=method_payload, parameter=parameter
+        )
+
     def tuning(self, method: str, parameter: float) -> TuningResult:
         """Tuning result for (method, parameter) — memoized in-process,
         content-addressed on disk."""
@@ -544,7 +567,7 @@ class TuningFlow:
         if key not in self._tunings:
             self._tunings[key] = self._pipeline.resolve(
                 "tuning",
-                tuning_fingerprint(self.statlib_key, resolved, parameter),
+                self._tuning_key(resolved, parameter),
                 compute=lambda: self.tuner.tune(resolved, parameter),
                 encode=lambda result: result.to_payload(),
                 decode=TuningResult.from_payload,
@@ -580,15 +603,20 @@ class TuningFlow:
         windows_key = (
             BASELINE_WINDOWS
             if method is None
-            else tuning_fingerprint(self.statlib_key, method, parameter)
+            else self._tuning_key(method, parameter)
         )
-        synth_key = synthesis_fingerprint(
-            self.statlib_key, self.design_key, windows_key, constraints
+        synth_key = stage_fingerprint(
+            "synth",
+            statlib=self.statlib_key,
+            design=self.design_key,
+            windows=windows_key,
+            constraints=constraints.fingerprint_payload(),
+            sta=asdict(StaConfig()),
         )
         return constraints, windows_key, (
             ("synth", synth_key),
-            ("paths", paths_fingerprint(synth_key)),
-            ("stats", stats_fingerprint(synth_key)),
+            ("paths", stage_fingerprint("paths", synth=synth_key)),
+            ("stats", stage_fingerprint("stats", synth=synth_key, rho=0.0)),
         )
 
     def point_keys(
@@ -629,77 +657,58 @@ class TuningFlow:
         warm hit never touches the tuning stage.
 
         The three downstream stages (synth summary, worst paths,
-        design statistics) are stored under chained fingerprints; a
-        partially populated store (e.g. an interrupted run) counts as a
-        full miss so the artifacts can never disagree with each other.
+        design statistics) are stored under chained fingerprints and
+        resolved in one pass over the chain; a partially populated
+        store (e.g. an interrupted run) counts as a full miss so the
+        artifacts can never disagree with each other.
         """
         constraints, _, run_keys = self._chain(clock_period, method, parameter)
-        (_, synth_key), (_, path_key), (_, stat_key) = run_keys
         store = self._store
         tracer = self.tracer
         if store is not None:
             start = time.perf_counter()
-            summary_payload = store.load("synth", synth_key)
-            paths_payload = store.load("paths", path_key)
-            stats_payload = store.load("stats", stat_key)
-            if (
-                summary_payload is not None
-                and paths_payload is not None
-                and stats_payload is not None
-            ):
-                elapsed = (time.perf_counter() - start) / 3
+            stored = [
+                store.load(stage, key, _RUN_CODECS[stage][1])
+                for stage, key in run_keys
+            ]
+            if all(value is not None for value in stored):
+                elapsed = (time.perf_counter() - start) / len(run_keys)
                 for stage, key in run_keys:
-                    self._pipeline.note(stage, key, "hit", elapsed)
+                    self.manifest.record(stage, key, "hit", elapsed)
                     tracer.record_span(
                         f"stage.{stage}", elapsed, key=key[:12], status="hit"
                     )
-                return SynthesisRun(
-                    clock_period=constraints.clock_period,
-                    summary=RunSummary.from_payload(summary_payload),
-                    paths=[TimingPath.from_payload(p) for p in paths_payload],
-                    stats=DesignStatistics.from_payload(stats_payload),
-                )
+                return SynthesisRun(constraints.clock_period, *stored)
         if method is not None:
             constraints = replace(
                 constraints, windows=self.tuning(method, parameter).windows
             )
         status = "computed" if store is None else "miss"
+        live = {}
 
-        with tracer.span("stage.synth", key=synth_key[:12], status=status):
-            start = time.perf_counter()
-            netlist = self.build_design()
-            result = synthesize(netlist, self.statistical_library, constraints)
-            summary = RunSummary.from_result(result)
-            if store is not None:
-                store.store("synth", synth_key, summary.to_payload())
-            self._pipeline.note(
-                "synth", synth_key, status, time.perf_counter() - start
+        def run_synthesis() -> RunSummary:
+            live["result"] = synthesize(
+                self.build_design(), self.statistical_library, constraints
             )
+            return RunSummary.from_result(live["result"])
 
-        with tracer.span("stage.paths", key=path_key[:12], status=status):
-            start = time.perf_counter()
-            paths = extract_worst_paths(result.timing)
-            if store is not None:
-                store.store("paths", path_key, [p.to_payload() for p in paths])
-            self._pipeline.note(
-                "paths", path_key, status, time.perf_counter() - start
-            )
-
-        with tracer.span("stage.stats", key=stat_key[:12], status=status):
-            start = time.perf_counter()
-            stats = design_statistics(paths, self.statistical_library)
-            if store is not None:
-                store.store("stats", stat_key, stats.to_payload())
-            self._pipeline.note(
-                "stats", stat_key, status, time.perf_counter() - start
-            )
-
+        computes = {
+            "synth": run_synthesis,
+            "paths": lambda: extract_worst_paths(live["result"].timing),
+            "stats": lambda: design_statistics(
+                live["paths"], self.statistical_library
+            ),
+        }
+        for stage, key in run_keys:
+            with tracer.span(f"stage.{stage}", key=key[:12], status=status):
+                start = time.perf_counter()
+                live[stage] = computes[stage]()
+                if store is not None:
+                    store.store(stage, key, _RUN_CODECS[stage][0](live[stage]))
+                self.manifest.record(stage, key, status, time.perf_counter() - start)
         return SynthesisRun(
-            clock_period=constraints.clock_period,
-            summary=summary,
-            paths=paths,
-            stats=stats,
-            result=result,
+            constraints.clock_period,
+            live["synth"], live["paths"], live["stats"], live["result"],
         )
 
     def baseline(self, clock_period: float) -> SynthesisRun:

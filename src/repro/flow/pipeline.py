@@ -9,15 +9,21 @@ The end-to-end evaluation is a chain of pure stages::
 Each stage has a canonical **content fingerprint** — a sha256 over a
 sorted-JSON rendering of every input that can change its output — and
 a serializable **artifact** persisted in the one
-:class:`~repro.parallel.artifacts.ArtifactStore`.  Fingerprints chain:
-the tuning stage folds in the statistical library's characterization
-key, the synthesis stage folds in the tuning fingerprint (or the
-baseline sentinel), and so on, so a change anywhere upstream
-invalidates exactly the artifacts it can affect.
+:class:`~repro.parallel.artifacts.ArtifactStore`.  The stages, their
+codecs and their fingerprinted inputs are declared once, in
+:data:`~repro.parallel.artifacts.STAGES`, and every key comes from
+:func:`~repro.parallel.artifacts.stage_fingerprint` (the flow derives
+them in :class:`~repro.flow.experiment.TuningFlow`).  Fingerprints
+chain: the tuning stage folds in the statistical library's
+characterization key, the synthesis stage folds in the tuning
+fingerprint (or the :data:`BASELINE_WINDOWS` sentinel), and so on, so
+a change anywhere upstream invalidates exactly the artifacts it can
+affect.
 
 Layout under ``$REPRO_CACHE_DIR`` (or ``~/.cache/repro``)::
 
     stat-<key>.npz            characterized library   (LUT arrays, npz codec)
+    samples-<key>.npz         per-sample MC libraries (stacked LUT arrays)
     tuning-<key>.json.gz      TuningResult             (windows, thresholds)
     synth-<key>.json.gz       RunSummary               (met, area, histogram)
     paths-<key>.json.gz       worst endpoint paths     (full step data)
@@ -51,9 +57,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.observe import get_tracer
-from repro.parallel.artifacts import ARTIFACT_VERSION, ArtifactStore, fingerprint
+from repro.parallel.artifacts import ArtifactStore, stage_fingerprint
 from repro.sta.graph import StaConfig
-from repro.synth.constraints import SynthesisConstraints
 
 #: A sweep point: (clock period, method name, parameter); method
 #: ``None`` marks a baseline warm-up point (parameter is ignored).
@@ -163,97 +168,13 @@ def stage_aggregates(
 
 
 # ----------------------------------------------------------------------
-# Stage fingerprints
+# Stage keys
 # ----------------------------------------------------------------------
-
-
-def catalog_fingerprint(specs: Sequence) -> str:
-    """Content hash of the cell catalog (stage ``catalog``)."""
-    from repro.parallel.cache import spec_fingerprint
-
-    return fingerprint({
-        "version": ARTIFACT_VERSION,
-        "stage": "catalog",
-        "specs": [spec_fingerprint(spec) for spec in specs],
-    })
-
-
-def design_fingerprint(design) -> str:
-    """Content hash of the evaluation design's generator parameters."""
-    return fingerprint({
-        "version": ARTIFACT_VERSION,
-        "stage": "design",
-        "params": dataclasses.asdict(design),
-    })
-
-
-def tuning_fingerprint(statlib_key: str, method, parameter: float) -> str:
-    """Content hash of one tuning run (stage ``tuning``).
-
-    ``method`` carries its clustering and swept-bound kind so a method
-    rename or semantic change invalidates the artifact even when the
-    name-to-parameter mapping stays the same.
-    """
-    return fingerprint({
-        "version": ARTIFACT_VERSION,
-        "stage": "tuning",
-        "statlib": statlib_key,
-        "method": {
-            "name": method.name,
-            "clustering": method.clustering,
-            "kind": method.kind,
-        },
-        "parameter": parameter,
-    })
 
 
 #: Sentinel taking the place of a tuning fingerprint for untuned runs;
 #: disjoint from any sha256 hex digest.
 BASELINE_WINDOWS = "baseline/unrestricted"
-
-
-def synthesis_fingerprint(
-    statlib_key: str,
-    design_key: str,
-    windows_key: str,
-    constraints: SynthesisConstraints,
-    sta_config: Optional[StaConfig] = None,
-) -> str:
-    """Content hash of one synthesis run (stage ``synth``).
-
-    ``windows_key`` is the tuning stage's fingerprint, or
-    :data:`BASELINE_WINDOWS` for untuned synthesis — which keeps the
-    baseline in a namespace no (method, parameter) pair can collide
-    with.
-    """
-    return fingerprint({
-        "version": ARTIFACT_VERSION,
-        "stage": "synth",
-        "statlib": statlib_key,
-        "design": design_key,
-        "windows": windows_key,
-        "constraints": constraints.fingerprint_payload(),
-        "sta": dataclasses.asdict(sta_config or StaConfig()),
-    })
-
-
-def paths_fingerprint(synth_key: str) -> str:
-    """Content hash of the worst-path extraction (stage ``paths``)."""
-    return fingerprint({
-        "version": ARTIFACT_VERSION,
-        "stage": "paths",
-        "synth": synth_key,
-    })
-
-
-def stats_fingerprint(synth_key: str, rho: float = 0.0) -> str:
-    """Content hash of the design-statistics roll-up (stage ``stats``)."""
-    return fingerprint({
-        "version": ARTIFACT_VERSION,
-        "stage": "stats",
-        "synth": synth_key,
-        "rho": rho,
-    })
 
 
 def minperiod_fingerprint(
@@ -269,16 +190,15 @@ def minperiod_fingerprint(
     knob is part of the hash so a probe-policy change invalidates the
     stored minimum.
     """
-    return fingerprint({
-        "version": ARTIFACT_VERSION,
-        "stage": "minperiod",
-        "statlib": statlib_key,
-        "design": design_key,
-        "guard_band": guard_band,
-        "resolution": resolution,
-        "probe": {"max_buffer_rounds": 1},
-        "sta": dataclasses.asdict(sta_config or StaConfig()),
-    })
+    return stage_fingerprint(
+        "minperiod",
+        statlib=statlib_key,
+        design=design_key,
+        guard_band=guard_band,
+        resolution=resolution,
+        probe={"max_buffer_rounds": 1},
+        sta=dataclasses.asdict(sta_config or StaConfig()),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -312,8 +232,9 @@ class ArtifactPipeline:
         """Load ``(stage, key)`` from the store, or compute and persist.
 
         ``encode``/``decode`` translate between the live value and its
-        JSON payload; a hit is decoded, a miss is computed, encoded and
-        stored atomically.
+        JSON payload; a hit is decoded inside the store's load, so a
+        payload ``decode`` rejects heals into a miss like a torn file;
+        a miss is computed, encoded and stored atomically.
 
         Every resolution is both a manifest record and a trace span
         (``stage.<name>`` with the key and hit/miss status as
@@ -323,9 +244,8 @@ class ArtifactPipeline:
         with tracer.span(f"stage.{stage}", key=key[:12]) as span:
             start = time.perf_counter()
             if self.store is not None:
-                payload = self.store.load(stage, key)
-                if payload is not None:
-                    value = decode(payload)
+                value = self.store.load(stage, key, decode)
+                if value is not None:
                     span.set(status="hit")
                     self.manifest.record(
                         stage, key, "hit", time.perf_counter() - start
@@ -340,15 +260,6 @@ class ArtifactPipeline:
             span.set(status=status)
             self.manifest.record(stage, key, status, time.perf_counter() - start)
             return value
-
-    def note(self, stage: str, key: str, status: str, seconds: float) -> None:
-        """Record a stage resolved outside :meth:`resolve` (the
-        statistical library, loaded through its library codec, and the
-        synth/paths/stats chain, which hits or misses as a whole).  The
-        callers wrap the timed region in their own trace span, and the
-        store counts its own hits and misses; this only appends the
-        manifest record."""
-        self.manifest.record(stage, key, status, seconds)
 
 
 # ----------------------------------------------------------------------

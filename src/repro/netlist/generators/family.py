@@ -17,8 +17,8 @@ family tracks every :class:`~repro.flow.experiment.FlowConfig` scale —
 the paper's design is the family's anchor point, byte-for-byte.
 
 Every knob a spec touches lands in ``MicrocontrollerParams``, which
-the flow fingerprints whole (:func:`~repro.flow.pipeline.
-design_fingerprint` hashes ``dataclasses.asdict``) — so each family
+the flow fingerprints whole (the ``design`` stage key hashes
+``dataclasses.asdict``) — so each family
 member content-addresses its synthesis artifacts independently, with
 no family-specific fingerprint plumbing anywhere downstream.
 """

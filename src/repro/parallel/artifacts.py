@@ -1,19 +1,20 @@
-"""The content-addressed store every stage of the flow persists through.
+"""The content-addressed store every stage of the flow persists through,
+and the one table that declares those stages.
 
 An artifact is addressed by ``(stage, fingerprint)`` where the
 fingerprint is a sha256 over a canonical JSON rendering of every input
-that can change the stage's output (see :func:`fingerprint`, the
-per-stage payload builders in :mod:`repro.flow.pipeline` and
-:func:`repro.parallel.cache.characterization_key`).  Each stage has one
-codec, fixed by :data:`NPZ_STAGES`:
+that can change the stage's output.  :data:`STAGES` declares each stage
+once — its codec and its fingerprinted inputs — and both the one key
+derivation, :func:`stage_fingerprint`, and the store read that row:
 
 * the characterized libraries (``stat``, ``samples``) are dicts of
   numpy arrays, stored with :func:`numpy.savez_compressed` as
   ``.npz`` — the envelope rides along as a ``__meta__`` array;
-* every other stage (tuning windows, synthesis-run summaries, worst
-  paths, design statistics, the minimum-period search) is
+* every other stored stage (tuning windows, synthesis-run summaries,
+  worst paths, design statistics, the minimum-period search) is
   gzip-compressed canonical JSON, ``.json.gz``, with the payload inside
-  the envelope.
+  the envelope;
+* ``catalog`` and ``design`` are keyed but never stored (no codec).
 
 The envelope is ``{version, stage, key}``.  Both codecs share one
 durability contract: writes go to a temporary sibling and are moved
@@ -25,8 +26,9 @@ writes are atomic and keys are content hashes, concurrent writers (the
 sweep fan-out workers) can only ever race to write *identical* bytes.
 
 Entries live in ``$REPRO_CACHE_DIR`` (or ``~/.cache/repro``) as
-``<stage>-<fingerprint[:40]><suffix>``.  Bump :data:`ARTIFACT_VERSION`
-whenever the envelope or a stage's stored layout changes meaning.
+``<stage>-<fingerprint[:40]><codec>``.  Bump :data:`ARTIFACT_VERSION`
+whenever the envelope, the delay model or a stage's stored layout
+changes meaning: it is folded into every key and every envelope.
 """
 
 from __future__ import annotations
@@ -38,21 +40,54 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, Optional
+from typing import Any, Callable, Dict, FrozenSet, Iterator, NamedTuple, Optional
 
 import numpy as np
 
+from repro.errors import ParallelError
 from repro.observe import get_tracer
 from repro.observe.catalog import STORE_ARTIFACT_BYTES, STORE_ARTIFACT_EVENTS
 
 #: Format/semantics version folded into every artifact key and file.
 ARTIFACT_VERSION = 1
 
-#: Stages stored as ``.npz`` arrays; every other stage is ``.json.gz``.
-NPZ_STAGES = frozenset({"stat", "samples"})
 
-#: File suffixes of store entries, one per codec.
-SUFFIXES = (".json.gz", ".npz")
+class Stage(NamedTuple):
+    """One row of :data:`STAGES`: the codec (a :data:`CODECS` file
+    suffix; ``None`` for a stage that is keyed but never stored), the
+    names of the fingerprinted inputs, and the key-payload field that
+    holds the stage name."""
+
+    codec: Optional[str]
+    inputs: FrozenSet[str]
+    tag: str = "stage"
+
+
+def _row(codec: Optional[str], inputs: str, tag: str = "stage") -> Stage:
+    return Stage(codec, frozenset(inputs.split()), tag)
+
+
+#: Inputs of a characterization run (``stat`` and ``samples``).
+_CHARACTERIZATION = (
+    "n_samples seed include_global include_power tech corner pelgrom grid "
+    "global_sigmas specs"
+)
+
+#: Every stage, declared once.  A stage's upstream stages are the
+#: inputs that carry another stage's key: ``statlib`` (``stat``),
+#: ``design``, ``windows`` (``tuning``, or the untuned baseline's
+#: sentinel) and ``synth``.
+STAGES: Dict[str, Stage] = {
+    "catalog": _row(None, "specs"),
+    "design": _row(None, "params"),
+    "stat": _row(".npz", _CHARACTERIZATION, tag="kind"),
+    "samples": _row(".npz", _CHARACTERIZATION, tag="kind"),
+    "tuning": _row(".json.gz", "statlib method parameter"),
+    "synth": _row(".json.gz", "statlib design windows constraints sta"),
+    "paths": _row(".json.gz", "synth"),
+    "stats": _row(".json.gz", "synth rho"),
+    "minperiod": _row(".json.gz", "statlib design guard_band resolution probe sta"),
+}
 
 
 def default_cache_dir() -> Path:
@@ -76,6 +111,34 @@ def fingerprint(payload: Any) -> str:
     fingerprints can never collide across stages or format revisions.
     """
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+
+
+def stage_fingerprint(stage: str, **inputs: Any) -> str:
+    """The key of a ``stage`` artifact: the :func:`fingerprint` of
+    :data:`ARTIFACT_VERSION`, the stage name (under the row's tag) and
+    ``inputs``, which must name exactly the row's declared inputs,
+    each already JSON-serializable.  An unknown stage, a missing input
+    or an undeclared one raises :class:`~repro.errors.ParallelError`.
+    """
+    row = STAGES.get(stage)
+    if row is None:
+        raise ParallelError(f"unknown stage {stage!r}")
+    if inputs.keys() != row.inputs:
+        missing = ", ".join(sorted(row.inputs - inputs.keys()))
+        undeclared = ", ".join(sorted(inputs.keys() - row.inputs))
+        raise ParallelError(
+            f"stage {stage!r} key inputs: missing [{missing}], "
+            f"undeclared [{undeclared}]"
+        )
+    return fingerprint({"version": ARTIFACT_VERSION, row.tag: stage, **inputs})
+
+
+def _codec(stage: str) -> str:
+    """The codec (file suffix) :data:`STAGES` declares for ``stage``."""
+    row = STAGES.get(stage)
+    if row is None or row.codec is None:
+        raise ParallelError(f"stage {stage!r} is not a stored stage")
+    return row.codec
 
 
 def _write_npz(handle, envelope: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> None:
@@ -129,6 +192,13 @@ def _read_json(path: Path):
     return envelope, envelope["payload"]
 
 
+#: Codec (file suffix) -> (writer, reader).
+CODECS = {
+    ".json.gz": (_write_json, _read_json),
+    ".npz": (_write_npz, _read_npz),
+}
+
+
 @dataclass(frozen=True)
 class ArtifactStats:
     """Summary of an artifact store directory's contents."""
@@ -162,8 +232,7 @@ class ArtifactStore:
 
     def path_for(self, stage: str, key: str) -> Path:
         """File an artifact of ``(stage, key)`` lives at."""
-        suffix = ".npz" if stage in NPZ_STAGES else ".json.gz"
-        return self.directory / f"{stage}-{key[:40]}{suffix}"
+        return self.directory / f"{stage}-{key[:40]}{_codec(stage)}"
 
     def has(self, stage: str, key: str) -> bool:
         """Cheap existence probe (no integrity check)."""
@@ -188,9 +257,7 @@ class ArtifactStore:
             return None
         try:
             size = path.stat().st_size
-            envelope, payload = (
-                _read_npz(path) if stage in NPZ_STAGES else _read_json(path)
-            )
+            envelope, payload = CODECS[_codec(stage)][1](path)
             if (
                 envelope.get("version") != ARTIFACT_VERSION
                 or envelope.get("stage") != stage
@@ -219,7 +286,7 @@ class ArtifactStore:
     def store(self, stage: str, key: str, payload: Any) -> Path:
         """Persist ``payload`` under ``(stage, key)`` (atomically)."""
         envelope = {"version": ARTIFACT_VERSION, "stage": stage, "key": key}
-        write = _write_npz if stage in NPZ_STAGES else _write_json
+        write = CODECS[_codec(stage)][0]
         path = self.path_for(stage, key)
         self.directory.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
@@ -243,7 +310,7 @@ class ArtifactStore:
 
     def _entries(self):
         if self.directory.is_dir():
-            for suffix in SUFFIXES:
+            for suffix in CODECS:
                 yield from self.directory.glob(f"*{suffix}")
 
     def stats(self) -> ArtifactStats:

@@ -35,7 +35,8 @@ The contract every backend honors:
 * **Worker counts** — an out-of-process task hands its metrics-registry
   growth back with its result (or on its exception), and the parent
   folds it into its own registry, so counters stay exact across
-  processes.  A worker that dies outright loses its growth.
+  processes.  A worker that dies outright loses its growth, and the
+  map raises :class:`~repro.errors.ParallelError` naming the backend.
 * **Determinism** — a backend never changes results, so the choice
   (like the kernel choice, see :mod:`repro.kernels`) must never enter
   stage fingerprints or cache keys.
@@ -46,9 +47,10 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
-from repro.errors import ConfigError, ServerBusyError
+from repro.errors import ConfigError, ParallelError, ServerBusyError
 from repro.observe import TraceHandle, get_tracer
 from repro.observe.catalog import (
     BACKEND_TASK_SECONDS,
@@ -177,7 +179,9 @@ class ProcessBackend(ExecutorBackend):
         pickles arguments from its queue-feeder thread, where the
         thread-local span stack is empty and the parent link would be
         lost.  Every task's metrics delta is folded in, failed tasks'
-        too; then the first failure, if any, is re-raised.
+        too; then the first failure, if any, is re-raised — a worker
+        that died outright (``BrokenProcessPool``) as a
+        :class:`~repro.errors.ParallelError`.
         """
         tasks = list(tasks)
         if not tasks:
@@ -206,6 +210,11 @@ class ProcessBackend(ExecutorBackend):
                     results.append(result)
                 if deltas is not None:
                     registry.absorb(deltas)
+        if isinstance(failure, BrokenProcessPool):
+            raise ParallelError(
+                f"{self.name} backend: a worker process died before "
+                f"returning its task ({failure})"
+            ) from failure
         if failure is not None:
             raise failure
         BACKEND_TASKS.labels(backend=self.name, event="completed").inc(

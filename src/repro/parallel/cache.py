@@ -4,16 +4,16 @@ A statistical (or per-sample) library is a pure function of a small
 configuration: the catalog specs, the characterization grid, the
 technology/corner/mismatch parameters, the power switch, the seed and
 the sample count.  :func:`characterization_key` fingerprints exactly
-that configuration, and :class:`LibraryCache` packs the library's LUT
-value arrays into named arrays stored in the
-:class:`~repro.parallel.artifacts.ArtifactStore` under the ``stat`` or
-``samples`` stage (its ``.npz`` codec); everything else — cell shells,
+that configuration — the inputs the ``stat`` and ``samples`` rows of
+:data:`~repro.parallel.artifacts.STAGES` declare — and
+:class:`LibraryCache` packs the library's LUT value arrays into named
+arrays stored in the :class:`~repro.parallel.artifacts.ArtifactStore`
+under that stage (its ``.npz`` codec); everything else — cell shells,
 pin capacitances, axes, templates — is rebuilt from the specs on load,
 which keeps files small and immune to model-object drift.  Atomic
-writes, self-healing and the store counters are the store's.
-
-Bump :data:`CACHE_VERSION` whenever the delay model or the stored
-layout changes meaning.
+writes, self-healing, the store counters and the version folded into
+every key (:data:`~repro.parallel.artifacts.ARTIFACT_VERSION`) are the
+store's.
 """
 
 from __future__ import annotations
@@ -26,10 +26,7 @@ import numpy as np
 
 from repro.cells.catalog import CellSpec
 from repro.liberty.model import Library
-from repro.parallel.artifacts import ArtifactStore, fingerprint
-
-#: Format/semantics version folded into every characterization key.
-CACHE_VERSION = 1
+from repro.parallel.artifacts import ArtifactStore, stage_fingerprint
 
 #: LUT slots a statistical-library entry may store, core slots first.
 STATISTICAL_SLOTS = (
@@ -62,8 +59,8 @@ _SAMPLE_REQUIRED = SAMPLE_SLOTS[:4]
 def spec_fingerprint(spec: CellSpec) -> dict:
     """Everything about a spec that characterization results depend on.
 
-    Shared by :func:`characterization_key` and the artifact pipeline's
-    catalog stage fingerprint (:mod:`repro.flow.pipeline`).
+    Shared by :func:`characterization_key` and the ``catalog`` stage
+    key (:attr:`repro.flow.experiment.TuningFlow.specs`).
     """
     function = spec.function
     return {
@@ -94,26 +91,26 @@ def characterization_key(
     include_global: bool,
     kind: str,
 ) -> str:
-    """Content hash identifying one characterization run.
+    """Content hash identifying one characterization run (``kind`` is
+    the stage: ``stat`` or ``samples``).
 
     Everything that can change a single LUT entry is in the hash; the
     library *name* is deliberately excluded (it is presentation, not
     content) and re-applied when a cached library is rebuilt.
     """
-    return fingerprint({
-        "version": CACHE_VERSION,
-        "kind": kind,
-        "n_samples": n_samples,
-        "seed": seed,
-        "include_global": include_global,
-        "include_power": characterizer.include_power,
-        "tech": dataclasses.asdict(characterizer.base_tech),
-        "corner": dataclasses.asdict(characterizer.corner),
-        "pelgrom": dataclasses.asdict(characterizer.pelgrom),
-        "grid": dataclasses.asdict(characterizer.grid),
-        "global_sigmas": dataclasses.asdict(characterizer.global_sigmas),
-        "specs": [spec_fingerprint(spec) for spec in specs],
-    })
+    return stage_fingerprint(
+        kind,
+        n_samples=n_samples,
+        seed=seed,
+        include_global=include_global,
+        include_power=characterizer.include_power,
+        tech=dataclasses.asdict(characterizer.base_tech),
+        corner=dataclasses.asdict(characterizer.corner),
+        pelgrom=dataclasses.asdict(characterizer.pelgrom),
+        grid=dataclasses.asdict(characterizer.grid),
+        global_sigmas=dataclasses.asdict(characterizer.global_sigmas),
+        specs=[spec_fingerprint(spec) for spec in specs],
+    )
 
 
 def _arc_key(cell: str, output_pin: str, related_pin: str, slot: str) -> str:

@@ -1,5 +1,5 @@
-"""Staged artifact pipeline: warm/cold equivalence, fingerprints,
-baseline-key disjointness and the parallel sweep fan-out.
+"""Staged artifact pipeline: warm/cold equivalence, fingerprints, the
+stage table, baseline-key disjointness and the parallel sweep fan-out.
 
 The pipeline's contract mirrors the characterization cache's: serving
 a stage from the on-disk artifact store must be *bit-identical* to
@@ -21,17 +21,17 @@ from repro.characterization.characterize import (
 )
 from repro.errors import ReproError, TuningError
 from repro.flow.experiment import FlowConfig, RunSummary, TuningFlow
-from repro.flow.pipeline import (
-    BASELINE_WINDOWS,
-    RunManifest,
-    design_fingerprint,
-    minperiod_fingerprint,
-    synthesis_fingerprint,
-    tuning_fingerprint,
-)
-from repro.core.methods import method_by_name
+from repro.flow.pipeline import BASELINE_WINDOWS, RunManifest, minperiod_fingerprint
 from repro.netlist.generators.microcontroller import MicrocontrollerParams
-from repro.parallel.artifacts import ArtifactStore, canonical_json, fingerprint
+from repro.observe.catalog import STORE_ARTIFACT_EVENTS
+from repro.parallel.artifacts import (
+    STAGES,
+    ArtifactStore,
+    canonical_json,
+    fingerprint,
+    stage_fingerprint,
+)
+from repro.sta.graph import StaConfig
 from repro.sta.paths import TimingPath
 from repro.sta.statistics import DesignStatistics
 from repro.synth.constraints import SynthesisConstraints
@@ -58,6 +58,18 @@ def _mini_config(**overrides) -> FlowConfig:
         n_samples=12,
         **overrides,
     )
+
+
+def _stored_stages(directory) -> set:
+    """The stages stored in ``directory``, each checked to be a row of
+    the stage table whose codec is the entry's file suffix."""
+    stages = set()
+    for path in directory.iterdir():
+        stage = path.name.rsplit("-", 1)[0]
+        assert stage in STAGES, path.name
+        assert path.name.endswith(STAGES[stage].codec), path.name
+        stages.add(stage)
+    return stages
 
 
 @pytest.fixture()
@@ -159,9 +171,24 @@ class TestFingerprints:
             guard_band=overrides.pop("guard_band", 0.3),
             **overrides,
         )
-        return synthesis_fingerprint(
+        return self._synth_key_of(
             self.STATLIB, self.DESIGN, BASELINE_WINDOWS, constraints
         )
+
+    @staticmethod
+    def _synth_key_of(statlib, design, windows, constraints):
+        return stage_fingerprint(
+            "synth",
+            statlib=statlib,
+            design=design,
+            windows=windows,
+            constraints=constraints.fingerprint_payload(),
+            sta=dataclasses.asdict(StaConfig()),
+        )
+
+    @staticmethod
+    def _design_key(design):
+        return stage_fingerprint("design", params=dataclasses.asdict(design))
 
     def test_stable_for_identical_inputs(self):
         assert self._synth_key() == self._synth_key()
@@ -179,31 +206,35 @@ class TestFingerprints:
     def test_sensitive_to_windows_and_upstream_keys(self):
         base = self._synth_key()
         constraints = SynthesisConstraints(clock_period=4.0)
-        assert base != synthesis_fingerprint(
+        assert base != self._synth_key_of(
             self.STATLIB, self.DESIGN, "c" * 64, constraints
         )
-        assert base != synthesis_fingerprint(
+        assert base != self._synth_key_of(
             "c" * 64, self.DESIGN, BASELINE_WINDOWS, constraints
         )
-        assert base != synthesis_fingerprint(
+        assert base != self._synth_key_of(
             self.STATLIB, "c" * 64, BASELINE_WINDOWS, constraints
         )
 
     def test_design_fingerprint_sensitive_to_params(self):
         design = _mini_config().design
-        a = design_fingerprint(design)
-        b = design_fingerprint(dataclasses.replace(design, control_gates=300))
+        a = self._design_key(design)
+        b = self._design_key(dataclasses.replace(design, control_gates=300))
         assert a != b
-        assert a == design_fingerprint(dataclasses.replace(design))
+        assert a == self._design_key(dataclasses.replace(design))
+        assert a == TuningFlow(_mini_config(cache=False)).design_key
 
     def test_tuning_fingerprint_sensitive_to_method_and_parameter(self):
-        ceiling = method_by_name("sigma_ceiling")
-        slope = method_by_name("cell_load_slope")
-        assert tuning_fingerprint(self.STATLIB, ceiling, 0.03) != tuning_fingerprint(
-            self.STATLIB, slope, 0.03
+        flow = TuningFlow(_mini_config(cache=False))
+
+        def tuning_key(method, parameter):
+            return flow.point_keys(4.0, method, parameter).tuning
+
+        assert tuning_key("sigma_ceiling", 0.03) != tuning_key(
+            "cell_load_slope", 0.03
         )
-        assert tuning_fingerprint(self.STATLIB, ceiling, 0.03) != tuning_fingerprint(
-            self.STATLIB, ceiling, 0.02
+        assert tuning_key("sigma_ceiling", 0.03) != tuning_key(
+            "sigma_ceiling", 0.02
         )
 
     def test_minperiod_fingerprint_sensitive_to_search_knobs(self):
@@ -211,6 +242,33 @@ class TestFingerprints:
         assert base != minperiod_fingerprint(self.STATLIB, self.DESIGN, 0.25, 0.05)
         assert base != minperiod_fingerprint(self.STATLIB, self.DESIGN, 0.3, 0.01)
         assert base != minperiod_fingerprint(self.STATLIB, "c" * 64, 0.3, 0.05)
+
+
+class TestStageTable:
+    """Every key and codec comes from the one stage table."""
+
+    def test_stored_stages_are_table_rows(self, cache_dir):
+        """A cold compare and a per-sample characterization store only
+        table rows, each under its row's codec (the minimum-period
+        search is checked in ``test_minimum_period_warm_zero_synthesis``)."""
+        flow = TuningFlow(_mini_config())
+        flow.compare(4.0, "sigma_ceiling", 0.03)
+        flow.characterizer.sample_libraries(flow.specs[:4], n_samples=3, seed=0)
+        assert _stored_stages(cache_dir) == {
+            "stat", "samples", "tuning", "synth", "paths", "stats",
+        }
+
+    def test_stage_fingerprint_rejects_missing_and_undeclared_inputs(self):
+        with pytest.raises(ReproError, match=r"missing \[rho\]"):
+            stage_fingerprint("stats", synth="a" * 64)
+        with pytest.raises(ReproError, match=r"undeclared \[clock\]"):
+            stage_fingerprint("paths", synth="a" * 64, clock=4.0)
+        with pytest.raises(ReproError, match="unknown stage"):
+            stage_fingerprint("netlist", synth="a" * 64)
+
+    def test_unstored_stage_has_no_path(self, tmp_path):
+        with pytest.raises(ReproError, match="not a stored stage"):
+            ArtifactStore(tmp_path).path_for("design", "a" * 64)
 
 
 class TestBaselineKeyDisjointness:
@@ -323,6 +381,7 @@ class TestWarmPipeline:
         """The min-period search is a stage too: warm runs skip every
         probe synthesis (what otherwise dominates a warm evaluation)."""
         cold = TuningFlow(_mini_config()).minimum_period()
+        assert _stored_stages(cache_dir) == {"stat", "minperiod"}
         warm_flow = TuningFlow(_mini_config())
         reset_synthesis_call_count()
         assert warm_flow.minimum_period() == cold
@@ -346,6 +405,23 @@ class TestWarmPipeline:
         parallel = parallel_flow.sweep_comparisons(points)
         assert parallel == serial
         assert [c.parameter for c in parallel] == [0.03, 0.05]
+
+    def test_rejected_payload_heals_and_recomputes(self, cache_dir):
+        """An intact entry whose payload the stage's decoder rejects
+        heals into a miss (counted, rewritten) instead of raising."""
+        flow = TuningFlow(_mini_config())
+        key = flow.point_keys(4.0, "sigma_ceiling", 0.03).tuning
+        store = ArtifactStore()
+        store.store("tuning", key, {"unexpected": 1})
+        healed = STORE_ARTIFACT_EVENTS.labels(event="healed").value
+        result = flow.tuning("sigma_ceiling", 0.03)
+        assert STORE_ARTIFACT_EVENTS.labels(event="healed").value == healed + 1
+        assert canonical_json(store.load("tuning", key)) == canonical_json(
+            result.to_payload()
+        )
+        assert [
+            r.status for r in flow.manifest.records if r.stage == "tuning"
+        ] == ["miss"]
 
     def test_no_cache_flow_still_works(self, cache_dir):
         """cache=False degrades every stage to compute-only."""

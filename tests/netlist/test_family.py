@@ -110,13 +110,20 @@ class TestParams:
         simulate_sequence(netlist, [dict(inputs)] * 4)
 
 
+def _design_key(params) -> str:
+    """The ``design`` stage key of generator parameters."""
+    from dataclasses import asdict
+
+    from repro.parallel.artifacts import stage_fingerprint
+
+    return stage_fingerprint("design", params=asdict(params))
+
+
 class TestFingerprinting:
     def test_members_content_address_independently(self):
-        from repro.flow.pipeline import design_fingerprint
-
         base = MicrocontrollerParams()
         keys = [
-            design_fingerprint(design_spec(name).params(base))
+            _design_key(design_spec(name).params(base))
             for name in design_family()
         ]
         assert len(set(keys)) == len(keys)
@@ -124,9 +131,5 @@ class TestFingerprinting:
     def test_pipeline_depth_enters_fingerprint(self):
         from dataclasses import replace
 
-        from repro.flow.pipeline import design_fingerprint
-
         base = MicrocontrollerParams()
-        assert design_fingerprint(base) != design_fingerprint(
-            replace(base, pipeline_depth=2)
-        )
+        assert _design_key(base) != _design_key(replace(base, pipeline_depth=2))

@@ -8,12 +8,14 @@ and process backends produce bit-identical libraries.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.characterization.characterize import Characterizer
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ParallelError
 from repro.observe import Tracer, get_metrics, set_tracer
 from repro.parallel.backends import (
     BACKEND_NAMES,
@@ -32,6 +34,11 @@ from tests.parallel.test_equivalence import assert_libraries_bit_identical
 def _echo(index, payload, trace=None):
     """Module-level worker (PROC002): picklable by qualified name."""
     return (index, payload)
+
+
+def _die(index, trace=None):
+    """Module-level worker that kills its own process."""
+    os._exit(1)
 
 
 class TestChunkIndices:
@@ -140,6 +147,13 @@ class TestMapTasks:
     def test_base_class_is_abstract(self):
         with pytest.raises(NotImplementedError):
             ExecutorBackend().map_tasks(_echo, [(0, "a")])
+
+    def test_killed_worker_is_a_repro_error(self):
+        """A worker process that dies outright surfaces as one
+        ``repro.errors`` error naming the backend, not a raw
+        ``BrokenProcessPool``."""
+        with pytest.raises(ParallelError, match="process backend"):
+            ProcessBackend(2).map_tasks(_die, [(0,), (1,)])
 
 
 class TestSerialFallbackSkipsPoolSpawn:
@@ -264,14 +278,18 @@ class TestFingerprintInvariance:
         assert len({flow.design_key for flow in flows}) == 1
 
     def test_design_family_always_fingerprints(self):
-        from repro.flow.experiment import FlowConfig
-        from repro.flow.pipeline import design_fingerprint
+        from dataclasses import asdict
+
+        from repro.flow.experiment import FlowConfig, TuningFlow
         from repro.netlist.generators.family import design_family, design_spec
+        from repro.parallel.artifacts import stage_fingerprint
 
         base = FlowConfig.tiny().design
         keys = {
-            name: design_fingerprint(design_spec(name).params(base))
+            name: stage_fingerprint(
+                "design", params=asdict(design_spec(name).params(base))
+            )
             for name in design_family()
         }
         assert len(set(keys.values())) == len(keys)
-        assert keys["microcontroller"] == design_fingerprint(base)
+        assert keys["microcontroller"] == TuningFlow(FlowConfig.tiny()).design_key

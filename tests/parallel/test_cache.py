@@ -17,8 +17,8 @@ from repro.characterization.characterize import (
     reset_characterization_call_count,
 )
 from repro.characterization.grids import GridConfig
-from repro.parallel.artifacts import ArtifactStore, fingerprint
-from repro.parallel.cache import CACHE_VERSION, LibraryCache, characterization_key
+from repro.parallel.artifacts import ARTIFACT_VERSION, ArtifactStore, fingerprint
+from repro.parallel.cache import LibraryCache, characterization_key
 
 from tests.parallel.test_equivalence import assert_libraries_bit_identical
 
@@ -113,7 +113,9 @@ class TestCorruptionRecovery:
     ):
         specs = small_specs[:4]
         characterizer.statistical_library(specs, n_samples=6, seed=1)
-        monkeypatch.setattr("repro.parallel.cache.CACHE_VERSION", CACHE_VERSION + 1)
+        monkeypatch.setattr(
+            "repro.parallel.artifacts.ARTIFACT_VERSION", ARTIFACT_VERSION + 1
+        )
         reset_characterization_call_count()
         characterizer.statistical_library(specs, n_samples=6, seed=1)
         assert characterization_call_count() == len(specs)
