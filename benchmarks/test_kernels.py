@@ -65,7 +65,7 @@ def _cold_slice(kernel, specs):
     """Cold characterize + synthesize + statistics under one kernel."""
     with use_kernel(kernel):
         library = Characterizer(kernel=kernel).statistical_library(
-            specs, n_samples=10, seed=3, use_cache=False
+            specs, n_samples=10, seed=3
         )
         synthesis = synthesize(
             _design(specs), library, SynthesisConstraints(clock_period=2.4)

@@ -23,7 +23,7 @@ JOBS = min(4, os.cpu_count() or 1) if (os.cpu_count() or 1) > 1 else 2
 
 def _characterize(characterizer, specs, n_workers):
     return characterizer.statistical_library(
-        specs, n_samples=30, seed=7, n_workers=n_workers, use_cache=False
+        specs, n_samples=30, seed=7, n_workers=n_workers
     )
 
 

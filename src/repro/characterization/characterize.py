@@ -20,6 +20,12 @@ alongside it, nor on which process characterizes it.  That per-cell
 keying is what makes the :mod:`repro.parallel` fan-out bit-identical to
 the serial path: a worker handed any chunk of cells regenerates exactly
 the draws the serial loop would have used.
+
+The characterizer only computes.  Storing and serving libraries is the
+flow's: :class:`~repro.flow.experiment.TuningFlow` resolves the ``stat``
+and ``samples`` stages through its
+:class:`~repro.flow.pipeline.ArtifactPipeline` with the library codec of
+:mod:`repro.parallel.cache`.
 """
 
 from __future__ import annotations
@@ -57,7 +63,6 @@ from repro.variation.process import Corner, TechnologyParams, typical_corner
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.parallel.backends import ExecutorBackend
-    from repro.parallel.cache import LibraryCache
 
 #: Per-arc local draws: array of shape (4, N) holding
 #: (dvth_rise, dbeta_rise, dvth_fall, dbeta_fall) for N samples.
@@ -66,7 +71,7 @@ ArcDraws = np.ndarray
 CellDraws = Dict[Tuple[str, str], ArcDraws]
 
 #: Cells characterized in this process (all modes).  Worker processes
-#: count their own work; a cache hit performs zero characterizations.
+#: count their own work; a store hit performs zero characterizations.
 _characterize_calls = 0
 
 
@@ -75,7 +80,7 @@ def characterization_call_count() -> int:
 
     The counter is per-process and cumulative; tests use it (after
     :func:`reset_characterization_call_count`) to assert that a warm
-    cache performs zero re-characterization.
+    store performs zero re-characterization.
     """
     return _characterize_calls
 
@@ -133,7 +138,6 @@ class Characterizer:
         grid: Optional[GridConfig] = None,
         global_sigmas: Optional[GlobalSigmas] = None,
         include_power: bool = False,
-        cache: Optional["LibraryCache"] = None,
         n_workers: int = 1,
         kernel: Optional[str] = None,
         backend: Optional[str] = None,
@@ -148,14 +152,10 @@ class Characterizer:
         #: When set, arcs also get switching-energy (and, for the
         #: statistical library, energy-sigma) tables.
         self.include_power = include_power
-        #: Optional :class:`~repro.parallel.cache.LibraryCache`; when
-        #: set, library-level drivers memoize their results in its
-        #: artifact store.
-        self.cache = cache
         #: Default worker count of the library-level drivers
         #: (1 = serial, 0 = one per CPU; see ``repro.parallel``).
         #: Validated eagerly so a bad ``--jobs`` fails even when the
-        #: cache would otherwise short-circuit all characterization.
+        #: store serves the library and no characterization runs.
         if n_workers < 0:
             raise ReproError(f"n_workers must be >= 0, got {n_workers}")
         self.n_workers = n_workers
@@ -164,7 +164,7 @@ class Characterizer:
         #: see :mod:`repro.parallel.backends`).  Results are
         #: bit-identical on every backend, so the choice never enters
         #: cache keys.  Validated eagerly so a bad ``--backend`` fails
-        #: even when the cache short-circuits all characterization.
+        #: even when the store serves the library.
         if backend is not None:
             from repro.parallel.backends import validate_backend
 
@@ -611,71 +611,45 @@ class Characterizer:
         seed: int = 0,
         include_global: bool = False,
         n_workers: Optional[int] = None,
-        use_cache: bool = True,
     ) -> List[Library]:
         """The N distinct Monte-Carlo libraries of paper Sec. IV.
 
         ``n_workers`` overrides the characterizer's default worker
         count (1 = serial, 0 = one per CPU); any parallel schedule is
         bit-identical to the serial path because each cell's draws come
-        from its own seeded stream.  With a cache attached and
-        ``use_cache`` left on, results are memoized on disk.
+        from its own seeded stream.
         """
-        tracer = get_tracer()
-        with tracer.span(
+        with get_tracer().span(
             "characterize.samples", n_cells=len(specs), n_samples=n_samples
-        ) as span:
-            if use_cache and self.cache is not None:
-                cached = self.cache.load_samples(
-                    self, specs, n_samples, seed, include_global
-                )
-                if cached is not None:
-                    span.set(status="hit")
-                    return cached
-                span.set(status="miss")
-            return self._compute_sample_libraries(
-                specs, n_samples, seed, include_global, n_workers, use_cache
+        ):
+            backend = self._resolve_backend(n_workers)
+            global_draws = (
+                self.sample_global_draws(n_samples, seed + 1) if include_global else None
             )
+            if not backend.in_process:
+                from repro.parallel.executor import characterize_sample_cells
 
-    def _compute_sample_libraries(
-        self,
-        specs: Sequence[CellSpec],
-        n_samples: int,
-        seed: int,
-        include_global: bool,
-        n_workers: Optional[int],
-        use_cache: bool,
-    ) -> List[Library]:
-        backend = self._resolve_backend(n_workers)
-        global_draws = (
-            self.sample_global_draws(n_samples, seed + 1) if include_global else None
-        )
-        if not backend.in_process:
-            from repro.parallel.executor import characterize_sample_cells
-
-            cells = characterize_sample_cells(
-                self, specs, n_samples, seed, global_draws, backend=backend
-            )
-        else:
-            draws = self.sample_arc_draws(specs, n_samples, seed)
-            columns = [
-                self.characterize_cell_samples(
-                    spec, draws[spec.name], range(n_samples), global_draws
+                cells = characterize_sample_cells(
+                    self, specs, n_samples, seed, global_draws, backend=backend
                 )
-                for spec in specs
-            ]
-            cells = [
-                [column[k] for column in columns] for k in range(n_samples)
-            ]
-        libraries: List[Library] = []
-        for k in range(n_samples):
-            library = self._make_library_shell(f"{self.corner.name}_mc{k:03d}")
-            for cell in cells[k]:
-                library.add_cell(cell)
-            libraries.append(library)
-        if use_cache and self.cache is not None:
-            self.cache.store_samples(self, specs, n_samples, seed, include_global, libraries)
-        return libraries
+            else:
+                draws = self.sample_arc_draws(specs, n_samples, seed)
+                columns = [
+                    self.characterize_cell_samples(
+                        spec, draws[spec.name], range(n_samples), global_draws
+                    )
+                    for spec in specs
+                ]
+                cells = [
+                    [column[k] for column in columns] for k in range(n_samples)
+                ]
+            libraries: List[Library] = []
+            for k in range(n_samples):
+                library = self._make_library_shell(f"{self.corner.name}_mc{k:03d}")
+                for cell in cells[k]:
+                    library.add_cell(cell)
+                libraries.append(library)
+            return libraries
 
     def statistical_library(
         self,
@@ -685,7 +659,6 @@ class Characterizer:
         include_global: bool = False,
         name: Optional[str] = None,
         n_workers: Optional[int] = None,
-        use_cache: bool = True,
     ) -> Library:
         """The statistical library, computed directly (fast path).
 
@@ -693,66 +666,37 @@ class Characterizer:
         the same arguments and combining them via
         :func:`repro.statlib.builder.build_statistical_library`.
         ``n_workers`` fans the per-cell work out over processes with
-        bit-identical results; with a cache attached the combined
-        mean/sigma arrays are memoized on disk and a warm hit skips
-        characterization entirely.
+        bit-identical results.
         """
-        tracer = get_tracer()
-        with tracer.span(
+        with get_tracer().span(
             "characterize.statistical", n_cells=len(specs), n_samples=n_samples
-        ) as span:
-            if use_cache and self.cache is not None:
-                cached = self.cache.load_statistical(
-                    self, specs, n_samples, seed, include_global, name
-                )
-                if cached is not None:
-                    span.set(status="hit")
-                    return cached
-                span.set(status="miss")
-            return self._compute_statistical_library(
-                specs, n_samples, seed, include_global, name, n_workers, use_cache
+        ):
+            backend = self._resolve_backend(n_workers)
+            global_draws = (
+                self.sample_global_draws(n_samples, seed + 1) if include_global else None
             )
+            if not backend.in_process:
+                from repro.parallel.executor import characterize_statistical_cells
 
-    def _compute_statistical_library(
-        self,
-        specs: Sequence[CellSpec],
-        n_samples: int,
-        seed: int,
-        include_global: bool,
-        name: Optional[str],
-        n_workers: Optional[int],
-        use_cache: bool,
-    ) -> Library:
-        backend = self._resolve_backend(n_workers)
-        global_draws = (
-            self.sample_global_draws(n_samples, seed + 1) if include_global else None
-        )
-        if not backend.in_process:
-            from repro.parallel.executor import characterize_statistical_cells
-
-            cells = characterize_statistical_cells(
-                self, specs, n_samples, seed, global_draws, backend=backend
-            )
-        else:
-            draws = self.sample_arc_draws(specs, n_samples, seed)
-            cells = [
-                self.characterize_cell(
-                    spec,
-                    draws=draws[spec.name],
-                    global_draws=global_draws,
-                    statistical=True,
+                cells = characterize_statistical_cells(
+                    self, specs, n_samples, seed, global_draws, backend=backend
                 )
-                for spec in specs
-            ]
-        library = self._make_library_shell(name or f"{self.corner.name}_stat")
-        library.is_statistical = True
-        for cell in cells:
-            library.add_cell(cell)
-        if use_cache and self.cache is not None:
-            self.cache.store_statistical(
-                self, specs, n_samples, seed, include_global, library
-            )
-        return library
+            else:
+                draws = self.sample_arc_draws(specs, n_samples, seed)
+                cells = [
+                    self.characterize_cell(
+                        spec,
+                        draws=draws[spec.name],
+                        global_draws=global_draws,
+                        statistical=True,
+                    )
+                    for spec in specs
+                ]
+            library = self._make_library_shell(name or f"{self.corner.name}_stat")
+            library.is_statistical = True
+            for cell in cells:
+                library.add_cell(cell)
+            return library
 
     def _resolve_jobs(self, n_workers: Optional[int]) -> int:
         from repro.parallel import resolve_jobs

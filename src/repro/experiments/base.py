@@ -68,7 +68,7 @@ class ExperimentContext:
     }
 
     def __init__(self, flow: Optional[TuningFlow] = None):
-        self.flow = flow or TuningFlow(FlowConfig.from_environment())
+        self.flow = flow or TuningFlow(FlowConfig.from_env())
         #: Fig. 9 only lists cells used more than 100 times on the 20k
         #: design; scale the cut to the configured design size.
         design_gates = 20_000 if self.is_paper_scale else 3_500

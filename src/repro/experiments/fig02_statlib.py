@@ -23,10 +23,9 @@ def run(
         s for s in flow.specs
         if s.name in ("INV_1", "INV_8", "ND2_2", "NR2_2", "ADDF_4")
     ][:n_cells]
-    characterizer = flow.characterizer
-    libraries = characterizer.sample_libraries(specs, n_samples=n_samples, seed=seed)
+    libraries = flow.sample_libraries(specs, n_samples, seed)
     statistical = build_statistical_library(libraries)
-    direct = characterizer.statistical_library(specs, n_samples=n_samples, seed=seed)
+    direct = flow.library_stage("stat", specs, n_samples, seed)
 
     rows = []
     max_error = 0.0

@@ -32,7 +32,6 @@ downstream stage artifact on disk.  Each flow records a
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -44,8 +43,12 @@ from repro.errors import ConfigError, ReproError
 from repro.kernels.dispatch import DEFAULT_KERNEL, set_kernel, validate_kernel
 from repro.parallel.artifacts import stage_fingerprint
 from repro.parallel.backends import DEFAULT_BACKEND, validate_backend
-from repro.parallel.cache import characterization_key, spec_fingerprint
-from repro.observe import Tracer, get_tracer, set_metrics_enabled, set_tracer
+from repro.parallel.cache import (
+    LibraryCache,
+    characterization_key,
+    spec_fingerprint,
+)
+from repro.observe import Tracer, set_metrics_enabled, set_tracer
 from repro.flow.metrics import TuningComparison, compare_runs
 from repro.flow.minperiod import minimum_clock_period
 from repro.flow.pipeline import (
@@ -277,16 +280,6 @@ class FlowConfig:
             config = replace(config, metrics=metrics)
         return config
 
-    @staticmethod
-    def from_environment() -> "FlowConfig":
-        """Build a config from environment knobs alone.
-
-        Thin alias of :meth:`from_env` with no explicit overrides,
-        kept for the original call sites; new code should call
-        :meth:`from_env` directly.
-        """
-        return FlowConfig.from_env()
-
 
 @dataclass(frozen=True)
 class RunSummary:
@@ -460,52 +453,40 @@ class TuningFlow:
     # ------------------------------------------------------------------
 
     @property
-    def tracer(self) -> Tracer:
-        """The tracer instrumentation reports to: the config's, or the
-        process-wide active tracer (a no-op tracer by default)."""
-        return self.config.tracer or get_tracer()
-
-    @property
     def specs(self) -> List[CellSpec]:
         if self._specs is None:
-            with self.tracer.span("stage.catalog", status="computed"):
-                start = time.perf_counter()
-                self._specs = build_catalog()
-                self.manifest.record(
-                    "catalog",
-                    stage_fingerprint(
-                        "catalog",
-                        specs=[spec_fingerprint(spec) for spec in self._specs],
-                    ),
-                    "computed",
-                    time.perf_counter() - start,
-                )
+            self._specs = self._pipeline.resolve(
+                "catalog",
+                lambda specs: stage_fingerprint(
+                    "catalog", specs=[spec_fingerprint(spec) for spec in specs]
+                ),
+                build_catalog,
+            )
         return self._specs
 
     @property
     def characterizer(self) -> Characterizer:
         if self._characterizer is None:
-            from repro.parallel import LibraryCache
-
             self._characterizer = Characterizer(
-                cache=LibraryCache(self._store) if self._store else None,
                 n_workers=self.config.n_workers,
                 kernel=self.config.kernel,
                 backend=self.config.backend,
             )
         return self._characterizer
 
+    def _characterization_key(
+        self, kind: str, specs: Sequence[CellSpec], n_samples: int, seed: int
+    ) -> str:
+        return characterization_key(
+            self.characterizer, specs, n_samples, seed, include_global=False, kind=kind
+        )
+
     @property
     def statlib_key(self) -> str:
         """Content fingerprint of the statistical-library stage."""
         if self._statlib_key is None:
-            self._statlib_key = characterization_key(
-                self.characterizer,
-                self.specs,
-                self.config.n_samples,
-                self.config.seed,
-                include_global=False,
-                kind="stat",
+            self._statlib_key = self._characterization_key(
+                "stat", self.specs, self.config.n_samples, self.config.seed
             )
         return self._statlib_key
 
@@ -520,23 +501,59 @@ class TuningFlow:
 
     @property
     def statistical_library(self) -> Library:
+        """The flow's statistical library (stage ``stat``, recorded as
+        ``statlib``) — memoized in-process, content-addressed on disk."""
         if self._statistical is None:
-            with self.tracer.span("stage.statlib", key=self.statlib_key[:12]) as span:
-                start = time.perf_counter()
-                if self._store is None:
-                    status = "computed"
-                elif self._store.has("stat", self.statlib_key):
-                    status = "hit"
-                else:
-                    status = "miss"
-                span.set(status=status)
-                self._statistical = self.characterizer.statistical_library(
-                    self.specs, n_samples=self.config.n_samples, seed=self.config.seed
-                )
-                self.manifest.record(
-                    "statlib", self.statlib_key, status, time.perf_counter() - start
-                )
+            self._statistical = self.library_stage("stat")
         return self._statistical
+
+    def sample_libraries(
+        self,
+        specs: Optional[Sequence[CellSpec]] = None,
+        n_samples: Optional[int] = None,
+        seed: Optional[int] = None,
+    ) -> List[Library]:
+        """The N Monte-Carlo libraries of paper Sec. IV (stage
+        ``samples``); the arguments default to the flow's."""
+        return self.library_stage("samples", specs, n_samples, seed)
+
+    def library_stage(
+        self,
+        kind: str,
+        specs: Optional[Sequence[CellSpec]] = None,
+        n_samples: Optional[int] = None,
+        seed: Optional[int] = None,
+    ):
+        """Resolve a characterization stage — ``stat`` (the statistical
+        library) or ``samples`` (the per-sample libraries) — of
+        ``specs`` at ``n_samples``/``seed``, each defaulting to the
+        flow's.  The key is derived once, here (the flow's own
+        statistical library reuses :attr:`statlib_key`), and handed to
+        the library codec with the store."""
+        default = specs is None and n_samples is None and seed is None
+        specs = self.specs if specs is None else specs
+        n_samples = self.config.n_samples if n_samples is None else n_samples
+        seed = self.config.seed if seed is None else seed
+        key = (
+            self.statlib_key
+            if kind == "stat" and default
+            else self._characterization_key(kind, specs, n_samples, seed)
+        )
+        characterize = (
+            self.characterizer.statistical_library
+            if kind == "stat"
+            else self.characterizer.sample_libraries
+        )
+        return self._pipeline.resolve(
+            kind,
+            key,
+            lambda: characterize(specs, n_samples=n_samples, seed=seed),
+            None
+            if self._store is None
+            else LibraryCache(self._store).codec(
+                kind, self.characterizer, specs, n_samples
+            ),
+        )
 
     @property
     def tuner(self) -> LibraryTuner:
@@ -568,9 +585,10 @@ class TuningFlow:
             self._tunings[key] = self._pipeline.resolve(
                 "tuning",
                 self._tuning_key(resolved, parameter),
-                compute=lambda: self.tuner.tune(resolved, parameter),
-                encode=lambda result: result.to_payload(),
-                decode=TuningResult.from_payload,
+                lambda: self.tuner.tune(resolved, parameter),
+                self._pipeline.payload(
+                    "tuning", TuningResult.to_payload, TuningResult.from_payload
+                ),
             )
         return self._tunings[key]
 
@@ -658,57 +676,47 @@ class TuningFlow:
 
         The three downstream stages (synth summary, worst paths,
         design statistics) are stored under chained fingerprints and
-        resolved in one pass over the chain; a partially populated
-        store (e.g. an interrupted run) counts as a full miss so the
-        artifacts can never disagree with each other.
+        resolved as one chain by
+        :meth:`~repro.flow.pipeline.ArtifactPipeline.resolve_chain`: a
+        partially populated store (e.g. an interrupted run) counts as a
+        full miss so the artifacts can never disagree with each other.
         """
         constraints, _, run_keys = self._chain(clock_period, method, parameter)
-        store = self._store
-        tracer = self.tracer
-        if store is not None:
-            start = time.perf_counter()
-            stored = [
-                store.load(stage, key, _RUN_CODECS[stage][1])
-                for stage, key in run_keys
-            ]
-            if all(value is not None for value in stored):
-                elapsed = (time.perf_counter() - start) / len(run_keys)
-                for stage, key in run_keys:
-                    self.manifest.record(stage, key, "hit", elapsed)
-                    tracer.record_span(
-                        f"stage.{stage}", elapsed, key=key[:12], status="hit"
-                    )
-                return SynthesisRun(constraints.clock_period, *stored)
-        if method is not None:
-            constraints = replace(
-                constraints, windows=self.tuning(method, parameter).windows
-            )
-        status = "computed" if store is None else "miss"
         live = {}
 
         def run_synthesis() -> RunSummary:
+            bound = constraints
+            if method is not None:
+                bound = replace(
+                    constraints, windows=self.tuning(method, parameter).windows
+                )
             live["result"] = synthesize(
-                self.build_design(), self.statistical_library, constraints
+                self.build_design(), self.statistical_library, bound
             )
             return RunSummary.from_result(live["result"])
 
+        def worst_paths() -> List[TimingPath]:
+            live["paths"] = extract_worst_paths(live["result"].timing)
+            return live["paths"]
+
         computes = {
             "synth": run_synthesis,
-            "paths": lambda: extract_worst_paths(live["result"].timing),
+            "paths": worst_paths,
             "stats": lambda: design_statistics(
                 live["paths"], self.statistical_library
             ),
         }
-        for stage, key in run_keys:
-            with tracer.span(f"stage.{stage}", key=key[:12], status=status):
-                start = time.perf_counter()
-                live[stage] = computes[stage]()
-                if store is not None:
-                    store.store(stage, key, _RUN_CODECS[stage][0](live[stage]))
-                self.manifest.record(stage, key, status, time.perf_counter() - start)
+        summary, paths, stats = self._pipeline.resolve_chain([
+            (
+                stage,
+                key,
+                computes[stage],
+                self._pipeline.payload(stage, *_RUN_CODECS[stage]),
+            )
+            for stage, key in run_keys
+        ])
         return SynthesisRun(
-            constraints.clock_period,
-            live["synth"], live["paths"], live["stats"], live["result"],
+            constraints.clock_period, summary, paths, stats, live.get("result")
         )
 
     def baseline(self, clock_period: float) -> SynthesisRun:
@@ -817,8 +825,11 @@ class TuningFlow:
                     self.config.guard_band,
                     resolution,
                 ),
-                compute=lambda: self._search_minimum_period(resolution),
-                encode=lambda minimum: {"minimum": minimum},
-                decode=lambda payload: float(payload["minimum"]),
+                lambda: self._search_minimum_period(resolution),
+                self._pipeline.payload(
+                    "minperiod",
+                    lambda minimum: {"minimum": minimum},
+                    lambda payload: float(payload["minimum"]),
+                ),
             )
         return self._minimum_periods[resolution]

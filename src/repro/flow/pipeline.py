@@ -30,9 +30,14 @@ Layout under ``$REPRO_CACHE_DIR`` (or ``~/.cache/repro``)::
     stats-<key>.json.gz       DesignStatistics         (eq. 11 roll-up)
     minperiod-<key>.json.gz   minimum-period search    (one float)
 
-Every stage resolution appends a :class:`StageRecord` (stage id, key,
-hit/miss, wall time) to the flow's :class:`RunManifest`, surfaced via
-``python -m repro run ... --manifest``; ``python -m repro store stats``
+:class:`ArtifactPipeline` is the one resolver of every stage, the
+libraries included (the characterizer only computes; the flow hands the
+pipeline the library codec of :mod:`repro.parallel.cache`).  Each
+resolution appends a :class:`StageRecord` (stage id, key,
+hit/miss/computed, wall time) to the flow's :class:`RunManifest`,
+surfaced via ``python -m repro run ... --manifest``, and opens a
+``stage.<id>`` span; the status is always the load's outcome, so an
+entry that heals on load is a miss.  ``python -m repro store stats``
 counts the stored entries per stage.
 
 Every multi-point evaluation — fig10's in-design sweep
@@ -57,7 +62,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.observe import get_tracer
-from repro.parallel.artifacts import ArtifactStore, stage_fingerprint
+from repro.parallel.artifacts import STAGES, ArtifactStore, stage_fingerprint
 from repro.sta.graph import StaConfig
 
 #: A sweep point: (clock period, method name, parameter); method
@@ -206,11 +211,36 @@ def minperiod_fingerprint(
 # ----------------------------------------------------------------------
 
 
-class ArtifactPipeline:
-    """Resolves stages against a store, recording every resolution.
+#: How a stage's live value crosses the store: ``load(key)`` returns
+#: the stored value, or ``None`` on a miss (an entry that cannot be
+#: read back or decoded heals into one); ``save(key, value)`` persists
+#: a computed value.  :meth:`ArtifactPipeline.payload` builds the JSON
+#: stages' codec; :meth:`repro.parallel.cache.LibraryCache.codec` the
+#: library stages'.
+Codec = Tuple[Callable[[str], Optional[Any]], Callable[[str, Any], Any]]
 
-    A ``None`` store (``FlowConfig(cache=False)``) degrades every stage
-    to compute-only; the manifest still records what ran.
+#: One stage of a chain: ``(stage, key, compute, codec)``.  A
+#: codec-less stage's key may be a callable deriving it from the
+#: computed value (the ``catalog`` key is a hash of the catalog).
+Link = Tuple[str, Any, Callable[[], Any], Optional[Codec]]
+
+#: Manifest and span names of the store stages recorded under another
+#: name: the statistical library is ``statlib`` in every manifest,
+#: trace and CI check.
+RECORD_NAMES = {"stat": "statlib"}
+
+
+class ArtifactPipeline:
+    """The one resolver of every stage: loads it from the store, or
+    computes and persists it, and records each resolution.
+
+    A stage's row in :data:`~repro.parallel.artifacts.STAGES` decides
+    whether it is stored at all: a codec-less row (``catalog``) always
+    resolves as ``computed``, and so does every stage of a pipeline
+    without a store (``FlowConfig(cache=False)``).  Every resolution is
+    both a :class:`StageRecord` and a ``stage.<name>`` trace span with
+    the key and the status as attributes, so the run manifest and the
+    time tree agree; the status is always the load's outcome.
     """
 
     def __init__(
@@ -221,45 +251,71 @@ class ArtifactPipeline:
         self.store = store
         self.manifest = manifest if manifest is not None else RunManifest()
 
+    def payload(
+        self,
+        stage: str,
+        encode: Callable[[Any], Any],
+        decode: Callable[[Any], Any],
+    ) -> Codec:
+        """The JSON codec of ``stage``: ``encode``/``decode`` translate
+        between the live value and its payload.  A payload ``decode``
+        rejects heals into a miss like a torn file."""
+        return (
+            lambda key: self.store.load(stage, key, decode),
+            lambda key, value: self.store.store(stage, key, encode(value)),
+        )
+
     def resolve(
         self,
         stage: str,
-        key: str,
+        key: Any,
         compute: Callable[[], Any],
-        encode: Callable[[Any], Any],
-        decode: Callable[[Any], Any],
+        codec: Optional[Codec] = None,
     ) -> Any:
-        """Load ``(stage, key)`` from the store, or compute and persist.
+        """Load ``(stage, key)`` through ``codec``, or compute and
+        persist it; a chain of one (see :meth:`resolve_chain`)."""
+        return self.resolve_chain([(stage, key, compute, codec)])[0]
 
-        ``encode``/``decode`` translate between the live value and its
-        JSON payload; a hit is decoded inside the store's load, so a
-        payload ``decode`` rejects heals into a miss like a torn file;
-        a miss is computed, encoded and stored atomically.
+    def resolve_chain(self, links: Sequence[Link]) -> List[Any]:
+        """Resolve stages that stand or fall together, in order.
 
-        Every resolution is both a manifest record and a trace span
-        (``stage.<name>`` with the key and hit/miss status as
-        attributes), so the run manifest and the time tree agree.
+        Every link is loaded first; only if all of them hit are they
+        served, so a partially stored chain (an interrupted run) is a
+        full miss and its artifacts can never disagree with each other.
+        Otherwise each link is computed, persisted and recorded in
+        turn, so a later ``compute`` may read what an earlier one left.
         """
         tracer = get_tracer()
-        with tracer.span(f"stage.{stage}", key=key[:12]) as span:
+        stored = self.store is not None and all(
+            STAGES[stage].codec is not None for stage, *_ in links
+        )
+        if stored:
             start = time.perf_counter()
-            if self.store is not None:
-                value = self.store.load(stage, key, decode)
-                if value is not None:
-                    span.set(status="hit")
-                    self.manifest.record(
-                        stage, key, "hit", time.perf_counter() - start
+            values = [codec[0](key) for _, key, _, codec in links]
+            if all(value is not None for value in values):
+                elapsed = (time.perf_counter() - start) / len(links)
+                for stage, key, *_ in links:
+                    name = RECORD_NAMES.get(stage, stage)
+                    self.manifest.record(name, key, "hit", elapsed)
+                    tracer.record_span(
+                        f"stage.{name}", elapsed, key=key[:12], status="hit"
                     )
-                    return value
-            value = compute()
-            if self.store is not None:
-                self.store.store(stage, key, encode(value))
-                status = "miss"
-            else:
-                status = "computed"
-            span.set(status=status)
-            self.manifest.record(stage, key, status, time.perf_counter() - start)
-            return value
+                return values
+        status = "miss" if stored else "computed"
+        values = []
+        for stage, key, compute, codec in links:
+            name = RECORD_NAMES.get(stage, stage)
+            with tracer.span(f"stage.{name}") as span:
+                start = time.perf_counter()
+                value = compute()
+                if callable(key):
+                    key = key(value)
+                if stored:
+                    codec[1](key, value)
+                span.set(key=key[:12], status=status)
+                self.manifest.record(name, key, status, time.perf_counter() - start)
+            values.append(value)
+        return values
 
 
 # ----------------------------------------------------------------------

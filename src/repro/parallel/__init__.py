@@ -20,11 +20,13 @@ provides both, plus the store every other stage persists through:
   ``.npz`` arrays, everything else as gzip JSON.  Writes are atomic
   (temp file + ``os.replace``) so a killed run can never poison later
   runs, and unreadable entries heal into misses.
-* :mod:`repro.parallel.cache` — the library codec on top of it: keyed
-  by a content hash of (catalog spec, grid, technology/corner/mismatch
-  parameters, seed, sample count), it stores the mean/sigma LUT arrays
-  and rebuilds full Liberty libraries from them without re-running the
-  delay model.
+* :mod:`repro.parallel.cache` — the library codec on top of it: under
+  a content hash of (catalog spec, grid, technology/corner/mismatch
+  parameters, seed, sample count) that the flow derives once, it
+  stores the mean/sigma LUT arrays and rebuilds full Liberty libraries
+  from them without re-running the delay model.  The flow's
+  :class:`~repro.flow.pipeline.ArtifactPipeline` decides when to load
+  or characterize; the characterizer itself never caches.
 
 * :mod:`repro.parallel.backends` — the pluggable execution layer every
   fan-out site dispatches through: an :class:`~repro.parallel.
@@ -35,8 +37,8 @@ provides both, plus the store every other stage persists through:
   ``REPRO_BACKEND`` / ``--backend``.
 
 All layers thread through :class:`~repro.characterization.
-characterize.Characterizer` (``n_workers=...``, ``cache=...``,
-``backend=...``), :class:`~repro.flow.experiment.FlowConfig` and the
+characterize.Characterizer` (``n_workers=...``, ``backend=...``),
+:class:`~repro.flow.experiment.FlowConfig` and the
 ``python -m repro`` CLI (``--jobs``, ``--backend``, ``--no-cache``,
 ``store stats|clear``).
 """

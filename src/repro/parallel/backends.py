@@ -291,10 +291,10 @@ class AsyncDispatcher:
     async def call(self, fn: Callable[..., Any], *args: Any) -> Any:
         """Run blocking ``fn(*args)`` in a thread, under the bound.
 
-        The escape hatch for work that orchestrates its *own* backend
-        fan-out (e.g. :func:`repro.sweep.run_sweep`): it counts against
-        the same pending budget as :meth:`dispatch`, so a saturated
-        server rejects every expensive request kind alike.
+        Every submission — including work that orchestrates its *own*
+        backend fan-out (e.g. :func:`repro.sweep.run_sweep`) — counts
+        against the one pending budget, so a saturated server rejects
+        every expensive request kind alike.
         """
         if self._pending >= self.max_pending:
             raise ServerBusyError(
@@ -308,17 +308,6 @@ class AsyncDispatcher:
         finally:
             self._pending -= 1
             DISPATCH_PENDING.set(self._pending)
-
-    async def dispatch(self, fn: Callable[..., Any], task: Task) -> Any:
-        """Run one task through the backend, under the bound.
-
-        ``fn`` must be a module-level callable (PROC002: out-of-process
-        backends pickle it by qualified name); the single task travels
-        through :meth:`ExecutorBackend.map_tasks` so worker-trace
-        plumbing and result ordering behave exactly as in batch mode.
-        """
-        results = await self.call(self.backend.map_tasks, fn, [task])
-        return results[0]
 
 
 def resolve_backend(

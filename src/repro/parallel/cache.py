@@ -14,6 +14,11 @@ which keeps files small and immune to model-object drift.  Atomic
 writes, self-healing, the store counters and the version folded into
 every key (:data:`~repro.parallel.artifacts.ARTIFACT_VERSION`) are the
 store's.
+
+The codec neither derives keys nor decides when to characterize: the
+flow derives each key once and hands :meth:`LibraryCache.codec` to
+:class:`~repro.flow.pipeline.ArtifactPipeline`, which resolves the
+library stages like every other stage.
 """
 
 from __future__ import annotations
@@ -118,40 +123,44 @@ def _arc_key(cell: str, output_pin: str, related_pin: str, slot: str) -> str:
 
 
 class LibraryCache:
-    """Characterized libraries in an :class:`ArtifactStore`: packs LUTs
-    into named arrays and back."""
+    """The library codec: packs a characterized library's LUTs into
+    named arrays of the ``stat`` or ``samples`` stage and rebuilds the
+    library from them.  Every method takes the stage key the caller
+    already derived (:func:`characterization_key`)."""
 
     def __init__(self, store: Optional[ArtifactStore] = None):
         self.store = store if store is not None else ArtifactStore()
 
-    @property
-    def directory(self) -> Path:
-        """The directory of the underlying store."""
-        return self.store.directory
+    def codec(
+        self, kind: str, characterizer, specs: Sequence[CellSpec], n_samples: int
+    ):
+        """The ``(load, save)`` pair the artifact pipeline resolves the
+        ``kind`` stage (``stat`` or ``samples``) through."""
+        if kind == "stat":
+            return (
+                lambda key: self.load_statistical(key, characterizer, specs),
+                self.store_statistical,
+            )
+        return (
+            lambda key: self.load_samples(key, characterizer, specs, n_samples),
+            self.store_samples,
+        )
 
     # ------------------------------------------------------------------
     # Statistical libraries
     # ------------------------------------------------------------------
 
     def load_statistical(
-        self,
-        characterizer,
-        specs: Sequence[CellSpec],
-        n_samples: int,
-        seed: int,
-        include_global: bool,
-        name: Optional[str] = None,
+        self, key: str, characterizer, specs: Sequence[CellSpec]
     ) -> Optional[Library]:
-        """Rebuild a cached statistical library, or ``None`` on miss.
+        """Rebuild a stored statistical library, or ``None`` on miss.
 
         An entry missing any required array counts as a miss and
         heals like any other unreadable store entry.
         """
 
         def decode(arrays: Dict[str, np.ndarray]) -> Library:
-            library = characterizer.library_shell(
-                name or f"{characterizer.corner.name}_stat"
-            )
+            library = characterizer.library_shell(f"{characterizer.corner.name}_stat")
             library.is_statistical = True
             for spec in specs:
                 tables = _cell_tables(
@@ -160,20 +169,9 @@ class LibraryCache:
                 library.add_cell(characterizer.cell_from_tables(spec, tables))
             return library
 
-        key = characterization_key(
-            characterizer, specs, n_samples, seed, include_global, "stat"
-        )
         return self.store.load("stat", key, decode)
 
-    def store_statistical(
-        self,
-        characterizer,
-        specs: Sequence[CellSpec],
-        n_samples: int,
-        seed: int,
-        include_global: bool,
-        library: Library,
-    ) -> Path:
+    def store_statistical(self, key: str, library: Library) -> Path:
         """Persist a statistical library's LUT arrays."""
         arrays: Dict[str, np.ndarray] = {}
         for cell in library:
@@ -185,9 +183,6 @@ class LibraryCache:
                             arrays[_arc_key(cell.name, pin.name, arc.related_pin, slot)] = (
                                 table.values
                             )
-        key = characterization_key(
-            characterizer, specs, n_samples, seed, include_global, "stat"
-        )
         return self.store.store("stat", key, arrays)
 
     # ------------------------------------------------------------------
@@ -195,14 +190,9 @@ class LibraryCache:
     # ------------------------------------------------------------------
 
     def load_samples(
-        self,
-        characterizer,
-        specs: Sequence[CellSpec],
-        n_samples: int,
-        seed: int,
-        include_global: bool,
+        self, key: str, characterizer, specs: Sequence[CellSpec], n_samples: int
     ) -> Optional[List[Library]]:
-        """Rebuild the N cached Monte-Carlo sample libraries, or ``None``."""
+        """Rebuild the N stored Monte-Carlo sample libraries, or ``None``."""
 
         def decode(arrays: Dict[str, np.ndarray]) -> List[Library]:
             libraries: List[Library] = []
@@ -220,20 +210,9 @@ class LibraryCache:
                 libraries.append(library)
             return libraries
 
-        key = characterization_key(
-            characterizer, specs, n_samples, seed, include_global, "samples"
-        )
         return self.store.load("samples", key, decode)
 
-    def store_samples(
-        self,
-        characterizer,
-        specs: Sequence[CellSpec],
-        n_samples: int,
-        seed: int,
-        include_global: bool,
-        libraries: Sequence[Library],
-    ) -> Path:
+    def store_samples(self, key: str, libraries: Sequence[Library]) -> Path:
         """Persist N sample libraries as per-arc (N, slews, loads) stacks."""
         arrays: Dict[str, np.ndarray] = {}
         reference = libraries[0]
@@ -251,9 +230,6 @@ class LibraryCache:
                             for library in libraries
                         ])
                         arrays[_arc_key(cell.name, pin.name, arc.related_pin, slot)] = stack
-        key = characterization_key(
-            characterizer, specs, n_samples, seed, include_global, "samples"
-        )
         return self.store.store("samples", key, arrays)
 
 

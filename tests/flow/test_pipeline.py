@@ -253,7 +253,7 @@ class TestStageTable:
         search is checked in ``test_minimum_period_warm_zero_synthesis``)."""
         flow = TuningFlow(_mini_config())
         flow.compare(4.0, "sigma_ceiling", 0.03)
-        flow.characterizer.sample_libraries(flow.specs[:4], n_samples=3, seed=0)
+        flow.sample_libraries(flow.specs[:4], 3, 0)
         assert _stored_stages(cache_dir) == {
             "stat", "samples", "tuning", "synth", "paths", "stats",
         }
@@ -422,6 +422,65 @@ class TestWarmPipeline:
         assert [
             r.status for r in flow.manifest.records if r.stage == "tuning"
         ] == ["miss"]
+
+    def test_torn_statlib_heals_as_a_miss_and_recharacterizes(self, cache_dir):
+        """A torn ``stat`` entry is a miss — in the manifest, on the
+        ``stage.statlib`` span and in the store counters — and the
+        library is characterized again and rewritten."""
+        from repro.observe import MemorySink, Tracer, set_tracer
+
+        TuningFlow(_mini_config()).statistical_library
+        (entry,) = cache_dir.glob("stat-*.npz")
+        entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
+
+        healed = STORE_ARTIFACT_EVENTS.labels(event="healed").value
+        tracer = Tracer(MemorySink())
+        flow = TuningFlow(dataclasses.replace(_mini_config(), tracer=tracer))
+        reset_characterization_call_count()
+        try:
+            flow.statistical_library
+        finally:
+            set_tracer(None)
+        assert STORE_ARTIFACT_EVENTS.labels(event="healed").value == healed + 1
+        assert characterization_call_count() == len(flow.specs) == 304
+        assert [
+            (r.stage, r.status) for r in flow.manifest.records if r.stage == "statlib"
+        ] == [("statlib", "miss")]
+        (span,) = [s for s in tracer.spans if s.name == "stage.statlib"]
+        assert span.attrs["status"] == "miss"
+
+        warm = TuningFlow(_mini_config())
+        reset_characterization_call_count()
+        warm.statistical_library
+        assert characterization_call_count() == 0
+        assert [r.status for r in warm.manifest.records if r.stage == "statlib"] == [
+            "hit"
+        ]
+
+    def test_cold_library_resolution_derives_each_key_once(
+        self, cache_dir, monkeypatch
+    ):
+        """Load, store and the downstream stages reuse the key the
+        flow derived: one ``characterization_key`` call per kind."""
+        from repro.flow import experiment
+
+        kinds = []
+        derive = experiment.characterization_key
+
+        def counting(*args, **kwargs):
+            kinds.append(kwargs["kind"])
+            return derive(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "characterization_key", counting)
+        monkeypatch.setattr("repro.parallel.cache.characterization_key", counting)
+        flow = TuningFlow(_mini_config())
+        flow.statistical_library
+        flow.tuning("sigma_ceiling", 0.03)
+        flow.sample_libraries(flow.specs[:4], 3, 0)
+        assert kinds == ["stat", "samples"]
+        assert [r.status for r in flow.manifest.records] == [
+            "computed", "miss", "miss", "miss",
+        ]
 
     def test_no_cache_flow_still_works(self, cache_dir):
         """cache=False degrades every stage to compute-only."""

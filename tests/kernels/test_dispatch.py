@@ -119,14 +119,14 @@ class TestFlowConfig:
 
     def test_from_environment_reads_repro_kernel(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "scalar")
-        assert FlowConfig.from_environment().kernel == "scalar"
+        assert FlowConfig.from_env().kernel == "scalar"
         monkeypatch.setenv("REPRO_KERNEL", "  VECTORIZED ")
-        assert FlowConfig.from_environment().kernel == "vectorized"
+        assert FlowConfig.from_env().kernel == "vectorized"
 
     def test_from_environment_rejects_bad_kernel(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "turbo")
         with pytest.raises(ConfigError, match="unknown kernel"):
-            FlowConfig.from_environment()
+            FlowConfig.from_env()
 
     def test_tuning_flow_installs_config_kernel(self):
         with use_kernel("vectorized"):

@@ -35,6 +35,13 @@ def _characterizer(kernel, grid=SMALL_GRID, **kwargs):
     return Characterizer(grid=grid, kernel=kernel, **kwargs)
 
 
+def _flow(kernel):
+    """A serial flow on the kernel: resolves libraries through its store."""
+    from repro.flow.experiment import TuningFlow
+
+    return TuningFlow(FlowConfig(kernel=kernel, n_workers=1, backend="serial"))
+
+
 class TestCharacterizationEquivalence:
     @pytest.mark.parametrize("seed", [3, 11])
     @pytest.mark.parametrize("n_workers", [1, 2])
@@ -185,30 +192,26 @@ class TestWarmArtifactsAcrossKernels:
     def test_vectorized_cold_serves_scalar_warm(self, cache_dir, small_specs):
         """A cache written by one kernel is a valid warm hit for the
         other: zero characterization calls, bit-identical library."""
-        from repro.parallel import LibraryCache
-
         specs = small_specs[:6]
-        cold = _characterizer("vectorized", cache=LibraryCache())
+        cold = _flow("vectorized")
         reset_characterization_call_count()
-        cold_library = cold.statistical_library(specs, n_samples=5, seed=8)
+        cold_library = cold.library_stage("stat", specs, 5, 8)
         assert characterization_call_count() > 0
 
-        warm = _characterizer("scalar", cache=LibraryCache())
+        warm = _flow("scalar")
         reset_characterization_call_count()
-        warm_library = warm.statistical_library(specs, n_samples=5, seed=8)
+        warm_library = warm.library_stage("stat", specs, 5, 8)
         assert characterization_call_count() == 0
         assert_libraries_bit_identical(cold_library, warm_library)
 
     def test_scalar_cold_serves_vectorized_warm(self, cache_dir, small_specs):
-        from repro.parallel import LibraryCache
-
         specs = small_specs[:4]
-        cold = _characterizer("scalar", cache=LibraryCache())
-        cold_libraries = cold.sample_libraries(specs, n_samples=4, seed=6)
+        cold = _flow("scalar")
+        cold_libraries = cold.sample_libraries(specs, 4, 6)
 
-        warm = _characterizer("vectorized", cache=LibraryCache())
+        warm = _flow("vectorized")
         reset_characterization_call_count()
-        warm_libraries = warm.sample_libraries(specs, n_samples=4, seed=6)
+        warm_libraries = warm.sample_libraries(specs, 4, 6)
         assert characterization_call_count() == 0
         for lib_cold, lib_warm in zip(cold_libraries, warm_libraries):
             assert_libraries_bit_identical(lib_cold, lib_warm)

@@ -101,7 +101,7 @@ class TestConfigValidation:
 
         monkeypatch.setenv("REPRO_SCALE", "tiyn")
         with pytest.raises(ConfigError, match="tiyn"):
-            FlowConfig.from_environment()
+            FlowConfig.from_env()
 
     def test_config_error_is_a_repro_error(self):
         """ConfigError slots into the package exception hierarchy."""
@@ -113,7 +113,7 @@ class TestConfigValidation:
 
         monkeypatch.setenv("REPRO_JOBS", "many")
         with pytest.raises(ConfigError, match="REPRO_JOBS"):
-            FlowConfig.from_environment()
+            FlowConfig.from_env()
 
     def test_negative_jobs_raises(self, monkeypatch):
         """REPRO_JOBS must be >= 0 (0 = one worker per CPU)."""
@@ -121,7 +121,7 @@ class TestConfigValidation:
 
         monkeypatch.setenv("REPRO_JOBS", "-2")
         with pytest.raises(ConfigError, match=">= 0"):
-            FlowConfig.from_environment()
+            FlowConfig.from_env()
 
     def test_valid_environment_accepted(self, monkeypatch):
         """The happy path still works, whitespace and case tolerated."""
@@ -129,7 +129,7 @@ class TestConfigValidation:
 
         monkeypatch.setenv("REPRO_SCALE", " Tiny ")
         monkeypatch.setenv("REPRO_JOBS", "3")
-        config = FlowConfig.from_environment()
+        config = FlowConfig.from_env()
         assert config.n_workers == 3
 
 
@@ -210,14 +210,6 @@ class TestFromEnvPrecedence:
 
         config = FlowConfig.tiny()
         assert replace(config, metrics=False) == config
-
-    def test_from_environment_is_a_thin_alias(self, monkeypatch):
-        """The original entry point and from_env agree."""
-        from repro.flow.experiment import FlowConfig
-
-        monkeypatch.setenv("REPRO_SCALE", "tiny")
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert FlowConfig.from_environment() == FlowConfig.from_env()
 
     def test_build_context_goes_through_from_env(self, monkeypatch):
         """CLI knobs override the environment via the one resolver."""

@@ -96,7 +96,7 @@ class TestRegistry:
             resolve_backend("queue", 2)
         monkeypatch.setenv("REPRO_BACKEND", "queue")
         with pytest.raises(ConfigError, match="use one of serial, process"):
-            FlowConfig.from_environment()
+            FlowConfig.from_env()
 
     def test_instance_passes_through(self):
         backend = SerialBackend()
@@ -114,14 +114,14 @@ class TestRegistry:
         from repro.flow.experiment import FlowConfig
 
         monkeypatch.setenv("REPRO_BACKEND", "process")
-        assert FlowConfig.from_environment().backend == "process"
+        assert FlowConfig.from_env().backend == "process"
 
     def test_repro_backend_env_typo_fails_loudly(self, monkeypatch):
         from repro.flow.experiment import FlowConfig
 
         monkeypatch.setenv("REPRO_BACKEND", "pool")
         with pytest.raises(ConfigError, match="unknown backend"):
-            FlowConfig.from_environment()
+            FlowConfig.from_env()
 
 
 class TestMapTasks:

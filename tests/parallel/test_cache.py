@@ -3,7 +3,9 @@
 A killed or interrupted run must never poison later runs: libraries are
 written through the artifact store, atomically (temp file +
 ``os.replace``), and any entry that fails to read back intact is
-treated as a miss and deleted.
+treated as a miss and deleted.  Libraries are resolved the way the flow
+resolves them — :meth:`~repro.flow.experiment.TuningFlow.library_stage`
+through the artifact pipeline with the library codec.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from repro.characterization.characterize import (
     reset_characterization_call_count,
 )
 from repro.characterization.grids import GridConfig
+from repro.flow.experiment import FlowConfig, TuningFlow
 from repro.parallel.artifacts import ARTIFACT_VERSION, ArtifactStore, fingerprint
 from repro.parallel.cache import LibraryCache, characterization_key
 
@@ -24,17 +27,24 @@ from tests.parallel.test_equivalence import assert_libraries_bit_identical
 
 
 @pytest.fixture()
-def cache(tmp_path):
-    return LibraryCache(ArtifactStore(tmp_path / "cache"))
+def cache(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    return LibraryCache(ArtifactStore())
 
 
 @pytest.fixture()
-def characterizer(cache):
-    return Characterizer(cache=cache)
+def flow(cache):
+    """A serial flow on the empty store: the resolver of its libraries."""
+    return TuningFlow(FlowConfig(n_workers=1, backend="serial"))
+
+
+@pytest.fixture()
+def characterizer():
+    return Characterizer()
 
 
 def _entry(cache):
-    files = sorted(cache.directory.glob("*.npz"))
+    files = sorted(cache.store.directory.glob("*.npz"))
     assert len(files) == 1
     return files[0]
 
@@ -60,8 +70,8 @@ class TestKeying:
         changed = characterization_key(characterizer, small_specs[:3], **{**base, **kwargs})
         assert reference != changed
 
-    def test_key_changes_with_grid_and_specs(self, cache, characterizer, small_specs):
-        other = Characterizer(grid=GridConfig(n_slew=5, n_load=5), cache=cache)
+    def test_key_changes_with_grid_and_specs(self, characterizer, small_specs):
+        other = Characterizer(grid=GridConfig(n_slew=5, n_load=5))
         assert characterization_key(
             characterizer, small_specs[:3], 10, 0, False, "stat"
         ) != characterization_key(other, small_specs[:3], 10, 0, False, "stat")
@@ -81,53 +91,54 @@ class TestCorruptionRecovery:
         ids=["truncated", "garbage", "empty"],
     )
     def test_corrupted_entry_is_a_self_healing_miss(
-        self, cache, characterizer, small_specs, corrupt
+        self, cache, flow, small_specs, corrupt
     ):
         """A damaged file must fall back to recomputation, produce the
         exact cold result, and leave a healthy entry behind."""
         specs = small_specs[:8]
-        reference = characterizer.statistical_library(specs, n_samples=6, seed=1)
+        reference = flow.library_stage("stat", specs, 6, 1)
         corrupt(_entry(cache))
 
         reset_characterization_call_count()
-        recovered = characterizer.statistical_library(specs, n_samples=6, seed=1)
+        recovered = flow.library_stage("stat", specs, 6, 1)
         assert characterization_call_count() == len(specs)
         assert_libraries_bit_identical(reference, recovered)
 
         # the rewritten entry must serve hits again
         reset_characterization_call_count()
-        warm = characterizer.statistical_library(specs, n_samples=6, seed=1)
+        warm = flow.library_stage("stat", specs, 6, 1)
         assert characterization_call_count() == 0
         assert_libraries_bit_identical(reference, warm)
+        assert [r.status for r in flow.manifest.records if r.stage == "statlib"] == [
+            "miss", "miss", "hit",
+        ]
 
-    def test_corrupted_samples_entry_recovers(self, cache, characterizer, small_specs):
+    def test_corrupted_samples_entry_recovers(self, cache, flow, small_specs):
         specs = small_specs[:4]
-        reference = characterizer.sample_libraries(specs, n_samples=4, seed=6)
+        reference = flow.sample_libraries(specs, 4, 6)
         _entry(cache).write_bytes(b"\x00" * 128)
-        recovered = characterizer.sample_libraries(specs, n_samples=4, seed=6)
+        recovered = flow.sample_libraries(specs, 4, 6)
         for lib_a, lib_b in zip(reference, recovered):
             assert_libraries_bit_identical(lib_a, lib_b)
 
-    def test_version_mismatch_is_a_miss(
-        self, cache, characterizer, small_specs, monkeypatch
-    ):
+    def test_version_mismatch_is_a_miss(self, cache, flow, small_specs, monkeypatch):
         specs = small_specs[:4]
-        characterizer.statistical_library(specs, n_samples=6, seed=1)
+        flow.library_stage("stat", specs, 6, 1)
         monkeypatch.setattr(
             "repro.parallel.artifacts.ARTIFACT_VERSION", ARTIFACT_VERSION + 1
         )
         reset_characterization_call_count()
-        characterizer.statistical_library(specs, n_samples=6, seed=1)
+        flow.library_stage("stat", specs, 6, 1)
         assert characterization_call_count() == len(specs)
 
     def test_stray_temp_files_are_ignored_and_cleared(
-        self, cache, characterizer, small_specs
+        self, cache, flow, small_specs
     ):
         """A write killed between mkstemp and os.replace leaves a .tmp
         file; it must not count as an entry and clear() removes it.
         One stats() counts both codecs, one clear() removes both."""
         store = cache.store
-        characterizer.statistical_library(small_specs[:4], n_samples=6, seed=1)
+        flow.library_stage("stat", small_specs[:4], 6, 1)
         store.store("tuning", fingerprint({"i": 1}), {"i": 1})
         stray = store.directory / "stat-deadbeef-12345.tmp"
         stray.write_bytes(b"partial write")
@@ -149,36 +160,25 @@ class TestMaintenance:
         assert "0 artifacts" in stats.to_text()
         assert store.clear() == 0
 
-    def test_clear_then_recompute(self, cache, characterizer, small_specs):
+    def test_clear_then_recompute(self, cache, flow, small_specs):
         specs = small_specs[:4]
-        characterizer.statistical_library(specs, n_samples=6, seed=1)
+        flow.library_stage("stat", specs, 6, 1)
         assert cache.store.clear() == 1
         reset_characterization_call_count()
-        characterizer.statistical_library(specs, n_samples=6, seed=1)
+        flow.library_stage("stat", specs, 6, 1)
         assert characterization_call_count() == len(specs)
 
-    def test_atomic_write_replaces_existing_entry(
-        self, cache, characterizer, small_specs
-    ):
+    def test_atomic_write_replaces_existing_entry(self, cache, flow, small_specs):
         """Storing the same key twice keeps exactly one healthy file."""
         specs = small_specs[:4]
-        library = characterizer.statistical_library(specs, n_samples=6, seed=1)
-        cache.store_statistical(characterizer, specs, 6, 1, False, library)
+        library = flow.library_stage("stat", specs, 6, 1)
+        key = characterization_key(flow.characterizer, specs, 6, 1, False, "stat")
+        cache.store_statistical(key, library)
         assert cache.store.stats().entries == 1
-        loaded = cache.load_statistical(characterizer, specs, 6, 1, False)
+        loaded = cache.load_statistical(key, flow.characterizer, specs)
         assert loaded is not None
         assert_libraries_bit_identical(library, loaded)
-        assert not list(cache.directory.glob("*.tmp"))
-
-    def test_use_cache_false_bypasses_cache(self, cache, characterizer, small_specs):
-        specs = small_specs[:4]
-        characterizer.statistical_library(specs, n_samples=6, seed=1, use_cache=False)
-        assert cache.store.stats().entries == 0
-        reference = characterizer.statistical_library(specs, n_samples=6, seed=1)
-        bypass = characterizer.statistical_library(
-            specs, n_samples=6, seed=1, use_cache=False
-        )
-        assert_libraries_bit_identical(reference, bypass)
+        assert not list(cache.store.directory.glob("*.tmp"))
 
 
 def test_default_directory_honors_environment(tmp_path, monkeypatch):

@@ -162,18 +162,13 @@ class TestCacheEquivalence:
         assert warm.notes == cold.notes
 
     def test_cached_statistical_library_bit_identical(self, cache_dir, small_specs):
-        from repro.parallel import LibraryCache
-
         reference = Characterizer().statistical_library(
             small_specs[:12], n_samples=6, seed=4
         )
-        cached_characterizer = Characterizer(cache=LibraryCache())
-        cold = cached_characterizer.statistical_library(
-            small_specs[:12], n_samples=6, seed=4
-        )
-        warm = cached_characterizer.statistical_library(
-            small_specs[:12], n_samples=6, seed=4
-        )
+        flow = TuningFlow(_tiny_flow_config())
+        cold = flow.library_stage("stat", small_specs[:12], 6, 4)
+        warm = flow.library_stage("stat", small_specs[:12], 6, 4)
+        assert [r.status for r in flow.manifest.records] == ["miss", "hit"]
         assert_libraries_bit_identical(reference, cold)
         assert_libraries_bit_identical(reference, warm)
         assert warm.is_statistical
