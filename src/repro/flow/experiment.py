@@ -440,6 +440,7 @@ class TuningFlow:
         self._tuner: Optional[LibraryTuner] = None
         self._statlib_key: Optional[str] = None
         self._design_key: Optional[str] = None
+        self._design: Optional[Netlist] = None
         self._tunings: Dict[Tuple[str, float], TuningResult] = {}
         #: Memoized runs, keyed disjointly: ``("baseline", period)``
         #: for untuned synthesis, ``("tuned", method, parameter,
@@ -593,8 +594,16 @@ class TuningFlow:
         return self._tunings[key]
 
     def build_design(self) -> Netlist:
-        """A fresh copy of the evaluation design."""
-        return build_microcontroller(self.config.design)
+        """A fresh, independent copy of the evaluation design.
+
+        The generator runs once per flow; every call returns a
+        :meth:`~repro.netlist.model.Netlist.copy` of that template, so
+        a synthesis run may bind cells and split nets in its copy
+        without touching the next run's design.
+        """
+        if self._design is None:
+            self._design = build_microcontroller(self.config.design)
+        return self._design.copy()
 
     # ------------------------------------------------------------------
     # Synthesis runs (stages: synth -> paths -> stats)
@@ -792,21 +801,35 @@ class TuningFlow:
         return result.met, result.area
 
     def _search_minimum_period(self, resolution: float) -> float:
-        """Paper Sec. VII: reduce the clock until synthesis fails."""
+        """Paper Sec. VII: reduce the clock until synthesis fails.
+
+        Probes are memoized per search on the rounded period, so the
+        bracket ends the bracketing loops already probed are not
+        synthesized again when :func:`minimum_clock_period` verifies
+        them.
+        """
+        probes: Dict[float, Tuple[bool, float]] = {}
+
+        def probe(period: float) -> Tuple[bool, float]:
+            period = round(period, 4)
+            if period not in probes:
+                probes[period] = self._probe(period)
+            return probes[period]
+
         guard = self.config.guard_band
         # seed the bracket from the logic depth (~55 ps/stage)
         depth = max(self.build_design().levelize().values())
         guess = guard + 0.055 * depth
         lower = round(guard + 0.55 * (guess - guard), 2)
         upper = round(guess * 1.15, 2)
-        while self._probe(upper)[0] is False:
+        while probe(upper)[0] is False:
             lower = upper
             upper = round(upper * 1.4, 2)
-        while self._probe(lower)[0] is True:
+        while probe(lower)[0] is True:
             upper = lower
             lower = round(guard + 0.6 * (lower - guard), 2)
         return round(
-            minimum_clock_period(self._probe, lower, upper, resolution=resolution), 4
+            minimum_clock_period(probe, lower, upper, resolution=resolution), 4
         )
 
     def minimum_period(self, resolution: float = 0.05) -> float:

@@ -57,6 +57,7 @@ function of its fingerprinted inputs.
 from __future__ import annotations
 
 import dataclasses
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -103,6 +104,9 @@ class StageRecord:
     #: ``hit`` (served from the store), ``miss`` (computed and stored),
     #: ``computed`` (computed; no store attached).
     status: str
+    #: Self wall time: a compute's seconds exclude the stages resolved
+    #: inside it (those have their own records), so records sum to no
+    #: more than the wall time of the calls that made them.
     seconds: float
 
 
@@ -230,6 +234,14 @@ Link = Tuple[str, Any, Callable[[], Any], Optional[Codec]]
 RECORD_NAMES = {"stat": "statlib"}
 
 
+class _Nesting(threading.local):
+    """Per thread: for each stage compute open on it, the seconds spent
+    resolving stages inside that compute."""
+
+    def __init__(self) -> None:
+        self.stack: List[float] = []
+
+
 class ArtifactPipeline:
     """The one resolver of every stage: loads it from the store, or
     computes and persists it, and records each resolution.
@@ -250,6 +262,7 @@ class ArtifactPipeline:
     ):
         self.store = store
         self.manifest = manifest if manifest is not None else RunManifest()
+        self._nested = _Nesting()
 
     def payload(
         self,
@@ -284,7 +297,21 @@ class ArtifactPipeline:
         full miss and its artifacts can never disagree with each other.
         Otherwise each link is computed, persisted and recorded in
         turn, so a later ``compute`` may read what an earlier one left.
+        A chain resolved inside another stage's compute is excluded
+        from that stage's record (see :attr:`StageRecord.seconds`).
         """
+        nested = self._nested.stack
+        start = time.perf_counter()
+        try:
+            return self._resolve_links(links, nested)
+        finally:
+            if nested:
+                nested[-1] += time.perf_counter() - start
+
+    def _resolve_links(self, links: Sequence[Link], nested: List[float]) -> List[Any]:
+        """:meth:`resolve_chain`'s body.  ``nested`` holds, per compute
+        open on this thread, the seconds spent resolving stages inside
+        it, which its record leaves out."""
         tracer = get_tracer()
         stored = self.store is not None and all(
             STAGES[stage].codec is not None for stage, *_ in links
@@ -307,13 +334,19 @@ class ArtifactPipeline:
             name = RECORD_NAMES.get(stage, stage)
             with tracer.span(f"stage.{name}") as span:
                 start = time.perf_counter()
-                value = compute()
+                nested.append(0.0)
+                try:
+                    value = compute()
+                finally:
+                    inner = nested.pop()
                 if callable(key):
                     key = key(value)
                 if stored:
                     codec[1](key, value)
                 span.set(key=key[:12], status=status)
-                self.manifest.record(name, key, status, time.perf_counter() - start)
+                self.manifest.record(
+                    name, key, status, time.perf_counter() - start - inner
+                )
             values.append(value)
         return values
 

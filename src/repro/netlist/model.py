@@ -106,6 +106,24 @@ class Netlist:
         #: Name of the clock input port ('' for pure combinational).
         self.clock: str = ""
 
+    def copy(self) -> "Netlist":
+        """An independent copy: ports, nets (with their sink lists) and
+        instances (with their connections and bound cells) in the same
+        order.  The frozen :class:`PinRef` values are shared."""
+        twin = Netlist(self.name)
+        twin.ports = dict(self.ports)
+        twin.port_nets = dict(self.port_nets)
+        twin.nets = {
+            name: Net(name, net.driver, list(net.sinks))
+            for name, net in self.nets.items()
+        }
+        twin.instances = {
+            name: Instance(name, instance.family, dict(instance.connections), instance.cell)
+            for name, instance in self.instances.items()
+        }
+        twin.clock = self.clock
+        return twin
+
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
@@ -292,15 +310,17 @@ class Netlist:
             )
         return order
 
-    def levelize(self) -> Dict[str, int]:
+    def levelize(self, order: Optional[List[Instance]] = None) -> Dict[str, int]:
         """Logic level (longest distance from a source) per instance.
 
         Sequential instances are level 0 (their outputs launch paths).
+        ``order`` is the :meth:`combinational_order` when the caller
+        already has it.
         """
         levels: Dict[str, int] = {
             instance.name: 0 for instance in self.sequential_instances()
         }
-        for instance in self.combinational_order():
+        for instance in self.combinational_order() if order is None else order:
             level = 0
             for pin in instance.function.input_pins:
                 driver = self.net(instance.net_of(pin)).driver

@@ -19,7 +19,9 @@ schedule, endpoints) is built once; :meth:`TimingGraph.remap` refreshes
 the parts that depend on the instance->cell binding (loads, endpoint
 setups, and each arc's table ids into the library's compiled
 :class:`~repro.kernels.sta.LibraryTables`), which is what the
-synthesizer's sizing loop iterates on.
+synthesizer's sizing loop iterates on.  It diffs the binding against
+the one it saw last and patches only the loads and arc rows the
+changed cells touch.
 """
 
 from __future__ import annotations
@@ -140,8 +142,8 @@ class TimingGraph:
         if not self.endpoints:
             raise TimingError("design has no timing endpoints")
 
-        levels = netlist.levelize()
         order = netlist.combinational_order()
+        levels = netlist.levelize(order)
         arc_src: List[int] = []
         arc_dst: List[int] = []
         arc_level: List[int] = []
@@ -150,8 +152,11 @@ class TimingGraph:
         self.arc_out_pin: List[str] = []
         #: Instances owning arcs, in arc order (each owns a contiguous run).
         self._arc_owners: List[Instance] = list(order)
+        #: Instance name -> [first, stop) of the arcs it owns.
+        self._arc_runs: Dict[str, Tuple[int, int]] = {}
         for instance in order:
             level = levels[instance.name]
+            first = len(arc_src)
             for input_pin, output_pin in instance.function.arcs():
                 arc_src.append(self.net_ids[instance.net_of(input_pin)])
                 arc_dst.append(self.net_ids[instance.net_of(output_pin)])
@@ -159,6 +164,7 @@ class TimingGraph:
                 self.arc_instance.append(instance.name)
                 self.arc_related.append(input_pin)
                 self.arc_out_pin.append(output_pin)
+            self._arc_runs[instance.name] = (first, len(arc_src))
 
         self.arc_src = np.asarray(arc_src, dtype=np.int64)
         self.arc_dst = np.asarray(arc_dst, dtype=np.int64)
@@ -187,10 +193,11 @@ class TimingGraph:
         config = self.config
         n_sinks: List[int] = []
         n_ports: List[int] = []
-        self._sink_nets: List[int] = []
-        self._sink_owners: List[int] = []
-        self._sink_pins: List[str] = []
-        owners: Dict[str, int] = {}
+        sink_nets: List[int] = []
+        #: Per sink pin: its instance and pin name.
+        self._sinks: List[Tuple[Instance, str]] = []
+        #: Instance name -> indices of its sink pins.
+        self._owned_sinks: Dict[str, List[int]] = {}
         for net_id, name in enumerate(self.net_names):
             sinks = ports = 0
             for sink in netlist.nets[name].sinks:
@@ -198,12 +205,15 @@ class TimingGraph:
                     ports += 1
                     continue
                 sinks += 1
-                self._sink_nets.append(net_id)
-                self._sink_owners.append(owners.setdefault(sink.instance, len(owners)))
-                self._sink_pins.append(sink.pin)
+                self._owned_sinks.setdefault(sink.instance, []).append(len(self._sinks))
+                self._sinks.append((netlist.instances[sink.instance], sink.pin))
+                sink_nets.append(net_id)
             n_sinks.append(sinks)
             n_ports.append(ports)
-        self._sink_instances = [netlist.instances[name] for name in owners]
+        self._sink_nets = np.asarray(sink_nets, dtype=np.int64)
+        #: Every instance, and its cell at the last remap (none yet).
+        self._instances: List[Instance] = list(netlist)
+        self._bound: List[str] = []
         sink_counts = np.asarray(n_sinks, dtype=np.int64)
         port_counts = np.asarray(n_ports, dtype=np.int64)
         self._fanouts = sink_counts + port_counts
@@ -219,9 +229,87 @@ class TimingGraph:
 
         Call after changing drive strengths; topology edits (buffer
         insertion) need a full :class:`TimingGraph` rebuild instead.
+        Each call diffs every instance's cell against the binding the
+        previous call saw, so callers keep no dirty set: only the loads
+        of nets whose sinks changed cell and only the changed owners'
+        ``arc_tables`` rows are recomputed.  A changed sequential cell
+        also recomputes the (few) endpoint setups and launches whole.
         """
+        if not self._bound:
+            self._remap_sequential()
+            self._remap_loads_and_arcs()
+        else:
+            changed = [
+                instance
+                for instance, cell in zip(self._instances, self._bound)
+                if instance.cell != cell
+            ]
+            if changed:
+                self._remap_changed(changed)
+            if any(instance.is_sequential for instance in changed):
+                self._remap_sequential()
+        self._bound = [instance.cell for instance in self._instances]
+
+    def _remap_loads_and_arcs(self) -> None:
+        """Every net's load and every arc's table ids."""
+        # loads: static part plus the bound sink pins' capacitances,
+        # accumulated per net in sink order
+        self._caps = np.array([self._sink_cap(sink) for sink in range(len(self._sinks))])
+        loads = self._static_loads.copy()
+        np.add.at(loads, self._sink_nets, self._caps)
+        self.loads = loads
+
+        # per-arc (delay rise, delay fall, transition rise, transition
+        # fall) table ids of the bound cells
+        cell_rows: Dict[Tuple[str, str], List[int]] = {}
+        rows: List[int] = []
+        for instance in self._arc_owners:
+            key = (instance.family, instance.cell)
+            owned = cell_rows.get(key)
+            if owned is None:
+                owned = cell_rows[key] = self._arc_rows(instance)
+            rows.extend(owned)
+        self.arc_tables = self._table_ids(np.asarray(rows, dtype=np.intp))
+
+    def _remap_changed(self, changed: List[Instance]) -> None:
+        """Patch the loads and arc rows that ``changed`` cells touch.
+
+        The changed cells' sink pins take their new capacitances, and
+        each net with such a pin is re-accumulated exactly as the full
+        path accumulates it — the static part, then every sink's
+        capacitance in sink order — so the floats are identical.
+        ``loads`` and ``arc_tables`` are replaced, never written in
+        place, like the full path's.
+        """
+        sinks = [
+            sink for instance in changed for sink in self._owned_sinks.get(instance.name, ())
+        ]
+        if sinks:
+            self._caps[sinks] = [self._sink_cap(sink) for sink in sinks]
+            dirty = np.zeros(len(self.net_names), dtype=bool)
+            dirty[self._sink_nets[sinks]] = True
+            loads = self.loads.copy()
+            loads[dirty] = self._static_loads[dirty]
+            picked = dirty[self._sink_nets]
+            np.add.at(loads, self._sink_nets[picked], self._caps[picked])
+            self.loads = loads
+
+        positions: List[int] = []
+        rows: List[int] = []
+        for instance in changed:
+            # sequential cells own no arcs (their launches are separate)
+            if instance.name in self._arc_runs:
+                positions.extend(range(*self._arc_runs[instance.name]))
+                rows.extend(self._arc_rows(instance))
+        if positions:
+            arc_tables = self.arc_tables.copy()
+            arc_tables[positions] = self._table_ids(np.asarray(rows, dtype=np.intp))
+            self.arc_tables = arc_tables
+
+    def _remap_sequential(self) -> None:
+        """Endpoint setups and clock->Q launches of the bound sequential
+        cells."""
         netlist, tables = self.netlist, self.tables
-        # endpoint setups depend on the bound sequential cells
         endpoints: List[Endpoint] = []
         for endpoint in self.endpoints:
             if endpoint.kind == "ff_data":
@@ -234,36 +322,6 @@ class TimingGraph:
                 endpoints.append(endpoint)
         self.endpoints = endpoints
         self.endpoint_setups = np.array([endpoint.setup for endpoint in endpoints])
-
-        # loads: static part plus the bound sink pins' capacitances,
-        # accumulated per net in sink order
-        cells = [instance.cell for instance in self._sink_instances]
-        pin_caps: Dict[Tuple[str, str], float] = {}
-        caps: List[float] = []
-        for owner, pin in zip(self._sink_owners, self._sink_pins):
-            key = (cells[owner], pin)
-            cap = pin_caps.get(key)
-            if cap is None:
-                cap = pin_caps[key] = self.library.cell(key[0]).pins[pin].capacitance
-            caps.append(cap)
-        loads = self._static_loads.copy()
-        np.add.at(loads, np.asarray(self._sink_nets, dtype=np.int64), caps)
-        self.loads = loads
-
-        # per-arc (delay rise, delay fall, transition rise, transition
-        # fall) table ids of the bound cells
-        cell_rows: Dict[Tuple[str, str], List[int]] = {}
-        rows: List[int] = []
-        for instance in self._arc_owners:
-            key = (instance.family, instance.cell)
-            owned = cell_rows.get(key)
-            if owned is None:
-                owned = cell_rows[key] = [
-                    tables.row(instance.cell, output_pin, input_pin)
-                    for input_pin, output_pin in instance.function.arcs()
-                ]
-            rows.extend(owned)
-        self.arc_tables = self._table_ids(np.asarray(rows, dtype=np.intp))
 
         # clock->Q launches, grouped by bound cell
         by_cell: Dict[str, List[Instance]] = {}
@@ -284,6 +342,18 @@ class TimingGraph:
             [launch[3] for launch in self.launches], dtype=np.int64
         )
         self.launch_tables = self._table_ids(np.asarray(launch_rows, dtype=np.intp))
+
+    def _sink_cap(self, sink: int) -> float:
+        """Input capacitance of sink pin ``sink`` under its bound cell."""
+        instance, pin = self._sinks[sink]
+        return self._cell_of(instance).pins[pin].capacitance
+
+    def _arc_rows(self, instance: Instance) -> List[int]:
+        """Arc rows of ``instance``'s bound cell, in ``arcs()`` order."""
+        return [
+            self.tables.row(instance.cell, output_pin, input_pin)
+            for input_pin, output_pin in instance.function.arcs()
+        ]
 
     def _table_ids(self, rows: np.ndarray) -> np.ndarray:
         """(n, 4) delay + transition table-id pairs of library arc rows."""

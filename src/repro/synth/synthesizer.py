@@ -115,6 +115,13 @@ class Synthesizer:
         self.sizing_iterations = 0
         self.buffer_instances = 0
         self._graph: Optional[TimingGraph] = None
+        #: ``_instance_views()`` of the current graph.
+        self._views: List[Tuple[Instance, List[int], List[int]]] = []
+        #: ``_stage_values``' lookups: arc rows per (family, cell), and
+        #: per instance of the current graph its arcs' source nets,
+        #: sink nets and each output pin's first arc.
+        self._cell_rows: Dict[Tuple[str, str], List[int]] = {}
+        self._stage_layouts: Dict[str, Tuple[List[int], List[int], List[int]]] = {}
         self._fanout_stuck: Set[str] = set()
         #: Presizing utilization the last sizing loop reached.
         self._last_utilization = 1.0
@@ -187,6 +194,8 @@ class Synthesizer:
 
     def _rebuild_graph(self) -> None:
         self._graph = TimingGraph(self.netlist, self.library, self.sta_config)
+        self._views = self._instance_views()
+        self._stage_layouts = {}
 
     def _analyze(self) -> TimingResult:
         return analyze(
@@ -238,7 +247,7 @@ class Synthesizer:
         moves on the remaining critical cells, plus window/max-cap
         legalization.
         """
-        views = self._instance_views()
+        views = self._views
         # later buffer rounds resume from the utilization the first
         # round reached instead of re-walking the whole descent
         utilization = min(self._UTIL_START, self._last_utilization)
@@ -289,12 +298,14 @@ class Synthesizer:
             raise SynthesisError(
                 "critical-only sizing pass needs a timing result"
             )
+        loads = self.graph.loads.tolist()
+        slacks = _slacks(result) if critical_only else []
         for instance, outs, _ins in views:
             if critical_only:
-                slack = min(result.required[o] - result.arrival[o] for o in outs)
+                slack = min(slacks[o] for o in outs)
                 if slack >= -_EPS:
                     continue
-            load = max(self.graph.loads[o] for o in outs)
+            load = max(loads[o] for o in outs)
             candidate = choices.smallest_for_load(
                 instance.family, load / utilization, actual_load=load
             )
@@ -314,10 +325,11 @@ class Synthesizer:
         """
         graph, choices = self.graph, self.choices
         max_transition = self.constraints.max_transition
+        loads, slews = graph.loads.tolist(), result.slew.tolist()
         changes = 0
         for instance, outs, ins in views:
             variant = choices.variant_of(instance.cell)
-            load = max(graph.loads[o] for o in outs)
+            load = max(loads[o] for o in outs)
             if load > variant.max_load + _EPS:
                 candidate = choices.smallest_for_load(
                     instance.family, load
@@ -326,7 +338,7 @@ class Synthesizer:
                     instance.cell = candidate.cell_name
                     changes += 1
                     variant = candidate
-            transition = max(result.slew[o] for o in outs)
+            transition = max(slews[o] for o in outs)
             if transition > max_transition + _EPS:
                 up = choices.next_up(instance.cell)
                 if up is not None:
@@ -336,7 +348,7 @@ class Synthesizer:
             if not ins or math.isinf(variant.max_slew):
                 continue
             for net_id in ins:
-                if result.slew[net_id] > variant.max_slew + _EPS:
+                if slews[net_id] > variant.max_slew + _EPS:
                     driver = self.netlist.net(graph.net_names[net_id]).driver
                     if driver is None or driver.instance is None:
                         continue  # port-driven: ideal source
@@ -346,33 +358,6 @@ class Synthesizer:
                         driver_instance.cell = up.cell_name
                         changes += 1
         return changes
-
-    def _driver_penalty(
-        self, net_id: int, extra_cap: float, result: TimingResult
-    ) -> float:
-        """Delay increase of a net's driver if the net gains ``extra_cap``."""
-        graph = self.graph
-        driver = self.netlist.net(graph.net_names[net_id]).driver
-        if driver is None or driver.instance is None:
-            return 0.0
-        instance = self.netlist.instance(driver.instance)
-        cell = self.library.cell(instance.cell)
-        function = instance.function
-        load = float(graph.loads[net_id])
-        worst_old = 0.0
-        worst_new = 0.0
-        for input_pin, output_pin in function.arcs():
-            if instance.net_of(output_pin) != graph.net_names[net_id]:
-                continue
-            slew = (
-                self.sta_config.clock_slew
-                if input_pin == function.clock_pin
-                else float(result.slew[graph.net_ids[instance.net_of(input_pin)]])
-            )
-            arc = cell.pin(output_pin).arc_from(input_pin)
-            worst_old = max(worst_old, arc.worst_delay(slew, load))
-            worst_new = max(worst_new, arc.worst_delay(slew, load + extra_cap))
-        return worst_new - worst_old
 
     #: Fine-tuning moves evaluated per iteration (the worst-slack set).
     _FINE_CANDIDATES = 800
@@ -386,14 +371,39 @@ class Synthesizer:
         keeps the sizer from drowning the design in capacitance.  Only
         the worst-slack candidates are evaluated per iteration, both
         for speed and to keep the moves focused on the critical region.
+
+        Every lookup of the pass is batched up front
+        (:meth:`_stage_values`, :meth:`_penalty_terms`); the loop then
+        sums the precomputed penalty terms in pin order, reading each
+        driver's cell live, with the same early exit.
         """
-        choices = self.choices
-        library = self.library
+        moves = self._critical_moves(result, views)
         changes = 0
+        for (instance, up_cell, benefit), terms in zip(
+            moves, self._penalty_terms(moves, result)
+        ):
+            penalty = 0.0
+            for driver, term_of in terms:
+                # an earlier move of this pass may have upsized the driver
+                penalty += term_of[driver.cell]
+                if penalty >= benefit:
+                    break
+            if benefit > penalty:
+                instance.cell = up_cell
+                changes += 1
+        return changes
+
+    def _critical_moves(
+        self, result: TimingResult, views
+    ) -> List[Tuple[Instance, str, float]]:
+        """``(instance, upsized cell, stage-delay benefit)`` of every
+        upsize of the pass with a positive benefit, worst slack first."""
+        choices = self.choices
+        slacks, loads = _slacks(result), self.graph.loads.tolist()
         negative = []
         for view in views:
             _instance, outs, _ins = view
-            slack = min(result.required[o] - result.arrival[o] for o in outs)
+            slack = min(slacks[o] for o in outs)
             if slack < -_EPS:
                 negative.append((slack, view))
         negative.sort(key=lambda item: item[0])
@@ -402,7 +412,7 @@ class Synthesizer:
             up = choices.next_up(instance.cell)
             if up is None:
                 continue
-            load = max(self.graph.loads[o] for o in outs)
+            load = max(loads[o] for o in outs)
             if up.max_load + _EPS < load:
                 stronger = choices.smallest_for_load(instance.family, load)
                 if stronger.strength <= choices.variant_of(instance.cell).strength:
@@ -413,34 +423,112 @@ class Synthesizer:
         stages = self._stage_values(
             [(instance, instance.cell) for instance, _up in moves] + moves, result
         )
-        for (instance, up_cell), (current, _), (upsized, _) in zip(
-            moves, stages, stages[len(moves):]
-        ):
-            benefit = current - upsized
-            if benefit <= 0:
-                continue
-            old_cell = library.cell(instance.cell)
-            new_cell = library.cell(up_cell)
-            penalty = 0.0
+        return [
+            (instance, up_cell, current - upsized)
+            for (instance, up_cell), (current, _), (upsized, _) in zip(
+                moves, stages, stages[len(moves):]
+            )
+            if current - upsized > 0
+        ]
+
+    def _penalty_terms(
+        self, moves: List[Tuple[Instance, str, float]], result: TimingResult
+    ) -> List[List[Tuple[Instance, Dict[str, float]]]]:
+        """Per move, in input-pin order: ``(driver, {cell: term})`` of
+        each timing-critical, instance-driven input net the move loads
+        with extra capacitance.  A term is the driver's stage-delay
+        increase — the worst delay over its arcs into the net, folded
+        from 0, at ``load + extra`` minus at ``load`` — with the driver
+        bound to that cell.  The cells are the driver's current cell
+        and, when the driver has a move of its own, that move's cell:
+        the only cell it can change to within the pass.
+
+        Slews and loads are fixed for the pass, so every arc of every
+        term is looked up in one batched kernel call, bit-identical to
+        ``TimingArc.worst_delay``.
+        """
+        graph, netlist, tables = self.graph, self.netlist, self.graph.tables
+        library = self.library
+        slacks, net_loads = _slacks(result), graph.loads.tolist()
+        upsized = {instance.name: up_cell for instance, up_cell, _ in moves}
+        # a clock pin's arc reads index -1: the ideal clock slew
+        slew_of = np.append(result.slew, self.sta_config.clock_slew)
+        layouts: Dict[Tuple[str, int], List[Tuple[str, str, int]]] = {}
+        rows: List[int] = []
+        slew_ids: List[int] = []
+        at_load: List[float] = []
+        at_extra: List[float] = []
+        #: (term dict, cell) per queried term, in batch order.
+        slots: List[Tuple[Dict[str, float], str]] = []
+        starts: List[int] = []
+        moves_terms: List[List[Tuple[Instance, Dict[str, float]]]] = []
+        for instance, up_cell, _benefit in moves:
+            old_pins = library.cell(instance.cell).pins
+            new_pins = library.cell(up_cell).pins
             function = instance.function
-            input_pins = [p for p in function.input_pins if p != function.clock_pin]
-            for pin in input_pins:
-                extra = new_cell.pins[pin].capacitance - old_cell.pins[pin].capacitance
+            terms: List[Tuple[Instance, Dict[str, float]]] = []
+            for pin in function.input_pins:
+                if pin == function.clock_pin:
+                    continue
+                extra = new_pins[pin].capacitance - old_pins[pin].capacitance
                 if extra <= 0:
                     continue
-                net_id = self.graph.net_ids[instance.net_of(pin)]
+                net_name = instance.net_of(pin)
+                net_id = graph.net_ids[net_name]
                 # only penalize drivers that are themselves timing-
                 # critical: slowing a slack-rich side input cannot hurt
                 # the paths this move is trying to fix
-                if result.required[net_id] - result.arrival[net_id] >= -_EPS:
+                if slacks[net_id] >= -_EPS:
                     continue
-                penalty += self._driver_penalty(net_id, extra, result)
-                if penalty >= benefit:
-                    break
-            if benefit > penalty:
-                instance.cell = up_cell
-                changes += 1
-        return changes
+                driver = netlist.net(net_name).driver
+                if driver is None or driver.instance is None:
+                    continue  # port-driven: an ideal source adds nothing
+                driver_instance = netlist.instance(driver.instance)
+                key = (driver_instance.name, net_id)
+                arcs = layouts.get(key)
+                if arcs is None:
+                    driver_function = driver_instance.function
+                    arcs = layouts[key] = [
+                        (
+                            input_pin,
+                            output_pin,
+                            -1
+                            if input_pin == driver_function.clock_pin
+                            else graph.net_ids[driver_instance.net_of(input_pin)],
+                        )
+                        for input_pin, output_pin in driver_function.arcs()
+                        if driver_instance.net_of(output_pin) == net_name
+                    ]
+                cells = [driver_instance.cell]
+                if driver_instance.name in upsized:
+                    cells.append(upsized[driver_instance.name])
+                load = net_loads[net_id]
+                term_of: Dict[str, float] = {}
+                for cell_name in cells:
+                    slots.append((term_of, cell_name))
+                    starts.append(len(rows))
+                    for input_pin, output_pin, source in arcs:
+                        rows.append(tables.row(cell_name, output_pin, input_pin))
+                        slew_ids.append(source)
+                        at_load.append(load)
+                        at_extra.append(load + extra)
+                terms.append((driver_instance, term_of))
+            moves_terms.append(terms)
+        if not slots:
+            return moves_terms
+        index = np.asarray(rows, dtype=np.intp)
+        slews = slew_of[np.asarray(slew_ids, dtype=np.intp)]
+        values = worst_values(
+            tables,
+            np.concatenate([tables.delay[index], tables.delay[index]]),
+            np.concatenate([slews, slews]),
+            np.asarray(at_load + at_extra),
+        )
+        worst_old = _run_maxima(values[: index.size], starts)
+        worst_new = _run_maxima(values[index.size:], starts)
+        for (term_of, cell_name), old, new in zip(slots, worst_old, worst_new):
+            term_of[cell_name] = new - old
+        return moves_terms
 
     # ------------------------------------------------------------------
     # Buffering
@@ -569,8 +657,7 @@ class Synthesizer:
         tables = graph.tables
         # a clock pin's arc reads index -1: the ideal clock slew
         slew_of = np.append(result.slew, self.sta_config.clock_slew)
-        cell_rows: Dict[Tuple[str, str], List[int]] = {}
-        layouts: Dict[str, Tuple[List[int], List[int], List[int]]] = {}
+        cell_rows, layouts = self._cell_rows, self._stage_layouts
         stages: List[StageValues] = []
         # blocks bound the kernel's temporaries to small arrays
         for first in range(0, len(queries), _STAGE_BLOCK):
@@ -672,7 +759,7 @@ class Synthesizer:
             margin = constraints.downsize_margin * (passes - pass_index)
             snapshot = {i.name: i.cell for i in self.netlist}
             moves = []
-            for view in self._instance_views():
+            for view in self._views:
                 down = self.choices.next_down(view[0].cell)
                 if down is not None:
                     moves.append((view, down))
@@ -683,19 +770,21 @@ class Synthesizer:
                 + [(view[0], down.cell_name) for view, down in moves],
                 result,
             )
+            loads, slews = self.graph.loads.tolist(), result.slew.tolist()
+            slacks = _slacks(result)
             changes = 0
             for ((instance, outs, ins), down), (current, _), downsized in zip(
                 moves, stages, stages[len(moves):]
             ):
-                load = max(self.graph.loads[o] for o in outs)
+                load = max(loads[o] for o in outs)
                 if load > down.max_load + _EPS:
                     continue
                 if ins and not math.isinf(down.max_slew):
-                    if max(result.slew[i] for i in ins) > down.max_slew + _EPS:
+                    if max(slews[i] for i in ins) > down.max_slew + _EPS:
                         continue
                 if not self._transition_legal_after_downsize(instance, downsized[1]):
                     continue
-                slack = min(result.required[o] - result.arrival[o] for o in outs)
+                slack = min(slacks[o] for o in outs)
                 delta = downsized[0] - current
                 if slack - delta < margin:
                     continue
@@ -712,6 +801,11 @@ class Synthesizer:
                 result = self._analyze()
                 break
         return result
+
+
+def _slacks(result: TimingResult) -> List[float]:
+    """Per net: required minus arrival time, as Python floats."""
+    return (result.required - result.arrival).tolist()
 
 
 def _run_maxima(values: np.ndarray, starts: List[int]) -> List[float]:

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.flow.experiment import FlowConfig, TuningFlow
-from repro.netlist.generators.microcontroller import MicrocontrollerParams
+from repro.netlist.generators.microcontroller import (
+    MicrocontrollerParams,
+    build_microcontroller,
+)
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +41,20 @@ class TestFlowStages:
         b = tiny_flow.build_design()
         assert a is not b
         assert a.stats() == b.stats()
+
+    def test_design_generator_runs_once_per_flow(self, tiny_flow, monkeypatch):
+        calls = []
+
+        def counting(params):
+            calls.append(params)
+            return build_microcontroller(params)
+
+        monkeypatch.setattr("repro.flow.experiment.build_microcontroller", counting)
+        flow = TuningFlow(tiny_flow.config)
+        first, second = flow.build_design(), flow.build_design()
+        first.instances[next(iter(first.instances))].cell = "INV_1"
+        assert len(calls) == 1
+        assert [i.cell for i in flow.build_design()] == [i.cell for i in second]
 
     def test_tuning_memoized(self, tiny_flow):
         a = tiny_flow.tuning("sigma_ceiling", 0.03)

@@ -12,6 +12,7 @@ zero-recharacterization test).
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import pytest
 
@@ -38,6 +39,7 @@ from repro.synth.constraints import SynthesisConstraints
 from repro.synth.synthesizer import (
     reset_synthesis_call_count,
     synthesis_call_count,
+    synthesize,
 )
 
 
@@ -388,6 +390,36 @@ class TestWarmPipeline:
         assert synthesis_call_count() == 0
         record = [r for r in warm_flow.manifest.records if r.stage == "minperiod"]
         assert [r.status for r in record] == ["hit"]
+
+    def test_minimum_period_search_synthesizes_each_period_once(
+        self, cache_dir, monkeypatch
+    ):
+        """The search memoizes its probes: the bracket ends the
+        bracketing loops probed are not synthesized again when the
+        bisection verifies them."""
+        periods = []
+
+        def recording(netlist, library, constraints, sta_config=None):
+            periods.append(constraints.clock_period)
+            return synthesize(netlist, library, constraints, sta_config)
+
+        monkeypatch.setattr("repro.flow.experiment.synthesize", recording)
+        minimum = TuningFlow(_mini_config()).minimum_period()
+        assert periods
+        assert len(periods) == len(set(periods)), periods
+        assert minimum in periods
+
+    def test_stage_records_sum_to_at_most_the_wall_time(self, cache_dir):
+        """A record holds its stage's self time: the statistical library
+        and the tuning a cold ``compare`` resolves inside its ``synth``
+        computes are not counted twice."""
+        flow = TuningFlow(FlowConfig.tiny())
+        start = time.perf_counter()
+        flow.compare(3.0, "sigma_ceiling", 0.5)
+        wall = time.perf_counter() - start
+        stages = [record.stage for record in flow.manifest.records]
+        assert {"statlib", "tuning", "synth"} <= set(stages)
+        assert sum(record.seconds for record in flow.manifest.records) <= wall
 
     def test_parallel_sweep_bit_identical_to_serial(self, tmp_path, monkeypatch):
         """Acceptance: the worker fan-out reassembles deterministically

@@ -3,8 +3,11 @@
 import pytest
 
 from repro.errors import NetlistError
+from repro.flow.experiment import FlowConfig
 from repro.netlist.builder import NetlistBuilder
+from repro.netlist.generators.microcontroller import build_microcontroller
 from repro.netlist.model import Netlist, PinRef, PortDirection
+from repro.synth.buffering import plan_groups, split_fanout
 
 
 def tiny_netlist():
@@ -152,3 +155,52 @@ class TestQueries:
         for instance in netlist:
             instance.cell = f"{instance.family}_1"
         assert netlist.cell_histogram() == {"INV_1": 1, "ND2_1": 1}
+
+
+def snapshot(netlist):
+    """Everything a netlist holds, in its iteration orders."""
+    return (
+        netlist.name,
+        list(netlist.ports.items()),
+        list(netlist.port_nets.items()),
+        netlist.clock,
+        [(net.name, net.driver, list(net.sinks)) for net in netlist.nets.values()],
+        [
+            (i.name, i.family, list(i.connections.items()), i.cell)
+            for i in netlist.instances.values()
+        ],
+    )
+
+
+class TestCopy:
+    @pytest.fixture(scope="class")
+    def template(self):
+        return build_microcontroller(FlowConfig.tiny().design)
+
+    def test_copy_equals_a_fresh_build(self, template):
+        fresh = build_microcontroller(FlowConfig.tiny().design)
+        assert snapshot(template.copy()) == snapshot(fresh)
+
+    def test_copy_is_independent(self, template):
+        before = snapshot(template)
+        twin = template.copy()
+        net_name = next(
+            name
+            for name, net in twin.nets.items()
+            if name != twin.clock and sum(not sink.is_port for sink in net.sinks) >= 2
+        )
+        _kept, groups = plan_groups(list(twin.net(net_name).sinks), 2)
+        split_fanout(twin, net_name, groups, "INV_1")
+        next(iter(twin)).cell = "INV_2"
+        assert snapshot(twin) != before
+        assert snapshot(template) == before
+
+    def test_copy_shares_only_frozen_pin_refs(self):
+        netlist = tiny_netlist()
+        twin = netlist.copy()
+        for name, net in netlist.nets.items():
+            assert twin.nets[name] is not net
+            assert twin.nets[name].sinks is not net.sinks
+        for name, instance in netlist.instances.items():
+            assert twin.instances[name] is not instance
+            assert twin.instances[name].connections is not instance.connections

@@ -6,7 +6,9 @@ with inverter pairs and rebuilds the graph.  After every such step the
 vectorized pass must equal ``kernel="scalar"`` bit-for-bit on every
 :class:`~repro.sta.engine.TimingResult` array and on the launches — and
 so must a graph compiled from scratch, so a stale table id left behind
-by ``remap`` cannot hide.
+by ``remap`` cannot hide.  ``remap`` patches only what the changed
+cells touch, so its mapping-dependent state must also equal a fresh
+graph's, bit for bit, after every resize step.
 """
 
 from __future__ import annotations
@@ -114,3 +116,46 @@ def test_vectorized_equals_scalar_across_resizes_and_a_split(
     graph = TimingGraph(netlist, library)
     assert graph.n_arcs > 0
     assert_matches_references(graph)
+
+
+def assert_same_mapping(graph, fresh):
+    """Every binding-dependent array of ``graph`` equals ``fresh``'s,
+    compared as raw bytes (so a ``-0.0`` or a rounding cannot hide)."""
+    for name in ("loads", "arc_tables", "endpoint_setups", "launch_q", "launch_tables"):
+        ours, theirs = getattr(graph, name), getattr(fresh, name)
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name
+        assert ours.tobytes() == theirs.tobytes(), name
+    assert graph.launches == fresh.launches
+    assert graph.endpoints == fresh.endpoints
+
+
+@given(
+    steps=st.lists(st.tuples(MOVES, MOVES), min_size=1, max_size=4),
+)
+@settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_diff_remap_equals_a_fresh_graph(tiny_synthesis, steps):
+    base, library, choices = tiny_synthesis
+    netlist = base.copy()
+    instances = list(netlist)
+    sequential = [instance for instance in instances if instance.is_sequential]
+    graph = TimingGraph(netlist, library)
+    for any_moves, sequential_moves in steps:
+        for pool, moves in ((instances, any_moves), (sequential, sequential_moves)):
+            for pick, upsize in moves:
+                instance = pool[pick % len(pool)]
+                variant = (
+                    choices.next_up(instance.cell)
+                    if upsize
+                    else choices.next_down(instance.cell)
+                )
+                if variant is not None:
+                    instance.cell = variant.cell_name
+        graph.remap()
+        assert_same_mapping(graph, TimingGraph(netlist, library))
+    # a remap without changes keeps the state
+    graph.remap()
+    assert_same_mapping(graph, TimingGraph(netlist, library))
