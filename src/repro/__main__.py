@@ -100,13 +100,6 @@ def _shared_options() -> argparse.ArgumentParser:
         help="neither read nor write the on-disk artifact store",
     )
     group.add_argument(
-        "--kernel",
-        choices=("scalar", "vectorized"),
-        default=None,
-        help="evaluation kernel: 'vectorized' (default) or the 'scalar' "
-        "reference — bit-identical results (default from REPRO_KERNEL)",
-    )
-    group.add_argument(
         "--backend",
         choices=("serial", "process"),
         default=None,
@@ -411,7 +404,6 @@ def _run_sweep_command(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cache=False if args.no_cache else None,
         tracer=tracer,
-        kernel=args.kernel,
         backend=args.backend,
     )
     try:
@@ -461,7 +453,6 @@ def _run_serve_command(args: argparse.Namespace) -> int:
         config = FlowConfig.from_env(
             scale=args.scale,
             jobs=args.jobs,
-            kernel=args.kernel,
             backend=args.backend,
             cache=False if args.no_cache else None,
             tracer=tracer,
@@ -738,7 +729,6 @@ def _dispatch(argv: List[str]) -> int:
         jobs=args.jobs,
         cache=False if args.no_cache else None,
         tracer=tracer,
-        kernel=args.kernel,
         backend=args.backend,
     )
     for experiment_id in ids:

@@ -32,16 +32,16 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.cells.catalog import SEQUENTIAL_SETUP_TIME, CellSpec
-from repro.characterization.delaymodel import GateDelayModel
+from repro.characterization.delaymodel import ArcTables, GateDelayModel
 from repro.characterization.devices import CellElectricalView, network_geometry
 from repro.characterization.grids import GridConfig, load_grid, slew_grid
+from repro.characterization.power import PowerModel
 from repro.errors import CharacterizationError, ReproError
-from repro.kernels.dispatch import resolve_kernel
 from repro.observe import get_tracer
 from repro.observe.catalog import (
     CHARACTERIZE_CELLS,
@@ -69,6 +69,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 ArcDraws = np.ndarray
 #: Per-cell draws keyed by (input_pin, output_pin).
 CellDraws = Dict[Tuple[str, str], ArcDraws]
+#: A variation input: a scalar, or an (N,) vector over samples.
+ArrayLike = Union[float, np.ndarray]
 
 #: Cells characterized in this process (all modes).  Worker processes
 #: count their own work; a store hit performs zero characterizations.
@@ -118,13 +120,54 @@ class GlobalDraws:
         zero = np.zeros(n_samples)
         return GlobalDraws(zero, zero.copy(), zero.copy())
 
-    def sample(self, k: int) -> "GlobalDraws":
-        """The length-1 slice holding only sample ``k``."""
-        return GlobalDraws(
-            dvth=self.dvth[k : k + 1],
-            dbeta=self.dbeta[k : k + 1],
-            dlength_rel=self.dlength_rel[k : k + 1],
-        )
+
+def _lift(value: ArrayLike) -> ArrayLike:
+    """Scalars pass through; (N,) sample vectors gain the grid axes."""
+    return value if np.ndim(value) == 0 else np.asarray(value)[:, None, None]
+
+
+def batched_arc_tables(
+    model: GateDelayModel,
+    spec: CellSpec,
+    output_pin: str,
+    rise: bool,
+    slew_axis: np.ndarray,
+    load_axis: np.ndarray,
+    dvth: ArrayLike = 0.0,
+    dbeta: ArrayLike = 0.0,
+    dlength_rel: ArrayLike = 0.0,
+) -> ArcTables:
+    """Arc delay/transition tensors in one broadcast surrogate call.
+
+    (n_slew, n_load) with scalar variation, (N, n_slew, n_load) with an
+    (N,)-shaped variation axis.  Bit-identical to the per-point
+    reference :func:`~repro.kernels.characterization.scalar_arc_tables`.
+    """
+    return model.arc_tables(
+        spec, output_pin, rise=rise,
+        slews=slew_axis[:, None], loads=load_axis[None, :],
+        dvth=_lift(dvth), dbeta=_lift(dbeta), dlength_rel=_lift(dlength_rel),
+    )
+
+
+def batched_arc_energy(
+    model: PowerModel,
+    spec: CellSpec,
+    output_pin: str,
+    rise: bool,
+    slew_axis: np.ndarray,
+    load_axis: np.ndarray,
+    dvth: ArrayLike = 0.0,
+    dbeta: ArrayLike = 0.0,
+) -> np.ndarray:
+    """Switching-energy tensor in one broadcast call, shaped as
+    :func:`batched_arc_tables`; bit-identical to the reference
+    :func:`~repro.kernels.characterization.scalar_arc_energy`."""
+    return model.arc_energy(
+        spec, output_pin, rise,
+        slew_axis[:, None], load_axis[None, :],
+        dvth=_lift(dvth), dbeta=_lift(dbeta),
+    )
 
 
 class Characterizer:
@@ -139,7 +182,6 @@ class Characterizer:
         global_sigmas: Optional[GlobalSigmas] = None,
         include_power: bool = False,
         n_workers: int = 1,
-        kernel: Optional[str] = None,
         backend: Optional[str] = None,
     ):
         self.base_tech = tech or TechnologyParams()
@@ -170,16 +212,7 @@ class Characterizer:
 
             validate_backend(backend)
         self.backend = backend
-        #: Evaluation kernel (see :mod:`repro.kernels`): ``"vectorized"``
-        #: batches all samples and grid points per arc, ``"scalar"`` is
-        #: the per-point reference.  Bit-identical results either way,
-        #: so the choice never enters the characterization cache key.
-        #: ``None`` adopts the process-wide active kernel; validated
-        #: eagerly so a bad ``--kernel`` fails loudly.
-        self.kernel = resolve_kernel(kernel)
         if include_power:
-            from repro.characterization.power import PowerModel
-
             self.power_model = PowerModel(self.tech)
 
     # ------------------------------------------------------------------
@@ -248,11 +281,8 @@ class Characterizer:
         """(rise delay, fall delay, rise transition, fall transition).
 
         With draws of N samples the tensors have shape (N, n_s, n_l);
-        with ``draws=None`` (nominal) they are (n_s, n_l).  The
-        ``"vectorized"`` kernel evaluates each tensor as one broadcast
-        surrogate call; the ``"scalar"`` reference evaluates per
-        (sample, grid point) — bit-identical by IEEE-754 elementwise
-        semantics (see :mod:`repro.kernels`).
+        with ``draws=None`` (nominal) they are (n_s, n_l).  Each tensor
+        is one :func:`batched_arc_tables` call.
         """
         slew_axis = slew_grid(self.grid)
         load_axis = load_grid(self.grid, spec)
@@ -274,34 +304,13 @@ class Characterizer:
                 dbeta_r = dbeta_r + global_draws.dbeta
                 dbeta_f = dbeta_f + global_draws.dbeta
                 dlen = global_draws.dlength_rel
-        if self.kernel == "scalar":
-            # Deferred: kernels.characterization imports this package's
-            # delay/power models, so a module-level import would cycle.
-            from repro.kernels.characterization import scalar_arc_tables
-
-            rise = scalar_arc_tables(
-                self.model, spec, output_pin, True, slew_axis, load_axis,
-                dvth=dvth_r, dbeta=dbeta_r, dlength_rel=dlen,
-            )
-            fall = scalar_arc_tables(
-                self.model, spec, output_pin, False, slew_axis, load_axis,
-                dvth=dvth_f, dbeta=dbeta_f, dlength_rel=dlen,
-            )
-            return rise.delay, fall.delay, rise.transition, fall.transition
-
-        def lift(value: np.ndarray | float) -> np.ndarray | float:
-            """Scalars pass through; (N,) vectors gain the grid axes."""
-            return value if np.ndim(value) == 0 else np.asarray(value)[:, None, None]
-
-        rise = self.model.arc_tables(
-            spec, output_pin, rise=True,
-            slews=slew_axis[:, None], loads=load_axis[None, :],
-            dvth=lift(dvth_r), dbeta=lift(dbeta_r), dlength_rel=lift(dlen),
+        rise = batched_arc_tables(
+            self.model, spec, output_pin, True, slew_axis, load_axis,
+            dvth=dvth_r, dbeta=dbeta_r, dlength_rel=dlen,
         )
-        fall = self.model.arc_tables(
-            spec, output_pin, rise=False,
-            slews=slew_axis[:, None], loads=load_axis[None, :],
-            dvth=lift(dvth_f), dbeta=lift(dbeta_f), dlength_rel=lift(dlen),
+        fall = batched_arc_tables(
+            self.model, spec, output_pin, False, slew_axis, load_axis,
+            dvth=dvth_f, dbeta=dbeta_f, dlength_rel=dlen,
         )
         return rise.delay, fall.delay, rise.transition, fall.transition
 
@@ -414,7 +423,7 @@ class Characterizer:
     def _energy_tensors(
         self, spec: CellSpec, output_pin: str, arc_draws: Optional[ArcDraws]
     ) -> Dict[bool, np.ndarray]:
-        """Switching-energy tensors keyed by rise/fall, kernel-dispatched.
+        """Switching-energy tensors keyed by rise/fall.
 
         Shapes follow :meth:`_arc_tensors`: (n_s, n_l) nominal,
         (N, n_s, n_l) with draws.
@@ -432,21 +441,10 @@ class Characterizer:
             else:
                 dvth = arc_draws[vth_row]
                 dbeta = arc_draws[beta_row]
-            if self.kernel == "scalar":
-                # Deferred for the same import-cycle reason as above.
-                from repro.kernels.characterization import scalar_arc_energy
-
-                energies[rise] = scalar_arc_energy(
-                    self.power_model, spec, output_pin, rise,
-                    slew_axis, load_axis, dvth=dvth, dbeta=dbeta,
-                )
-            else:
-                energies[rise] = self.power_model.arc_energy(
-                    spec, output_pin, rise,
-                    slew_axis[:, None], load_axis[None, :],
-                    dvth=dvth if np.ndim(dvth) == 0 else np.asarray(dvth)[:, None, None],
-                    dbeta=dbeta if np.ndim(dbeta) == 0 else np.asarray(dbeta)[:, None, None],
-                )
+            energies[rise] = batched_arc_energy(
+                self.power_model, spec, output_pin, rise,
+                slew_axis, load_axis, dvth=dvth, dbeta=dbeta,
+            )
         return energies
 
     def _attach_power(
@@ -564,25 +562,12 @@ class Characterizer:
     ) -> List[Cell]:
         """One spec's cells for many Monte-Carlo samples at once.
 
-        The vectorized kernel evaluates the full (N, slew, load) tensor
-        of every arc once and slices per sample — the batched
-        replacement for the per-``k`` :meth:`characterize_cell` loop,
-        bit-identical to it (``tests/kernels``).  The scalar kernel
-        keeps the honest per-sample loop.  ``sample_indices`` are
-        absolute indices into the draws' sample axis.
+        Evaluates the full (N, slew, load) tensor of every arc once and
+        slices per sample — bit-identical to the per-``k``
+        :meth:`characterize_cell` loop (``tests/kernels``).
+        ``sample_indices`` are absolute indices into the draws' sample
+        axis.
         """
-        if self.kernel != "vectorized":
-            return [
-                self.characterize_cell(
-                    spec,
-                    draws=draws,
-                    sample_index=k,
-                    global_draws=(
-                        None if global_draws is None else global_draws.sample(k)
-                    ),
-                )
-                for k in sample_indices
-            ]
         global _characterize_calls
         _characterize_calls += len(sample_indices)
         tracer = get_tracer()
@@ -629,7 +614,7 @@ class Characterizer:
             if not backend.in_process:
                 from repro.parallel.executor import characterize_sample_cells
 
-                cells = characterize_sample_cells(
+                columns = characterize_sample_cells(
                     self, specs, n_samples, seed, global_draws, backend=backend
                 )
             else:
@@ -640,14 +625,11 @@ class Characterizer:
                     )
                     for spec in specs
                 ]
-                cells = [
-                    [column[k] for column in columns] for k in range(n_samples)
-                ]
             libraries: List[Library] = []
             for k in range(n_samples):
                 library = self._make_library_shell(f"{self.corner.name}_mc{k:03d}")
-                for cell in cells[k]:
-                    library.add_cell(cell)
+                for column in columns:
+                    library.add_cell(column[k])
                 libraries.append(library)
             return libraries
 

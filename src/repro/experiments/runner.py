@@ -85,7 +85,6 @@ def build_context(
     jobs: Optional[int] = None,
     cache: Optional[bool] = None,
     tracer: Optional["Tracer"] = None,
-    kernel: Optional[str] = None,
     backend: Optional[str] = None,
 ) -> ExperimentContext:
     """An :class:`ExperimentContext` honoring the execution knobs.
@@ -93,14 +92,13 @@ def build_context(
     A thin veneer over :meth:`~repro.flow.experiment.FlowConfig.
     from_env`, which resolves every knob with the same precedence —
     explicit argument > environment (``REPRO_SCALE``, ``REPRO_JOBS``,
-    ``REPRO_KERNEL``, ``REPRO_BACKEND``) > default — so the CLI flags
+    ``REPRO_BACKEND``) > default — so the CLI flags
     and the environment can never disagree about who wins.
     """
     from repro.flow.experiment import FlowConfig, TuningFlow
 
     config = FlowConfig.from_env(
         jobs=jobs,
-        kernel=kernel,
         backend=backend,
         cache=cache,
         tracer=tracer,

@@ -1,10 +1,13 @@
 """Scalar-reference characterization kernels.
 
-The vectorized characterization path evaluates one broadcast expression
-per arc — a (samples x slew x load) tensor in a single
-:meth:`~repro.characterization.delaymodel.GateDelayModel.arc_tables`
-call.  The functions here are the honest scalar counterpart: the *same*
-surrogate model invoked once per (sample, grid point) with 0-d inputs.
+The characterizer evaluates one broadcast expression per arc — a
+(samples x slew x load) tensor in a single
+:func:`~repro.characterization.characterize.batched_arc_tables` /
+:func:`~repro.characterization.characterize.batched_arc_energy` call.
+The functions here are the honest scalar counterpart, with the same
+signatures: the *same* surrogate model invoked once per (sample, grid
+point) with 0-d inputs.  Production never calls them; tests substitute
+them for the batched functions (``tests/kernels/reference.py``).
 
 Because NumPy elementwise arithmetic is performed per element with the
 same IEEE-754 operations regardless of array shape, the scalar loops
@@ -16,15 +19,14 @@ enforces exactly that.
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
 from repro.cells.catalog import CellSpec
+from repro.characterization.characterize import ArrayLike
 from repro.characterization.delaymodel import ArcTables, GateDelayModel
 from repro.characterization.power import PowerModel
-
-ArrayLike = Union[float, np.ndarray]
 
 
 def _as_sample_vectors(

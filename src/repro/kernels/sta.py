@@ -15,28 +15,24 @@ once — :func:`library_tables` caches it per library object:
   without any stores ``-1``.
 
 :func:`worst_values` then resolves any number of (table pair, slew,
-load) queries:
-
-* ``"vectorized"`` — both tables of every query in one gather
-  interpolation, then ``np.maximum(first, second)``;
-* ``"scalar"`` — the reference: one scalar bilinear lookup per table
-  per query, max-merged the same way.
-
-Max-merging is exact and both kernels use identical interpolation
-arithmetic, so results are bit-identical — ``tests/kernels`` holds the
-gather to the scalar lookup.  A library is treated as immutable once
+load) queries: both tables of every query in one gather interpolation,
+then ``np.maximum(first, second)``.  :func:`worst_values_scalar` is its
+reference — one scalar bilinear lookup per table per query, max-merged
+the same way.  Max-merging is exact and both use identical
+interpolation arithmetic, so results are bit-identical —
+``tests/kernels`` substitutes the reference at every call site and
+holds the gather to it.  A library is treated as immutable once
 compiled: every producer finishes building it before it is timed.
 """
 
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.errors import LibertyError
-from repro.kernels.dispatch import resolve_kernel
 from repro.kernels.lut import LutBatch, batch_interpolate
 from repro.liberty.lut import bilinear_interpolate
 from repro.liberty.model import Library, Lut
@@ -128,19 +124,10 @@ def library_tables(library: Library) -> LibraryTables:
     return tables
 
 
-def worst_values(
-    tables: LibraryTables,
-    pairs: np.ndarray,
-    slews: np.ndarray,
-    loads: np.ndarray,
-    kernel: Optional[str] = None,
-) -> np.ndarray:
-    """Per query ``q``: max of tables ``pairs[q]`` at ``(slews[q], loads[q])``.
-
-    ``pairs`` is a ``(Q, 2)`` array of table ids (rows of
-    :attr:`LibraryTables.delay` and friends); the result is bit-identical
-    across kernels.
-    """
+def _queries(
+    pairs: np.ndarray, slews: np.ndarray, loads: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat (ids, slews, loads) query arrays, validated for alignment."""
     ids = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     q_slew = np.asarray(slews, dtype=float).ravel()
     q_load = np.asarray(loads, dtype=float).ravel()
@@ -148,16 +135,22 @@ def worst_values(
         raise LibertyError("table pairs and query points must align")
     if ids.size and ids.min() < 0:
         raise LibertyError("cannot interpolate an arc without tables")
-    if resolve_kernel(kernel) == "scalar":
-        luts = tables.luts
-        out = np.empty(q_slew.size)
-        for query, (first, second) in enumerate(ids.tolist()):
-            slew, load = float(q_slew[query]), float(q_load[query])
-            out[query] = np.maximum(
-                bilinear_interpolate(luts[first], slew, load),
-                bilinear_interpolate(luts[second], slew, load),
-            )
-        return out
+    return ids, q_slew, q_load
+
+
+def worst_values(
+    tables: LibraryTables,
+    pairs: np.ndarray,
+    slews: np.ndarray,
+    loads: np.ndarray,
+) -> np.ndarray:
+    """Per query ``q``: max of tables ``pairs[q]`` at ``(slews[q], loads[q])``.
+
+    ``pairs`` is a ``(Q, 2)`` array of table ids (rows of
+    :attr:`LibraryTables.delay` and friends); the result is bit-identical
+    to :func:`worst_values_scalar`.
+    """
+    ids, q_slew, q_load = _queries(pairs, slews, loads)
     out = np.empty(q_slew.size)
     for start in range(0, q_slew.size, _CHUNK):
         stop = min(start + _CHUNK, q_slew.size)
@@ -169,4 +162,23 @@ def worst_values(
             np.concatenate([chunk_load, chunk_load]),
         )
         out[start:stop] = np.maximum(values[:size], values[size:])
+    return out
+
+
+def worst_values_scalar(
+    tables: LibraryTables,
+    pairs: np.ndarray,
+    slews: np.ndarray,
+    loads: np.ndarray,
+) -> np.ndarray:
+    """Reference for :func:`worst_values`: one scalar lookup per table."""
+    ids, q_slew, q_load = _queries(pairs, slews, loads)
+    luts = tables.luts
+    out = np.empty(q_slew.size)
+    for query, (first, second) in enumerate(ids.tolist()):
+        slew, load = float(q_slew[query]), float(q_load[query])
+        out[query] = np.maximum(
+            bilinear_interpolate(luts[first], slew, load),
+            bilinear_interpolate(luts[second], slew, load),
+        )
     return out

@@ -38,8 +38,7 @@ The contract every backend honors:
   processes.  A worker that dies outright loses its growth, and the
   map raises :class:`~repro.errors.ParallelError` naming the backend.
 * **Determinism** — a backend never changes results, so the choice
-  (like the kernel choice, see :mod:`repro.kernels`) must never enter
-  stage fingerprints or cache keys.
+  must never enter stage fingerprints or cache keys.
 """
 
 from __future__ import annotations
@@ -115,7 +114,7 @@ class ExecutorBackend:
     #: Stable identifier (``serial`` / ``process``).
     name: str = "abstract"
     #: Tasks run in the calling process — arguments are never copied,
-    #: and the caller's tracer/kernel state is visible to the task.
+    #: and the caller's tracer state is visible to the task.
     in_process: bool = False
     #: Concrete worker count this backend schedules onto.
     n_workers: int = 1

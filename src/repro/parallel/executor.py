@@ -2,11 +2,12 @@
 
 Sharding strategy: cells are split into contiguous chunks (a few per
 worker for load balance — drive strengths, and with them LUT sizes and
-arc counts, vary across the catalog), and for per-sample libraries the
-sample axis is additionally split into blocks, so one task is a
-(cell chunk, sample block) tile.  The tiles are dispatched through a
-pluggable :class:`~repro.parallel.backends.ExecutorBackend` — the
-in-process serial backend or a local process pool — selected via
+arc counts, vary across the catalog); the sample axis is never split,
+because each cell's full (samples x slew x load) tensor is one batched
+evaluation and splitting it would only repeat that work per block.
+The chunks are dispatched through a pluggable
+:class:`~repro.parallel.backends.ExecutorBackend` — the in-process
+serial backend or a local process pool — selected via
 ``FlowConfig(backend=...)`` / ``REPRO_BACKEND`` / ``--backend``.
 
 Determinism: a worker receives only (characterizer, spec chunk,
@@ -27,7 +28,7 @@ coming back.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, TypeVar, Union
 
 from repro.characterization.characterize import Characterizer, GlobalDraws
 from repro.cells.catalog import CellSpec
@@ -44,6 +45,8 @@ __all__ = [
     "characterize_statistical_cells",
     "chunk_indices",
 ]
+
+T = TypeVar("T")
 
 
 def _statistical_chunk(
@@ -76,29 +79,46 @@ def _sample_chunk(
     n_samples: int,
     seed: int,
     global_draws: Optional[GlobalDraws],
-    sample_indices: Sequence[int],
     trace: Optional[TraceHandle] = None,
 ) -> List[List[Cell]]:
-    """Worker: characterize a (cell chunk, sample block) tile.
+    """Worker: characterize one chunk of cells for every sample.
 
-    Returns one list of cells per sample index, in block order.
+    Returns one column of cells per spec, in sample order.
     """
     tracer = install_worker_tracer(trace)
-    with tracer.span(
-        "characterize.chunk", n_cells=len(specs), n_samples=len(sample_indices)
-    ):
+    with tracer.span("characterize.chunk", n_cells=len(specs), n_samples=n_samples):
         draws = characterizer.sample_arc_draws(specs, n_samples, seed)
-        columns = [
+        return [
             characterizer.characterize_cell_samples(
-                spec, draws[spec.name], list(sample_indices), global_draws
+                spec, draws[spec.name], range(n_samples), global_draws
             )
             for spec in specs
         ]
-        tile: List[List[Cell]] = [
-            [column[row] for column in columns]
-            for row in range(len(sample_indices))
-        ]
-    return tile
+
+
+def _map_chunks(
+    worker: Callable[..., List[T]],
+    characterizer: Characterizer,
+    specs: Sequence[CellSpec],
+    n_samples: int,
+    seed: int,
+    global_draws: Optional[GlobalDraws],
+    n_workers: int,
+    backend: Union[str, ExecutorBackend, None],
+) -> List[T]:
+    """Run ``worker`` over contiguous cell chunks on the selected
+    backend; its per-spec results, flattened in catalog order."""
+    specs = list(specs)
+    resolved = resolve_backend(backend, n_workers)
+    chunks = chunk_indices(len(specs), 4 * resolved.n_workers)
+    tasks = [
+        (characterizer, [specs[i] for i in chunk], n_samples, seed, global_draws)
+        for chunk in chunks
+    ]
+    results: List[T] = []
+    for tile in resolved.map_tasks(worker, tasks):
+        results.extend(tile)
+    return results
 
 
 def characterize_statistical_cells(
@@ -112,17 +132,10 @@ def characterize_statistical_cells(
 ) -> List[Cell]:
     """Fan the statistical characterization of ``specs`` out over the
     selected backend; returns cells in catalog order."""
-    specs = list(specs)
-    resolved = resolve_backend(backend, n_workers)
-    chunks = chunk_indices(len(specs), 4 * resolved.n_workers)
-    tasks = [
-        (characterizer, [specs[i] for i in chunk], n_samples, seed, global_draws)
-        for chunk in chunks
-    ]
-    cells: List[Cell] = []
-    for tile in resolved.map_tasks(_statistical_chunk, tasks):
-        cells.extend(tile)
-    return cells
+    return _map_chunks(
+        _statistical_chunk, characterizer, specs, n_samples, seed,
+        global_draws, n_workers, backend,
+    )
 
 
 def characterize_sample_cells(
@@ -134,46 +147,12 @@ def characterize_sample_cells(
     n_workers: int = 1,
     backend: Union[str, ExecutorBackend, None] = None,
 ) -> List[List[Cell]]:
-    """Fan per-sample characterization out over (cell, sample) tiles.
+    """Fan per-sample characterization out over cell chunks.
 
-    Returns ``cells[k][i]``: the cell of ``specs[i]`` under Monte-Carlo
-    sample ``k``, bit-identical to the serial double loop.
-
-    The vectorized kernel evaluates each cell's full sample tensor in
-    one shot, so splitting the sample axis would only repeat that work
-    per block — it shards over cells alone.  The scalar kernel keeps
-    the (cell chunk, sample block) tiling for load balance.
+    Returns ``columns[i][k]``: the cell of ``specs[i]`` under
+    Monte-Carlo sample ``k``, bit-identical to the serial loop.
     """
-    specs = list(specs)
-    resolved = resolve_backend(backend, n_workers)
-    if characterizer.kernel == "vectorized":
-        cell_chunks = chunk_indices(len(specs), 4 * resolved.n_workers)
-        sample_blocks = [range(n_samples)]
-    else:
-        cell_chunks = chunk_indices(len(specs), 2 * resolved.n_workers)
-        sample_blocks = chunk_indices(n_samples, resolved.n_workers)
-    tiles = [
-        (block, chunk)
-        for block in sample_blocks
-        for chunk in cell_chunks
-    ]
-    tasks = [
-        (
-            characterizer,
-            [specs[i] for i in chunk],
-            n_samples,
-            seed,
-            global_draws,
-            list(block),
-        )
-        for block, chunk in tiles
-    ]
-    results = resolved.map_tasks(_sample_chunk, tasks)
-    cells: List[List[Optional[Cell]]] = [
-        [None] * len(specs) for _ in range(n_samples)
-    ]
-    for (block, chunk), tile in zip(tiles, results):
-        for row, k in enumerate(block):
-            for column, i in enumerate(chunk):
-                cells[k][i] = tile[row][column]
-    return cells
+    return _map_chunks(
+        _sample_chunk, characterizer, specs, n_samples, seed,
+        global_draws, n_workers, backend,
+    )

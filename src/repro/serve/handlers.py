@@ -140,9 +140,9 @@ class TuningService:
             config = FlowConfig.from_env(
                 scale=scale,
                 jobs=self.config.n_workers,
-                kernel=self.config.kernel,
                 backend=self.config.backend,
                 cache=self.config.cache,
+                metrics=self.config.metrics,
             )
         design = getattr(request, "design", None)
         if design is not None:

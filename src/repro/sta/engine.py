@@ -17,12 +17,11 @@ paper's 80-run evaluation sweep tractable in pure Python.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.errors import TimingError
-from repro.kernels.dispatch import resolve_kernel
 from repro.kernels.sta import worst_values
 from repro.observe import get_tracer
 from repro.observe.catalog import (
@@ -42,7 +41,6 @@ def _delay_transition(
     table_ids: np.ndarray,
     slews: np.ndarray,
     loads: np.ndarray,
-    kernel: str,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Worst delay and output transition of arcs, one kernel call.
 
@@ -55,7 +53,6 @@ def _delay_transition(
         np.concatenate([table_ids[:, :2], table_ids[:, 2:]]),
         np.concatenate([slews, slews]),
         np.concatenate([loads, loads]),
-        kernel,
     )
     return values[:n], values[n:]
 
@@ -124,33 +121,24 @@ def analyze(
     graph: TimingGraph,
     clock_period: float,
     guard_band: float = GUARD_BAND_NS,
-    kernel: Optional[str] = None,
 ) -> TimingResult:
-    """Run one full forward + backward STA pass.
-
-    ``kernel`` selects the evaluation kernel (see :mod:`repro.kernels`):
-    ``"vectorized"`` interpolates whole topological levels at once,
-    ``"scalar"`` is the per-query reference; ``None`` adopts the active
-    kernel.  Results are bit-identical either way.
-    """
+    """Run one full forward + backward STA pass."""
     if clock_period <= guard_band:
         raise TimingError(
             f"clock period {clock_period} ns must exceed the guard band "
             f"{guard_band} ns"
         )
-    kernel = resolve_kernel(kernel)
     STA_ANALYZE_CALLS.inc()
     STA_NODE_VISITS.inc(len(graph.net_names))
     STA_ARC_EVALUATIONS.inc(graph.n_arcs)
     with get_tracer().span("sta.analyze", nets=len(graph.net_names), arcs=graph.n_arcs):
-        return _analyze(graph, clock_period, guard_band, kernel)
+        return _analyze(graph, clock_period, guard_band)
 
 
 def _analyze(
     graph: TimingGraph,
     clock_period: float,
     guard_band: float,
-    kernel: str,
 ) -> TimingResult:
     config = graph.config
     n_nets = len(graph.net_names)
@@ -171,7 +159,6 @@ def _analyze(
             graph.launch_tables,
             np.full(q_ids.size, config.clock_slew),
             graph.loads[q_ids],
-            kernel,
         )
         arrival[q_ids] = delays
         slew[q_ids] = transitions
@@ -195,7 +182,7 @@ def _analyze(
     arc_transition = np.zeros(graph.n_arcs)
     for arcs, src, dst in graph.level_schedule:
         delays, transitions = _delay_transition(
-            graph, graph.arc_tables[arcs], slew[src], graph.loads[dst], kernel
+            graph, graph.arc_tables[arcs], slew[src], graph.loads[dst]
         )
         arc_delay[arcs] = delays
         arc_transition[arcs] = transitions

@@ -23,7 +23,7 @@ Design roll-up over the worst paths per unique endpoint (eq. 11)::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -33,9 +33,7 @@ from repro.liberty.model import Library
 from repro.sta.paths import PathStep, TimingPath
 
 
-def _step_sigmas(
-    library: Library, steps: Sequence[PathStep], kernel: Optional[str] = None
-) -> Tuple[float, ...]:
+def _step_sigmas(library: Library, steps: Sequence[PathStep]) -> Tuple[float, ...]:
     """Sigmas (worst of rise/fall tables) of steps, in one kernel call."""
     if not steps:
         return ()
@@ -55,16 +53,13 @@ def _step_sigmas(
         pairs,
         np.array([step.slew for step in steps], dtype=float),
         np.array([step.load for step in steps], dtype=float),
-        kernel,
     )
     return tuple(values.tolist())
 
 
-def step_sigma(
-    library: Library, step: PathStep, kernel: Optional[str] = None
-) -> float:
+def step_sigma(library: Library, step: PathStep) -> float:
     """Delay sigma of one path step (worst of rise/fall tables)."""
-    return _step_sigmas(library, [step], kernel)[0]
+    return _step_sigmas(library, [step])[0]
 
 
 @dataclass(frozen=True)
@@ -120,10 +115,9 @@ def path_statistics(
     path: TimingPath,
     library: Library,
     rho: float = 0.0,
-    kernel: Optional[str] = None,
 ) -> PathStatistics:
     """Mean and sigma of a path (eqs. 5, 9/10)."""
-    return _path_statistics(path, _step_sigmas(library, path.steps, kernel), rho)
+    return _path_statistics(path, _step_sigmas(library, path.steps), rho)
 
 
 def _path_statistics(
@@ -178,15 +172,12 @@ def design_statistics(
     paths: Sequence[TimingPath],
     library: Library,
     rho: float = 0.0,
-    kernel: Optional[str] = None,
 ) -> DesignStatistics:
     """Eq. (11) over the given worst paths."""
     if not paths:
         raise TimingError("design statistics need at least one path")
     # every step of every path resolves in one kernel call
-    sigmas = _step_sigmas(
-        library, [step for path in paths for step in path.steps], kernel
-    )
+    sigmas = _step_sigmas(library, [step for path in paths for step in path.steps])
     stats: List[PathStatistics] = []
     start = 0
     for path in paths:

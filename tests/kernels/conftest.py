@@ -1,27 +1,12 @@
-"""Kernel-equivalence fixtures: coarse grids and small mapped designs.
-
-Every test in this package leaves the process-global active kernel the
-way it found it — kernel selection is the subject under test, and a
-leaked ``set_kernel`` would silently change what *other* test modules
-measure.
-"""
+"""Kernel-equivalence fixtures: coarse grids and small mapped designs."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.characterization.grids import GridConfig
-from repro.kernels.dispatch import get_kernel, set_kernel
 from repro.netlist.builder import NetlistBuilder
 from tests.sta.conftest import bind_all
-
-
-@pytest.fixture(autouse=True)
-def _restore_active_kernel():
-    """Undo any kernel switch a test (or the code under test) made."""
-    previous = get_kernel()
-    yield
-    set_kernel(previous)
 
 
 @pytest.fixture(scope="session")

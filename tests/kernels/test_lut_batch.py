@@ -18,7 +18,12 @@ from hypothesis import strategies as st
 
 from repro.errors import LibertyError
 from repro.kernels.lut import LutBatch, batch_interpolate, interpolate_many_scalar
-from repro.kernels.sta import LibraryTables, library_tables, worst_values
+from repro.kernels.sta import (
+    LibraryTables,
+    library_tables,
+    worst_values,
+    worst_values_scalar,
+)
 from repro.liberty.lut import bilinear_interpolate, bilinear_interpolate_many
 from repro.liberty.model import Cell, Library, Lut, Pin, PinDirection, TimingArc
 from tests.liberty.test_lut_properties import POINTS, luts
@@ -114,7 +119,7 @@ class TestScalarReference:
     @given(lut=luts(), points=st.lists(POINTS, min_size=1, max_size=12))
     @settings(max_examples=80, deadline=None)
     def test_interpolate_many_scalar_equals_vectorized_lut(self, lut, points):
-        """The scalar-kernel reference and the vectorized LUT helper
+        """The scalar reference and the vectorized LUT helper
         are two routes to the same bits."""
         slews = np.array([p[0] for p in points])
         loads = np.array([p[1] for p in points])
@@ -127,7 +132,7 @@ class TestScalarReference:
     @settings(max_examples=40, deadline=None)
     def test_broadcasting_preserves_per_element_results(self, lut):
         """An outer-product (column, row) query equals its flattened
-        element-by-element evaluation, for both kernels."""
+        element-by-element evaluation."""
         grid = interpolate_many_scalar(
             lut, lut.index_1[:, None], lut.index_2[None, :]
         )
@@ -164,7 +169,7 @@ class TestWorstValues:
     @settings(max_examples=80, deadline=None)
     def test_vectorized_equals_scalar_per_query(self, groups, data):
         """Mixed arcs, kinds and table shapes in one call match the
-        scalar kernel and the per-arc max over scalar lookups,
+        scalar reference and the per-arc max over scalar lookups,
         bit-for-bit."""
         library = _library(groups)
         tables = LibraryTables(library)
@@ -182,8 +187,8 @@ class TestWorstValues:
         pairs = np.array([getattr(tables, kind)[row] for row, kind in picks])
         slews = np.array([p[0] for p in points])
         loads = np.array([p[1] for p in points])
-        vectorized = worst_values(tables, pairs, slews, loads, kernel="vectorized")
-        scalar = worst_values(tables, pairs, slews, loads, kernel="scalar")
+        vectorized = worst_values(tables, pairs, slews, loads)
+        scalar = worst_values_scalar(tables, pairs, slews, loads)
         expected = []
         for (row, kind), slew, load in zip(picks, slews, loads):
             arc = library.cell(f"C{row}").pin("Z").arc_from("A")

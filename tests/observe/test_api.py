@@ -139,8 +139,7 @@ class TestFromEnvPrecedence:
     def test_defaults_without_env(self, monkeypatch):
         from repro.flow.experiment import FlowConfig
 
-        for name in ("REPRO_SCALE", "REPRO_JOBS", "REPRO_KERNEL",
-                     "REPRO_BACKEND"):
+        for name in ("REPRO_SCALE", "REPRO_JOBS", "REPRO_BACKEND"):
             monkeypatch.delenv(name, raising=False)
         config = FlowConfig.from_env()
         assert config.scale_name() == "quick"
@@ -153,12 +152,10 @@ class TestFromEnvPrecedence:
 
         monkeypatch.setenv("REPRO_SCALE", "tiny")
         monkeypatch.setenv("REPRO_JOBS", "4")
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
         monkeypatch.setenv("REPRO_BACKEND", "serial")
         config = FlowConfig.from_env()
         assert config.scale_name() == "tiny"
         assert config.n_workers == 4
-        assert config.kernel == "scalar"
         assert config.backend == "serial"
 
     def test_explicit_argument_beats_environment(self, monkeypatch):
@@ -166,15 +163,12 @@ class TestFromEnvPrecedence:
 
         monkeypatch.setenv("REPRO_SCALE", "tiny")
         monkeypatch.setenv("REPRO_JOBS", "4")
-        monkeypatch.setenv("REPRO_KERNEL", "scalar")
         monkeypatch.setenv("REPRO_BACKEND", "serial")
         config = FlowConfig.from_env(
-            scale="quick", jobs=2, kernel="vectorized", backend="process",
-            cache=False,
+            scale="quick", jobs=2, backend="process", cache=False,
         )
         assert config.scale_name() == "quick"
         assert config.n_workers == 2
-        assert config.kernel == "vectorized"
         assert config.backend == "process"
         assert config.cache is False
 
@@ -185,8 +179,6 @@ class TestFromEnvPrecedence:
             FlowConfig.from_env(scale="bogus")
         with pytest.raises(ConfigError, match=">= 0"):
             FlowConfig.from_env(jobs=-1)
-        with pytest.raises(ConfigError, match="unknown kernel"):
-            FlowConfig.from_env(kernel="turbo")
         with pytest.raises(ConfigError, match="unknown backend"):
             FlowConfig.from_env(backend="cloud")
 
@@ -278,6 +270,17 @@ class TestCliSurface:
             main(["run", "fig02", "--backend", "queue"])
         assert excinfo.value.code == 2
         assert "invalid choice: 'queue'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "serve"])
+    def test_kernel_flag_removed(self, command, capsys):
+        """The scalar kernel is a test reference, not a run mode: no
+        subcommand takes ``--kernel``."""
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--kernel", "scalar"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --kernel" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "knob, message",

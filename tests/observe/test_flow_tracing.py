@@ -213,3 +213,22 @@ class TestConfigTracer:
         config = dataclasses.replace(_mini_config(), tracer=tracer)
         clone = pickle.loads(pickle.dumps(config))
         assert clone.tracer.trace_id == tracer.trace_id
+
+
+class TestColdFig12WorkCounters:
+    """The work a cold tiny Fig. 12 run does, pinned exactly: a change
+    that synthesizes or times more (or less) shows up here first."""
+
+    def test_cold_tiny_fig12(self, cache_dir):
+        from repro.experiments.base import ExperimentContext
+        from repro.experiments.runner import run_experiments
+
+        tracer = Tracer(MemorySink())
+        config = dataclasses.replace(
+            FlowConfig.tiny(), n_workers=1, backend="serial", tracer=tracer
+        )
+        run_experiments(ExperimentContext(TuningFlow(config)), ids=["fig12"], ledger=False)
+        counters = tracer.counters()
+        assert counters["synth.calls"] == 9
+        assert counters["sta.analyze_calls"] == 164
+        assert counters["sta.arc_evaluations"] == 519517

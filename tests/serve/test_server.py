@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import threading
+import time
 
 import pytest
 
-from repro.errors import ServerBusyError, TuningError
+from repro.errors import ParallelError, ServerBusyError, TuningError
 from repro.flow.experiment import FlowConfig
 from repro.flow.metrics import TuningComparison
 from repro.observe import MemorySink, Tracer
+from repro.parallel.backends import ProcessBackend
 from repro.serve.client import TuningClient, request_async
 from repro.serve.handlers import TuningService
 from repro.serve.loadgen import run_burst, tune_burst
@@ -31,6 +34,11 @@ def stub_evaluate(config, point):
         baseline_area=100.0,
         tuned_area=104.0,
     )
+
+
+def exit_worker(config, point, trace=None):
+    """A process-backend task whose worker dies before returning."""
+    os._exit(1)
 
 
 def make_service(evaluate=stub_evaluate, max_pending=8, tracer=None):
@@ -243,6 +251,53 @@ class TestCoalescingOverHttp:
                 assert len(calls) == 1
                 assert len(report.latencies_ms) == 10
                 assert report.p50 <= report.p95 <= report.p99
+
+        asyncio.run(scenario())
+
+
+    def test_worker_death_fails_every_coalesced_waiter(self):
+        """Two identical cold requests share one computation whose
+        worker process dies: both clients get a ``ParallelError`` (not
+        a hang), nothing stays in flight, and the next request with a
+        working evaluator computes fresh."""
+        calls = []
+        dies = [True]
+
+        def evaluate(config, point):
+            calls.append(point)
+            if not dies[0]:
+                return stub_evaluate(config, point)
+            # hold the leader until the follower has joined it
+            for _ in range(2000):
+                if service.coalescer.coalesced == 1:
+                    break
+                time.sleep(0.005)
+            return ProcessBackend(1).map_tasks(exit_worker, [(config, point)])[0]
+
+        service = make_service(evaluate=evaluate)
+
+        async def scenario():
+            async with TuningServer(service=service, ledger=False) as server:
+                client = TuningClient(port=server.port, timeout=60.0)
+
+                def tune():
+                    return asyncio.to_thread(
+                        client.tune, "cell_load_slope", 0.2, 3.0
+                    )
+
+                results = await asyncio.wait_for(
+                    asyncio.gather(tune(), tune(), return_exceptions=True),
+                    timeout=90.0,
+                )
+                assert all(isinstance(r, ParallelError) for r in results), results
+                assert len(calls) == 1
+                assert service.coalescer.coalesced == 1
+                assert service.coalescer.inflight == 0
+
+                dies[0] = False
+                response = await tune()
+                assert response.outcome == "computed"
+                assert len(calls) == 2
 
         asyncio.run(scenario())
 

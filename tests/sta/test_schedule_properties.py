@@ -3,7 +3,7 @@
 The synthesizer edits a timing graph two ways: it rebinds cells and
 calls :meth:`~repro.sta.graph.TimingGraph.remap`, and it splits nets
 with inverter pairs and rebuilds the graph.  After every such step the
-vectorized pass must equal ``kernel="scalar"`` bit-for-bit on every
+batched pass must equal the scalar reference bit-for-bit on every
 :class:`~repro.sta.engine.TimingResult` array and on the launches — and
 so must a graph compiled from scratch, so a stale table id left behind
 by ``remap`` cannot hide.  ``remap`` patches only what the changed
@@ -27,6 +27,7 @@ from repro.synth.buffering import plan_groups, split_fanout
 from repro.synth.constraints import SynthesisConstraints
 from repro.synth.mapping import CellChoices
 from repro.synth.synthesizer import synthesize
+from tests.kernels.reference import reference_kernels
 
 PERIOD = 2.5
 
@@ -57,10 +58,11 @@ def assert_bit_identical(fast, reference):
 
 
 def assert_matches_references(graph):
-    vectorized = analyze(graph, PERIOD, kernel="vectorized")
-    assert_bit_identical(vectorized, analyze(graph, PERIOD, kernel="scalar"))
+    batched = analyze(graph, PERIOD)
     fresh = TimingGraph(graph.netlist, graph.library)
-    assert_bit_identical(vectorized, analyze(fresh, PERIOD, kernel="scalar"))
+    with reference_kernels():
+        assert_bit_identical(batched, analyze(graph, PERIOD))
+        assert_bit_identical(batched, analyze(fresh, PERIOD))
 
 
 #: One resize move: (instance pick, upsize?) — picks index the netlist.

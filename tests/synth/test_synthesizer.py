@@ -4,12 +4,11 @@ import pytest
 
 from repro.core import LibraryTuner
 from repro.errors import SynthesisError
-from repro.kernels.dispatch import use_kernel
 from repro.netlist.builder import NetlistBuilder
-from repro.netlist.simulate import int_to_bus_inputs, simulate
-from repro.sta.graph import StaConfig
+from repro.netlist.simulate import simulate
 from repro.synth.constraints import SynthesisConstraints
 from repro.synth.synthesizer import Synthesizer, synthesize
+from tests.kernels.reference import reference_kernels
 
 
 def registered_adder(width=8):
@@ -108,7 +107,8 @@ class TestBatchedStageValues:
         """The sizer's batched stage delays and per-pin output
         transitions — for the bound cell and both neighbours of every
         instance — are exactly the folds of ``worst_delay`` /
-        ``worst_transition`` over each arc."""
+        ``worst_transition`` over each arc, on the batched kernel and
+        with the scalar reference substituted."""
         constraints = SynthesisConstraints(clock_period=4.0)
         netlist = synthesize(
             registered_adder(), statistical_library, constraints
@@ -126,7 +126,10 @@ class TestBatchedStageValues:
             ):
                 if variant is not None:
                     queries.append((instance, variant.cell_name))
-        with use_kernel(kernel):
+        if kernel == "scalar":
+            with reference_kernels():
+                stages = sizer._stage_values(queries, timing)
+        else:
             stages = sizer._stage_values(queries, timing)
         assert len(stages) == len(queries)
         for (instance, cell_name), (delay, worst_by_pin) in zip(queries, stages):
