@@ -1,0 +1,126 @@
+"""Paper-scale timing: the costs that the tiny and quick scales hide.
+
+    PYTHONPATH=src python benchmarks/paper_scale_timing.py [--check]
+
+Builds the paper-scale evaluation design (~18k gates), one timing graph
+of it, and one relaxed baseline point (a 4.0 ns clock: synthesis, worst
+paths and design statistics) against the tiny flow's 10-sample
+statistical library, with no artifact store.  It prints each wall time
+and the point's deterministic work counters.
+
+This is a script, not a benchmark workload: wall times are printed,
+never gated.  ``--check`` compares the deterministic counts (design
+instances, instances removed as dangling, synthesized instances, sizing
+iterations, full STA passes) with :data:`EXPECTED` and exits 1 when one
+differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+from dataclasses import replace
+
+from repro.flow.experiment import FlowConfig, TuningFlow
+from repro.netlist.generators.microcontroller import MicrocontrollerParams
+from repro.netlist.model import Netlist
+from repro.observe import Tracer, set_tracer
+from repro.sta.graph import TimingGraph
+from repro.synth.mapping import CellChoices, initial_mapping
+from repro.synth.constraints import SynthesisConstraints
+
+#: Clock period of the relaxed baseline point (ns).
+PERIOD = 4.0
+
+#: The deterministic counts ``--check`` asserts exactly.
+EXPECTED = {
+    "design.instances": 18067,
+    "design.pruned": 7296,
+    "synth.instances": 18148,
+    "synth.sizing_iterations": 10,
+    "sta.analyze_calls": 12,
+}
+
+
+def measure() -> dict:
+    """Time each stage once; returns the counts and the wall times."""
+    flow = TuningFlow(
+        replace(FlowConfig.tiny(), design=MicrocontrollerParams(), cache=False)
+    )
+    library = flow.statistical_library
+
+    pruned = []
+    prune = Netlist.prune_dangling
+
+    def counting_prune(netlist: Netlist) -> int:
+        pruned.append(prune(netlist))
+        return pruned[-1]
+
+    Netlist.prune_dangling = counting_prune  # type: ignore[method-assign]
+    try:
+        start = time.perf_counter()
+        design = flow.build_design()
+        build_s = time.perf_counter() - start
+    finally:
+        Netlist.prune_dangling = prune  # type: ignore[method-assign]
+
+    mapped = design.copy()
+    initial_mapping(mapped, CellChoices(library, SynthesisConstraints(PERIOD)))
+    start = time.perf_counter()
+    TimingGraph(mapped, library)
+    graph_s = time.perf_counter() - start
+
+    tracer = Tracer()
+    previous = set_tracer(tracer)
+    try:
+        start = time.perf_counter()
+        run = flow.baseline(PERIOD)
+        point_s = time.perf_counter() - start
+    finally:
+        set_tracer(previous)
+    counters = tracer.counters()
+    return {
+        "counts": {
+            "design.instances": len(design),
+            "design.pruned": sum(pruned),
+            "synth.instances": run.n_instances,
+            "synth.sizing_iterations": int(counters.get("synth.sizing_iterations", 0)),
+            "sta.analyze_calls": int(counters.get("sta.analyze_calls", 0)),
+        },
+        "seconds": {
+            "design build": build_s,
+            "timing graph build": graph_s,
+            f"relaxed {PERIOD} ns point": point_s,
+        },
+        "met": run.met,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true",
+        help="exit 1 unless every deterministic count equals EXPECTED",
+    )
+    args = parser.parse_args(argv)
+    report = measure()
+    for name, seconds in report["seconds"].items():
+        print(f"{name:<24} {seconds:8.2f} s")
+    print(f"{'point met':<24} {report['met']}")
+    for name, value in report["counts"].items():
+        print(f"{name:<24} {value:8d}")
+    if args.check:
+        wrong = {
+            name: (value, EXPECTED[name])
+            for name, value in report["counts"].items()
+            if value != EXPECTED[name]
+        }
+        for name, (value, expected) in wrong.items():
+            print(f"FAIL: {name} is {value}, expected {expected}", file=sys.stderr)
+        return 1 if wrong else 0
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

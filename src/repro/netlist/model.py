@@ -277,27 +277,36 @@ class Netlist:
         instances do not appear in the order (their data inputs are
         sinks, their outputs sources).  Raises on combinational cycles.
         """
+        nets, instances = self.nets, self.instances
+        sequential = {
+            name for name, instance in instances.items() if instance.is_sequential
+        }
         indegree: Dict[str, int] = {}
         dependents: Dict[str, List[str]] = {}
-        for instance in self.combinational_instances():
+        for name, instance in instances.items():
+            if name in sequential:
+                continue
             count = 0
             for pin in instance.function.input_pins:
-                net = self.net(instance.net_of(pin))
+                net = nets.get(instance.connections.get(pin, ""))
+                if net is None:
+                    net = self.net(instance.net_of(pin))  # raises
                 driver = net.driver
                 if driver is None:
                     raise NetlistError(f"net {net.name} is undriven")
                 if driver.instance is not None:
-                    driver_instance = self.instance(driver.instance)
-                    if not driver_instance.is_sequential:
+                    if driver.instance not in instances:
+                        self.instance(driver.instance)  # raises
+                    if driver.instance not in sequential:
                         count += 1
-                        dependents.setdefault(driver.instance, []).append(instance.name)
-            indegree[instance.name] = count
+                        dependents.setdefault(driver.instance, []).append(name)
+            indegree[name] = count
 
         ready = [name for name, count in indegree.items() if count == 0]
         order: List[Instance] = []
         while ready:
             name = ready.pop()
-            order.append(self.instance(name))
+            order.append(instances[name])
             for dependent in dependents.get(name, ()):  # noqa: B007
                 indegree[dependent] -= 1
                 if indegree[dependent] == 0:
@@ -354,29 +363,62 @@ class Netlist:
         Generators occasionally leave unused outputs (e.g. the final
         carry of an adder); synthesis tools prune the fanin cones that
         only feed them.  Returns the number of removed instances.
+
+        A worklist over per-net sink counts: removing an instance takes
+        its input pins off their nets' counts, and a driver whose every
+        output net is left without sinks is removed in turn.  Each pin
+        is visited a bounded number of times, so the pass is linear in
+        the design; the surviving ``instances``, ``nets`` and sink lists
+        keep their order.
         """
-        removed_total = 0
-        while True:
-            removed = [
-                instance
-                for instance in self.instances.values()
-                if all(
-                    not self.net(instance.net_of(pin)).sinks
-                    for pin in instance.function.output_pins
-                )
-            ]
-            if not removed:
-                return removed_total
-            for instance in removed:
-                for pin in instance.function.input_pins:
-                    net = self.net(instance.net_of(pin))
-                    net.sinks = [
-                        sink for sink in net.sinks if sink.instance != instance.name
-                    ]
-                for pin in instance.function.output_pins:
-                    del self.nets[instance.net_of(pin)]
-                del self.instances[instance.name]
-            removed_total += len(removed)
+        remaining = {name: len(net.sinks) for name, net in self.nets.items()}
+
+        def sinks_left(net_name: str) -> int:
+            try:
+                return remaining[net_name]
+            except KeyError:
+                raise NetlistError(f"no net {net_name}") from None
+
+        def dangling(instance: Instance) -> bool:
+            return all(
+                sinks_left(instance.net_of(pin)) == 0
+                for pin in instance.function.output_pins
+            )
+
+        removed: Dict[str, Instance] = {
+            instance.name: instance
+            for instance in self.instances.values()
+            if dangling(instance)
+        }
+        worklist = list(removed.values())
+        while worklist:
+            instance = worklist.pop()
+            for pin in instance.function.input_pins:
+                net_name = instance.net_of(pin)
+                remaining[net_name] = sinks_left(net_name) - 1
+                if remaining[net_name]:
+                    continue
+                driver = self.nets[net_name].driver
+                if driver is None or driver.instance is None or driver.instance in removed:
+                    continue
+                driver_instance = self.instances[driver.instance]
+                if dangling(driver_instance):
+                    removed[driver_instance.name] = driver_instance
+                    worklist.append(driver_instance)
+
+        touched = {
+            instance.net_of(pin)
+            for instance in removed.values()
+            for pin in instance.function.input_pins
+        }
+        for net_name in touched:
+            net = self.nets[net_name]
+            net.sinks = [sink for sink in net.sinks if sink.instance not in removed]
+        for instance in removed.values():
+            for pin in instance.function.output_pins:
+                del self.nets[instance.net_of(pin)]
+            del self.instances[instance.name]
+        return len(removed)
 
     def rewire_sink(self, net_name: str, sink: PinRef, new_net: str) -> None:
         """Move one sink pin from ``net_name`` onto ``new_net``."""

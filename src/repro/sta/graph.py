@@ -14,26 +14,34 @@ Sequential cells split the graph: their CP->Q arc launches new source
 nets at the clock edge, and their D pins are endpoints checked against
 ``period - guard_band - setup``.
 
-The netlist *topology* part of the graph (arc src/dst, the level
-schedule, endpoints) is built once; :meth:`TimingGraph.remap` refreshes
-the parts that depend on the instance->cell binding (loads, endpoint
-setups, and each arc's table ids into the library's compiled
-:class:`~repro.kernels.sta.LibraryTables`), which is what the
-synthesizer's sizing loop iterates on.  It diffs the binding against
-the one it saw last and patches only the loads and arc rows the
-changed cells touch.
+The netlist is compiled once per graph, in one walk: the *topology*
+(arc src/dst, the level schedule, endpoints) and a
+:class:`DesignArrays` — the design as integer arrays (a cell id and a
+family id per instance, its output and input nets in CSR form, each
+net's driver, the sink pins) that the synthesizer sizes on.  Everything
+that depends on the instance->cell binding (loads, endpoint setups,
+launches, and each arc's table ids into the library's compiled
+:class:`~repro.kernels.sta.LibraryTables`) comes from one cell-id
+array: :meth:`TimingGraph.remap` binds it, diffs it against the array it
+bound last, and re-gathers from the library's :class:`CellTables` only
+the loads and arc rows the changed instances touch.  The constructor
+binds the instances' ``instance.cell`` names
+(:meth:`DesignArrays.read_cells`); the sizer binds its own array.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.errors import TimingError
+from repro.cells.functions import CellFunction, function_by_name
+from repro.cells.naming import parse_cell_name
+from repro.errors import CatalogError, NetlistError, TimingError
 from repro.kernels.sta import LibraryTables, library_tables
-from repro.liberty.model import Cell, Library
+from repro.liberty.model import Library
 from repro.netlist.model import Instance, Netlist
 
 
@@ -83,6 +91,303 @@ class Endpoint:
         )
 
 
+class CellTables:
+    """Per-cell arrays of one library, indexed by cell id (library order).
+
+    A row is laid out in its family's pin and arc order
+    (``CellFunction.input_pins``, ``CellFunction.arcs()``), so every
+    variant of a family shares one layout and an instance gathers the
+    values of any of its variants with one index.  Absent entries (a
+    cell whose name names no known family, a missing pin or arc) read
+    ``nan`` / ``-1``.  :func:`cell_tables` builds them once per library.
+    """
+
+    def __init__(self, library: Library, tables: LibraryTables) -> None:
+        cells = list(library)
+        #: Cell id -> name, and back.
+        self.names: List[str] = [cell.name for cell in cells]
+        self.index: Dict[str, int] = {name: i for i, name in enumerate(self.names)}
+        #: Cell id -> family name ("" when the name parses to none).
+        self.families: List[str] = []
+        functions: List[Optional[CellFunction]] = []
+        for cell in cells:
+            try:
+                family = parse_cell_name(cell.name).family
+                function: Optional[CellFunction] = function_by_name(family)
+            except CatalogError:
+                family, function = "", None
+            self.families.append(family)
+            functions.append(function)
+        known = [function for function in functions if function is not None]
+        width = max((len(function.input_pins) for function in known), default=0)
+        depth = max((len(function.arcs()) for function in known), default=0)
+        #: Cell areas as Python floats (a design's area sums them in
+        #: instance order, left to right).
+        self.area: List[float] = [cell.area for cell in cells]
+        self.setup = np.array([cell.setup_time for cell in cells])
+        #: (cells, input pins) input-pin capacitances.
+        self.pin_caps = np.full((len(cells), width), np.nan)
+        #: (cells, arcs) arc rows of ``tables``.
+        self.arc_rows = np.full((len(cells), depth), -1, dtype=np.intp)
+        #: Arc row of each sequential cell's clock -> first-output arc.
+        self.launch_rows = np.full(len(cells), -1, dtype=np.intp)
+        rows = tables.rows
+        for cell_id, (cell, function) in enumerate(zip(cells, functions)):
+            if function is None:
+                continue
+            for slot, pin in enumerate(function.input_pins):
+                if pin in cell.pins:
+                    self.pin_caps[cell_id, slot] = cell.pins[pin].capacitance
+            for slot, (input_pin, output_pin) in enumerate(function.arcs()):
+                self.arc_rows[cell_id, slot] = rows.get(
+                    (cell.name, output_pin, input_pin), -1
+                )
+            if function.is_sequential:
+                self.launch_rows[cell_id] = rows.get(
+                    (cell.name, function.output_pins[0], function.clock_pin), -1
+                )
+
+
+_CELL_TABLES: "weakref.WeakKeyDictionary[Library, CellTables]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def cell_tables(library: Library) -> CellTables:
+    """The :class:`CellTables` of ``library``, built on first use."""
+    tables = _CELL_TABLES.get(library)
+    if tables is None:
+        tables = _CELL_TABLES[library] = CellTables(library, library_tables(library))
+    return tables
+
+
+@dataclass(frozen=True)
+class _FamilyLayout:
+    """Pin and arc positions every instance of one family shares."""
+
+    function: CellFunction
+    #: (position in ``input_pins``, pin) of each non-clock input.
+    inputs: Tuple[Tuple[int, str], ...]
+    #: Per arc of ``arcs()``: its input pin (``None`` for the clock pin)
+    #: and its output pin.
+    arc_inputs: Tuple[Optional[str], ...]
+    arc_outputs: Tuple[str, ...]
+    #: Per output pin: the position of its first arc (``arcs()`` lists
+    #: each output pin's arcs as one run).
+    runs: Tuple[int, ...]
+    #: Input pin -> its position in ``input_pins``.
+    slots: Dict[str, int]
+
+    @staticmethod
+    def of(function: CellFunction) -> "_FamilyLayout":
+        arcs = function.arcs()
+        return _FamilyLayout(
+            function=function,
+            inputs=tuple(
+                (slot, pin)
+                for slot, pin in enumerate(function.input_pins)
+                if pin != function.clock_pin
+            ),
+            arc_inputs=tuple(
+                None if input_pin == function.clock_pin else input_pin
+                for input_pin, _output_pin in arcs
+            ),
+            arc_outputs=tuple(output_pin for _input_pin, output_pin in arcs),
+            runs=tuple(
+                next((k for k, arc in enumerate(arcs) if arc[1] == pin), len(arcs))
+                for pin in function.output_pins
+            ),
+            slots={pin: slot for slot, pin in enumerate(function.input_pins)},
+        )
+
+
+class DesignArrays:
+    """A netlist compiled to integer arrays.
+
+    Instances are addressed by their position in netlist order, nets by
+    the graph's net ids, cells by :class:`CellTables` ids.  Per
+    instance: ``family_ids`` (into ``families``); its output nets in pin
+    order, ``out_nets[out_ptr[i]:out_ptr[i + 1]]``; its non-clock input
+    nets the same way (``in_ptr``/``in_nets``, ``in_slot`` the pin's
+    position in ``input_pins``); its arcs in ``arcs()`` order
+    (``arc_ptr``/``arc_src``/``arc_dst``, ``arc_src`` ``-1`` at a clock
+    pin), with ``pin_run`` the offset of each output pin's first arc;
+    its ``clock_net`` (``-1`` without a clock pin).  Per net: its
+    ``driver`` instance (``-1`` for a port or none), its sink pins
+    (``sink_ptr``; ``sink_owner``/``sink_slot`` in the netlist's sink
+    order, every input pin included) and whether it is ``undriven``.
+    ``*_owner`` arrays map each CSR entry back to its instance.
+    """
+
+    def __init__(self, netlist: Netlist, net_ids: Dict[str, int], cells: CellTables):
+        self.cells = cells
+        self.net_names: List[str] = list(net_ids)
+        self.instances: List[Instance] = list(netlist)
+        self.index: Dict[str, int] = {}
+        self.families: List[str] = []
+        self.layouts: List[_FamilyLayout] = []
+        family_of: Dict[str, int] = {}
+        family_ids: List[int] = []
+        out_ptr, out_nets, pin_run = [0], [], []
+        in_ptr, in_nets, in_slot = [0], [], []
+        arc_ptr, arc_src, arc_dst = [0], [], []
+        clock_net: List[int] = []
+        driver = [-1] * len(net_ids)
+        for position, instance in enumerate(self.instances):
+            self.index[instance.name] = position
+            family = family_of.get(instance.family)
+            if family is None:
+                family = family_of[instance.family] = len(self.families)
+                self.families.append(instance.family)
+                self.layouts.append(_FamilyLayout.of(instance.function))
+            layout = self.layouts[family]
+            family_ids.append(family)
+            connections = instance.connections
+            for pin in layout.function.output_pins:
+                net_id = net_ids[connections[pin]]
+                out_nets.append(net_id)
+                driver[net_id] = position
+            out_ptr.append(len(out_nets))
+            pin_run.extend(layout.runs)
+            for slot, pin in layout.inputs:
+                in_nets.append(net_ids[connections[pin]])
+                in_slot.append(slot)
+            in_ptr.append(len(in_nets))
+            clock_pin = layout.function.clock_pin
+            clock_net.append(net_ids[connections[clock_pin]] if clock_pin else -1)
+            arc_src.extend(
+                -1 if pin is None else net_ids[connections[pin]]
+                for pin in layout.arc_inputs
+            )
+            arc_dst.extend(net_ids[connections[pin]] for pin in layout.arc_outputs)
+            arc_ptr.append(len(arc_src))
+
+        sink_ptr, sink_owner, sink_slot, n_ports = [0], [], [], []
+        #: Ids of the nets without a driver.
+        self.undriven: Set[int] = set()
+        for net_id, net in enumerate(netlist.nets.values()):
+            if net.driver is None:
+                self.undriven.add(net_id)
+            ports = 0
+            for sink in net.sinks:
+                if sink.instance is None:
+                    ports += 1
+                    continue
+                owner = self.index[sink.instance]
+                sink_owner.append(owner)
+                sink_slot.append(self.layouts[family_ids[owner]].slots[sink.pin])
+            sink_ptr.append(len(sink_owner))
+            n_ports.append(ports)
+
+        def array(values: List[int]) -> np.ndarray:
+            return np.asarray(values, dtype=np.intp)
+
+        self.family_ids = array(family_ids)
+        self.out_ptr, self.out_nets, self.pin_run = array(out_ptr), array(out_nets), array(pin_run)
+        self.in_ptr, self.in_nets, self.in_slot = array(in_ptr), array(in_nets), array(in_slot)
+        self.arc_ptr, self.arc_src, self.arc_dst = array(arc_ptr), array(arc_src), array(arc_dst)
+        self.clock_net, self.driver = array(clock_net), array(driver)
+        self.sink_ptr, self.sink_owner = array(sink_ptr), array(sink_owner)
+        self.sink_slot, self.n_ports = array(sink_slot), array(n_ports)
+        self.sink_nets = np.repeat(np.arange(len(n_ports)), np.diff(self.sink_ptr))
+        positions = np.arange(len(self.instances))
+        self.out_owner = np.repeat(positions, np.diff(self.out_ptr))
+        self.in_owner = np.repeat(positions, np.diff(self.in_ptr))
+        self.arc_owner = np.repeat(positions, np.diff(self.arc_ptr))
+        #: Each arc's position within its instance's arcs.
+        self.arc_slot = np.arange(len(arc_src)) - self.arc_ptr[self.arc_owner]
+        self.is_sequential = np.array(
+            [self.layouts[family].function.is_sequential for family in family_ids],
+            dtype=bool,
+        )
+
+    def __len__(self) -> int:
+        return len(self.instances)
+
+    def levelized_order(self) -> Tuple[List[int], List[int]]:
+        """The combinational instances' positions in topological order,
+        and the logic level of every instance.
+
+        The integer form of :meth:`Netlist.combinational_order` and
+        :meth:`Netlist.levelize`, with their order (a stack over
+        netlist order), levels and errors.
+        """
+        sequential = self.is_sequential.tolist()
+        driver, in_ptr, in_nets = self.driver.tolist(), self.in_ptr.tolist(), self.in_nets.tolist()
+        count = len(self.instances)
+        indegree = [0] * count
+        dependents: List[List[int]] = [[] for _ in range(count)]
+        ready: List[int] = []
+        for position in range(count):
+            if sequential[position]:
+                continue
+            degree = 0
+            for net_id in in_nets[in_ptr[position]:in_ptr[position + 1]]:
+                if net_id in self.undriven:
+                    raise NetlistError(f"net {self.net_names[net_id]} is undriven")
+                source = driver[net_id]
+                if source >= 0 and not sequential[source]:
+                    degree += 1
+                    dependents[source].append(position)
+            indegree[position] = degree
+            if degree == 0:
+                ready.append(position)
+        order: List[int] = []
+        while ready:
+            position = ready.pop()
+            order.append(position)
+            for dependent in dependents[position]:
+                indegree[dependent] -= 1
+                if indegree[dependent] == 0:
+                    ready.append(dependent)
+        if len(order) != count - sum(sequential):
+            stuck = sorted(
+                self.instances[position].name
+                for position in range(count)
+                if indegree[position] > 0
+            )
+            raise NetlistError(
+                f"combinational cycle involving {len(stuck)} instances, "
+                f"e.g. {stuck[:5]}"
+            )
+        levels = [0] * count
+        for position in order:
+            level = 0
+            for net_id in in_nets[in_ptr[position]:in_ptr[position + 1]]:
+                source = driver[net_id]
+                level = max(level, levels[source] + 1 if source >= 0 else 1)
+            levels[position] = level
+        return order, levels
+
+    def read_cells(self) -> np.ndarray:
+        """The instances' ``instance.cell`` names, as cell ids."""
+        index, families = self.cells.index, self.cells.families
+        ids = []
+        for instance in self.instances:
+            cell_id = index.get(instance.cell)
+            if cell_id is None or families[cell_id] != instance.family:
+                raise TimingError(
+                    f"instance {instance.name} ({instance.family}) is not bound "
+                    f"to a library cell of its family: {instance.cell!r}"
+                )
+            ids.append(cell_id)
+        return np.asarray(ids, dtype=np.intp)
+
+    def write_cells(self, cell_ids: np.ndarray) -> None:
+        """Set every ``instance.cell`` from ``cell_ids``."""
+        names = self.cells.names
+        for instance, cell_id in zip(self.instances, cell_ids.tolist()):
+            instance.cell = names[cell_id]
+
+    def out_max(self, net_values: np.ndarray) -> np.ndarray:
+        """Per instance: the largest of ``net_values`` over its outputs."""
+        return np.maximum.reduceat(net_values[self.out_nets], self.out_ptr[:-1])
+
+    def out_min(self, net_values: np.ndarray) -> np.ndarray:
+        """Per instance: the smallest of ``net_values`` over its outputs."""
+        return np.minimum.reduceat(net_values[self.out_nets], self.out_ptr[:-1])
+
+
 class TimingGraph:
     """Array-oriented timing graph of a mapped netlist."""
 
@@ -97,22 +402,18 @@ class TimingGraph:
         self.config = config or StaConfig()
         self.tables: LibraryTables = library_tables(library)
         self._build_topology()
-        self.remap()
+        self.remap(self.design.read_cells())
 
     # ------------------------------------------------------------------
-
-    def _cell_of(self, instance: Instance) -> Cell:
-        if not instance.cell:
-            raise TimingError(
-                f"instance {instance.name} is not bound to a library cell"
-            )
-        return self.library.cell(instance.cell)
 
     def _build_topology(self) -> None:
         """Mapping-independent structure: nets, arcs, levels, endpoints."""
         netlist = self.netlist
         self.net_ids: Dict[str, int] = {name: i for i, name in enumerate(netlist.nets)}
         self.net_names: List[str] = list(netlist.nets)
+        self.design = design = DesignArrays(
+            netlist, self.net_ids, cell_tables(self.library)
+        )
 
         clock_net = netlist.clock
         self.clock_net_id = self.net_ids.get(clock_net, -1)
@@ -120,56 +421,67 @@ class TimingGraph:
             self.net_ids[p] for p in netlist.input_ports() if p != clock_net
         ]
 
-        self.launch_instances: List[Instance] = list(netlist.sequential_instances())
-        self.endpoints: List[Endpoint] = []
-        for instance in self.launch_instances:
-            for pin in instance.function.data_input_pins:
-                self.endpoints.append(
+        #: Positions of the sequential instances, in netlist order.
+        self._launch_owners = np.flatnonzero(design.is_sequential)
+        #: Per launch: its instance name, output pin and Q net.
+        self._launch_sites: List[Tuple[str, str, int]] = []
+        #: The endpoints, without setups (see :attr:`endpoints`).
+        self._endpoint_sites: List[Endpoint] = []
+        #: Per flip-flop endpoint: the instance whose setup it checks.
+        endpoint_owners: List[int] = []
+        for position in self._launch_owners.tolist():
+            instance = design.instances[position]
+            function = design.layouts[design.family_ids[position]].function
+            out_pin = function.output_pins[0]
+            self._launch_sites.append(
+                (instance.name, out_pin, self.net_ids[instance.connections[out_pin]])
+            )
+            for pin in function.data_input_pins:
+                self._endpoint_sites.append(
                     Endpoint(
                         net_id=self.net_ids[instance.net_of(pin)],
                         kind="ff_data",
                         name=f"{instance.name}/{pin}",
                     )
                 )
+                endpoint_owners.append(position)
         for port in netlist.output_ports():
-            self.endpoints.append(
+            self._endpoint_sites.append(
                 Endpoint(
                     net_id=self.net_ids[netlist.port_net(port)],
                     kind="output_port",
                     name=port,
                 )
             )
-        if not self.endpoints:
+        if not self._endpoint_sites:
             raise TimingError("design has no timing endpoints")
+        self._endpoint_owners = np.asarray(endpoint_owners, dtype=np.intp)
 
-        order = netlist.combinational_order()
-        levels = netlist.levelize(order)
-        arc_src: List[int] = []
-        arc_dst: List[int] = []
+        order, levels = design.levelized_order()
+        arc_ptr, family_ids = design.arc_ptr.tolist(), design.family_ids.tolist()
+        positions: List[int] = []
         arc_level: List[int] = []
         self.arc_instance: List[str] = []
         self.arc_related: List[str] = []
         self.arc_out_pin: List[str] = []
-        #: Instances owning arcs, in arc order (each owns a contiguous run).
-        self._arc_owners: List[Instance] = list(order)
-        #: Instance name -> [first, stop) of the arcs it owns.
-        self._arc_runs: Dict[str, Tuple[int, int]] = {}
-        for instance in order:
-            level = levels[instance.name]
-            first = len(arc_src)
-            for input_pin, output_pin in instance.function.arcs():
-                arc_src.append(self.net_ids[instance.net_of(input_pin)])
-                arc_dst.append(self.net_ids[instance.net_of(output_pin)])
-                arc_level.append(level)
-                self.arc_instance.append(instance.name)
-                self.arc_related.append(input_pin)
-                self.arc_out_pin.append(output_pin)
-            self._arc_runs[instance.name] = (first, len(arc_src))
+        for position in order:
+            layout = design.layouts[family_ids[position]]
+            first, stop = arc_ptr[position], arc_ptr[position + 1]
+            positions.extend(range(first, stop))
+            arc_level.extend([levels[position]] * (stop - first))
+            self.arc_instance.extend([design.instances[position].name] * (stop - first))
+            self.arc_related.extend(layout.arc_inputs)
+            self.arc_out_pin.extend(layout.arc_outputs)
 
-        self.arc_src = np.asarray(arc_src, dtype=np.int64)
-        self.arc_dst = np.asarray(arc_dst, dtype=np.int64)
+        # per graph arc: its design instance and its place in that
+        # instance's arcs, which address its row in CellTables.arc_rows
+        positions_array = np.asarray(positions, dtype=np.intp)
+        self._arc_owners = design.arc_owner[positions_array]
+        self._arc_slots = design.arc_slot[positions_array]
+        self.arc_src = design.arc_src[positions_array].astype(np.int64)
+        self.arc_dst = design.arc_dst[positions_array].astype(np.int64)
         self.arc_level = np.asarray(arc_level, dtype=np.int64)
-        self.n_arcs = len(arc_src)
+        self.n_arcs = len(positions)
 
         # level schedule: (arc indices, src nets, dst nets) per level,
         # ascending; arcs of one level never feed each other
@@ -180,183 +492,121 @@ class TimingGraph:
             for arcs in (np.split(by_level, bounds) if self.n_arcs else [])
         ]
         self.endpoint_net_ids = np.array(
-            [endpoint.net_id for endpoint in self.endpoints], dtype=np.int64
+            [endpoint.net_id for endpoint in self._endpoint_sites], dtype=np.int64
         )
 
         incoming: Dict[int, List[int]] = {}
-        for index, dst in enumerate(arc_dst):
+        for index, dst in enumerate(self.arc_dst.tolist()):
             incoming.setdefault(dst, []).append(index)
         self.incoming_arcs = incoming
 
-        # sink pins in (net, pin) order: the loads' static part, and
-        # which bound cell's pin capacitance each remap adds where
+        # the loads' static part: per-fanout wire and output ports
         config = self.config
-        n_sinks: List[int] = []
-        n_ports: List[int] = []
-        sink_nets: List[int] = []
-        #: Per sink pin: its instance and pin name.
-        self._sinks: List[Tuple[Instance, str]] = []
-        #: Instance name -> indices of its sink pins.
-        self._owned_sinks: Dict[str, List[int]] = {}
-        for net_id, name in enumerate(self.net_names):
-            sinks = ports = 0
-            for sink in netlist.nets[name].sinks:
-                if sink.instance is None:
-                    ports += 1
-                    continue
-                sinks += 1
-                self._owned_sinks.setdefault(sink.instance, []).append(len(self._sinks))
-                self._sinks.append((netlist.instances[sink.instance], sink.pin))
-                sink_nets.append(net_id)
-            n_sinks.append(sinks)
-            n_ports.append(ports)
-        self._sink_nets = np.asarray(sink_nets, dtype=np.int64)
-        #: Every instance, and its cell at the last remap (none yet).
-        self._instances: List[Instance] = list(netlist)
-        self._bound: List[str] = []
-        sink_counts = np.asarray(n_sinks, dtype=np.int64)
-        port_counts = np.asarray(n_ports, dtype=np.int64)
-        self._fanouts = sink_counts + port_counts
+        port_counts = design.n_ports.astype(np.int64)
+        #: Sink pins (instance pins and ports) per net.
+        self.fanouts = np.diff(design.sink_ptr).astype(np.int64) + port_counts
         self._static_loads = (
-            config.wire_cap_per_fanout * self._fanouts
+            config.wire_cap_per_fanout * self.fanouts
             + config.output_port_cap * port_counts
         )
+        #: The bound cell ids (none before the first remap, which
+        #: treats every instance as changed).
+        self.cell_ids: Optional[np.ndarray] = None
+        #: Per sink pin: its capacitance under the bound cell.
+        self._caps = np.zeros(design.sink_owner.size)
+        self.loads = self._static_loads.copy()
+        self.arc_tables = np.zeros((self.n_arcs, 4), dtype=np.intp)
 
     # ------------------------------------------------------------------
 
-    def remap(self) -> None:
-        """Refresh mapping-dependent state from ``instance.cell``.
+    def remap(self, cell_ids: np.ndarray) -> None:
+        """Bind ``cell_ids`` (a cell id per design instance, see
+        :meth:`DesignArrays.read_cells`) and refresh what depends on it.
 
         Call after changing drive strengths; topology edits (buffer
         insertion) need a full :class:`TimingGraph` rebuild instead.
-        Each call diffs every instance's cell against the binding the
-        previous call saw, so callers keep no dirty set: only the loads
-        of nets whose sinks changed cell and only the changed owners'
-        ``arc_tables`` rows are recomputed.  A changed sequential cell
-        also recomputes the (few) endpoint setups and launches whole.
+        Each call diffs ``cell_ids`` against the binding the previous
+        call saw (the constructor's first call counts every instance as
+        changed), so callers keep no dirty set: only the loads of nets
+        whose sinks changed cell and only the changed owners'
+        ``arc_tables`` rows are gathered again.  A changed sequential
+        cell also recomputes the (few) endpoint setups and launches
+        whole.  A dirty net is re-accumulated whole — the static part,
+        then every sink's capacitance in sink order — so its float
+        equals a fresh graph's; ``loads`` and ``arc_tables`` are
+        replaced, never written in place.
         """
-        if not self._bound:
-            self._remap_sequential()
-            self._remap_loads_and_arcs()
-        else:
-            changed = [
-                instance
-                for instance, cell in zip(self._instances, self._bound)
-                if instance.cell != cell
+        cell_ids = np.array(cell_ids, dtype=np.intp)
+        design, cells = self.design, self.design.cells
+        arc_owners, arc_slots = self._arc_owners, self._arc_slots
+        first = self.cell_ids is None
+        changed = np.ones(len(design), dtype=bool) if first else cell_ids != self.cell_ids
+        self.cell_ids = cell_ids
+        sinks = changed[design.sink_owner]
+        if sinks.any():
+            self._caps[sinks] = cells.pin_caps[
+                cell_ids[design.sink_owner[sinks]], design.sink_slot[sinks]
             ]
-            if changed:
-                self._remap_changed(changed)
-            if any(instance.is_sequential for instance in changed):
-                self._remap_sequential()
-        self._bound = [instance.cell for instance in self._instances]
-
-    def _remap_loads_and_arcs(self) -> None:
-        """Every net's load and every arc's table ids."""
-        # loads: static part plus the bound sink pins' capacitances,
-        # accumulated per net in sink order
-        self._caps = np.array([self._sink_cap(sink) for sink in range(len(self._sinks))])
-        loads = self._static_loads.copy()
-        np.add.at(loads, self._sink_nets, self._caps)
-        self.loads = loads
-
-        # per-arc (delay rise, delay fall, transition rise, transition
-        # fall) table ids of the bound cells
-        cell_rows: Dict[Tuple[str, str], List[int]] = {}
-        rows: List[int] = []
-        for instance in self._arc_owners:
-            key = (instance.family, instance.cell)
-            owned = cell_rows.get(key)
-            if owned is None:
-                owned = cell_rows[key] = self._arc_rows(instance)
-            rows.extend(owned)
-        self.arc_tables = self._table_ids(np.asarray(rows, dtype=np.intp))
-
-    def _remap_changed(self, changed: List[Instance]) -> None:
-        """Patch the loads and arc rows that ``changed`` cells touch.
-
-        The changed cells' sink pins take their new capacitances, and
-        each net with such a pin is re-accumulated exactly as the full
-        path accumulates it — the static part, then every sink's
-        capacitance in sink order — so the floats are identical.
-        ``loads`` and ``arc_tables`` are replaced, never written in
-        place, like the full path's.
-        """
-        sinks = [
-            sink for instance in changed for sink in self._owned_sinks.get(instance.name, ())
-        ]
-        if sinks:
-            self._caps[sinks] = [self._sink_cap(sink) for sink in sinks]
             dirty = np.zeros(len(self.net_names), dtype=bool)
-            dirty[self._sink_nets[sinks]] = True
+            dirty[design.sink_nets[sinks]] = True
             loads = self.loads.copy()
             loads[dirty] = self._static_loads[dirty]
-            picked = dirty[self._sink_nets]
-            np.add.at(loads, self._sink_nets[picked], self._caps[picked])
+            picked = dirty[design.sink_nets]
+            np.add.at(loads, design.sink_nets[picked], self._caps[picked])
             self.loads = loads
-
-        positions: List[int] = []
-        rows: List[int] = []
-        for instance in changed:
-            # sequential cells own no arcs (their launches are separate)
-            if instance.name in self._arc_runs:
-                positions.extend(range(*self._arc_runs[instance.name]))
-                rows.extend(self._arc_rows(instance))
-        if positions:
+        arcs = changed[arc_owners]
+        if arcs.any():
             arc_tables = self.arc_tables.copy()
-            arc_tables[positions] = self._table_ids(np.asarray(rows, dtype=np.intp))
+            arc_tables[arcs] = self._table_ids(
+                cells.arc_rows[cell_ids[arc_owners[arcs]], arc_slots[arcs]]
+            )
             self.arc_tables = arc_tables
+        if first or changed[self._launch_owners].any():
+            self._remap_sequential()
 
     def _remap_sequential(self) -> None:
         """Endpoint setups and clock->Q launches of the bound sequential
         cells."""
-        netlist, tables = self.netlist, self.tables
-        endpoints: List[Endpoint] = []
-        for endpoint in self.endpoints:
-            if endpoint.kind == "ff_data":
-                instance_name = endpoint.name.rsplit("/", 1)[0]
-                cell = self._cell_of(netlist.instance(instance_name))
-                endpoints.append(
-                    Endpoint(endpoint.net_id, endpoint.kind, endpoint.name, cell.setup_time)
-                )
-            else:
-                endpoints.append(endpoint)
-        self.endpoints = endpoints
-        self.endpoint_setups = np.array([endpoint.setup for endpoint in endpoints])
+        cells, bound = self.design.cells, self.cell_ids
+        setups = np.zeros(len(self._endpoint_sites))
+        setups[: self._endpoint_owners.size] = cells.setup[bound[self._endpoint_owners]]
+        self.endpoint_setups = setups
+        self._endpoints: Optional[List[Endpoint]] = None
 
-        # clock->Q launches, grouped by bound cell
-        by_cell: Dict[str, List[Instance]] = {}
-        for instance in self.launch_instances:
-            by_cell.setdefault(instance.cell, []).append(instance)
+        # clock->Q launches, grouped by bound cell in first-seen order
+        by_cell: Dict[int, List[int]] = {}
+        for launch, cell_id in enumerate(bound[self._launch_owners].tolist()):
+            by_cell.setdefault(cell_id, []).append(launch)
         #: (instance, cell, output pin, Q net) per launch, in scan order.
         self.launches: List[Tuple[str, str, str, int]] = []
         launch_rows: List[int] = []
-        for cell_name, members in by_cell.items():
-            function = members[0].function
-            out_pin = function.output_pins[0]
-            row = tables.row(cell_name, out_pin, function.clock_pin)
-            for instance in members:
-                q_net = self.net_ids[instance.net_of(out_pin)]
-                self.launches.append((instance.name, cell_name, out_pin, q_net))
+        for cell_id, members in by_cell.items():
+            cell_name, row = cells.names[cell_id], int(cells.launch_rows[cell_id])
+            for launch in members:
+                name, out_pin, q_net = self._launch_sites[launch]
+                self.launches.append((name, cell_name, out_pin, q_net))
                 launch_rows.append(row)
         self.launch_q = np.array(
             [launch[3] for launch in self.launches], dtype=np.int64
         )
         self.launch_tables = self._table_ids(np.asarray(launch_rows, dtype=np.intp))
 
-    def _sink_cap(self, sink: int) -> float:
-        """Input capacitance of sink pin ``sink`` under its bound cell."""
-        instance, pin = self._sinks[sink]
-        return self._cell_of(instance).pins[pin].capacitance
-
-    def _arc_rows(self, instance: Instance) -> List[int]:
-        """Arc rows of ``instance``'s bound cell, in ``arcs()`` order."""
-        return [
-            self.tables.row(instance.cell, output_pin, input_pin)
-            for input_pin, output_pin in instance.function.arcs()
-        ]
+    @property
+    def endpoints(self) -> List[Endpoint]:
+        """The timing endpoints (flip-flop data pins, then output ports)
+        with the setups of the bound cells; built on first use after a
+        remap that changed a sequential cell."""
+        if self._endpoints is None:
+            self._endpoints = [
+                Endpoint(site.net_id, site.kind, site.name, setup)
+                for site, setup in zip(self._endpoint_sites, self.endpoint_setups.tolist())
+            ]
+        return self._endpoints
 
     def _table_ids(self, rows: np.ndarray) -> np.ndarray:
         """(n, 4) delay + transition table-id pairs of library arc rows."""
+        if rows.size and rows.min() < 0:
+            raise TimingError("bound cell lacks a timing arc of its family")
         ids = np.concatenate(
             [self.tables.delay[rows], self.tables.transition[rows]], axis=1
         )
@@ -367,8 +617,9 @@ class TimingGraph:
     # ------------------------------------------------------------------
 
     def total_area(self) -> float:
-        """Total cell area of the mapped design (um^2)."""
-        return sum(self._cell_of(i).area for i in self.netlist)
+        """Total cell area of the bound design (um^2)."""
+        area = self.design.cells.area
+        return sum(area[cell_id] for cell_id in self.cell_ids.tolist())
 
     def cell_usage(self) -> Dict[str, int]:
         """Bound-cell histogram (paper Fig. 9)."""
@@ -376,4 +627,4 @@ class TimingGraph:
 
     def fanout_of(self, net_id: int) -> int:
         """Number of sink pins on a net."""
-        return int(self._fanouts[net_id])
+        return int(self.fanouts[net_id])

@@ -9,7 +9,9 @@ the fine-grained analog of removing cells from the library.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.cells.naming import parse_cell_name
 from repro.errors import SynthesisError
@@ -42,12 +44,13 @@ class CellChoices:
         for cell in library:
             name = parse_cell_name(cell.name)
             family = name.family
-            output_pins = tuple(p.name for p in cell.output_pins())
+            outputs = cell.output_pins()
+            output_pins = tuple(p.name for p in outputs)
             if not constraints.is_cell_usable(cell.name, output_pins):
                 continue
-            max_load = min(p.max_capacitance for p in cell.output_pins())
+            max_load = min(p.max_capacitance for p in outputs)
             max_slew = float("inf")
-            for pin in cell.output_pins():
+            for pin in outputs:
                 window = constraints.window_for(cell.name, pin.name)
                 if window is not None:
                     max_load = min(max_load, window.max_load)
@@ -138,6 +141,66 @@ class CellChoices:
                 if variant.max_load >= actual_load:
                     return variant
         return self.largest(family)
+
+
+class VariantTables:
+    """:class:`CellChoices` as arrays indexed by cell id.
+
+    ``names`` maps cell ids to cell names (``CellTables.names``).  Per
+    cell id: the ``strength``, ``max_load`` and ``max_slew`` of its
+    variant (``nan`` when the cell is unusable), with ``up`` / ``down``
+    the ids of the next stronger / weaker usable variant of its family
+    (``-1`` at either end).
+    """
+
+    def __init__(self, choices: CellChoices, names: Sequence[str]) -> None:
+        index = {name: cell_id for cell_id, name in enumerate(names)}
+        self.strength = np.full(len(names), np.nan)
+        self.max_load = np.full(len(names), np.nan)
+        self.max_slew = np.full(len(names), np.nan)
+        self.up = np.full(len(names), -1, dtype=np.intp)
+        self.down = np.full(len(names), -1, dtype=np.intp)
+        #: Family -> (variant ids by ascending strength, running maximum
+        #: of their max_load).
+        self._orders: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        for family in choices.families():
+            variants = choices.variants(family)
+            order = np.asarray([index[v.cell_name] for v in variants], dtype=np.intp)
+            self.strength[order] = [v.strength for v in variants]
+            self.max_load[order] = [v.max_load for v in variants]
+            self.max_slew[order] = [v.max_slew for v in variants]
+            self.up[order[:-1]] = order[1:]
+            self.down[order[1:]] = order[:-1]
+            self._orders[family] = (order, np.maximum.accumulate(self.max_load[order]))
+
+    def smallest_for_load(
+        self,
+        families: Sequence[str],
+        family_ids: np.ndarray,
+        loads: np.ndarray,
+        actual_loads: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """:meth:`CellChoices.smallest_for_load` per query ``q``, for
+        family ``families[family_ids[q]]``: the id of the weakest variant
+        whose max_load covers ``loads[q]``, else of the weakest covering
+        ``actual_loads[q]`` when that is smaller, else of the strongest.
+
+        The first variant with ``max_load >= load`` in strength order is
+        the first whose running maximum reaches ``load``, which a binary
+        search over the (non-decreasing) running maximum finds.
+        """
+        out = np.empty(len(loads), dtype=np.intp)
+        for family in np.unique(family_ids).tolist():
+            picked = family_ids == family
+            order, reach = self._orders[families[family]]
+            wanted = loads[picked]
+            found = np.searchsorted(reach, wanted, side="left")
+            if actual_loads is not None:
+                actual = actual_loads[picked]
+                retry = (found == order.size) & (actual < wanted)
+                found[retry] = np.searchsorted(reach, actual[retry], side="left")
+            out[picked] = order[np.minimum(found, order.size - 1)]
+        return out
 
 
 def initial_mapping(netlist: Netlist, choices: CellChoices) -> None:

@@ -18,10 +18,24 @@ A deliberately classic TILOS-style greedy sizer:
 Synthesis *fails* (``SynthesisResult.met == False``) when the sizing
 fixpoint still has negative slack — the signal the minimum-period
 search of Table 1 looks for.
+
+The sizer's working state is an integer array: a cell id per instance
+of the timing graph's :class:`~repro.sta.graph.DesignArrays`.  Every
+sizing pass builds its queries by array gathers from the design's CSR
+nets and the per-cell tables (:class:`~repro.sta.graph.CellTables`,
+:class:`~repro.synth.mapping.VariantTables`), looks every stage delay
+up in one batched kernel call, and writes the array;
+:meth:`~repro.sta.graph.TimingGraph.remap` binds it.  Where a decision
+reads an earlier decision of the same pass (a legalization driver
+upsize, a TILOS penalty on a driver moved earlier, an area-recovery
+sink check) a sequential loop walks the precomputed candidates in
+netlist (or worst-slack) order.  ``instance.cell`` is written back
+before buffering, which edits the netlist, and when the run ends.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
@@ -31,7 +45,7 @@ import numpy as np
 from repro.errors import SynthesisError
 from repro.kernels.sta import worst_values
 from repro.liberty.model import Library
-from repro.netlist.model import Instance, Netlist
+from repro.netlist.model import Netlist
 from repro.observe import get_tracer
 from repro.observe.catalog import (
     SYNTH_BUFFER_INSTANCES,
@@ -39,19 +53,12 @@ from repro.observe.catalog import (
     SYNTH_SIZING_ITERATIONS,
 )
 from repro.sta.engine import TimingResult, analyze
-from repro.sta.graph import StaConfig, TimingGraph
+from repro.sta.graph import StaConfig, TimingGraph, cell_tables
 from repro.synth.buffering import plan_groups, split_fanout
 from repro.synth.constraints import SynthesisConstraints
-from repro.synth.mapping import CellChoices, initial_mapping
+from repro.synth.mapping import CellChoices, VariantTables, initial_mapping
 
 _EPS = 1e-9
-
-#: Queries per batched stage lookup (see ``Synthesizer._stage_values``).
-_STAGE_BLOCK = 512
-
-#: Of one instance bound to one cell: the stage delay (worst arc delay)
-#: and the worst output transition per output pin (``output_pins`` order).
-StageValues = Tuple[float, List[float]]
 
 #: Process-wide synthesis invocation counter (see the test hooks below).
 _SYNTHESIS_CALLS = 0
@@ -112,16 +119,14 @@ class Synthesizer:
         self.constraints = constraints
         self.sta_config = sta_config or StaConfig()
         self.choices = CellChoices(library, constraints)
+        self.variants = VariantTables(self.choices, cell_tables(library).names)
         self.sizing_iterations = 0
         self.buffer_instances = 0
         self._graph: Optional[TimingGraph] = None
-        #: ``_instance_views()`` of the current graph.
-        self._views: List[Tuple[Instance, List[int], List[int]]] = []
-        #: ``_stage_values``' lookups: arc rows per (family, cell), and
-        #: per instance of the current graph its arcs' source nets,
-        #: sink nets and each output pin's first arc.
-        self._cell_rows: Dict[Tuple[str, str], List[int]] = {}
-        self._stage_layouts: Dict[str, Tuple[List[int], List[int], List[int]]] = {}
+        #: The working binding: a cell id per instance of the current
+        #: graph's design.  Passes write it; ``instance.cell`` is
+        #: written back before buffering and when the run ends.
+        self.cells = np.zeros(0, dtype=np.intp)
         self._fanout_stuck: Set[str] = set()
         #: Presizing utilization the last sizing loop reached.
         self._last_utilization = 1.0
@@ -138,6 +143,7 @@ class Synthesizer:
             result = self._sizing_loop()
         with tracer.span("synth.buffer") as buffer_span:
             for _round in range(self.constraints.max_buffer_rounds):
+                self.graph.design.write_cells(self.cells)
                 buffered = self._fix_fanout(result)
                 if buffered == 0:
                     break
@@ -151,6 +157,7 @@ class Synthesizer:
         if result.met:
             with tracer.span("synth.recover"):
                 result = self._area_recovery(result)
+        self.graph.design.write_cells(self.cells)
         SYNTH_SIZING_ITERATIONS.inc(self.sizing_iterations)
         SYNTH_BUFFER_INSTANCES.inc(self.buffer_instances)
         met = result.met
@@ -173,15 +180,13 @@ class Synthesizer:
 
     def _count_legality_violations(self) -> int:
         """Output pins whose load exceeds the bound variant's capacity."""
-        graph, choices = self.graph, self.choices
-        violations = 0
-        for instance in self.netlist:
-            variant = choices.variant_of(instance.cell)
-            for pin in instance.function.output_pins:
-                load = graph.loads[graph.net_ids[instance.net_of(pin)]]
-                if load > variant.max_load + 1e-6:
-                    violations += 1
-        return violations
+        design = self.graph.design
+        capacity = self.variants.max_load[self.cells] + 1e-6
+        return int(
+            np.count_nonzero(
+                self.graph.loads[design.out_nets] > capacity[design.out_owner]
+            )
+        )
 
     # ------------------------------------------------------------------
 
@@ -194,8 +199,7 @@ class Synthesizer:
 
     def _rebuild_graph(self) -> None:
         self._graph = TimingGraph(self.netlist, self.library, self.sta_config)
-        self._views = self._instance_views()
-        self._stage_layouts = {}
+        self.cells = self._graph.cell_ids.copy()
 
     def _analyze(self) -> TimingResult:
         return analyze(
@@ -203,21 +207,6 @@ class Synthesizer:
             clock_period=self.constraints.clock_period,
             guard_band=self.constraints.guard_band,
         )
-
-    def _instance_views(self) -> List[Tuple[Instance, List[int], List[int]]]:
-        """(instance, output net ids, non-clock input net ids)."""
-        graph = self.graph
-        views = []
-        for instance in self.netlist:
-            function = instance.function
-            outs = [graph.net_ids[instance.net_of(p)] for p in function.output_pins]
-            ins = [
-                graph.net_ids[instance.net_of(p)]
-                for p in function.input_pins
-                if p != function.clock_pin
-            ]
-            views.append((instance, outs, ins))
-        return views
 
     # ------------------------------------------------------------------
     # Sizing
@@ -247,41 +236,37 @@ class Synthesizer:
         moves on the remaining critical cells, plus window/max-cap
         legalization.
         """
-        views = self._views
         # later buffer rounds resume from the utilization the first
         # round reached instead of re-walking the whole descent
         utilization = min(self._UTIL_START, self._last_utilization)
         if presize_all:
-            self._presize(views, utilization, critical_only=False, result=None)
-        self.graph.remap()
+            self._presize(utilization, critical_only=False, result=None)
+        self.graph.remap(self.cells)
         result = self._analyze()
         self.sizing_iterations += 1
         while result.wns < -_EPS and utilization > self._UTIL_FLOOR:
             utilization *= self._UTIL_SHRINK
-            changes = self._presize(
-                views, utilization, critical_only=True, result=result
-            )
-            changes += self._legalize_once(result, views)
+            changes = self._presize(utilization, critical_only=True, result=result)
+            changes += self._legalize_once(result)
             if changes == 0:
                 break
-            self.graph.remap()
+            self.graph.remap(self.cells)
             result = self._analyze()
             self.sizing_iterations += 1
         self._last_utilization = utilization
         for _iteration in range(self._FINE_ITERATIONS):
-            changes = self._legalize_once(result, views)
+            changes = self._legalize_once(result)
             if result.wns < -_EPS:
-                changes += self._upsize_critical(result, views)
+                changes += self._upsize_critical(result)
             if changes == 0:
                 return result
-            self.graph.remap()
+            self.graph.remap(self.cells)
             result = self._analyze()
             self.sizing_iterations += 1
         return result
 
     def _presize(
         self,
-        views,
         utilization: float,
         critical_only: bool,
         result: Optional[TimingResult],
@@ -290,79 +275,102 @@ class Synthesizer:
 
         Never downsizes (monotone with the rest of the sizer); with
         ``critical_only`` the pass skips instances whose output slack
-        is non-negative.
+        is non-negative.  No decision reads another, so the pass is one
+        vectorized step.
         """
-        choices = self.choices
-        changes = 0
         if critical_only and result is None:
             raise SynthesisError(
                 "critical-only sizing pass needs a timing result"
             )
-        loads = self.graph.loads.tolist()
-        slacks = _slacks(result) if critical_only else []
-        for instance, outs, _ins in views:
-            if critical_only:
-                slack = min(slacks[o] for o in outs)
-                if slack >= -_EPS:
-                    continue
-            load = max(loads[o] for o in outs)
-            candidate = choices.smallest_for_load(
-                instance.family, load / utilization, actual_load=load
-            )
-            current = choices.variant_of(instance.cell)
-            if candidate.strength > current.strength:
-                instance.cell = candidate.cell_name
-                changes += 1
-        return changes
+        design, variants, cells = self.graph.design, self.variants, self.cells
+        loads = design.out_max(self.graph.loads)
+        if critical_only:
+            picked = np.flatnonzero(~(design.out_min(_slacks(result)) >= -_EPS))
+        else:
+            picked = np.arange(len(design))
+        load = loads[picked]
+        candidate = variants.smallest_for_load(
+            design.families, design.family_ids[picked], load / utilization, load
+        )
+        upsized = variants.strength[candidate] > variants.strength[cells[picked]]
+        cells[picked[upsized]] = candidate[upsized]
+        return int(np.count_nonzero(upsized))
 
-    def _legalize_once(self, result: TimingResult, views) -> int:
+    def _legalize_once(self, result: TimingResult) -> int:
         """One pass of design-rule legalization by upsizing.
 
         Covers three rules: output load within the variant's (possibly
         window-restricted) capacity; the global ``max_transition``; and
         the tuning window's maximum *input* slew, fixed by upsizing the
-        offending driver.
+        offending driver (once per offending sink pin).
+
+        The rules are checked for every instance at once against the
+        pass's cells.  A driver upsize changes a later instance's cell,
+        so the flagged instances are then walked in netlist order,
+        reading every cell live; an instance a driver upsize changes
+        joins the walk if it comes later.
         """
-        graph, choices = self.graph, self.choices
+        design, variants = self.graph.design, self.variants
+        cells = self.cells
         max_transition = self.constraints.max_transition
-        loads, slews = graph.loads.tolist(), result.slew.tolist()
+        loads = design.out_max(self.graph.loads)
+        transitions = design.out_max(result.slew)
+        slews = result.slew
+        flagged = (loads > variants.max_load[cells] + _EPS) | (
+            transitions > max_transition + _EPS
+        )
+        slow = slews[design.in_nets] > (variants.max_slew[cells] + _EPS)[design.in_owner]
+        flagged[design.in_owner[slow]] = True
+        queue = np.flatnonzero(flagged).tolist()  # ascending: already a heap
+        if not queue:
+            return 0
+        candidates = variants.smallest_for_load(
+            design.families, design.family_ids, loads
+        ).tolist()
+        strength, max_load = variants.strength.tolist(), variants.max_load.tolist()
+        max_slew, up_of = variants.max_slew.tolist(), variants.up.tolist()
+        in_ptr, in_nets = design.in_ptr.tolist(), design.in_nets.tolist()
+        driver, slew_of = design.driver.tolist(), slews.tolist()
+        load_of, transition_of = loads.tolist(), transitions.tolist()
+        live = cells.tolist()
+        queued = set(queue)
         changes = 0
-        for instance, outs, ins in views:
-            variant = choices.variant_of(instance.cell)
-            load = max(loads[o] for o in outs)
-            if load > variant.max_load + _EPS:
-                candidate = choices.smallest_for_load(
-                    instance.family, load
-                )
-                if candidate.strength > variant.strength:
-                    instance.cell = candidate.cell_name
+        while queue:
+            position = heapq.heappop(queue)
+            cell = live[position]
+            if load_of[position] > max_load[cell] + _EPS:
+                candidate = candidates[position]
+                if strength[candidate] > strength[cell]:
+                    cell = live[position] = candidate
                     changes += 1
-                    variant = candidate
-            transition = max(slews[o] for o in outs)
-            if transition > max_transition + _EPS:
-                up = choices.next_up(instance.cell)
-                if up is not None:
-                    instance.cell = up.cell_name
+            if transition_of[position] > max_transition + _EPS:
+                up = up_of[cell]
+                if up >= 0:
+                    cell = live[position] = up
                     changes += 1
-                    variant = up
-            if not ins or math.isinf(variant.max_slew):
+            limit = max_slew[cell]
+            first, stop = in_ptr[position], in_ptr[position + 1]
+            if first == stop or math.isinf(limit):
                 continue
-            for net_id in ins:
-                if slews[net_id] > variant.max_slew + _EPS:
-                    driver = self.netlist.net(graph.net_names[net_id]).driver
-                    if driver is None or driver.instance is None:
+            for net_id in in_nets[first:stop]:
+                if slew_of[net_id] > limit + _EPS:
+                    upsized = driver[net_id]
+                    if upsized < 0:
                         continue  # port-driven: ideal source
-                    driver_instance = self.netlist.instance(driver.instance)
-                    up = choices.next_up(driver_instance.cell)
-                    if up is not None:
-                        driver_instance.cell = up.cell_name
+                    up = up_of[live[upsized]]
+                    if up >= 0:
+                        live[upsized] = up
                         changes += 1
+                        if upsized > position and upsized not in queued:
+                            queued.add(upsized)
+                            heapq.heappush(queue, upsized)
+        cells[:] = live
         return changes
 
     #: Fine-tuning moves evaluated per iteration (the worst-slack set).
     _FINE_CANDIDATES = 800
 
-    def _upsize_critical(self, result: TimingResult, views) -> int:
+    def _upsize_critical(self, result: TimingResult) -> int:
         """Upsize negative-slack instances when it pays off.
 
         A move is accepted only when the instance's own stage-delay
@@ -374,161 +382,138 @@ class Synthesizer:
 
         Every lookup of the pass is batched up front
         (:meth:`_stage_values`, :meth:`_penalty_terms`); the loop then
-        sums the precomputed penalty terms in pin order, reading each
-        driver's cell live, with the same early exit.
+        sums the precomputed penalty terms in pin order, reading whether
+        each driver's own move was accepted earlier in the pass, with
+        the same early exit.
         """
-        moves = self._critical_moves(result, views)
-        changes = 0
-        for (instance, up_cell, benefit), terms in zip(
-            moves, self._penalty_terms(moves, result)
+        instances, ups, benefits = self._critical_moves(result)
+        term_ptr, drivers, at_current, at_upsized = self._penalty_terms(
+            instances, ups, result
+        )
+        term_ptr, drivers = term_ptr.tolist(), drivers.tolist()
+        at_current, at_upsized = at_current.tolist(), at_upsized.tolist()
+        #: Positions, and indices into the moves, of the accepted moves.
+        accepted: Set[int] = set()
+        accepted_moves: List[int] = []
+        for move, (position, benefit) in enumerate(
+            zip(instances.tolist(), benefits.tolist())
         ):
             penalty = 0.0
-            for driver, term_of in terms:
+            for term in range(term_ptr[move], term_ptr[move + 1]):
                 # an earlier move of this pass may have upsized the driver
-                penalty += term_of[driver.cell]
+                if drivers[term] in accepted:
+                    penalty += at_upsized[term]
+                else:
+                    penalty += at_current[term]
                 if penalty >= benefit:
                     break
             if benefit > penalty:
-                instance.cell = up_cell
-                changes += 1
-        return changes
+                accepted.add(position)
+                accepted_moves.append(move)
+        self.cells[instances[accepted_moves]] = ups[accepted_moves]
+        return len(accepted_moves)
 
     def _critical_moves(
-        self, result: TimingResult, views
-    ) -> List[Tuple[Instance, str, float]]:
-        """``(instance, upsized cell, stage-delay benefit)`` of every
+        self, result: TimingResult
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(instances, upsized cells, stage-delay benefits)`` of every
         upsize of the pass with a positive benefit, worst slack first."""
-        choices = self.choices
-        slacks, loads = _slacks(result), self.graph.loads.tolist()
-        negative = []
-        for view in views:
-            _instance, outs, _ins = view
-            slack = min(slacks[o] for o in outs)
-            if slack < -_EPS:
-                negative.append((slack, view))
-        negative.sort(key=lambda item: item[0])
-        moves: List[Tuple[Instance, str]] = []
-        for _slack, (instance, outs, _ins) in negative[: self._FINE_CANDIDATES]:
-            up = choices.next_up(instance.cell)
-            if up is None:
-                continue
-            load = max(loads[o] for o in outs)
-            if up.max_load + _EPS < load:
-                stronger = choices.smallest_for_load(instance.family, load)
-                if stronger.strength <= choices.variant_of(instance.cell).strength:
-                    continue
-                up = stronger
-            moves.append((instance, up.cell_name))
-        # stage delays read only the pass's slews and loads: one batch
-        stages = self._stage_values(
-            [(instance, instance.cell) for instance, _up in moves] + moves, result
-        )
-        return [
-            (instance, up_cell, current - upsized)
-            for (instance, up_cell), (current, _), (upsized, _) in zip(
-                moves, stages, stages[len(moves):]
+        design, variants, cells = self.graph.design, self.variants, self.cells
+        slacks = design.out_min(_slacks(result))
+        negative = np.flatnonzero(slacks < -_EPS)
+        negative = negative[np.argsort(slacks[negative], kind="stable")]
+        negative = negative[: self._FINE_CANDIDATES]
+        ups = variants.up[cells[negative]]
+        negative, ups = negative[ups >= 0], ups[ups >= 0]
+        loads = design.out_max(self.graph.loads)[negative]
+        short = variants.max_load[ups] + _EPS < loads
+        if short.any():
+            stronger = variants.smallest_for_load(
+                design.families, design.family_ids[negative[short]], loads[short]
             )
-            if current - upsized > 0
-        ]
+            gains = variants.strength[stronger] > variants.strength[cells[negative[short]]]
+            ups[short] = np.where(gains, stronger, -1)
+            negative, ups = negative[ups >= 0], ups[ups >= 0]
+        # stage delays read only the pass's slews and loads: one batch
+        delays, _, _ = self._stage_values(
+            np.concatenate([negative, negative]),
+            np.concatenate([cells[negative], ups]),
+            result,
+        )
+        benefits = delays[: negative.size] - delays[negative.size:]
+        paying = benefits > 0
+        return negative[paying], ups[paying], benefits[paying]
 
     def _penalty_terms(
-        self, moves: List[Tuple[Instance, str, float]], result: TimingResult
-    ) -> List[List[Tuple[Instance, Dict[str, float]]]]:
-        """Per move, in input-pin order: ``(driver, {cell: term})`` of
-        each timing-critical, instance-driven input net the move loads
-        with extra capacitance.  A term is the driver's stage-delay
-        increase — the worst delay over its arcs into the net, folded
-        from 0, at ``load + extra`` minus at ``load`` — with the driver
-        bound to that cell.  The cells are the driver's current cell
-        and, when the driver has a move of its own, that move's cell:
-        the only cell it can change to within the pass.
+        self, instances: np.ndarray, ups: np.ndarray, result: TimingResult
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Penalty terms of the moves ``instances[m] -> ups[m]``.
+
+        Per move ``m``, terms ``term_ptr[m]:term_ptr[m + 1]`` in
+        input-pin order: one per timing-critical, instance-driven input
+        net the move loads with extra capacitance, with that net's
+        ``driver``.  A term is the driver's stage-delay increase — the
+        worst delay over its arcs into the net, folded from 0, at
+        ``load + extra`` minus at ``load`` — with the driver bound to
+        its current cell (``at_current``) and, when the driver has a
+        move of its own, to that move's cell (``at_upsized``, else
+        ``nan``): the only cell it can change to within the pass.
 
         Slews and loads are fixed for the pass, so every arc of every
         term is looked up in one batched kernel call, bit-identical to
         ``TimingArc.worst_delay``.
         """
-        graph, netlist, tables = self.graph, self.netlist, self.graph.tables
-        library = self.library
-        slacks, net_loads = _slacks(result), graph.loads.tolist()
-        upsized = {instance.name: up_cell for instance, up_cell, _ in moves}
+        graph, design, cells = self.graph, self.graph.design, self.cells
+        pin_caps = design.cells.pin_caps
+        # every non-clock input pin of every move, in pin order
+        entries = _expand(design.in_ptr[instances], design.in_ptr[instances + 1])
+        move_of = np.repeat(np.arange(instances.size), _lengths(design.in_ptr, instances))
+        nets, slots = design.in_nets[entries], design.in_slot[entries]
+        extras = (
+            pin_caps[ups[move_of], slots] - pin_caps[cells[instances][move_of], slots]
+        )
+        drivers = design.driver[nets]
+        # only penalize drivers that are themselves timing-critical:
+        # slowing a slack-rich side input cannot hurt the paths this
+        # move is trying to fix; an ideal port source adds nothing
+        kept = (extras > 0) & ~(_slacks(result)[nets] >= -_EPS) & (drivers >= 0)
+        move_of, nets, extras, drivers = (
+            move_of[kept], nets[kept], extras[kept], drivers[kept]
+        )
+        term_ptr = np.searchsorted(move_of, np.arange(instances.size + 1))
+        if nets.size == 0:
+            return term_ptr, drivers, extras, extras
+        move_up = np.full(len(design), -1, dtype=np.intp)
+        move_up[instances] = ups
+        driver_ups = move_up[drivers]
+        with_up = np.flatnonzero(driver_ups >= 0)
+        # one query per (term, cell): every term at the driver's cell,
+        # then the terms whose driver has a move at that move's cell
+        terms = np.concatenate([np.arange(nets.size), with_up])
+        bound = np.concatenate([cells[drivers], driver_ups[with_up]])
+        arcs = _expand(design.arc_ptr[drivers[terms]], design.arc_ptr[drivers[terms] + 1])
+        query_of = np.repeat(np.arange(terms.size), _lengths(design.arc_ptr, drivers[terms]))
+        into = design.arc_dst[arcs] == nets[terms][query_of]
+        arcs, query_of = arcs[into], query_of[into]
+        starts = np.searchsorted(query_of, np.arange(terms.size))
+        rows = design.cells.arc_rows[bound[query_of], design.arc_slot[arcs]]
         # a clock pin's arc reads index -1: the ideal clock slew
-        slew_of = np.append(result.slew, self.sta_config.clock_slew)
-        layouts: Dict[Tuple[str, int], List[Tuple[str, str, int]]] = {}
-        rows: List[int] = []
-        slew_ids: List[int] = []
-        at_load: List[float] = []
-        at_extra: List[float] = []
-        #: (term dict, cell) per queried term, in batch order.
-        slots: List[Tuple[Dict[str, float], str]] = []
-        starts: List[int] = []
-        moves_terms: List[List[Tuple[Instance, Dict[str, float]]]] = []
-        for instance, up_cell, _benefit in moves:
-            old_pins = library.cell(instance.cell).pins
-            new_pins = library.cell(up_cell).pins
-            function = instance.function
-            terms: List[Tuple[Instance, Dict[str, float]]] = []
-            for pin in function.input_pins:
-                if pin == function.clock_pin:
-                    continue
-                extra = new_pins[pin].capacitance - old_pins[pin].capacitance
-                if extra <= 0:
-                    continue
-                net_name = instance.net_of(pin)
-                net_id = graph.net_ids[net_name]
-                # only penalize drivers that are themselves timing-
-                # critical: slowing a slack-rich side input cannot hurt
-                # the paths this move is trying to fix
-                if slacks[net_id] >= -_EPS:
-                    continue
-                driver = netlist.net(net_name).driver
-                if driver is None or driver.instance is None:
-                    continue  # port-driven: an ideal source adds nothing
-                driver_instance = netlist.instance(driver.instance)
-                key = (driver_instance.name, net_id)
-                arcs = layouts.get(key)
-                if arcs is None:
-                    driver_function = driver_instance.function
-                    arcs = layouts[key] = [
-                        (
-                            input_pin,
-                            output_pin,
-                            -1
-                            if input_pin == driver_function.clock_pin
-                            else graph.net_ids[driver_instance.net_of(input_pin)],
-                        )
-                        for input_pin, output_pin in driver_function.arcs()
-                        if driver_instance.net_of(output_pin) == net_name
-                    ]
-                cells = [driver_instance.cell]
-                if driver_instance.name in upsized:
-                    cells.append(upsized[driver_instance.name])
-                load = net_loads[net_id]
-                term_of: Dict[str, float] = {}
-                for cell_name in cells:
-                    slots.append((term_of, cell_name))
-                    starts.append(len(rows))
-                    for input_pin, output_pin, source in arcs:
-                        rows.append(tables.row(cell_name, output_pin, input_pin))
-                        slew_ids.append(source)
-                        at_load.append(load)
-                        at_extra.append(load + extra)
-                terms.append((driver_instance, term_of))
-            moves_terms.append(terms)
-        if not slots:
-            return moves_terms
-        index = np.asarray(rows, dtype=np.intp)
-        slews = slew_of[np.asarray(slew_ids, dtype=np.intp)]
+        slews = np.append(result.slew, self.sta_config.clock_slew)[design.arc_src[arcs]]
+        loads = graph.loads[nets[terms]][query_of]
+        tables = graph.tables
+        pairs = tables.delay[_checked_rows(rows)]
         values = worst_values(
             tables,
-            np.concatenate([tables.delay[index], tables.delay[index]]),
+            np.concatenate([pairs, pairs]),
             np.concatenate([slews, slews]),
-            np.asarray(at_load + at_extra),
+            np.concatenate([loads, loads + extras[terms][query_of]]),
         )
-        worst_old = _run_maxima(values[: index.size], starts)
-        worst_new = _run_maxima(values[index.size:], starts)
-        for (term_of, cell_name), old, new in zip(slots, worst_old, worst_new):
-            term_of[cell_name] = new - old
-        return moves_terms
+        worst_old = _run_maxima(values[: arcs.size], starts)
+        worst_new = _run_maxima(values[arcs.size:], starts)
+        deltas = worst_new - worst_old
+        at_upsized = np.full(nets.size, np.nan)
+        at_upsized[with_up] = deltas[nets.size:]
+        return term_ptr, drivers, deltas[: nets.size], at_upsized
 
     # ------------------------------------------------------------------
     # Buffering
@@ -585,29 +570,39 @@ class Synthesizer:
         worklist, so a single round always converges to legal loads
         (buffer trees deepen as needed).
         """
-        graph, choices = self.graph, self.choices
+        graph, design, choices = self.graph, self.graph.design, self.choices
         created = 0
-        # (net, driver family, force) — force marks timing-driven
-        # splits whose load is legal but slow
-        worklist: List[Tuple[str, str, bool]] = []
-        for instance in list(self.netlist):
-            strongest = choices.largest(instance.family)
-            for pin in instance.function.output_pins:
-                net_name = instance.net_of(pin)
-                net_id = graph.net_ids[net_name]
-                load = graph.loads[net_id]
-                illegal = load > strongest.max_load + _EPS
-                slack = result.required[net_id] - result.arrival[net_id]
-                timing_heavy = (
-                    slack < -_EPS
-                    and load > self._TIMING_BUFFER_LOAD
-                    and graph.fanout_of(net_id) >= self._TIMING_BUFFER_FANOUT
-                    # never re-split a net a previous round created for
-                    # timing only: cascades explode the tree
-                    and not instance.name.startswith("synbuf")
-                )
-                if illegal or timing_heavy:
-                    worklist.append((net_name, instance.family, not illegal))
+        # (net, driver family, force) per output pin, in instance and
+        # pin order — force marks timing-driven splits whose load is
+        # legal but slow
+        owners = design.out_owner
+        families = design.family_ids[owners]
+        strongest = np.array(
+            [choices.largest(family).max_load for family in design.families]
+        )
+        loads = graph.loads[design.out_nets]
+        illegal = loads > strongest[families] + _EPS
+        # never re-split a net a previous round created for timing
+        # only: cascades explode the tree
+        fresh = np.array(
+            [not instance.name.startswith("synbuf") for instance in design.instances],
+            dtype=bool,
+        )
+        timing_heavy = (
+            (_slacks(result)[design.out_nets] < -_EPS)
+            & (loads > self._TIMING_BUFFER_LOAD)
+            & (graph.fanouts[design.out_nets] >= self._TIMING_BUFFER_FANOUT)
+            & fresh[owners]
+        )
+        split = illegal | timing_heavy
+        worklist: List[Tuple[str, str, bool]] = [
+            (graph.net_names[net_id], design.families[family], force)
+            for net_id, family, force in zip(
+                design.out_nets[split].tolist(),
+                families[split].tolist(),
+                (~illegal[split]).tolist(),
+            )
+        ]
 
         inv_strongest = choices.largest("INV")
         while worklist:
@@ -643,106 +638,44 @@ class Synthesizer:
     # ------------------------------------------------------------------
 
     def _stage_values(
-        self, queries: List[Tuple[Instance, str]], result: TimingResult
-    ) -> List[StageValues]:
-        """Per ``(instance, cell name)``, with the instance bound to that
-        cell, at the result's slews and the graph's loads: the stage
-        delay (worst arc delay) and each output pin's worst transition.
+        self, instances: np.ndarray, cell_ids: np.ndarray, result: TimingResult
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per query ``q`` — instance ``instances[q]`` bound to cell
+        ``cell_ids[q]``, at the result's slews and the graph's loads —
+        the stage delay (worst arc delay), and the worst transition of
+        each output pin: ``(delays, transitions, pin_ptr)``, query
+        ``q``'s pins being ``transitions[pin_ptr[q]:pin_ptr[q + 1]]`` in
+        ``output_pins`` order.
 
         Every arc's lookup runs in one batched kernel call, bit-identical
         to ``TimingArc.worst_delay`` / ``TimingArc.worst_transition``;
         the maxima equal the former fold from 0 over the arcs.
         """
-        graph = self.graph
+        graph, design = self.graph, self.graph.design
         tables = graph.tables
+        arcs = _expand(design.arc_ptr[instances], design.arc_ptr[instances + 1])
+        arc_counts = _lengths(design.arc_ptr, instances)
+        query_of = np.repeat(np.arange(instances.size), arc_counts)
+        stage_starts = np.cumsum(arc_counts) - arc_counts
+        pins = _expand(design.out_ptr[instances], design.out_ptr[instances + 1])
+        pin_counts = _lengths(design.out_ptr, instances)
+        pin_starts = (
+            np.repeat(stage_starts, pin_counts) + design.pin_run[pins]
+        )
+        rows = _checked_rows(design.cells.arc_rows[cell_ids[query_of], design.arc_slot[arcs]])
         # a clock pin's arc reads index -1: the ideal clock slew
-        slew_of = np.append(result.slew, self.sta_config.clock_slew)
-        cell_rows, layouts = self._cell_rows, self._stage_layouts
-        stages: List[StageValues] = []
-        # blocks bound the kernel's temporaries to small arrays
-        for first in range(0, len(queries), _STAGE_BLOCK):
-            block = queries[first:first + _STAGE_BLOCK]
-            rows: List[int] = []
-            in_nets: List[int] = []
-            out_nets: List[int] = []
-            stage_starts: List[int] = []
-            pin_starts: List[int] = []
-            for instance, cell_name in block:
-                function = instance.function
-                key = (instance.family, cell_name)
-                if key not in cell_rows:
-                    cell_rows[key] = [
-                        tables.row(cell_name, output_pin, input_pin)
-                        for input_pin, output_pin in function.arcs()
-                    ]
-                if instance.name not in layouts:
-                    arcs = function.arcs()
-                    # arcs() lists each output pin's arcs as one run
-                    layouts[instance.name] = (
-                        [
-                            -1
-                            if input_pin == function.clock_pin
-                            else graph.net_ids[instance.net_of(input_pin)]
-                            for input_pin, _output_pin in arcs
-                        ],
-                        [
-                            graph.net_ids[instance.net_of(output_pin)]
-                            for _input_pin, output_pin in arcs
-                        ],
-                        [
-                            next((i for i, arc in enumerate(arcs) if arc[1] == pin), len(arcs))
-                            for pin in function.output_pins
-                        ],
-                    )
-                sources, sinks, runs = layouts[instance.name]
-                stage_starts.append(len(rows))
-                pin_starts.extend(len(rows) + run for run in runs)
-                rows.extend(cell_rows[key])
-                in_nets.extend(sources)
-                out_nets.extend(sinks)
-            index = np.asarray(rows, dtype=np.intp)
-            slews = slew_of[np.asarray(in_nets, dtype=np.intp)]
-            loads = graph.loads[np.asarray(out_nets, dtype=np.intp)]
-            values = worst_values(
-                tables,
-                np.concatenate([tables.delay[index], tables.transition[index]]),
-                np.concatenate([slews, slews]),
-                np.concatenate([loads, loads]),
-            )
-            delays = _run_maxima(values[: index.size], stage_starts)
-            transitions = _run_maxima(values[index.size:], pin_starts)
-            pin = 0
-            for (instance, _cell_name), delay in zip(block, delays):
-                n_pins = len(instance.function.output_pins)
-                stages.append((delay, transitions[pin:pin + n_pins]))
-                pin += n_pins
-        return stages
-
-    def _transition_legal_after_downsize(
-        self, instance: Instance, worst_by_pin: List[float]
-    ) -> bool:
-        """Check the downsized cell's output slews stay legal.
-
-        ``worst_by_pin`` holds the downsized worst output transition per
-        output pin.  Legal means: under the global ``max_transition``
-        and under the tuning-window maximum input slew of every sink
-        cell (read live: an earlier move of the pass may have changed a
-        sink).
-        """
-        for output_pin, worst in zip(instance.function.output_pins, worst_by_pin):
-            if worst > self.constraints.max_transition + _EPS:
-                return False
-            for sink in self.netlist.net(instance.net_of(output_pin)).sinks:
-                if sink.instance is None:
-                    continue
-                sink_variant = self.choices.variant_of(
-                    self.netlist.instance(sink.instance).cell
-                )
-                if not math.isinf(sink_variant.max_slew) and (
-                    worst > sink_variant.max_slew + _EPS
-                ):
-                    return False
-        return True
+        slews = np.append(result.slew, self.sta_config.clock_slew)[design.arc_src[arcs]]
+        loads = graph.loads[design.arc_dst[arcs]]
+        values = worst_values(
+            tables,
+            np.concatenate([tables.delay[rows], tables.transition[rows]]),
+            np.concatenate([slews, slews]),
+            np.concatenate([loads, loads]),
+        )
+        delays = _run_maxima(values[: arcs.size], stage_starts)
+        transitions = _run_maxima(values[arcs.size:], pin_starts)
+        pin_ptr = np.concatenate([[0], np.cumsum(pin_counts)])
+        return delays, transitions, pin_ptr
 
     def _area_recovery(self, result: TimingResult) -> TimingResult:
         """Downsize slack-rich cells; revert a pass that breaks timing.
@@ -757,58 +690,130 @@ class Synthesizer:
         passes = constraints.area_recovery_passes
         for pass_index in range(passes):
             margin = constraints.downsize_margin * (passes - pass_index)
-            snapshot = {i.name: i.cell for i in self.netlist}
-            moves = []
-            for view in self._views:
-                down = self.choices.next_down(view[0].cell)
-                if down is not None:
-                    moves.append((view, down))
-            # stage delays and downsized transitions read only the
-            # pass's slews and loads: one batch for the whole pass
-            stages = self._stage_values(
-                [(view[0], view[0].cell) for view, _down in moves]
-                + [(view[0], down.cell_name) for view, down in moves],
-                result,
-            )
-            loads, slews = self.graph.loads.tolist(), result.slew.tolist()
-            slacks = _slacks(result)
-            changes = 0
-            for ((instance, outs, ins), down), (current, _), downsized in zip(
-                moves, stages, stages[len(moves):]
-            ):
-                load = max(loads[o] for o in outs)
-                if load > down.max_load + _EPS:
-                    continue
-                if ins and not math.isinf(down.max_slew):
-                    if max(slews[i] for i in ins) > down.max_slew + _EPS:
-                        continue
-                if not self._transition_legal_after_downsize(instance, downsized[1]):
-                    continue
-                slack = min(slacks[o] for o in outs)
-                delta = downsized[0] - current
-                if slack - delta < margin:
-                    continue
-                instance.cell = down.cell_name
-                changes += 1
+            snapshot = self.cells.copy()
+            changes = self._downsize_pass(result, margin)
             if changes == 0:
                 break
-            self.graph.remap()
+            self.graph.remap(self.cells)
             result = self._analyze()
             if not result.met:
-                for instance in self.netlist:
-                    instance.cell = snapshot[instance.name]
-                self.graph.remap()
+                self.cells = snapshot
+                self.graph.remap(self.cells)
                 result = self._analyze()
                 break
         return result
 
+    def _downsize_pass(self, result: TimingResult, margin: float) -> int:
+        """One area-recovery pass: downsize every instance by one step
+        where the pass's slews, loads and slacks allow it.
 
-def _slacks(result: TimingResult) -> List[float]:
-    """Per net: required minus arrival time, as Python floats."""
-    return (result.required - result.arrival).tolist()
+        A move must keep its load within the weaker variant's capacity,
+        its input slews within the variant's window, its downsized
+        output transitions under ``max_transition`` and under the window
+        maximum input slew of every sink cell, and its slack minus the
+        stage-delay increase at least ``margin``.  Only the sink check
+        reads another decision of the pass (a sink downsized earlier has
+        a new window), so everything else is decided for all instances
+        at once and the sink check is redone live for the instances one
+        of whose sinks moved earlier in the pass.
+        """
+        graph, design, variants = self.graph, self.graph.design, self.variants
+        cells = self.cells
+        movers = np.flatnonzero(variants.down[cells] >= 0)
+        downs = variants.down[cells[movers]]
+        # stage delays and downsized transitions read only the pass's
+        # slews and loads: one batch for the whole pass
+        delays, transitions, pin_ptr = self._stage_values(
+            np.concatenate([movers, movers]),
+            np.concatenate([cells[movers], downs]),
+            result,
+        )
+        count = movers.size
+        worst = transitions[pin_ptr[count]:]
+        worst_ptr = pin_ptr[count:] - pin_ptr[count]
+        in_slews = np.full(len(design), -np.inf)
+        np.maximum.at(in_slews, design.in_owner, result.slew[design.in_nets])
+        delta = delays[count:] - delays[:count]
+        legal = (
+            ~(design.out_max(graph.loads)[movers] > variants.max_load[downs] + _EPS)
+            & ~(in_slews[movers] > variants.max_slew[downs] + _EPS)
+            & ~(design.out_min(_slacks(result))[movers] - delta < margin)
+        )
+        pin_mover = np.repeat(np.arange(count), np.diff(worst_ptr))
+        too_slow = worst > self.constraints.max_transition + _EPS
+        # every (downsized pin, sink instance) pair, at the pass's cells
+        pin_nets = design.out_nets[
+            _expand(design.out_ptr[movers], design.out_ptr[movers + 1])
+        ]
+        sinks = _expand(design.sink_ptr[pin_nets], design.sink_ptr[pin_nets + 1])
+        sink_pin = np.repeat(np.arange(pin_nets.size), _lengths(design.sink_ptr, pin_nets))
+        sink_owners = design.sink_owner[sinks]
+        too_slow_for_sink = worst[sink_pin] > variants.max_slew[cells[sink_owners]] + _EPS
+        legal[pin_mover[too_slow]] = False
+        sinks_accept = np.ones(count, dtype=bool)
+        sinks_accept[pin_mover[sink_pin[too_slow_for_sink]]] = False
+
+        max_slew = variants.max_slew.tolist()
+        live = cells.tolist()
+        worst_list, worst_ptr_list = worst.tolist(), worst_ptr.tolist()
+        pin_net_list = pin_nets.tolist()
+        sink_ptr, sink_owner = design.sink_ptr.tolist(), design.sink_owner.tolist()
+        in_ptr, in_nets = design.in_ptr.tolist(), design.in_nets.tolist()
+        clock_net, driver = design.clock_net.tolist(), design.driver.tolist()
+        #: Instances with a sink downsized earlier in the pass.
+        stale: Set[int] = set()
+        changes = 0
+        for mover in np.flatnonzero(legal).tolist():
+            position = int(movers[mover])
+            if position in stale:
+                accept = all(
+                    not worst_list[pin] > max_slew[live[sink_owner[sink]]] + _EPS
+                    for pin in range(worst_ptr_list[mover], worst_ptr_list[mover + 1])
+                    for sink in range(
+                        sink_ptr[pin_net_list[pin]], sink_ptr[pin_net_list[pin] + 1]
+                    )
+                )
+            else:
+                accept = bool(sinks_accept[mover])
+            if not accept:
+                continue
+            live[position] = int(downs[mover])
+            changes += 1
+            # the drivers this instance is a sink of see its new window
+            for net_id in in_nets[in_ptr[position]:in_ptr[position + 1]]:
+                stale.add(driver[net_id])
+            if clock_net[position] >= 0:
+                stale.add(driver[clock_net[position]])
+        cells[:] = live
+        return changes
 
 
-def _run_maxima(values: np.ndarray, starts: List[int]) -> List[float]:
+def _slacks(result: TimingResult) -> np.ndarray:
+    """Per net: required minus arrival time."""
+    return result.required - result.arrival
+
+
+def _lengths(ptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Length of each CSR row ``rows[k]`` of offsets ``ptr``."""
+    return ptr[rows + 1] - ptr[rows]
+
+
+def _expand(firsts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The concatenated ranges ``firsts[k]:stops[k]``, in order."""
+    lengths = stops - firsts
+    total = int(lengths.sum())
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(firsts - offsets, lengths) + np.arange(total)
+
+
+def _checked_rows(rows: np.ndarray) -> np.ndarray:
+    """``rows``, after checking every bound cell has the arc."""
+    if rows.size and rows.min() < 0:
+        raise SynthesisError("a bound cell lacks a timing arc of its family")
+    return rows
+
+
+def _run_maxima(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """``max(0, max(run))`` of each run of ``values``; run ``k`` spans
     ``starts[k]`` up to the next start, the last one to the end.
 
@@ -816,13 +821,13 @@ def _run_maxima(values: np.ndarray, starts: List[int]) -> List[float]:
     from ``worst = 0.0`` over each run.
     """
     maxima = np.zeros(len(starts))
-    bounds = np.asarray(starts + [values.size], dtype=np.intp)
+    bounds = np.append(np.asarray(starts, dtype=np.intp), values.size)
     filled = bounds[:-1] < bounds[1:]
     if filled.any():
         maxima[filled] = np.maximum(
             0.0, np.maximum.reduceat(values, bounds[:-1][filled])
         )
-    return maxima.tolist()
+    return maxima
 
 
 def synthesize(

@@ -6,6 +6,7 @@ from repro.netlist.generators.microcontroller import (
     MicrocontrollerParams,
     build_microcontroller,
 )
+from repro.netlist.model import Netlist
 from repro.netlist.simulate import simulate_sequence
 
 
@@ -37,6 +38,19 @@ class TestScale:
         deepest = max(levels.values())
         assert 50 <= deepest <= 75
         assert min(v for v in levels.values() if v > 0) <= 3
+
+    def test_paper_scale_prunes_its_dead_cones(self, monkeypatch):
+        """The generator's dangling outputs cost exactly this many gates."""
+        counts = []
+        prune = Netlist.prune_dangling
+
+        def counting(netlist):
+            counts.append(prune(netlist))
+            return counts[-1]
+
+        monkeypatch.setattr(Netlist, "prune_dangling", counting)
+        build_microcontroller()
+        assert counts == [7296]
 
     def test_structure_valid(self, mcu):
         mcu.validate()

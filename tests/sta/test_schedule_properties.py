@@ -102,7 +102,7 @@ def test_vectorized_equals_scalar_across_resizes_and_a_split(
             )
             if variant is not None:
                 instance.cell = variant.cell_name
-        graph.remap()
+        graph.remap(graph.design.read_cells())
         assert_matches_references(graph)
 
     # one buffer split (a topology edit), then a full rebuild
@@ -156,8 +156,8 @@ def test_diff_remap_equals_a_fresh_graph(tiny_synthesis, steps):
                 )
                 if variant is not None:
                     instance.cell = variant.cell_name
-        graph.remap()
+        graph.remap(graph.design.read_cells())
         assert_same_mapping(graph, TimingGraph(netlist, library))
     # a remap without changes keeps the state
-    graph.remap()
+    graph.remap(graph.design.read_cells())
     assert_same_mapping(graph, TimingGraph(netlist, library))

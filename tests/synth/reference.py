@@ -1,0 +1,322 @@
+"""The object-model sizing passes, kept as the sizer's reference.
+
+Production sizes on integer cell-id arrays
+(:class:`~repro.synth.synthesizer.Synthesizer`).  These functions are
+the same passes written over the netlist's :class:`Instance` objects:
+they read and write ``instance.cell`` one instance at a time, in
+netlist order, with every decision made in the loop.  Each takes the
+synthesizer whose graph, choices and constraints it reads, so a test
+can replay any production pass on the same state (see
+``tests/synth/test_sizer_replay.py``).
+"""
+
+from __future__ import annotations
+
+import math
+from typing import List, Tuple
+
+import numpy as np
+
+from repro.kernels.sta import worst_values
+from repro.synth.synthesizer import _EPS
+
+#: (instance, output net ids, non-clock input net ids) per instance.
+View = Tuple[object, List[int], List[int]]
+
+
+def instance_views(synth) -> List[View]:
+    """(instance, output net ids, non-clock input net ids)."""
+    graph = synth.graph
+    views = []
+    for instance in synth.netlist:
+        function = instance.function
+        outs = [graph.net_ids[instance.net_of(p)] for p in function.output_pins]
+        ins = [
+            graph.net_ids[instance.net_of(p)]
+            for p in function.input_pins
+            if p != function.clock_pin
+        ]
+        views.append((instance, outs, ins))
+    return views
+
+
+def slacks(result) -> List[float]:
+    return (result.required - result.arrival).tolist()
+
+
+def run_maxima(values: np.ndarray, starts: List[int]) -> List[float]:
+    """``max(0, max(run))`` of each run of ``values``."""
+    maxima = np.zeros(len(starts))
+    bounds = np.asarray(starts + [values.size], dtype=np.intp)
+    filled = bounds[:-1] < bounds[1:]
+    if filled.any():
+        maxima[filled] = np.maximum(
+            0.0, np.maximum.reduceat(values, bounds[:-1][filled])
+        )
+    return maxima.tolist()
+
+
+def presize(synth, utilization, critical_only, result) -> int:
+    choices = synth.choices
+    changes = 0
+    loads = synth.graph.loads.tolist()
+    slack_of = slacks(result) if critical_only else []
+    for instance, outs, _ins in instance_views(synth):
+        if critical_only:
+            if min(slack_of[o] for o in outs) >= -_EPS:
+                continue
+        load = max(loads[o] for o in outs)
+        candidate = choices.smallest_for_load(
+            instance.family, load / utilization, actual_load=load
+        )
+        if candidate.strength > choices.variant_of(instance.cell).strength:
+            instance.cell = candidate.cell_name
+            changes += 1
+    return changes
+
+
+def legalize_once(synth, result) -> int:
+    graph, choices = synth.graph, synth.choices
+    max_transition = synth.constraints.max_transition
+    loads, slews = graph.loads.tolist(), result.slew.tolist()
+    changes = 0
+    for instance, outs, ins in instance_views(synth):
+        variant = choices.variant_of(instance.cell)
+        load = max(loads[o] for o in outs)
+        if load > variant.max_load + _EPS:
+            candidate = choices.smallest_for_load(instance.family, load)
+            if candidate.strength > variant.strength:
+                instance.cell = candidate.cell_name
+                changes += 1
+                variant = candidate
+        if max(slews[o] for o in outs) > max_transition + _EPS:
+            up = choices.next_up(instance.cell)
+            if up is not None:
+                instance.cell = up.cell_name
+                changes += 1
+                variant = up
+        if not ins or math.isinf(variant.max_slew):
+            continue
+        for net_id in ins:
+            if slews[net_id] > variant.max_slew + _EPS:
+                driver = synth.netlist.net(graph.net_names[net_id]).driver
+                if driver is None or driver.instance is None:
+                    continue
+                driver_instance = synth.netlist.instance(driver.instance)
+                up = choices.next_up(driver_instance.cell)
+                if up is not None:
+                    driver_instance.cell = up.cell_name
+                    changes += 1
+    return changes
+
+
+def stage_values(synth, queries, result) -> List[Tuple[float, List[float]]]:
+    """Per ``(instance, cell name)``: stage delay and per-pin worst
+    output transitions, one batched lookup over the instance's arcs."""
+    graph = synth.graph
+    tables = graph.tables
+    slew_of = np.append(result.slew, synth.sta_config.clock_slew)
+    rows: List[int] = []
+    in_nets: List[int] = []
+    out_nets: List[int] = []
+    stage_starts: List[int] = []
+    pin_starts: List[int] = []
+    for instance, cell_name in queries:
+        function = instance.function
+        arcs = function.arcs()
+        stage_starts.append(len(rows))
+        pin_starts.extend(
+            len(rows)
+            + next((i for i, arc in enumerate(arcs) if arc[1] == pin), len(arcs))
+            for pin in function.output_pins
+        )
+        for input_pin, output_pin in arcs:
+            rows.append(tables.row(cell_name, output_pin, input_pin))
+            in_nets.append(
+                -1
+                if input_pin == function.clock_pin
+                else graph.net_ids[instance.net_of(input_pin)]
+            )
+            out_nets.append(graph.net_ids[instance.net_of(output_pin)])
+    index = np.asarray(rows, dtype=np.intp)
+    slews = slew_of[np.asarray(in_nets, dtype=np.intp)]
+    loads = graph.loads[np.asarray(out_nets, dtype=np.intp)]
+    values = worst_values(
+        tables,
+        np.concatenate([tables.delay[index], tables.transition[index]]),
+        np.concatenate([slews, slews]),
+        np.concatenate([loads, loads]),
+    )
+    delays = run_maxima(values[: index.size], stage_starts)
+    transitions = run_maxima(values[index.size:], pin_starts)
+    stages = []
+    pin = 0
+    for (instance, _cell_name), delay in zip(queries, delays):
+        n_pins = len(instance.function.output_pins)
+        stages.append((delay, transitions[pin:pin + n_pins]))
+        pin += n_pins
+    return stages
+
+
+def critical_moves(synth, result) -> List[Tuple[object, str, float]]:
+    choices = synth.choices
+    slack_of, loads = slacks(result), synth.graph.loads.tolist()
+    negative = []
+    for view in instance_views(synth):
+        slack = min(slack_of[o] for o in view[1])
+        if slack < -_EPS:
+            negative.append((slack, view))
+    negative.sort(key=lambda item: item[0])
+    moves = []
+    for _slack, (instance, outs, _ins) in negative[: synth._FINE_CANDIDATES]:
+        up = choices.next_up(instance.cell)
+        if up is None:
+            continue
+        load = max(loads[o] for o in outs)
+        if up.max_load + _EPS < load:
+            stronger = choices.smallest_for_load(instance.family, load)
+            if stronger.strength <= choices.variant_of(instance.cell).strength:
+                continue
+            up = stronger
+        moves.append((instance, up.cell_name))
+    stages = stage_values(
+        synth, [(instance, instance.cell) for instance, _up in moves] + moves, result
+    )
+    return [
+        (instance, up_cell, current - upsized)
+        for (instance, up_cell), (current, _), (upsized, _) in zip(
+            moves, stages, stages[len(moves):]
+        )
+        if current - upsized > 0
+    ]
+
+
+def penalty_terms(synth, instance, up_cell, result) -> List[Tuple[object, int, float]]:
+    """``(driver instance, net id, extra capacitance)`` per penalized
+    input pin of a move, in pin order."""
+    graph, netlist, library = synth.graph, synth.netlist, synth.library
+    slack_of = slacks(result)
+    old_pins = library.cell(instance.cell).pins
+    new_pins = library.cell(up_cell).pins
+    function = instance.function
+    terms = []
+    for pin in function.input_pins:
+        if pin == function.clock_pin:
+            continue
+        extra = new_pins[pin].capacitance - old_pins[pin].capacitance
+        if extra <= 0:
+            continue
+        net_id = graph.net_ids[instance.net_of(pin)]
+        if slack_of[net_id] >= -_EPS:
+            continue
+        driver = netlist.net(graph.net_names[net_id]).driver
+        if driver is None or driver.instance is None:
+            continue
+        terms.append((netlist.instance(driver.instance), net_id, extra))
+    return terms
+
+
+def driver_term(synth, driver, net_id, extra, result) -> float:
+    """The driver's stage-delay increase on ``net_id`` at its live cell
+    (one batched lookup over its arcs into the net)."""
+    graph = synth.graph
+    tables = graph.tables
+    function = driver.function
+    net_name = graph.net_names[net_id]
+    arcs = [
+        (input_pin, output_pin)
+        for input_pin, output_pin in function.arcs()
+        if driver.net_of(output_pin) == net_name
+    ]
+    if not arcs:
+        return 0.0
+    index = np.asarray(
+        [tables.row(driver.cell, output_pin, input_pin) for input_pin, output_pin in arcs],
+        dtype=np.intp,
+    )
+    slews = np.asarray(
+        [
+            synth.sta_config.clock_slew
+            if input_pin == function.clock_pin
+            else result.slew[graph.net_ids[driver.net_of(input_pin)]]
+            for input_pin, _output_pin in arcs
+        ]
+    )
+    load = float(graph.loads[net_id])
+    values = worst_values(
+        tables,
+        np.concatenate([tables.delay[index], tables.delay[index]]),
+        np.concatenate([slews, slews]),
+        np.asarray([load] * len(arcs) + [load + extra] * len(arcs)),
+    )
+    worst_old = max(0.0, float(values[: len(arcs)].max()))
+    worst_new = max(0.0, float(values[len(arcs):].max()))
+    return worst_new - worst_old
+
+
+def upsize_critical(synth, result) -> int:
+    """The TILOS pass with every penalty looked up live, when summed."""
+    changes = 0
+    moves = critical_moves(synth, result)
+    terms = [penalty_terms(synth, i, up, result) for i, up, _ in moves]
+    for (instance, up_cell, benefit), pins in zip(moves, terms):
+        total = 0.0
+        for driver, net_id, extra in pins:
+            total += driver_term(synth, driver, net_id, extra, result)
+            if total >= benefit:
+                break
+        if benefit > total:
+            instance.cell = up_cell
+            changes += 1
+    return changes
+
+
+def transition_legal_after_downsize(synth, instance, worst_by_pin) -> bool:
+    for output_pin, worst in zip(instance.function.output_pins, worst_by_pin):
+        if worst > synth.constraints.max_transition + _EPS:
+            return False
+        for sink in synth.netlist.net(instance.net_of(output_pin)).sinks:
+            if sink.instance is None:
+                continue
+            sink_variant = synth.choices.variant_of(
+                synth.netlist.instance(sink.instance).cell
+            )
+            if not math.isinf(sink_variant.max_slew) and (
+                worst > sink_variant.max_slew + _EPS
+            ):
+                return False
+    return True
+
+
+def downsize_pass(synth, result, margin) -> int:
+    """One area-recovery pass (without its remap and rollback)."""
+    moves = []
+    for view in instance_views(synth):
+        down = synth.choices.next_down(view[0].cell)
+        if down is not None:
+            moves.append((view, down))
+    stages = stage_values(
+        synth,
+        [(view[0], view[0].cell) for view, _down in moves]
+        + [(view[0], down.cell_name) for view, down in moves],
+        result,
+    )
+    loads, slews = synth.graph.loads.tolist(), result.slew.tolist()
+    slack_of = slacks(result)
+    changes = 0
+    for ((instance, outs, ins), down), (current, _), downsized in zip(
+        moves, stages, stages[len(moves):]
+    ):
+        if max(loads[o] for o in outs) > down.max_load + _EPS:
+            continue
+        if ins and not math.isinf(down.max_slew):
+            if max(slews[i] for i in ins) > down.max_slew + _EPS:
+                continue
+        if not transition_legal_after_downsize(synth, instance, downsized[1]):
+            continue
+        slack = min(slack_of[o] for o in outs)
+        if slack - (downsized[0] - current) < margin:
+            continue
+        instance.cell = down.cell_name
+        changes += 1
+    return changes

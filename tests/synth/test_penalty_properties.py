@@ -1,9 +1,10 @@
 """Batched TILOS penalty terms against the all-live scalar reference.
 
 ``Synthesizer._upsize_critical`` looks up every penalty term of a pass
-up front (``_penalty_terms``), for the driver's current cell and for
-the cell its own move may give it, and then sums the precomputed terms
-in pin order.  The reference below is the former per-move fold over
+up front (``_penalty_terms``, by array gathers over the design's cell
+ids), for the driver's current cell and for the cell its own move may
+give it, and then sums the precomputed terms in pin order.  The
+reference below is the former per-move fold over
 ``TimingArc.worst_delay`` with every cell read live.  Each fine-tuning
 pass of a synthesis is replayed with that reference: every term must
 equal it bit for bit — for drivers upsized earlier in the same pass
@@ -79,18 +80,33 @@ class ReplayedSynthesizer(Synthesizer):
         self.terms_checked = 0
         self.upsized_drivers = 0
 
-    def _upsize_critical(self, result, views):
-        netlist = self.netlist
+    def _upsize_critical(self, result):
+        netlist, design = self.netlist, self.graph.design
+        names = design.cells.names
+        design.write_cells(self.cells)
         before = {instance.name: instance.cell for instance in netlist}
-        moves = self._critical_moves(result, views)
-        batched = self._penalty_terms(moves, result)
-        for (instance, up_cell, benefit), pins in zip(moves, batched):
+        instances, ups, benefits = self._critical_moves(result)
+        term_ptr, drivers, at_current, at_upsized = self._penalty_terms(
+            instances, ups, result
+        )
+        move_up = dict(zip(instances.tolist(), ups.tolist()))
+        for move, (position, up, benefit) in enumerate(
+            zip(instances.tolist(), ups.tolist(), benefits.tolist())
+        ):
+            instance, up_cell = design.instances[position], names[up]
             live = reference_terms(self, instance, up_cell, result)
             driven = []
             for net_id, extra in live:
                 driver = netlist.net(self.graph.net_names[net_id]).driver
                 if driver is not None and driver.instance is not None:
                     driven.append((net_id, extra, netlist.instance(driver.instance)))
+            pins = []
+            for term in range(term_ptr[move], term_ptr[move + 1]):
+                driver = int(drivers[term])
+                term_of = {names[self.cells[driver]]: at_current[term]}
+                if driver in move_up:
+                    term_of[names[move_up[driver]]] = at_upsized[term]
+                pins.append((design.instances[driver], term_of))
             assert [d.name for _, _, d in driven] == [d.name for d, _ in pins]
             for (net_id, extra, driver), (_driver, term_of) in zip(driven, pins):
                 assert driver.cell in term_of
@@ -110,9 +126,8 @@ class ReplayedSynthesizer(Synthesizer):
             if benefit > penalty:
                 instance.cell = up_cell
         replayed = {instance.name: instance.cell for instance in netlist}
-        for instance in netlist:
-            instance.cell = before[instance.name]
-        changes = super()._upsize_critical(result, views)
+        changes = super()._upsize_critical(result)
+        design.write_cells(self.cells)
         assert {instance.name: instance.cell for instance in netlist} == replayed
         assert changes == sum(replayed[name] != cell for name, cell in before.items())
         return changes

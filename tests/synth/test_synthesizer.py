@@ -1,14 +1,18 @@
 """The synthesis loop on small designs."""
 
+import numpy as np
 import pytest
 
 from repro.core import LibraryTuner
+from repro.core.restriction import SlewLoadWindow
 from repro.errors import SynthesisError
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.simulate import simulate
 from repro.synth.constraints import SynthesisConstraints
+from repro.synth.mapping import CellChoices, initial_mapping
 from repro.synth.synthesizer import Synthesizer, synthesize
 from tests.kernels.reference import reference_kernels
+from tests.synth import reference
 
 
 def registered_adder(width=8):
@@ -117,6 +121,7 @@ class TestBatchedStageValues:
         sizer._rebuild_graph()
         timing = sizer._analyze()
         graph = sizer.graph
+        design = graph.design
         queries = []
         for instance in netlist:
             queries.append((instance, instance.cell))
@@ -126,11 +131,21 @@ class TestBatchedStageValues:
             ):
                 if variant is not None:
                     queries.append((instance, variant.cell_name))
+        positions = np.array([design.index[i.name] for i, _ in queries])
+        cell_ids = np.array([design.cells.index[cell] for _, cell in queries])
         if kernel == "scalar":
             with reference_kernels():
-                stages = sizer._stage_values(queries, timing)
+                delays, transitions, pin_ptr = sizer._stage_values(
+                    positions, cell_ids, timing
+                )
         else:
-            stages = sizer._stage_values(queries, timing)
+            delays, transitions, pin_ptr = sizer._stage_values(
+                positions, cell_ids, timing
+            )
+        stages = [
+            (delay, transitions[pin_ptr[q]:pin_ptr[q + 1]].tolist())
+            for q, delay in enumerate(delays.tolist())
+        ]
         assert len(stages) == len(queries)
         for (instance, cell_name), (delay, worst_by_pin) in zip(queries, stages):
             function = instance.function
@@ -209,3 +224,101 @@ class TestTunedSynthesis:
     def test_invalid_period_rejected(self):
         with pytest.raises(SynthesisError):
             SynthesisConstraints(clock_period=0.2, guard_band=0.3)
+
+
+class TestLegalizeRepeatedDriverUpsize:
+    """A driver whose net breaks the window max-slew of k sink
+    instances is upsized once per sink, k steps in one pass (capped at
+    its strongest variant).  This pins the behaviour, not an intent:
+    the repeated upsize moves synthesis results, so changing it is a
+    deliberate, golden-moving change."""
+
+    def fanout_design(self, k):
+        builder = NetlistBuilder(f"fan{k}")
+        builder.clock()
+        q = builder.dff(builder.input("d"))
+        driver = builder.nand(q, q)
+        regs = builder.register([builder.inv(driver) for _ in range(k)])
+        builder.output("y", regs[0])
+        netlist = builder.netlist
+        netlist.validate()
+        return netlist, netlist.net(driver).driver.instance
+
+    def slow_inverter_windows(self, library):
+        """Every output pin keeps a window; inverters accept almost no
+        input slew, so each inverter flags its driver."""
+        return {
+            (cell.name, pin.name): SlewLoadWindow(
+                0.0, 1e-4 if cell.name.startswith("INV") else 10.0, 0.0, 1.0
+            )
+            for cell in library
+            for pin in cell.output_pins()
+        }
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_driver_steps_up_once_per_slow_sink(self, statistical_library, k):
+        netlist, driver_name = self.fanout_design(k)
+        constraints = SynthesisConstraints(
+            clock_period=4.0, windows=self.slow_inverter_windows(statistical_library)
+        )
+        sizer = Synthesizer(netlist, statistical_library, constraints)
+        initial_mapping(netlist, sizer.choices)
+        sizer._rebuild_graph()
+        result = sizer._analyze()
+        design = sizer.graph.design
+        driver = design.index[driver_name]
+        variants = sizer.choices.variants(netlist.instance(driver_name).family)
+        assert len(variants) > k
+        before = sizer.cells.copy()
+        assert reference.legalize_once(sizer, result) == k
+        expected = design.read_cells()
+        changes = sizer._legalize_once(result)
+        names = design.cells.names
+        assert names[before[driver]] == variants[0].cell_name
+        assert names[sizer.cells[driver]] == variants[k].cell_name
+        # nothing else moves: only the inverters' windows are broken,
+        # and the NAND is their only driver
+        assert np.flatnonzero(sizer.cells != before).tolist() == [driver]
+        assert changes == k
+        assert np.array_equal(sizer.cells, expected)
+
+    def test_driver_upsized_before_its_turn_is_checked_with_its_new_cell(
+        self, statistical_library
+    ):
+        """Walk order puts the inverter first: it upsizes the NAND, whose
+        stronger variants accept almost no input slew, so the NAND —
+        unflagged at the pass's start — then flags its own driver, the
+        flip-flop on both of its inputs, which steps up twice."""
+        netlist, driver_name = self.fanout_design(1)
+        order = sorted(
+            netlist.instances.items(),
+            key=lambda item: (item[1].family != "INV", item[0] != driver_name),
+        )
+        netlist.instances = dict(order)
+        windows = self.slow_inverter_windows(statistical_library)
+        nand = netlist.instance(driver_name).family
+        weakest = CellChoices(
+            statistical_library, SynthesisConstraints(clock_period=4.0)
+        ).smallest(nand).cell_name
+        for (cell_name, pin), window in windows.items():
+            if cell_name.startswith(nand + "_") and cell_name != weakest:
+                windows[(cell_name, pin)] = SlewLoadWindow(0.0, 1e-4, 0.0, 1.0)
+        sizer = Synthesizer(
+            netlist, statistical_library,
+            SynthesisConstraints(clock_period=4.0, windows=windows),
+        )
+        initial_mapping(netlist, sizer.choices)
+        sizer._rebuild_graph()
+        result = sizer._analyze()
+        design = sizer.graph.design
+        flop = design.driver[design.in_nets[design.in_ptr[design.index[driver_name]]]]
+        before = sizer.cells.copy()
+        assert reference.legalize_once(sizer, result) == 3
+        expected = design.read_cells()
+        assert sizer._legalize_once(result) == 3
+        assert np.array_equal(sizer.cells, expected)
+        flop_family = sizer.choices.variants(design.instances[flop].family)
+        names = design.cells.names
+        assert names[before[flop]] == flop_family[0].cell_name
+        assert names[sizer.cells[flop]] == flop_family[2].cell_name
+
