@@ -26,8 +26,8 @@ from repro.flow.experiment import FlowConfig, TuningFlow
 from repro.netlist.generators.microcontroller import MicrocontrollerParams
 from repro.netlist.model import Netlist
 from repro.observe import Tracer, set_tracer
-from repro.sta.graph import TimingGraph
-from repro.synth.mapping import CellChoices, initial_mapping
+from repro.sta.graph import TimingGraph, cell_tables
+from repro.synth.mapping import VariantTables, initial_mapping
 from repro.synth.constraints import SynthesisConstraints
 
 #: Clock period of the relaxed baseline point (ns).
@@ -66,7 +66,9 @@ def measure() -> dict:
         Netlist.prune_dangling = prune  # type: ignore[method-assign]
 
     mapped = design.copy()
-    initial_mapping(mapped, CellChoices(library, SynthesisConstraints(PERIOD)))
+    initial_mapping(
+        mapped, VariantTables(cell_tables(library), SynthesisConstraints(PERIOD))
+    )
     start = time.perf_counter()
     TimingGraph(mapped, library)
     graph_s = time.perf_counter() - start

@@ -9,7 +9,7 @@ every cell on its own.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 from repro.cells.naming import parse_cell_name
 from repro.errors import TuningError
@@ -46,19 +46,3 @@ def cluster_individually(library: Library) -> Dict[str, List[Cell]]:
     if not clusters:
         raise TuningError(f"library {library.name} has no cells to cluster")
     return clusters
-
-
-def cluster_of(clusters: Dict[str, List[Cell]], cell: Cell) -> str:
-    """Find the cluster key containing ``cell``."""
-    for key, members in clusters.items():
-        if any(member.name == cell.name for member in members):
-            return key
-    raise TuningError(f"cell {cell.name} is in no cluster")
-
-
-def sigma_tables_of(cells: Iterable[Cell]):
-    """Yield every delay-sigma LUT of the given cells (all arcs)."""
-    for cell in cells:
-        for _pin, arc in cell.arcs():
-            for table in arc.sigma_tables():
-                yield table

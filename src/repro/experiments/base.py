@@ -103,7 +103,3 @@ class ExperimentContext:
     @property
     def high_performance_period(self) -> float:
         return self.standard_periods()["high"]
-
-    @property
-    def low_performance_period(self) -> float:
-        return self.standard_periods()["low"]

@@ -279,10 +279,6 @@ class Pin:
                 return arc
         raise LibertyError(f"pin {self.name}: no arc from {related_pin}")
 
-    def has_arc_from(self, related_pin: str) -> bool:
-        """True when an arc from ``related_pin`` exists on this pin."""
-        return any(arc.related_pin == related_pin for arc in self.timing)
-
 
 @dataclass
 class Cell:

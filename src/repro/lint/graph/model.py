@@ -27,7 +27,7 @@ Everything here is a value object: building happens in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 #: Prefix marking an external (non-tree) resolution key.
 EXTERNAL = "ext:"
@@ -175,18 +175,6 @@ class ProgramGraph:
     syntax_errors: Dict[str, Tuple[int, str]] = field(default_factory=dict)
 
     # -- lookups -------------------------------------------------------
-
-    def module_of_path(self, path: str) -> Optional[ModuleNode]:
-        """The module at a repo-relative path, if parsed."""
-        for node in self.modules.values():
-            if node.path == path:
-                return node
-        return None
-
-    def functions_of(self, module: str) -> List[FunctionNode]:
-        """Every function defined in ``module``, in line order."""
-        nodes = [f for f in self.functions.values() if f.module == module]
-        return sorted(nodes, key=lambda f: f.line)
 
     def callers_of(self, key: str) -> List[Tuple[FunctionNode, CallSite]]:
         """Every call site in the graph resolving to ``key``."""

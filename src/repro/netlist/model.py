@@ -319,17 +319,15 @@ class Netlist:
             )
         return order
 
-    def levelize(self, order: Optional[List[Instance]] = None) -> Dict[str, int]:
+    def levelize(self) -> Dict[str, int]:
         """Logic level (longest distance from a source) per instance.
 
         Sequential instances are level 0 (their outputs launch paths).
-        ``order`` is the :meth:`combinational_order` when the caller
-        already has it.
         """
         levels: Dict[str, int] = {
             instance.name: 0 for instance in self.sequential_instances()
         }
-        for instance in self.combinational_order() if order is None else order:
+        for instance in self.combinational_order():
             level = 0
             for pin in instance.function.input_pins:
                 driver = self.net(instance.net_of(pin)).driver

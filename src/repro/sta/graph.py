@@ -31,6 +31,7 @@ binds the instances' ``instance.cell`` names
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
@@ -94,7 +95,10 @@ class Endpoint:
 class CellTables:
     """Per-cell arrays of one library, indexed by cell id (library order).
 
-    A row is laid out in its family's pin and arc order
+    Every cell name is parsed here once, into its family and strength;
+    :class:`~repro.synth.mapping.VariantTables` builds the usable
+    variants from these lists and the windows.  A row is laid out in
+    its family's pin and arc order
     (``CellFunction.input_pins``, ``CellFunction.arcs()``), so every
     variant of a family shares one layout and an instance gathers the
     values of any of its variants with one index.  Absent entries (a
@@ -109,15 +113,28 @@ class CellTables:
         self.index: Dict[str, int] = {name: i for i, name in enumerate(self.names)}
         #: Cell id -> family name ("" when the name parses to none).
         self.families: List[str] = []
+        #: Cell id -> drive strength of its name (``nan`` with no family).
+        self.strength: List[float] = []
+        #: Cell id -> its output pins (``Cell.output_pins`` order), and
+        #: the smallest ``max_capacitance`` over them.
+        self.output_pins: List[Tuple[str, ...]] = []
+        self.max_capacitance: List[float] = []
         functions: List[Optional[CellFunction]] = []
         for cell in cells:
             try:
-                family = parse_cell_name(cell.name).family
+                name = parse_cell_name(cell.name)
+                family, strength = name.family, name.strength
                 function: Optional[CellFunction] = function_by_name(family)
             except CatalogError:
-                family, function = "", None
+                family, strength, function = "", math.nan, None
             self.families.append(family)
+            self.strength.append(strength)
             functions.append(function)
+            outputs = cell.output_pins()
+            self.output_pins.append(tuple(pin.name for pin in outputs))
+            self.max_capacitance.append(
+                min((pin.max_capacitance for pin in outputs), default=math.inf)
+            )
         known = [function for function in functions if function is not None]
         width = max((len(function.input_pins) for function in known), default=0)
         depth = max((len(function.arcs()) for function in known), default=0)

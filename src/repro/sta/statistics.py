@@ -141,11 +141,6 @@ class DesignStatistics:
     n_paths: int
     path_stats: tuple
 
-    @property
-    def worst_three_sigma(self) -> float:
-        """Worst per-path mu + 3 sigma across the design (Fig. 14)."""
-        return max(p.three_sigma for p in self.path_stats)
-
     def to_payload(self) -> dict:
         """JSON-serializable rendering (artifact pipeline)."""
         return {

@@ -4,7 +4,8 @@ The synthesizer stands in for the commercial tool of the paper's flow.
 Its contract matches what the experiments need:
 
 * bind every netlist instance to a drive-strength variant of its cell
-  family;
+  family, among the variants the windows leave usable
+  (:class:`~repro.synth.mapping.VariantTables`);
 * meet a clock constraint (minus the 300 ps guard band) by upsizing
   cells on violating paths and splitting heavy fanouts with inverter
   pairs;
@@ -15,12 +16,12 @@ Its contract matches what the experiments need:
 """
 
 from repro.synth.constraints import SynthesisConstraints
-from repro.synth.mapping import CellChoices, initial_mapping
+from repro.synth.mapping import VariantTables, initial_mapping
 from repro.synth.synthesizer import SynthesisResult, Synthesizer, synthesize
 
 __all__ = [
     "SynthesisConstraints",
-    "CellChoices",
+    "VariantTables",
     "initial_mapping",
     "SynthesisResult",
     "Synthesizer",

@@ -23,8 +23,6 @@ class SynthesisConstraints:
     guard_band: float = GUARD_BAND_NS
     #: Tuning windows; ``None`` = untuned baseline synthesis.
     windows: Optional[WindowMap] = None
-    #: Upsizing iterations before synthesis gives up on timing.
-    max_sizing_iterations: int = 40
     #: Buffering (topology) rounds; the loop exits early once a round
     #: creates nothing, so this is a cap, not a cost.
     max_buffer_rounds: int = 6
@@ -60,7 +58,8 @@ class SynthesisConstraints:
         return {
             "clock_period": self.clock_period,
             "guard_band": self.guard_band,
-            "max_sizing_iterations": self.max_sizing_iterations,
+            # a removed knob's old default, kept so stored synth keys hold
+            "max_sizing_iterations": 40,
             "max_buffer_rounds": self.max_buffer_rounds,
             "area_recovery_passes": self.area_recovery_passes,
             "downsize_margin": self.downsize_margin,

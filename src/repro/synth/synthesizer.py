@@ -56,7 +56,7 @@ from repro.sta.engine import TimingResult, analyze
 from repro.sta.graph import StaConfig, TimingGraph, cell_tables
 from repro.synth.buffering import plan_groups, split_fanout
 from repro.synth.constraints import SynthesisConstraints
-from repro.synth.mapping import CellChoices, VariantTables, initial_mapping
+from repro.synth.mapping import VariantTables, initial_mapping
 
 _EPS = 1e-9
 
@@ -118,8 +118,7 @@ class Synthesizer:
         self.library = library
         self.constraints = constraints
         self.sta_config = sta_config or StaConfig()
-        self.choices = CellChoices(library, constraints)
-        self.variants = VariantTables(self.choices, cell_tables(library).names)
+        self.variants = VariantTables(cell_tables(library), constraints)
         self.sizing_iterations = 0
         self.buffer_instances = 0
         self._graph: Optional[TimingGraph] = None
@@ -137,7 +136,7 @@ class Synthesizer:
         """Execute the full loop and return the final state."""
         tracer = get_tracer()
         with tracer.span("synth.map", instances=len(self.netlist)):
-            initial_mapping(self.netlist, self.choices)
+            initial_mapping(self.netlist, self.variants)
             self._rebuild_graph()
         with tracer.span("synth.size"):
             result = self._sizing_loop()
@@ -542,17 +541,18 @@ class Synthesizer:
 
     def _split_net(self, net_name: str, branch_load: float) -> List[str]:
         """Split one net into inverter-pair branches; returns new nets."""
-        choices = self.choices
-        inverter = choices.smallest("INV")
-        sink_cap = self.library.cell(inverter.cell_name).pin("A").capacitance
+        variants = self.variants
+        inverter = variants.names[variants.weakest("INV")]
+        sink_cap = self.library.cell(inverter).pin("A").capacitance
         load = self._net_load(net_name)
         n_groups = max(1, math.ceil(load / max(branch_load, _EPS)))
         sinks = list(self.netlist.net(net_name).sinks)
         kept, groups = plan_groups(sinks, n_groups)
-        buffer_cell = choices.smallest_for_load(
-            "INV", load / max(len(groups), 1) + sink_cap
-        )
-        created = split_fanout(self.netlist, net_name, groups, buffer_cell.cell_name)
+        buffer_cell = variants.smallest_for_load(
+            ["INV"], np.zeros(1, dtype=np.intp),
+            np.array([load / max(len(groups), 1) + sink_cap]),
+        )[0]
+        created = split_fanout(self.netlist, net_name, groups, variants.names[buffer_cell])
         self.buffer_instances += len(created)
         # the nets the new inverters drive may themselves be heavy
         return [
@@ -570,16 +570,19 @@ class Synthesizer:
         worklist, so a single round always converges to legal loads
         (buffer trees deepen as needed).
         """
-        graph, design, choices = self.graph, self.graph.design, self.choices
+        graph, design, variants = self.graph, self.graph.design, self.variants
+        # family -> the max_load of its strongest usable variant
+        capacity = {
+            family: float(variants.max_load[variants.strongest(family)])
+            for family in [*design.families, "INV"]
+        }
         created = 0
         # (net, driver family, force) per output pin, in instance and
         # pin order — force marks timing-driven splits whose load is
         # legal but slow
         owners = design.out_owner
         families = design.family_ids[owners]
-        strongest = np.array(
-            [choices.largest(family).max_load for family in design.families]
-        )
+        strongest = np.array([capacity[family] for family in design.families])
         loads = graph.loads[design.out_nets]
         illegal = loads > strongest[families] + _EPS
         # never re-split a net a previous round created for timing
@@ -604,14 +607,12 @@ class Synthesizer:
             )
         ]
 
-        inv_strongest = choices.largest("INV")
         while worklist:
             net_name, family, force = worklist.pop()
             if net_name in self._fanout_stuck:
                 continue
-            strongest = choices.largest(family)
             load = self._net_load(net_name)
-            if not force and load <= strongest.max_load + _EPS:
+            if not force and load <= capacity[family] + _EPS:
                 continue  # a requeued buffer net that turned out legal
             movable = sum(
                 1 for s in self.netlist.net(net_name).sinks if not s.is_port
@@ -621,7 +622,7 @@ class Synthesizer:
                 # be fixed by splitting; leave it to upsizing
                 self._fanout_stuck.add(net_name)
                 continue
-            branch_load = min(strongest.max_load, self._BRANCH_TARGET_LOAD)
+            branch_load = min(capacity[family], self._BRANCH_TARGET_LOAD)
             try:
                 new_nets = self._split_net(net_name, branch_load)
             except SynthesisError:
@@ -629,7 +630,7 @@ class Synthesizer:
                 continue
             created += len(new_nets)
             for new_net in new_nets:
-                if self._net_load(new_net) > inv_strongest.max_load + _EPS:
+                if self._net_load(new_net) > capacity["INV"] + _EPS:
                     worklist.append((new_net, "INV", False))
         return created
 

@@ -25,9 +25,9 @@ from repro.sta.engine import analyze
 from repro.sta.graph import TimingGraph
 from repro.synth.buffering import plan_groups, split_fanout
 from repro.synth.constraints import SynthesisConstraints
-from repro.synth.mapping import CellChoices
 from repro.synth.synthesizer import synthesize
 from tests.kernels.reference import reference_kernels
+from tests.synth.reference import CellChoices
 
 PERIOD = 2.5
 

@@ -1,11 +1,14 @@
-"""The object-model sizing passes, kept as the sizer's reference.
+"""The object-model cell choices and sizing passes, kept as references.
 
 Production sizes on integer cell-id arrays
-(:class:`~repro.synth.synthesizer.Synthesizer`).  These functions are
-the same passes written over the netlist's :class:`Instance` objects:
-they read and write ``instance.cell`` one instance at a time, in
-netlist order, with every decision made in the loop.  Each takes the
-synthesizer whose graph, choices and constraints it reads, so a test
+(:class:`~repro.synth.synthesizer.Synthesizer`) over the variants of
+:class:`~repro.synth.mapping.VariantTables`.  :class:`CellChoices` is
+the same variant rule built from the library's cell objects and name
+parsing (see ``tests/synth/test_mapping.py``), and the pass functions
+are the same passes written over the netlist's :class:`Instance`
+objects: they read and write ``instance.cell`` one instance at a time,
+in netlist order, with every decision made in the loop.  Each takes the
+synthesizer whose graph, library and constraints it reads, so a test
 can replay any production pass on the same state (see
 ``tests/synth/test_sizer_replay.py``).
 """
@@ -13,12 +16,136 @@ can replay any production pass on the same state (see
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.cells.naming import parse_cell_name
+from repro.errors import SynthesisError
 from repro.kernels.sta import worst_values
+from repro.liberty.model import Library
+from repro.synth.constraints import SynthesisConstraints
 from repro.synth.synthesizer import _EPS
+
+
+@dataclass(frozen=True)
+class Variant:
+    """One usable drive-strength variant of a family."""
+
+    cell_name: str
+    strength: float
+    #: Effective maximum load: min over output pins of window max_load
+    #: (when tuned) and the cell's own max_capacitance.
+    max_load: float
+    #: Effective maximum input slew (min over windows; inf untuned).
+    max_slew: float
+    area: float
+
+
+class CellChoices:
+    """Usable variants per family, sorted by drive strength."""
+
+    def __init__(self, library: Library, constraints: SynthesisConstraints):
+        self.library = library
+        self.constraints = constraints
+        self._variants: Dict[str, List[Variant]] = {}
+        for cell in library:
+            name = parse_cell_name(cell.name)
+            family = name.family
+            outputs = cell.output_pins()
+            output_pins = tuple(p.name for p in outputs)
+            if not constraints.is_cell_usable(cell.name, output_pins):
+                continue
+            max_load = min(p.max_capacitance for p in outputs)
+            max_slew = float("inf")
+            for pin in outputs:
+                window = constraints.window_for(cell.name, pin.name)
+                if window is not None:
+                    max_load = min(max_load, window.max_load)
+                    max_slew = min(max_slew, window.max_slew)
+            self._variants.setdefault(family, []).append(
+                Variant(
+                    cell_name=cell.name,
+                    strength=name.strength,
+                    max_load=max_load,
+                    max_slew=max_slew,
+                    area=cell.area,
+                )
+            )
+        for variants in self._variants.values():
+            variants.sort(key=lambda v: v.strength)
+        self._by_name: Dict[str, Tuple[str, int, Variant]] = {}
+        for family, variants in self._variants.items():
+            for position, variant in enumerate(variants):
+                self._by_name[variant.cell_name] = (family, position, variant)
+
+    def variants(self, family: str) -> List[Variant]:
+        """Usable variants of a family (ascending strength)."""
+        try:
+            variants = self._variants[family]
+        except KeyError:
+            raise SynthesisError(
+                f"tuning left no usable variant of family {family!r}; "
+                "the restriction is too tight to synthesize this design"
+            ) from None
+        return variants
+
+    def families(self) -> List[str]:
+        """Families with at least one usable variant."""
+        return sorted(self._variants)
+
+    def variant_of(self, cell_name: str) -> Variant:
+        """The variant record of a bound cell name."""
+        return self._lookup(cell_name)[2]
+
+    def next_up(self, cell_name: str) -> Optional[Variant]:
+        """The next stronger usable variant, or None at the top."""
+        family, position, _variant = self._lookup(cell_name)
+        variants = self._variants[family]
+        return variants[position + 1] if position + 1 < len(variants) else None
+
+    def next_down(self, cell_name: str) -> Optional[Variant]:
+        """The next weaker usable variant, or None at the bottom."""
+        family, position, _variant = self._lookup(cell_name)
+        return self._variants[family][position - 1] if position > 0 else None
+
+    def _lookup(self, cell_name: str) -> Tuple[str, int, Variant]:
+        try:
+            return self._by_name[cell_name]
+        except KeyError:
+            raise SynthesisError(
+                f"cell {cell_name} is not usable under the constraints"
+            ) from None
+
+    def smallest(self, family: str) -> Variant:
+        """Weakest usable variant of a family."""
+        return self.variants(family)[0]
+
+    def largest(self, family: str) -> Variant:
+        """Strongest usable variant of a family."""
+        return self.variants(family)[-1]
+
+    def smallest_for_load(
+        self, family: str, load: float, actual_load: Optional[float] = None
+    ) -> Variant:
+        """Weakest variant legally driving ``load``, else the weakest
+        driving ``actual_load`` when that is smaller, else the
+        strongest."""
+        for variant in self.variants(family):
+            if variant.max_load >= load:
+                return variant
+        if actual_load is not None and actual_load < load:
+            for variant in self.variants(family):
+                if variant.max_load >= actual_load:
+                    return variant
+        return self.largest(family)
+
+
+def choices_of(synth) -> CellChoices:
+    """The reference choices under the synthesizer's library and
+    constraints."""
+    return CellChoices(synth.library, synth.constraints)
 
 #: (instance, output net ids, non-clock input net ids) per instance.
 View = Tuple[object, List[int], List[int]]
@@ -57,7 +184,7 @@ def run_maxima(values: np.ndarray, starts: List[int]) -> List[float]:
 
 
 def presize(synth, utilization, critical_only, result) -> int:
-    choices = synth.choices
+    choices = choices_of(synth)
     changes = 0
     loads = synth.graph.loads.tolist()
     slack_of = slacks(result) if critical_only else []
@@ -76,7 +203,7 @@ def presize(synth, utilization, critical_only, result) -> int:
 
 
 def legalize_once(synth, result) -> int:
-    graph, choices = synth.graph, synth.choices
+    graph, choices = synth.graph, choices_of(synth)
     max_transition = synth.constraints.max_transition
     loads, slews = graph.loads.tolist(), result.slew.tolist()
     changes = 0
@@ -159,7 +286,7 @@ def stage_values(synth, queries, result) -> List[Tuple[float, List[float]]]:
 
 
 def critical_moves(synth, result) -> List[Tuple[object, str, float]]:
-    choices = synth.choices
+    choices = choices_of(synth)
     slack_of, loads = slacks(result), synth.graph.loads.tolist()
     negative = []
     for view in instance_views(synth):
@@ -271,14 +398,14 @@ def upsize_critical(synth, result) -> int:
     return changes
 
 
-def transition_legal_after_downsize(synth, instance, worst_by_pin) -> bool:
+def transition_legal_after_downsize(synth, choices, instance, worst_by_pin) -> bool:
     for output_pin, worst in zip(instance.function.output_pins, worst_by_pin):
         if worst > synth.constraints.max_transition + _EPS:
             return False
         for sink in synth.netlist.net(instance.net_of(output_pin)).sinks:
             if sink.instance is None:
                 continue
-            sink_variant = synth.choices.variant_of(
+            sink_variant = choices.variant_of(
                 synth.netlist.instance(sink.instance).cell
             )
             if not math.isinf(sink_variant.max_slew) and (
@@ -290,9 +417,10 @@ def transition_legal_after_downsize(synth, instance, worst_by_pin) -> bool:
 
 def downsize_pass(synth, result, margin) -> int:
     """One area-recovery pass (without its remap and rollback)."""
+    choices = choices_of(synth)
     moves = []
     for view in instance_views(synth):
-        down = synth.choices.next_down(view[0].cell)
+        down = choices.next_down(view[0].cell)
         if down is not None:
             moves.append((view, down))
     stages = stage_values(
@@ -312,7 +440,7 @@ def downsize_pass(synth, result, margin) -> int:
         if ins and not math.isinf(down.max_slew):
             if max(slews[i] for i in ins) > down.max_slew + _EPS:
                 continue
-        if not transition_legal_after_downsize(synth, instance, downsized[1]):
+        if not transition_legal_after_downsize(synth, choices, instance, downsized[1]):
             continue
         slack = min(slack_of[o] for o in outs)
         if slack - (downsized[0] - current) < margin:

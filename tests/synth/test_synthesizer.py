@@ -9,7 +9,7 @@ from repro.errors import SynthesisError
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.simulate import simulate
 from repro.synth.constraints import SynthesisConstraints
-from repro.synth.mapping import CellChoices, initial_mapping
+from repro.synth.mapping import initial_mapping
 from repro.synth.synthesizer import Synthesizer, synthesize
 from tests.kernels.reference import reference_kernels
 from tests.synth import reference
@@ -122,12 +122,13 @@ class TestBatchedStageValues:
         timing = sizer._analyze()
         graph = sizer.graph
         design = graph.design
+        choices = reference.choices_of(sizer)
         queries = []
         for instance in netlist:
             queries.append((instance, instance.cell))
             for variant in (
-                sizer.choices.next_up(instance.cell),
-                sizer.choices.next_down(instance.cell),
+                choices.next_up(instance.cell),
+                choices.next_down(instance.cell),
             ):
                 if variant is not None:
                     queries.append((instance, variant.cell_name))
@@ -262,12 +263,12 @@ class TestLegalizeRepeatedDriverUpsize:
             clock_period=4.0, windows=self.slow_inverter_windows(statistical_library)
         )
         sizer = Synthesizer(netlist, statistical_library, constraints)
-        initial_mapping(netlist, sizer.choices)
+        initial_mapping(netlist, sizer.variants)
         sizer._rebuild_graph()
         result = sizer._analyze()
         design = sizer.graph.design
         driver = design.index[driver_name]
-        variants = sizer.choices.variants(netlist.instance(driver_name).family)
+        variants = reference.choices_of(sizer).variants(netlist.instance(driver_name).family)
         assert len(variants) > k
         before = sizer.cells.copy()
         assert reference.legalize_once(sizer, result) == k
@@ -297,7 +298,7 @@ class TestLegalizeRepeatedDriverUpsize:
         netlist.instances = dict(order)
         windows = self.slow_inverter_windows(statistical_library)
         nand = netlist.instance(driver_name).family
-        weakest = CellChoices(
+        weakest = reference.CellChoices(
             statistical_library, SynthesisConstraints(clock_period=4.0)
         ).smallest(nand).cell_name
         for (cell_name, pin), window in windows.items():
@@ -307,7 +308,7 @@ class TestLegalizeRepeatedDriverUpsize:
             netlist, statistical_library,
             SynthesisConstraints(clock_period=4.0, windows=windows),
         )
-        initial_mapping(netlist, sizer.choices)
+        initial_mapping(netlist, sizer.variants)
         sizer._rebuild_graph()
         result = sizer._analyze()
         design = sizer.graph.design
@@ -317,7 +318,7 @@ class TestLegalizeRepeatedDriverUpsize:
         expected = design.read_cells()
         assert sizer._legalize_once(result) == 3
         assert np.array_equal(sizer.cells, expected)
-        flop_family = sizer.choices.variants(design.instances[flop].family)
+        flop_family = reference.choices_of(sizer).variants(design.instances[flop].family)
         names = design.cells.names
         assert names[before[flop]] == flop_family[0].cell_name
         assert names[sizer.cells[flop]] == flop_family[2].cell_name
