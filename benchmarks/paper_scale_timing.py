@@ -5,28 +5,34 @@
 Builds the paper-scale evaluation design (~18k gates), one timing graph
 of it, and one relaxed baseline point (a 4.0 ns clock: synthesis, worst
 paths and design statistics) against the tiny flow's 10-sample
-statistical library, with no artifact store.  It prints each wall time
-and the point's deterministic work counters.
+statistical library, with no artifact store.  It then extracts the
+point's worst paths once more and writes them as a ``paths`` artifact
+to a temporary store.  It prints each wall time and the point's
+deterministic work counters.
 
 This is a script, not a benchmark workload: wall times are printed,
 never gated.  ``--check`` compares the deterministic counts (design
 instances, instances removed as dangling, synthesized instances, sizing
-iterations, full STA passes) with :data:`EXPECTED` and exits 1 when one
-differs.
+iterations, full STA passes, worst paths and their steps) with
+:data:`EXPECTED` and exits 1 when one differs.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 import time
 from dataclasses import replace
+from pathlib import Path
 
 from repro.flow.experiment import FlowConfig, TuningFlow
 from repro.netlist.generators.microcontroller import MicrocontrollerParams
 from repro.netlist.model import Netlist
 from repro.observe import Tracer, set_tracer
+from repro.parallel.artifacts import ArtifactStore
 from repro.sta.graph import TimingGraph, cell_tables
+from repro.sta.paths import extract_worst_paths
 from repro.synth.mapping import VariantTables, initial_mapping
 from repro.synth.constraints import SynthesisConstraints
 
@@ -40,6 +46,8 @@ EXPECTED = {
     "synth.instances": 18148,
     "synth.sizing_iterations": 10,
     "sta.analyze_calls": 12,
+    "paths.count": 3547,
+    "paths.steps": 67674,
 }
 
 
@@ -82,6 +90,14 @@ def measure() -> dict:
     finally:
         set_tracer(previous)
     counters = tracer.counters()
+
+    start = time.perf_counter()
+    paths = extract_worst_paths(run.timing)
+    extract_s = time.perf_counter() - start
+    with tempfile.TemporaryDirectory() as directory:
+        start = time.perf_counter()
+        ArtifactStore(Path(directory)).store("paths", "0" * 64, paths.to_arrays())
+        write_s = time.perf_counter() - start
     return {
         "counts": {
             "design.instances": len(design),
@@ -89,11 +105,15 @@ def measure() -> dict:
             "synth.instances": run.n_instances,
             "synth.sizing_iterations": int(counters.get("synth.sizing_iterations", 0)),
             "sta.analyze_calls": int(counters.get("sta.analyze_calls", 0)),
+            "paths.count": len(run.paths),
+            "paths.steps": int(run.paths.depths.sum()),
         },
         "seconds": {
             "design build": build_s,
             "timing graph build": graph_s,
             f"relaxed {PERIOD} ns point": point_s,
+            "worst-path extraction": extract_s,
+            "paths artifact write": write_s,
         },
         "met": run.met,
     }
@@ -108,7 +128,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     report = measure()
     for name, seconds in report["seconds"].items():
-        print(f"{name:<24} {seconds:8.2f} s")
+        print(f"{name:<24} {seconds:8.3f} s")
     print(f"{'point met':<24} {report['met']}")
     for name, value in report["counts"].items():
         print(f"{name:<24} {value:8d}")

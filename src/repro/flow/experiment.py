@@ -68,7 +68,7 @@ from repro.netlist.generators.microcontroller import (
 from repro.netlist.model import Netlist
 from repro.sta.engine import TimingResult
 from repro.sta.graph import StaConfig
-from repro.sta.paths import TimingPath, extract_worst_paths
+from repro.sta.paths import WorstPaths, depth_histogram, extract_worst_paths
 from repro.sta.statistics import DesignStatistics, design_statistics
 from repro.synth.constraints import SynthesisConstraints
 from repro.synth.synthesizer import SynthesisResult, synthesize
@@ -347,7 +347,7 @@ class SynthesisRun:
 
     clock_period: float
     summary: RunSummary
-    paths: List[TimingPath]
+    paths: WorstPaths
     stats: DesignStatistics
     #: Live-synthesis handle; ``None`` when served from the store.
     result: Optional[SynthesisResult] = None
@@ -387,19 +387,13 @@ class SynthesisRun:
 
     def depth_histogram(self) -> Dict[int, int]:
         """Worst-path count per depth (paper Fig. 12)."""
-        histogram: Dict[int, int] = {}
-        for path in self.paths:
-            histogram[path.depth] = histogram.get(path.depth, 0) + 1
-        return dict(sorted(histogram.items()))
+        return depth_histogram(self.paths)
 
 
 #: The run chain's payload codecs: stage -> (encode, decode).
 _RUN_CODECS = {
     "synth": (RunSummary.to_payload, RunSummary.from_payload),
-    "paths": (
-        lambda paths: [path.to_payload() for path in paths],
-        lambda payload: [TimingPath.from_payload(item) for item in payload],
-    ),
+    "paths": (WorstPaths.to_arrays, WorstPaths.from_arrays),
     "stats": (DesignStatistics.to_payload, DesignStatistics.from_payload),
 }
 
@@ -689,7 +683,7 @@ class TuningFlow:
             )
             return RunSummary.from_result(live["result"])
 
-        def worst_paths() -> List[TimingPath]:
+        def worst_paths() -> WorstPaths:
             live["paths"] = extract_worst_paths(live["result"].timing)
             return live["paths"]
 

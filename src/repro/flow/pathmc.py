@@ -23,7 +23,7 @@ from repro.cells.catalog import CellSpec
 from repro.characterization.delaymodel import GateDelayModel
 from repro.characterization.devices import network_geometry
 from repro.errors import ReproError
-from repro.sta.paths import TimingPath
+from repro.sta.paths import TimingPath, WorstPaths
 from repro.variation.montecarlo import GlobalSigmas
 from repro.variation.pelgrom import PelgromModel
 from repro.variation.process import Corner, TechnologyParams, typical_corner
@@ -131,17 +131,19 @@ class PathMonteCarlo:
 
 
 def pick_paths_by_depth(
-    paths: Sequence[TimingPath], targets: Sequence[int] = (3, 18, 57)
+    paths: WorstPaths, targets: Sequence[int] = (3, 18, 57)
 ) -> List[TimingPath]:
     """The paper's short/medium/long selection: paths whose depths are
-    closest to the requested targets, preferring distinct paths."""
-    if not paths:
+    closest to the requested targets, preferring distinct paths (the
+    first in endpoint order on ties).  Only the chosen paths are built."""
+    if not len(paths):
         raise ReproError("no paths to choose from")
-    remaining = list(paths)
-    chosen: List[TimingPath] = []
+    depths = paths.depths.tolist()
+    remaining = list(range(len(depths)))
+    chosen: List[int] = []
     for target in targets:
-        best = min(remaining, key=lambda p: abs(p.depth - target))
+        best = min(remaining, key=lambda index: abs(depths[index] - target))
         chosen.append(best)
         if len(remaining) > 1:
             remaining.remove(best)
-    return chosen
+    return [paths[index] for index in chosen]

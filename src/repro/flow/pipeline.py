@@ -26,7 +26,7 @@ Layout under ``$REPRO_CACHE_DIR`` (or ``~/.cache/repro``)::
     samples-<key>.npz         per-sample MC libraries (stacked LUT arrays)
     tuning-<key>.json.gz      TuningResult             (windows, thresholds)
     synth-<key>.json.gz       RunSummary               (met, area, histogram)
-    paths-<key>.json.gz       worst endpoint paths     (full step data)
+    paths-<key>.npz           WorstPaths               (step arrays + name table)
     stats-<key>.json.gz       DesignStatistics         (eq. 11 roll-up)
     minperiod-<key>.json.gz   minimum-period search    (one float)
 
@@ -218,9 +218,9 @@ def minperiod_fingerprint(
 #: How a stage's live value crosses the store: ``load(key)`` returns
 #: the stored value, or ``None`` on a miss (an entry that cannot be
 #: read back or decoded heals into one); ``save(key, value)`` persists
-#: a computed value.  :meth:`ArtifactPipeline.payload` builds the JSON
-#: stages' codec; :meth:`repro.parallel.cache.LibraryCache.codec` the
-#: library stages'.
+#: a computed value.  :meth:`ArtifactPipeline.payload` builds the run
+#: and tuning stages' codecs; :meth:`repro.parallel.cache.LibraryCache.
+#: codec` the library stages'.
 Codec = Tuple[Callable[[str], Optional[Any]], Callable[[str, Any], Any]]
 
 #: One stage of a chain: ``(stage, key, compute, codec)``.  A
@@ -270,8 +270,9 @@ class ArtifactPipeline:
         encode: Callable[[Any], Any],
         decode: Callable[[Any], Any],
     ) -> Codec:
-        """The JSON codec of ``stage``: ``encode``/``decode`` translate
-        between the live value and its payload.  A payload ``decode``
+        """The codec of ``stage``: ``encode``/``decode`` translate
+        between the live value and its payload (a JSON document, or a
+        dict of arrays for an ``.npz`` stage).  A payload ``decode``
         rejects heals into a miss like a torn file."""
         return (
             lambda key: self.store.load(stage, key, decode),

@@ -7,13 +7,14 @@ that can change the stage's output.  :data:`STAGES` declares each stage
 once — its codec and its fingerprinted inputs — and both the one key
 derivation, :func:`stage_fingerprint`, and the store read that row:
 
-* the characterized libraries (``stat``, ``samples``) are dicts of
-  numpy arrays, stored with :func:`numpy.savez_compressed` as
-  ``.npz`` — the envelope rides along as a ``__meta__`` array;
+* the characterized libraries (``stat``, ``samples``) and the worst
+  paths (``paths``, :meth:`repro.sta.paths.WorstPaths.to_arrays`) are
+  dicts of numpy arrays, stored with :func:`numpy.savez_compressed` as
+  ``.npz`` and read back with ``allow_pickle=False`` — the envelope
+  rides along as a ``__meta__`` array;
 * every other stored stage (tuning windows, synthesis-run summaries,
-  worst paths, design statistics, the minimum-period search) is
-  gzip-compressed canonical JSON, ``.json.gz``, with the payload inside
-  the envelope;
+  design statistics, the minimum-period search) is gzip-compressed
+  canonical JSON, ``.json.gz``, with the payload inside the envelope;
 * ``catalog`` and ``design`` are keyed but never stored (no codec).
 
 The envelope is ``{version, stage, key}``.  Both codecs share one
@@ -84,7 +85,7 @@ STAGES: Dict[str, Stage] = {
     "samples": _row(".npz", _CHARACTERIZATION, tag="kind"),
     "tuning": _row(".json.gz", "statlib method parameter"),
     "synth": _row(".json.gz", "statlib design windows constraints sta"),
-    "paths": _row(".json.gz", "synth"),
+    "paths": _row(".npz", "synth"),
     "stats": _row(".json.gz", "synth rho"),
     "minperiod": _row(".json.gz", "statlib design guard_band resolution probe sta"),
 }

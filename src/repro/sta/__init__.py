@@ -16,7 +16,7 @@ Worst-case (single-value) NLDM STA over a mapped netlist:
 
 from repro.sta.graph import StaConfig, TimingGraph
 from repro.sta.engine import TimingResult, analyze
-from repro.sta.paths import PathStep, TimingPath, extract_worst_paths
+from repro.sta.paths import PathStep, TimingPath, WorstPaths, extract_worst_paths
 from repro.sta.statistics import (
     DesignStatistics,
     PathStatistics,
@@ -32,6 +32,7 @@ __all__ = [
     "analyze",
     "PathStep",
     "TimingPath",
+    "WorstPaths",
     "extract_worst_paths",
     "DesignStatistics",
     "PathStatistics",

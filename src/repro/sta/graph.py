@@ -72,25 +72,6 @@ class Endpoint:
     #: Setup time to subtract from the required time (FF endpoints).
     setup: float = 0.0
 
-    def to_payload(self) -> dict:
-        """JSON-serializable rendering (artifact pipeline)."""
-        return {
-            "net_id": self.net_id,
-            "kind": self.kind,
-            "name": self.name,
-            "setup": self.setup,
-        }
-
-    @staticmethod
-    def from_payload(payload: dict) -> "Endpoint":
-        """Rebuild an endpoint stored with :meth:`to_payload`."""
-        return Endpoint(
-            net_id=int(payload["net_id"]),
-            kind=payload["kind"],
-            name=payload["name"],
-            setup=float(payload["setup"]),
-        )
-
 
 class CellTables:
     """Per-cell arrays of one library, indexed by cell id (library order).
@@ -474,31 +455,26 @@ class TimingGraph:
             raise TimingError("design has no timing endpoints")
         self._endpoint_owners = np.asarray(endpoint_owners, dtype=np.intp)
 
+        # the graph's arcs are the design arcs of the combinational
+        # instances, instance by instance in topological order
         order, levels = design.levelized_order()
-        arc_ptr, family_ids = design.arc_ptr.tolist(), design.family_ids.tolist()
-        positions: List[int] = []
-        arc_level: List[int] = []
-        self.arc_instance: List[str] = []
-        self.arc_related: List[str] = []
-        self.arc_out_pin: List[str] = []
-        for position in order:
-            layout = design.layouts[family_ids[position]]
-            first, stop = arc_ptr[position], arc_ptr[position + 1]
-            positions.extend(range(first, stop))
-            arc_level.extend([levels[position]] * (stop - first))
-            self.arc_instance.extend([design.instances[position].name] * (stop - first))
-            self.arc_related.extend(layout.arc_inputs)
-            self.arc_out_pin.extend(layout.arc_outputs)
+        ordered = np.asarray(order, dtype=np.intp)
+        starts = design.arc_ptr[ordered]
+        counts = design.arc_ptr[ordered + 1] - starts
+        positions = np.arange(counts.sum()) + np.repeat(
+            starts - (np.cumsum(counts) - counts), counts
+        )
 
         # per graph arc: its design instance and its place in that
-        # instance's arcs, which address its row in CellTables.arc_rows
-        positions_array = np.asarray(positions, dtype=np.intp)
-        self._arc_owners = design.arc_owner[positions_array]
-        self._arc_slots = design.arc_slot[positions_array]
-        self.arc_src = design.arc_src[positions_array].astype(np.int64)
-        self.arc_dst = design.arc_dst[positions_array].astype(np.int64)
-        self.arc_level = np.asarray(arc_level, dtype=np.int64)
-        self.n_arcs = len(positions)
+        # instance's arcs (its pins in the family layout's
+        # ``arc_inputs``/``arc_outputs``), which address its row in
+        # CellTables.arc_rows
+        self.arc_owners = design.arc_owner[positions]
+        self.arc_slots = design.arc_slot[positions]
+        self.arc_src = design.arc_src[positions].astype(np.int64)
+        self.arc_dst = design.arc_dst[positions].astype(np.int64)
+        self.arc_level = np.repeat(np.asarray(levels, dtype=np.int64)[ordered], counts)
+        self.n_arcs = positions.size
 
         # level schedule: (arc indices, src nets, dst nets) per level,
         # ascending; arcs of one level never feed each other
@@ -511,11 +487,6 @@ class TimingGraph:
         self.endpoint_net_ids = np.array(
             [endpoint.net_id for endpoint in self._endpoint_sites], dtype=np.int64
         )
-
-        incoming: Dict[int, List[int]] = {}
-        for index, dst in enumerate(self.arc_dst.tolist()):
-            incoming.setdefault(dst, []).append(index)
-        self.incoming_arcs = incoming
 
         # the loads' static part: per-fanout wire and output ports
         config = self.config
@@ -555,7 +526,7 @@ class TimingGraph:
         """
         cell_ids = np.array(cell_ids, dtype=np.intp)
         design, cells = self.design, self.design.cells
-        arc_owners, arc_slots = self._arc_owners, self._arc_slots
+        arc_owners, arc_slots = self.arc_owners, self.arc_slots
         first = self.cell_ids is None
         changed = np.ones(len(design), dtype=bool) if first else cell_ids != self.cell_ids
         self.cell_ids = cell_ids

@@ -3,15 +3,27 @@
 The paper's design-level metrics (Sec. V, eq. 11, Figs. 12-14) are
 built on "the worst case paths connected to a unique endpoint": for
 every flip-flop data pin and every output port, the single
-maximum-arrival path feeding it.  Paths are reconstructed by walking
-the timing graph backwards along the arcs that realized each net's
-arrival time.
+maximum-arrival path feeding it.
+
+Extraction is array work over what :func:`~repro.sta.engine.analyze`
+returns.  One vectorized pass picks each net's realizing incoming arc:
+the arc maximizing ``arrival[src] + arc_delay``, the lowest arc index
+on ties.  Every endpoint then walks back along those picks, all of them
+one step per iteration, and a path ending at a launch net gets the
+flip-flop's clock->Q step first.  The result is a :class:`WorstPaths`:
+per path a run of steps (CSR offsets); per step its delay, slew, load,
+launch flag and six names, as indices into one table of the names the
+paths use.  That is also the ``paths`` stage's stored form (an ``.npz``
+of :meth:`WorstPaths.to_arrays`), and
+:func:`~repro.sta.statistics.design_statistics` reads it directly.  The
+object model (:class:`TimingPath` of :class:`PathStep`) is built only
+for the paths a caller reads: an index, a slice or an iteration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -20,6 +32,15 @@ from repro.sta.engine import TimingResult
 from repro.sta.graph import Endpoint
 
 _TOLERANCE = 1e-9
+
+#: The six names of a step: the columns of :attr:`WorstPaths.names`,
+#: in :class:`PathStep` field order.
+STEP_NAMES = ("instance", "cell_name", "related_pin", "out_pin", "input_net", "output_net")
+
+#: Per-net pick codes that are not an arc index: a source net (no
+#: incoming arc), a net whose incoming arcs are all ``-inf``/``nan``,
+#: and a net whose best incoming arc falls short of its arrival.
+_SOURCE, _NO_FINITE, _INCONSISTENT = -1, -2, -3
 
 
 @dataclass(frozen=True)
@@ -41,37 +62,6 @@ class PathStep:
     #: True for the launching flip-flop's clock->Q step.
     is_launch: bool = False
 
-    def to_payload(self) -> dict:
-        """JSON-serializable rendering (artifact pipeline)."""
-        return {
-            "instance": self.instance,
-            "cell_name": self.cell_name,
-            "related_pin": self.related_pin,
-            "out_pin": self.out_pin,
-            "input_net": self.input_net,
-            "output_net": self.output_net,
-            "delay": self.delay,
-            "slew": self.slew,
-            "load": self.load,
-            "is_launch": self.is_launch,
-        }
-
-    @staticmethod
-    def from_payload(payload: dict) -> "PathStep":
-        """Rebuild a step stored with :meth:`to_payload`."""
-        return PathStep(
-            instance=payload["instance"],
-            cell_name=payload["cell_name"],
-            related_pin=payload["related_pin"],
-            out_pin=payload["out_pin"],
-            input_net=payload["input_net"],
-            output_net=payload["output_net"],
-            delay=float(payload["delay"]),
-            slew=float(payload["slew"]),
-            load=float(payload["load"]),
-            is_launch=bool(payload["is_launch"]),
-        )
-
 
 @dataclass
 class TimingPath:
@@ -91,125 +81,298 @@ class TimingPath:
         """Number of cells on the path (launching FF included)."""
         return len(self.steps)
 
-    def delays(self) -> np.ndarray:
-        """Per-step delays (ns)."""
-        return np.array([step.delay for step in self.steps])
 
-    def to_payload(self) -> dict:
-        """JSON-serializable rendering (artifact pipeline).
+@dataclass(frozen=True, eq=False)
+class WorstPaths:
+    """The worst path of each endpoint, as arrays.
 
-        Floats survive the JSON round trip bit-exactly, so a path
-        rebuilt with :meth:`from_payload` compares equal (``==``) to
-        the one extracted from the live timing graph.
-        """
-        return {
-            "endpoint": self.endpoint.to_payload(),
-            "steps": [step.to_payload() for step in self.steps],
-            "arrival": self.arrival,
-            "required": self.required,
-        }
+    Per path ``i`` (endpoint order): its :class:`Endpoint` fields, its
+    arrival and required times, and its steps
+    ``offsets[i]:offsets[i + 1]``, launch step first.  Per step: its
+    delay, slew and load, whether it is the launch, and its
+    :data:`STEP_NAMES` as a row of ``names``, indices into ``strings``
+    (the sorted names the paths use).  Indexing, slicing and iterating
+    build :class:`TimingPath` objects; ``==`` compares the arrays.
+    """
+
+    endpoint_nets: np.ndarray
+    endpoint_kinds: np.ndarray
+    endpoint_names: np.ndarray
+    setups: np.ndarray
+    arrival: np.ndarray
+    required: np.ndarray
+    offsets: np.ndarray
+    delay: np.ndarray
+    slew: np.ndarray
+    load: np.ndarray
+    launch: np.ndarray
+    names: np.ndarray
+    strings: np.ndarray
+
+    def __len__(self) -> int:
+        return self.endpoint_nets.size
+
+    @property
+    def depths(self) -> np.ndarray:
+        """Cells per path (launching flip-flop included)."""
+        return np.diff(self.offsets)
+
+    def path(self, index: int) -> TimingPath:
+        """Path ``index`` as a :class:`TimingPath`."""
+        index = range(len(self))[index]
+        start, stop = self.offsets[index:index + 2].tolist()
+        steps = [
+            PathStep(*names, delay, slew, load, launch)
+            for names, delay, slew, load, launch in zip(
+                self.strings[self.names[start:stop]].tolist(),
+                self.delay[start:stop].tolist(),
+                self.slew[start:stop].tolist(),
+                self.load[start:stop].tolist(),
+                self.launch[start:stop].tolist(),
+            )
+        ]
+        endpoint = Endpoint(
+            int(self.endpoint_nets[index]),
+            str(self.endpoint_kinds[index]),
+            str(self.endpoint_names[index]),
+            float(self.setups[index]),
+        )
+        return TimingPath(
+            endpoint, steps, float(self.arrival[index]), float(self.required[index])
+        )
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[TimingPath, List[TimingPath]]:
+        if isinstance(index, slice):
+            return [self.path(i) for i in range(len(self))[index]]
+        return self.path(index)
+
+    def __iter__(self) -> Iterator[TimingPath]:
+        return (self.path(i) for i in range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WorstPaths):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in _ARRAYS
+        )
+
+    def to_arrays(self) -> Dict[str, np.ndarray]:
+        """The arrays by field name (the stored ``.npz`` form)."""
+        return {name: getattr(self, name) for name in _ARRAYS}
 
     @staticmethod
-    def from_payload(payload: dict) -> "TimingPath":
-        """Rebuild a path stored with :meth:`to_payload`."""
-        return TimingPath(
-            endpoint=Endpoint.from_payload(payload["endpoint"]),
-            steps=[PathStep.from_payload(step) for step in payload["steps"]],
-            arrival=float(payload["arrival"]),
-            required=float(payload["required"]),
-        )
+    def from_arrays(arrays: Dict[str, np.ndarray]) -> "WorstPaths":
+        """Rebuild paths stored with :meth:`to_arrays`; raises
+        ``ValueError`` on missing, extra or inconsistent arrays."""
+        if arrays.keys() != _ARRAYS.keys():
+            raise ValueError(f"paths arrays {sorted(arrays)}")
+        for name, (kind, ndim) in _ARRAYS.items():
+            if arrays[name].dtype.kind != kind or arrays[name].ndim != ndim:
+                raise ValueError(f"paths array {name}: {arrays[name].dtype}")
+        paths = WorstPaths(**arrays)
+        offsets, count = paths.offsets, len(paths)
+        steps = int(offsets[-1]) if offsets.size else -1
+        if (
+            offsets.size != count + 1
+            or offsets[0] != 0
+            or np.any(np.diff(offsets) < 0)
+            or any(
+                getattr(paths, name).shape[0] != count
+                for name in ("endpoint_kinds", "endpoint_names", "setups", "arrival", "required")
+            )
+            or any(
+                getattr(paths, name).shape[0] != steps
+                for name in ("delay", "slew", "load", "launch", "names")
+            )
+            or paths.names.shape[1] != len(STEP_NAMES)
+            or (steps and not 0 <= paths.names.min() <= paths.names.max() < paths.strings.size)
+        ):
+            raise ValueError("inconsistent paths arrays")
+        return paths
 
 
-def _backtrack(result: TimingResult, endpoint: Endpoint) -> TimingPath:
+#: Every :class:`WorstPaths` array: its dtype kind and dimensions.
+_ARRAYS: Dict[str, Tuple[str, int]] = {
+    "endpoint_nets": ("i", 1),
+    "endpoint_kinds": ("U", 1),
+    "endpoint_names": ("U", 1),
+    "setups": ("f", 1),
+    "arrival": ("f", 1),
+    "required": ("f", 1),
+    "offsets": ("i", 1),
+    "delay": ("f", 1),
+    "slew": ("f", 1),
+    "load": ("f", 1),
+    "launch": ("b", 1),
+    "names": ("i", 2),
+    "strings": ("U", 1),
+}
+
+
+def _picks(result: TimingResult) -> np.ndarray:
+    """Per net: the incoming arc that realized its arrival, or a pick
+    code.  Of the arcs into a net, the one with the largest finite
+    ``arrival[src] + arc_delay``, the lowest arc index on ties."""
     graph = result.graph
-    config = graph.config
-    steps: List[PathStep] = []
-    net_id = endpoint.net_id
-    guard = 0
-    while True:
-        guard += 1
-        if guard > len(graph.net_names) + 2:
-            raise TimingError("path backtracking did not terminate")
-        incoming = graph.incoming_arcs.get(net_id)
-        if not incoming:
-            break  # reached a source net (PI or sequential Q)
-        best_arc = None
-        best_value = -np.inf
-        for arc_index in incoming:
-            src = graph.arc_src[arc_index]
-            value = result.arrival[src] + result.arc_delay[arc_index]
-            if value > best_value:
-                best_value = value
-                best_arc = arc_index
-        if best_arc is None:
-            raise TimingError(
-                "no finite incoming arc while backtracking at net "
-                f"{graph.net_names[net_id]}"
-            )
-        if best_value < result.arrival[net_id] - _TOLERANCE:
-            raise TimingError(
-                f"inconsistent arrivals while backtracking at net "
-                f"{graph.net_names[net_id]}"
-            )
-        src = int(graph.arc_src[best_arc])
-        instance_name = graph.arc_instance[best_arc]
-        instance = graph.netlist.instance(instance_name)
-        steps.append(
-            PathStep(
-                instance=instance_name,
-                cell_name=instance.cell,
-                related_pin=graph.arc_related[best_arc],
-                out_pin=graph.arc_out_pin[best_arc],
-                input_net=graph.net_names[src],
-                output_net=graph.net_names[net_id],
-                delay=float(result.arc_delay[best_arc]),
-                slew=float(result.slew[src]),
-                load=float(graph.loads[net_id]),
-            )
-        )
-        net_id = src
+    n_nets, dst = len(graph.net_names), graph.arc_dst
+    values = result.arrival[graph.arc_src] + result.arc_delay
+    top = np.full(n_nets, -np.inf)
+    np.fmax.at(top, dst, values)
+    best = np.flatnonzero((values == top[dst]) & (values > -np.inf))
+    first = np.full(n_nets, graph.n_arcs, dtype=np.int64)
+    np.minimum.at(first, dst[best], best)
+    picks = np.full(n_nets, _SOURCE, dtype=np.int64)
+    picks[dst] = _NO_FINITE
+    found = first < graph.n_arcs
+    picks[found] = first[found]
+    picks[found & (top < result.arrival - _TOLERANCE)] = _INCONSISTENT
+    return picks
 
-    launch = result.launches.get(net_id)
-    if launch is not None:
-        steps.append(
-            PathStep(
-                instance=launch.instance,
-                cell_name=launch.cell_name,
-                related_pin=graph.netlist.instance(launch.instance).function.clock_pin,
-                out_pin=launch.out_pin,
-                input_net=graph.netlist.clock,
-                output_net=graph.net_names[launch.q_net],
-                delay=launch.delay,
-                slew=config.clock_slew,
-                load=float(graph.loads[launch.q_net]),
-                is_launch=True,
-            )
-        )
-    steps.reverse()
-    return TimingPath(
-        endpoint=endpoint,
-        steps=steps,
-        arrival=float(result.arrival[endpoint.net_id]),
-        required=result.endpoint_required(endpoint),
-    )
+
+def _failure(code: int, net: str) -> str:
+    if code == _NO_FINITE:
+        return f"no finite incoming arc while backtracking at net {net}"
+    return f"inconsistent arrivals while backtracking at net {net}"
+
+
+def _string_table(
+    columns: Sequence[Tuple[np.ndarray, Callable[[int], str]]],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted names a list of code columns uses, and each column's
+    indices into them (one column per ``(codes, name of a code)``)."""
+    names: List[str] = []
+    indices = []
+    for codes, name_of in columns:
+        unique, inverse = np.unique(codes, return_inverse=True)
+        indices.append(inverse + len(names))
+        names.extend(name_of(code) for code in unique.tolist())
+    strings, index = np.unique(np.array(names, dtype=str), return_inverse=True)
+    return strings, index[np.stack(indices, axis=1)]
+
+
+def _arc_paths(
+    result: TimingResult, starts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The worst path into each net of ``starts`` as graph arc ids: CSR
+    ``offsets`` and ``arcs`` (in path order, ``-1`` for a launch step),
+    and the source net each path starts from."""
+    graph = result.graph
+    n_nets = len(graph.net_names)
+    picks = _picks(result)
+    count, net = starts.size, starts.copy()
+
+    # walk every endpoint back one arc per iteration; ``trail[d]`` holds
+    # the endpoints that took a d-th arc, and those arcs
+    walking = np.arange(count)
+    trail: List[Tuple[np.ndarray, np.ndarray]] = []
+    failures: Dict[int, str] = {}
+    while walking.size:
+        if len(trail) >= n_nets + 2:
+            for endpoint in walking.tolist():
+                failures[endpoint] = "path backtracking did not terminate"
+            break
+        pick = picks[net[walking]]
+        stepping = pick != _SOURCE
+        walking, pick = walking[stepping], pick[stepping]
+        broken = pick < 0
+        if broken.any():
+            for endpoint, code in zip(walking[broken].tolist(), pick[broken].tolist()):
+                failures[endpoint] = _failure(code, graph.net_names[net[endpoint]])
+            walking, pick = walking[~broken], pick[~broken]
+        trail.append((walking, pick))
+        net[walking] = graph.arc_src[pick]
+    if failures:
+        # the error the endpoint-by-endpoint walk meets first
+        raise TimingError(failures[min(failures)])
+
+    # a path that ends at a launch net starts with the clock->Q step
+    launched = np.flatnonzero(np.isin(net, graph.launch_q))
+    lengths = np.zeros(count, dtype=np.int64)
+    for walked, _ in trail:
+        lengths[walked] += 1
+    lengths[launched] += 1
+    offsets = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64)
+    arcs = np.full(int(offsets[-1]), -1, dtype=np.int64)
+    for depth, (walked, pick) in enumerate(trail):
+        arcs[offsets[walked + 1] - 1 - depth] = pick
+    return offsets, arcs, net
 
 
 def extract_worst_paths(
     result: TimingResult, endpoints: Optional[List[Endpoint]] = None
-) -> List[TimingPath]:
+) -> WorstPaths:
     """Worst path per unique endpoint (all endpoints by default)."""
-    chosen = endpoints if endpoints is not None else result.graph.endpoints
-    return [_backtrack(result, endpoint) for endpoint in chosen]
+    graph = result.graph
+    design, n_nets = graph.design, len(graph.net_names)
+    chosen = endpoints if endpoints is not None else graph.endpoints
+    starts = np.array([endpoint.net_id for endpoint in chosen], dtype=np.int64)
+    offsets, arcs, sources = _arc_paths(result, starts)
+    launch = arcs < 0
+    timed = arcs[~launch]
+    q_nets = sources[np.isin(sources, graph.launch_q)]
+    src, dst = graph.arc_src[timed], graph.arc_dst[timed]
+
+    def per_step(on_arcs: np.ndarray, on_launches) -> np.ndarray:
+        values = np.empty(arcs.size, dtype=np.result_type(on_arcs, on_launches))
+        values[~launch] = on_arcs
+        values[launch] = on_launches
+        return values
+
+    owner = per_step(graph.arc_owners[timed], design.driver[q_nets])
+    # a pin code is family * width + slot; slot ``width - 1`` stands for
+    # the launch (clock pin -> first output)
+    width = 1 + max((len(layout.arc_outputs) for layout in design.layouts), default=0)
+    pin = design.family_ids[owner] * width + per_step(graph.arc_slots[timed], width - 1)
+    layouts, instances, cell_names = design.layouts, design.instances, design.cells.names
+
+    def related_pin(code: int) -> str:
+        layout, slot = layouts[code // width], code % width
+        return layout.function.clock_pin if slot == width - 1 else layout.arc_inputs[slot]
+
+    def out_pin(code: int) -> str:
+        layout, slot = layouts[code // width], code % width
+        return layout.function.output_pins[0] if slot == width - 1 else layout.arc_outputs[slot]
+
+    def net_name(code: int) -> str:
+        # code ``n_nets`` is the clock, a launch step's input net
+        return graph.netlist.clock if code == n_nets else graph.net_names[code]
+
+    strings, names = _string_table([
+        (owner, lambda position: instances[position].name),
+        (graph.cell_ids[owner], cell_names.__getitem__),
+        (pin, related_pin),
+        (pin, out_pin),
+        (per_step(src, n_nets), net_name),
+        (per_step(dst, q_nets), net_name),
+    ])
+    launch_delays = np.array([result.launches[q].delay for q in q_nets.tolist()])
+    setups = np.array([endpoint.setup for endpoint in chosen], dtype=float)
+    return WorstPaths(
+        endpoint_nets=starts,
+        endpoint_kinds=np.array([endpoint.kind for endpoint in chosen], dtype=str),
+        endpoint_names=np.array([endpoint.name for endpoint in chosen], dtype=str),
+        setups=setups,
+        arrival=result.arrival[starts],
+        required=result.effective_period - setups,
+        offsets=offsets,
+        delay=per_step(result.arc_delay[timed], launch_delays),
+        slew=per_step(result.slew[src], graph.config.clock_slew),
+        load=per_step(graph.loads[dst], graph.loads[q_nets]),
+        launch=launch,
+        names=names,
+        strings=strings,
+    )
 
 
 def worst_path(result: TimingResult) -> TimingPath:
     """The single most critical path of the design."""
-    return _backtrack(result, result.worst_endpoint())
+    return extract_worst_paths(result, [result.worst_endpoint()])[0]
 
 
-def depth_histogram(paths: List[TimingPath]) -> dict:
+def depth_histogram(paths: WorstPaths) -> Dict[int, int]:
     """Path count per depth (paper Fig. 12)."""
-    histogram: dict = {}
-    for path in paths:
-        histogram[path.depth] = histogram.get(path.depth, 0) + 1
-    return dict(sorted(histogram.items()))
+    depths, counts = np.unique(paths.depths, return_counts=True)
+    return dict(zip(depths.tolist(), counts.tolist()))

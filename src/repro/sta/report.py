@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, Optional
 
 from repro.liberty.model import Library
 from repro.sta.engine import TimingResult
-from repro.sta.paths import TimingPath, extract_worst_paths, worst_path
+from repro.sta.paths import TimingPath, WorstPaths, extract_worst_paths, worst_path
 from repro.sta.statistics import design_statistics, path_statistics
 
 
@@ -48,7 +48,7 @@ def variation_summary(
     result: TimingResult,
     statistical_library: Library,
     rho: float = 0.0,
-    paths: Optional[List[TimingPath]] = None,
+    paths: Optional[WorstPaths] = None,
 ) -> str:
     """Design-level sigma report (eq. 11 roll-up)."""
     chosen = paths if paths is not None else extract_worst_paths(result)
@@ -64,7 +64,7 @@ def variation_summary(
 
 
 def path_table(
-    paths: List[TimingPath], library: Library, rho: float = 0.0
+    paths: Iterable[TimingPath], library: Library, rho: float = 0.0
 ) -> str:
     """Depth/mean/sigma table over paths (Figs. 13-14 data)."""
     lines = [f"{'endpoint':<40} {'depth':>5} {'mean':>9} {'sigma':>9} {'mu+3s':>9}"]

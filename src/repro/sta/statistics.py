@@ -30,7 +30,7 @@ import numpy as np
 from repro.errors import TimingError
 from repro.kernels.sta import library_tables, worst_values
 from repro.liberty.model import Library
-from repro.sta.paths import PathStep, TimingPath
+from repro.sta.paths import STEP_NAMES, PathStep, TimingPath, WorstPaths
 
 
 def _step_sigmas(library: Library, steps: Sequence[PathStep]) -> Tuple[float, ...]:
@@ -117,12 +117,7 @@ def path_statistics(
     rho: float = 0.0,
 ) -> PathStatistics:
     """Mean and sigma of a path (eqs. 5, 9/10)."""
-    return _path_statistics(path, _step_sigmas(library, path.steps), rho)
-
-
-def _path_statistics(
-    path: TimingPath, sigmas: Tuple[float, ...], rho: float
-) -> PathStatistics:
+    sigmas = _step_sigmas(library, path.steps)
     mean = float(sum(step.delay for step in path.steps))
     return PathStatistics(
         mean=mean,
@@ -163,22 +158,66 @@ class DesignStatistics:
         )
 
 
+def _sigma_pairs(library: Library, paths: WorstPaths) -> np.ndarray:
+    """Per step of ``paths``: its arc's rise/fall sigma table ids.
+
+    Each distinct (cell, output pin, related pin) resolves once; a
+    missing arc or sigma table raises for the first step (in path
+    order) that lacks it, as :func:`_step_sigmas` does."""
+    tables = library_tables(library)
+    columns = [STEP_NAMES.index(name) for name in ("cell_name", "out_pin", "related_pin")]
+    cell, out, related = paths.names[:, columns].T
+    size = paths.strings.size
+    _, first, inverse = np.unique(
+        (cell * size + out) * size + related, return_index=True, return_inverse=True
+    )
+    keys = paths.strings[paths.names[first][:, columns]].tolist()
+    rows = np.array([tables.rows.get(tuple(key), -1) for key in keys], dtype=np.intp)[inverse]
+    if rows.size and rows.min() < 0:
+        tables.row(*keys[inverse[np.flatnonzero(rows < 0)[0]]])
+    pairs = tables.sigma[rows]
+    if pairs.size and pairs.min() < 0:
+        missing = paths.names[np.flatnonzero(pairs.min(axis=1) < 0)[0], columns[0]]
+        raise TimingError(
+            f"cell {paths.strings[missing]} has no sigma tables; statistical "
+            "analysis needs the statistical library"
+        )
+    return pairs
+
+
 def design_statistics(
-    paths: Sequence[TimingPath],
+    paths: WorstPaths,
     library: Library,
     rho: float = 0.0,
 ) -> DesignStatistics:
-    """Eq. (11) over the given worst paths."""
-    if not paths:
+    """Eq. (11) over the given worst paths.
+
+    Every step's sigma comes from one kernel call; each path then folds
+    its steps as :func:`path_statistics` does (a left-to-right sum of
+    the delays, :func:`path_sigma_correlated` of the sigmas), and the
+    design sums the path means and ``sigma**2`` left to right.
+    """
+    if not len(paths):
         raise TimingError("design statistics need at least one path")
-    # every step of every path resolves in one kernel call
-    sigmas = _step_sigmas(library, [step for path in paths for step in path.steps])
+    values = (
+        worst_values(
+            library_tables(library), _sigma_pairs(library, paths), paths.slew, paths.load
+        )
+        if paths.delay.size
+        else np.zeros(0)
+    )
+    sigmas, delays = values.tolist(), paths.delay.tolist()
+    bounds = paths.offsets.tolist()
     stats: List[PathStatistics] = []
-    start = 0
-    for path in paths:
-        end = start + len(path.steps)
-        stats.append(_path_statistics(path, sigmas[start:end], rho))
-        start = end
+    for start, end in zip(bounds, bounds[1:]):
+        stats.append(
+            PathStatistics(
+                mean=float(sum(delays[start:end])),
+                sigma=path_sigma_correlated(values[start:end], rho),
+                depth=end - start,
+                step_sigmas=tuple(sigmas[start:end]),
+            )
+        )
     mean = float(sum(p.mean for p in stats))
     sigma = float(np.sqrt(sum(p.sigma**2 for p in stats)))
     return DesignStatistics(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import time
 
+import numpy as np
 import pytest
 
 from repro.characterization.characterize import (
@@ -33,7 +34,7 @@ from repro.parallel.artifacts import (
     stage_fingerprint,
 )
 from repro.sta.graph import StaConfig
-from repro.sta.paths import TimingPath
+from repro.sta.paths import WorstPaths
 from repro.sta.statistics import DesignStatistics
 from repro.synth.constraints import SynthesisConstraints
 from repro.synth.synthesizer import (
@@ -98,9 +99,9 @@ class TestArtifactStore:
     def test_corrupt_entry_self_heals(self, tmp_path):
         store = ArtifactStore(tmp_path)
         key = fingerprint({"x": 1})
-        store.store("paths", key, [1, 2, 3])
+        store.store("paths", key, {"offsets": np.arange(3)})
         path = store.path_for("paths", key)
-        path.write_bytes(b"not gzip at all")
+        path.write_bytes(b"not an npz at all")
         assert store.load("paths", key) is None
         assert not path.exists()  # poisoned entry dropped
 
@@ -133,7 +134,7 @@ class TestArtifactStore:
 
         store = ArtifactStore(tmp_path)
         key = fingerprint({"x": 3})
-        store.store("paths", key, [1, 2, 3])
+        store.store("paths", key, {"offsets": np.arange(3)})
         store.path_for("paths", key).write_bytes(b"junk")
         tracer = Tracer(MemorySink())
         previous = set_tracer(tracer)
@@ -318,8 +319,12 @@ class TestWarmPipeline:
         cold_run = cold_flow.baseline(4.0)
         assert cold_run.result is not None
         assert cold_run.timing is cold_run.result.timing
-        path = cold_run.paths[0]
-        assert TimingPath.from_payload(path.to_payload()) == path
+        baseline_keys = dict(cold_flow.point_keys(4.0, "sigma_ceiling", 0.03).baseline)
+        stored = ArtifactStore().load(
+            "paths", baseline_keys["paths"], WorstPaths.from_arrays
+        )
+        assert stored == cold_run.paths
+        assert list(stored) == list(cold_run.paths)
         assert (
             DesignStatistics.from_payload(cold_run.stats.to_payload())
             == cold_run.stats
@@ -343,7 +348,9 @@ class TestWarmPipeline:
         with pytest.raises(ReproError):
             warm_run.timing
         assert warm_run.paths == cold_run.paths
+        assert list(warm_run.paths) == list(cold_run.paths)
         assert warm_run.stats == cold_run.stats
+        assert warm_run.depth_histogram() == cold_run.depth_histogram()
         assert warm_run.summary == cold_run.summary
 
         # every synthesis-side stage resolved as a hit
@@ -489,6 +496,47 @@ class TestWarmPipeline:
             "hit"
         ]
 
+    def test_torn_paths_entry_misses_the_whole_run_chain(self, cache_dir):
+        """A truncated or garbage ``paths-*.npz`` in a warm store makes
+        its run chain a miss (chains are all-or-nothing): synth, paths
+        and stats are recomputed, equal to the cold values, and one
+        ``store.self_heal`` event, on the span open around the load,
+        names the ``paths`` stage."""
+        from repro.observe import MemorySink, Tracer, set_tracer
+
+        cold = TuningFlow(_mini_config()).baseline(4.0)
+        (entry,) = cache_dir.glob("paths-*.npz")
+        for damage in (entry.read_bytes()[: entry.stat().st_size // 2], b"garbage"):
+            entry.write_bytes(damage)
+            tracer = Tracer(MemorySink())
+            flow = TuningFlow(dataclasses.replace(_mini_config(), tracer=tracer))
+            reset_synthesis_call_count()
+            healed = STORE_ARTIFACT_EVENTS.labels(event="healed").value
+            try:
+                with tracer.span("point"):
+                    warm = flow.baseline(4.0)
+            finally:
+                set_tracer(None)
+            assert synthesis_call_count() == 1
+            assert STORE_ARTIFACT_EVENTS.labels(event="healed").value == healed + 1
+            assert [
+                (r.stage, r.status)
+                for r in flow.manifest.records
+                if r.stage in ("synth", "paths", "stats")
+            ] == [("synth", "miss"), ("paths", "miss"), ("stats", "miss")]
+            assert warm.paths == cold.paths
+            assert warm.stats == cold.stats
+            assert warm.summary == cold.summary
+            assert warm.depth_histogram() == cold.depth_histogram()
+            heals = [
+                event
+                for span in tracer.spans
+                for event in span.events
+                if event["name"] == "store.self_heal"
+            ]
+            assert [event["attrs"]["stage"] for event in heals] == ["paths"]
+            assert entry.is_file()  # rewritten by the recomputed chain
+
     def test_cold_library_resolution_derives_each_key_once(
         self, cache_dir, monkeypatch
     ):
@@ -522,5 +570,6 @@ class TestWarmPipeline:
         assert synthesis_call_count() == 2
         assert comparison.baseline_sigma > 0
         assert not list(cache_dir.glob("*.json.gz"))
+        assert not list(cache_dir.glob("*.npz"))
         statuses = {r.status for r in flow.manifest.records}
         assert statuses == {"computed"}
