@@ -6,9 +6,9 @@ Builds the paper-scale evaluation design (~18k gates), one timing graph
 of it, and one relaxed baseline point (a 4.0 ns clock: synthesis, worst
 paths and design statistics) against the tiny flow's 10-sample
 statistical library, with no artifact store.  It then extracts the
-point's worst paths once more and writes them as a ``paths`` artifact
-to a temporary store.  It prints each wall time and the point's
-deterministic work counters.
+point's worst paths once more and writes the whole run (summary, worst
+paths, step sigmas) as its ``synth`` artifact to a temporary store.  It
+prints each wall time and the point's deterministic work counters.
 
 This is a script, not a benchmark workload: wall times are printed,
 never gated.  ``--check`` compares the deterministic counts (design
@@ -96,7 +96,7 @@ def measure() -> dict:
     extract_s = time.perf_counter() - start
     with tempfile.TemporaryDirectory() as directory:
         start = time.perf_counter()
-        ArtifactStore(Path(directory)).store("paths", "0" * 64, paths.to_arrays())
+        ArtifactStore(Path(directory)).store("synth", "0" * 64, run.to_arrays())
         write_s = time.perf_counter() - start
     return {
         "counts": {
@@ -113,7 +113,7 @@ def measure() -> dict:
             "timing graph build": graph_s,
             f"relaxed {PERIOD} ns point": point_s,
             "worst-path extraction": extract_s,
-            "paths artifact write": write_s,
+            "run artifact write": write_s,
         },
         "met": run.met,
     }

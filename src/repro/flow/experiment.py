@@ -2,8 +2,8 @@
 
 One :class:`TuningFlow` owns the evaluation's stage chain::
 
-    catalog -> statistical library -> tuning -> synthesis -> paths
-            -> design statistics          (+ the minimum-period search)
+    catalog -> statistical library -> tuning -> synthesis run
+                                          (+ the minimum-period search)
 
 Every stage is a pure function of a content-addressed fingerprint
 (declared in :data:`repro.parallel.artifacts.STAGES`; see
@@ -35,6 +35,8 @@ import os
 from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.cells.catalog import CellSpec, build_catalog
 from repro.characterization.characterize import Characterizer
 from repro.core.methods import TuningMethod, method_by_name
@@ -47,14 +49,13 @@ from repro.parallel.cache import (
     characterization_key,
     spec_fingerprint,
 )
-from repro.observe import Tracer, set_metrics_enabled, set_tracer
+from repro.observe import Tracer, get_tracer, set_tracer
 from repro.flow.metrics import TuningComparison, compare_runs
 from repro.flow.minperiod import minimum_clock_period
 from repro.flow.pipeline import (
     BASELINE_WINDOWS,
     ArtifactPipeline,
     PointKeys,
-    RunKeys,
     RunManifest,
     SweepPoint,
     minperiod_fingerprint,
@@ -68,29 +69,11 @@ from repro.netlist.generators.microcontroller import (
 from repro.netlist.model import Netlist
 from repro.sta.engine import TimingResult
 from repro.sta.graph import StaConfig
-from repro.sta.paths import WorstPaths, depth_histogram, extract_worst_paths
-from repro.sta.statistics import DesignStatistics, design_statistics
+from repro.sta.paths import WorstPaths, check_arrays, depth_histogram, extract_worst_paths
+from repro.sta.statistics import DesignStatistics, design_statistics, fold_statistics
 from repro.synth.constraints import SynthesisConstraints
 from repro.synth.synthesizer import SynthesisResult, synthesize
 from repro.units import GUARD_BAND_NS
-
-#: Accepted spellings of the boolean environment knobs.
-_BOOL_KNOB_VALUES = {
-    "1": True, "true": True, "on": True, "yes": True,
-    "0": False, "false": False, "off": False, "no": False,
-}
-
-
-def _parse_bool_knob(name: str, value: str) -> bool:
-    """Parse an on/off environment knob, failing loudly on typos."""
-    parsed = _BOOL_KNOB_VALUES.get(value.strip().lower())
-    if parsed is None:
-        raise ConfigError(
-            f"{name} must be one of "
-            f"{', '.join(sorted(_BOOL_KNOB_VALUES))}; got {value!r}"
-        )
-    return parsed
-
 
 @dataclass(frozen=True)
 class FlowConfig:
@@ -118,11 +101,6 @@ class FlowConfig:
     #: sweep worker processes so their spans merge into the same trace.
     #: Excluded from comparison — tracing never changes results.
     tracer: Optional[Tracer] = field(default=None, compare=False, repr=False)
-    #: Live metrics collection (:mod:`repro.observe.metrics`) on/off;
-    #: the flow applies it process-wide on construction.  Off also
-    #: silences trace counters, which read the same registry.  Excluded
-    #: from comparison — telemetry never changes results.
-    metrics: bool = field(default=True, compare=False)
 
     @staticmethod
     def paper() -> "FlowConfig":
@@ -195,7 +173,6 @@ class FlowConfig:
         backend: Optional[str] = None,
         cache: Optional[bool] = None,
         tracer: Optional[Tracer] = None,
-        metrics: Optional[bool] = None,
     ) -> "FlowConfig":
         """The single resolver for every execution knob.
 
@@ -211,8 +188,6 @@ class FlowConfig:
         backend    ``REPRO_BACKEND``  execution backend (``process``)
         cache      —                  artifact store on/off (on)
         tracer     —                  tracer the flow installs (none)
-        metrics    ``REPRO_METRICS``  live metrics collection on/off (on);
-                                      off also silences trace counters
         =========  =================  ====================================
 
         ``REPRO_LEDGER`` (run-ledger path, or ``off``) is deliberately
@@ -259,18 +234,12 @@ class FlowConfig:
             config = replace(config, cache=cache)
         if tracer is not None:
             config = replace(config, tracer=tracer)
-        if metrics is None:
-            env_metrics = os.environ.get("REPRO_METRICS")
-            if env_metrics is not None:
-                metrics = _parse_bool_knob("REPRO_METRICS", env_metrics)
-        if metrics is not None:
-            config = replace(config, metrics=metrics)
         return config
 
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Serializable summary of a synthesis outcome (stage ``synth``).
+    """Summary of a synthesis outcome.
 
     Everything the evaluation reads off a run that is *not* the paths
     or the statistics: feasibility, area, the sizing/buffering effort,
@@ -302,41 +271,58 @@ class RunSummary:
             cell_counts=tuple(sorted(result.cell_histogram().items())),
         )
 
-    def to_payload(self) -> dict:
-        """JSON-serializable rendering (artifact pipeline)."""
+    def to_arrays(self) -> Dict[str, np.ndarray]:
+        """The stored form: one 0-d array per scalar field, and the
+        cell usage as ``cell_names``/``cell_counts``."""
+        names = [name for name, _ in self.cell_counts]
         return {
-            "met": self.met,
-            "area": self.area,
-            "wns": self.wns,
-            "sizing_iterations": self.sizing_iterations,
-            "buffer_instances": self.buffer_instances,
-            "failure_reason": self.failure_reason,
-            "legality_violations": self.legality_violations,
-            "n_instances": self.n_instances,
-            "cell_counts": [list(item) for item in self.cell_counts],
+            **{name: np.array(getattr(self, name)) for name in _SCALARS},
+            "cell_names": np.array(names, dtype=str),
+            "cell_counts": np.array([count for _, count in self.cell_counts], dtype=np.int64),
         }
 
     @staticmethod
-    def from_payload(payload: dict) -> "RunSummary":
-        """Rebuild a summary stored with :meth:`to_payload`."""
+    def from_arrays(arrays: Dict[str, np.ndarray]) -> "RunSummary":
+        """Rebuild a summary stored with :meth:`to_arrays`; raises
+        ``ValueError`` on missing, extra, mistyped or inconsistent
+        arrays."""
+        check_arrays(arrays, _SUMMARY_ARRAYS, "summary")
+        names, counts = arrays["cell_names"], arrays["cell_counts"]
+        if names.size != counts.size:
+            raise ValueError("inconsistent summary cell counts")
         return RunSummary(
-            met=bool(payload["met"]),
-            area=float(payload["area"]),
-            wns=float(payload["wns"]),
-            sizing_iterations=int(payload["sizing_iterations"]),
-            buffer_instances=int(payload["buffer_instances"]),
-            failure_reason=payload["failure_reason"],
-            legality_violations=int(payload["legality_violations"]),
-            n_instances=int(payload["n_instances"]),
-            cell_counts=tuple(
-                (name, int(count)) for name, count in payload["cell_counts"]
-            ),
+            **{name: cast(arrays[name].item()) for name, cast in _SCALARS.items()},
+            cell_counts=tuple(zip(names.tolist(), counts.tolist())),
         )
+
+
+#: The scalar :class:`RunSummary` fields and their types.
+_SCALARS = {
+    "met": bool,
+    "area": float,
+    "wns": float,
+    "sizing_iterations": int,
+    "buffer_instances": int,
+    "failure_reason": str,
+    "legality_violations": int,
+    "n_instances": int,
+}
+
+#: Every stored :class:`RunSummary` array: its dtype kind and dimensions.
+_SUMMARY_ARRAYS: Dict[str, Tuple[str, int]] = {
+    **{
+        name: ({bool: "b", float: "f", int: "i", str: "U"}[kind], 0)
+        for name, kind in _SCALARS.items()
+    },
+    "cell_names": ("U", 1),
+    "cell_counts": ("i", 1),
+}
 
 
 @dataclass
 class SynthesisRun:
-    """A synthesis outcome plus the paper's measurements on it.
+    """A synthesis outcome plus the paper's measurements on it (stage
+    ``synth``).
 
     Live runs keep the full :class:`~repro.synth.synthesizer.
     SynthesisResult` (netlist, timing graph); runs assembled from the
@@ -350,7 +336,8 @@ class SynthesisRun:
     paths: WorstPaths
     stats: DesignStatistics
     #: Live-synthesis handle; ``None`` when served from the store.
-    result: Optional[SynthesisResult] = None
+    #: Excluded from comparison: a stored run equals its live run.
+    result: Optional[SynthesisResult] = field(default=None, compare=False)
 
     @property
     def met(self) -> bool:
@@ -389,13 +376,40 @@ class SynthesisRun:
         """Worst-path count per depth (paper Fig. 12)."""
         return depth_histogram(self.paths)
 
+    def to_arrays(self) -> Dict[str, np.ndarray]:
+        """The stored form, one ``.npz``: the summary's arrays, the
+        worst paths' (:meth:`~repro.sta.paths.WorstPaths.to_arrays`)
+        and ``step_sigma``, every path step's sigma."""
+        return {
+            **self.summary.to_arrays(),
+            **self.paths.to_arrays(),
+            "step_sigma": self.stats.step_sigma,
+        }
 
-#: The run chain's payload codecs: stage -> (encode, decode).
-_RUN_CODECS = {
-    "synth": (RunSummary.to_payload, RunSummary.from_payload),
-    "paths": (WorstPaths.to_arrays, WorstPaths.from_arrays),
-    "stats": (DesignStatistics.to_payload, DesignStatistics.from_payload),
-}
+    @staticmethod
+    def from_arrays(arrays: Dict[str, np.ndarray], clock_period: float) -> "SynthesisRun":
+        """Rebuild a run stored with :meth:`to_arrays`; its statistics
+        are the fold of the stored step sigmas
+        (:func:`~repro.sta.statistics.fold_statistics`).  Raises
+        ``ValueError`` on missing, extra, mistyped or inconsistent
+        arrays."""
+        summary_names = arrays.keys() & _SUMMARY_ARRAYS.keys()
+        paths = WorstPaths.from_arrays(
+            {name: arrays[name] for name in arrays.keys() - summary_names - {"step_sigma"}}
+        )
+        step_sigma = arrays.get("step_sigma")
+        if (
+            step_sigma is None
+            or step_sigma.dtype.kind != "f"
+            or step_sigma.shape != paths.delay.shape
+        ):
+            raise ValueError("run array step_sigma missing, mistyped or misshapen")
+        return SynthesisRun(
+            clock_period,
+            RunSummary.from_arrays({name: arrays[name] for name in summary_names}),
+            paths,
+            fold_statistics(paths, step_sigma),
+        )
 
 
 class TuningFlow:
@@ -406,7 +420,6 @@ class TuningFlow:
         self.config = config or FlowConfig.paper()
         if self.config.tracer is not None:
             set_tracer(self.config.tracer)
-        set_metrics_enabled(self.config.metrics)
         self.manifest = RunManifest()
         self._store = None
         if self.config.cache:
@@ -585,7 +598,7 @@ class TuningFlow:
         return self._design.copy()
 
     # ------------------------------------------------------------------
-    # Synthesis runs (stages: synth -> paths -> stats)
+    # Synthesis runs (stage: synth)
     # ------------------------------------------------------------------
 
     def _chain(
@@ -593,10 +606,10 @@ class TuningFlow:
         clock_period: float,
         method: Optional[TuningMethod] = None,
         parameter: float = 0.0,
-    ) -> Tuple[SynthesisConstraints, str, RunKeys]:
-        """A run's constraints, windows key and chained stage keys.
+    ) -> Tuple[SynthesisConstraints, str, str]:
+        """A run's constraints, windows key and ``synth`` key.
 
-        The one derivation of a run's keys: synthesis runs, the sweep
+        The one derivation of a run's key: synthesis runs, the sweep
         diff and the service's warm probe all come through here.  The
         windows key is the tuning fingerprint, or
         :data:`BASELINE_WINDOWS` for the untuned baseline
@@ -619,11 +632,7 @@ class TuningFlow:
             constraints=constraints.fingerprint_payload(),
             sta=asdict(StaConfig()),
         )
-        return constraints, windows_key, (
-            ("synth", synth_key),
-            ("paths", stage_fingerprint("paths", synth=synth_key)),
-            ("stats", stage_fingerprint("stats", synth=synth_key, rho=0.0)),
-        )
+        return constraints, windows_key, synth_key
 
     def point_keys(
         self, clock_period: float, method: str, parameter: float
@@ -637,18 +646,15 @@ class TuningFlow:
         return PointKeys(tuning_key, tuned, baseline)
 
     def stored(self, keys: PointKeys) -> Tuple[bool, bool]:
-        """Whether a point's tuned chain (tuning included) and its
-        baseline chain are in the store; ``(False, False)`` without
+        """Whether a point's tuned run (tuning included) and its
+        baseline run are in the store; ``(False, False)`` without
         one.  Existence probes only — a torn artifact still counts as
         stored and self-heals when it is loaded."""
         store = self._store
         if store is None:
             return False, False
-        tuned = store.has("tuning", keys.tuning) and all(
-            store.has(stage, key) for stage, key in keys.tuned
-        )
-        baseline = all(store.has(stage, key) for stage, key in keys.baseline)
-        return tuned, baseline
+        tuned = store.has("tuning", keys.tuning) and store.has("synth", keys.tuned)
+        return tuned, store.has("synth", keys.baseline)
 
     def _resolve_run(
         self,
@@ -662,49 +668,39 @@ class TuningFlow:
         are materialized only when it must actually synthesize — a
         warm hit never touches the tuning stage.
 
-        The three downstream stages (synth summary, worst paths,
-        design statistics) are stored under chained fingerprints and
-        resolved as one chain by
-        :meth:`~repro.flow.pipeline.ArtifactPipeline.resolve_chain`: a
-        partially populated store (e.g. an interrupted run) counts as a
-        full miss so the artifacts can never disagree with each other.
+        A live run takes the worst path of every endpoint (span
+        ``sta.paths``) and rolls up eqs. 5-11 (span ``sta.stats``).
+        The summary, the worst paths and their step sigmas are stored
+        as one ``synth`` artifact, whole or not at all; a load rebuilds
+        the statistics by folding the stored step sigmas.
         """
-        constraints, _, run_keys = self._chain(clock_period, method, parameter)
-        live = {}
+        constraints, _, key = self._chain(clock_period, method, parameter)
 
-        def run_synthesis() -> RunSummary:
+        def run_synthesis() -> SynthesisRun:
             bound = constraints
             if method is not None:
                 bound = replace(
                     constraints, windows=self.tuning(method, parameter).windows
                 )
-            live["result"] = synthesize(
-                self.build_design(), self.statistical_library, bound
+            result = synthesize(self.build_design(), self.statistical_library, bound)
+            tracer = get_tracer()
+            with tracer.span("sta.paths"):
+                paths = extract_worst_paths(result.timing)
+            with tracer.span("sta.stats"):
+                stats = design_statistics(paths, self.statistical_library)
+            return SynthesisRun(
+                clock_period, RunSummary.from_result(result), paths, stats, result
             )
-            return RunSummary.from_result(live["result"])
 
-        def worst_paths() -> WorstPaths:
-            live["paths"] = extract_worst_paths(live["result"].timing)
-            return live["paths"]
-
-        computes = {
-            "synth": run_synthesis,
-            "paths": worst_paths,
-            "stats": lambda: design_statistics(
-                live["paths"], self.statistical_library
+        return self._pipeline.resolve(
+            "synth",
+            key,
+            run_synthesis,
+            self._pipeline.payload(
+                "synth",
+                SynthesisRun.to_arrays,
+                lambda arrays: SynthesisRun.from_arrays(arrays, clock_period),
             ),
-        }
-        summary, paths, stats = self._pipeline.resolve_chain([
-            (
-                stage,
-                key,
-                computes[stage],
-                self._pipeline.payload(stage, *_RUN_CODECS[stage]),
-            )
-            for stage, key in run_keys
-        ])
-        return SynthesisRun(
-            constraints.clock_period, summary, paths, stats, live.get("result")
         )
 
     def baseline(self, clock_period: float) -> SynthesisRun:

@@ -3,8 +3,11 @@ TuningFlow`.
 
 The end-to-end evaluation is a chain of pure stages::
 
-    catalog -> statistical library -> tuning -> synthesis -> paths
-            -> design statistics          (+ the minimum-period search)
+    catalog -> statistical library -> tuning -> synthesis run
+                                          (+ the minimum-period search)
+
+A synthesis run is one artifact: its summary, its worst paths and
+their step sigmas, from which a load folds the design statistics.
 
 Each stage has a canonical **content fingerprint** — a sha256 over a
 sorted-JSON rendering of every input that can change its output — and
@@ -16,19 +19,21 @@ codecs and their fingerprinted inputs are declared once, in
 them in :class:`~repro.flow.experiment.TuningFlow`).  Fingerprints
 chain: the tuning stage folds in the statistical library's
 characterization key, the synthesis stage folds in the tuning
-fingerprint (or the :data:`BASELINE_WINDOWS` sentinel), and so on, so
-a change anywhere upstream invalidates exactly the artifacts it can
-affect.
+fingerprint (or the :data:`BASELINE_WINDOWS` sentinel), so a change
+anywhere upstream invalidates exactly the artifacts it can affect.
 
 Layout under ``$REPRO_CACHE_DIR`` (or ``~/.cache/repro``)::
 
     stat-<key>.npz            characterized library   (LUT arrays, npz codec)
     samples-<key>.npz         per-sample MC libraries (stacked LUT arrays)
     tuning-<key>.json.gz      TuningResult             (windows, thresholds)
-    synth-<key>.json.gz       RunSummary               (met, area, histogram)
-    paths-<key>.npz           WorstPaths               (step arrays + name table)
-    stats-<key>.json.gz       DesignStatistics         (eq. 11 roll-up)
+    synth-<key>.npz           SynthesisRun             (summary arrays, worst
+                                                        paths, step sigmas)
     minperiod-<key>.json.gz   minimum-period search    (one float)
+
+A store written when a run was three artifacts (``synth-*.json.gz``,
+``paths-*`` and ``stats-*``) misses each run once; its old entries
+are never read again, and ``store clear`` removes them.
 
 :class:`ArtifactPipeline` is the one resolver of every stage, the
 libraries included (the characterizer only computes; the flow hands the
@@ -43,7 +48,7 @@ counts the stored entries per stage.
 Every multi-point evaluation — fig10's in-design sweep
 (:meth:`~repro.flow.experiment.TuningFlow.sweep_comparisons`), the
 design-family sweep (:func:`repro.sweep.run_sweep`) — goes through one
-function, :func:`sweep_stale`: it diffs each point's chained keys
+function, :func:`sweep_stale`: it diffs each point's keys
 (derived by its flow, the only code that derives them) against the
 store and computes only the stale baselines and points, on the
 configured :class:`~repro.parallel.backends.ExecutorBackend` (serial
@@ -74,20 +79,15 @@ SweepPoint = Tuple[float, Optional[str], float]
 #: parameter) — each point carries the flow whose design it evaluates.
 FlowPoint = Tuple[Any, float, str, float]
 
-#: The chained ``(stage, key)`` pairs of one synthesis run:
-#: ``synth``, then ``paths`` and ``stats`` derived from it.
-RunKeys = Tuple[Tuple[str, str], ...]
-
-
 class PointKeys(NamedTuple):
     """The stage keys one evaluation point is stored under."""
 
     #: Fingerprint of the tuning stage.
     tuning: str
-    #: The tuned run's synth/paths/stats keys.
-    tuned: RunKeys
-    #: The untuned baseline run's synth/paths/stats keys.
-    baseline: RunKeys
+    #: The tuned run's ``synth`` key.
+    tuned: str
+    #: The untuned baseline run's ``synth`` key.
+    baseline: str
 
 
 # ----------------------------------------------------------------------
@@ -218,15 +218,10 @@ def minperiod_fingerprint(
 #: How a stage's live value crosses the store: ``load(key)`` returns
 #: the stored value, or ``None`` on a miss (an entry that cannot be
 #: read back or decoded heals into one); ``save(key, value)`` persists
-#: a computed value.  :meth:`ArtifactPipeline.payload` builds the run
-#: and tuning stages' codecs; :meth:`repro.parallel.cache.LibraryCache.
-#: codec` the library stages'.
+#: a computed value.  :meth:`ArtifactPipeline.payload` builds the run,
+#: tuning and minimum-period codecs; :meth:`repro.parallel.cache.
+#: LibraryCache.codec` the library stages'.
 Codec = Tuple[Callable[[str], Optional[Any]], Callable[[str, Any], Any]]
-
-#: One stage of a chain: ``(stage, key, compute, codec)``.  A
-#: codec-less stage's key may be a callable deriving it from the
-#: computed value (the ``catalog`` key is a hash of the catalog).
-Link = Tuple[str, Any, Callable[[], Any], Optional[Codec]]
 
 #: Manifest and span names of the store stages recorded under another
 #: name: the statistical library is ``statlib`` in every manifest,
@@ -287,52 +282,29 @@ class ArtifactPipeline:
         codec: Optional[Codec] = None,
     ) -> Any:
         """Load ``(stage, key)`` through ``codec``, or compute and
-        persist it; a chain of one (see :meth:`resolve_chain`)."""
-        return self.resolve_chain([(stage, key, compute, codec)])[0]
-
-    def resolve_chain(self, links: Sequence[Link]) -> List[Any]:
-        """Resolve stages that stand or fall together, in order.
-
-        Every link is loaded first; only if all of them hit are they
-        served, so a partially stored chain (an interrupted run) is a
-        full miss and its artifacts can never disagree with each other.
-        Otherwise each link is computed, persisted and recorded in
-        turn, so a later ``compute`` may read what an earlier one left.
-        A chain resolved inside another stage's compute is excluded
-        from that stage's record (see :attr:`StageRecord.seconds`).
-        """
-        nested = self._nested.stack
-        start = time.perf_counter()
-        try:
-            return self._resolve_links(links, nested)
-        finally:
-            if nested:
-                nested[-1] += time.perf_counter() - start
-
-    def _resolve_links(self, links: Sequence[Link], nested: List[float]) -> List[Any]:
-        """:meth:`resolve_chain`'s body.  ``nested`` holds, per compute
+        persist it.  A codec-less stage's key may be a callable
+        deriving it from the computed value (the ``catalog`` key is a
+        hash of the catalog).  A stage resolved inside another stage's
+        compute is excluded from that stage's record (see
+        :attr:`StageRecord.seconds`): ``nested`` holds, per compute
         open on this thread, the seconds spent resolving stages inside
-        it, which its record leaves out."""
+        it."""
         tracer = get_tracer()
-        stored = self.store is not None and all(
-            STAGES[stage].codec is not None for stage, *_ in links
-        )
-        if stored:
-            start = time.perf_counter()
-            values = [codec[0](key) for _, key, _, codec in links]
-            if all(value is not None for value in values):
-                elapsed = (time.perf_counter() - start) / len(links)
-                for stage, key, *_ in links:
-                    name = RECORD_NAMES.get(stage, stage)
+        name = RECORD_NAMES.get(stage, stage)
+        stored = self.store is not None and STAGES[stage].codec is not None
+        nested = self._nested.stack
+        entered = time.perf_counter()
+        try:
+            if stored:
+                value = codec[0](key)
+                if value is not None:
+                    elapsed = time.perf_counter() - entered
                     self.manifest.record(name, key, "hit", elapsed)
                     tracer.record_span(
                         f"stage.{name}", elapsed, key=key[:12], status="hit"
                     )
-                return values
-        status = "miss" if stored else "computed"
-        values = []
-        for stage, key, compute, codec in links:
-            name = RECORD_NAMES.get(stage, stage)
+                    return value
+            status = "miss" if stored else "computed"
             with tracer.span(f"stage.{name}") as span:
                 start = time.perf_counter()
                 nested.append(0.0)
@@ -348,8 +320,10 @@ class ArtifactPipeline:
                 self.manifest.record(
                     name, key, status, time.perf_counter() - start - inner
                 )
-            values.append(value)
-        return values
+            return value
+        finally:
+            if nested:
+                nested[-1] += time.perf_counter() - entered
 
 
 # ----------------------------------------------------------------------
@@ -394,14 +368,14 @@ def sweep_stale(points: Sequence[FlowPoint], backend) -> Tuple[List[str], int]:
     """Diff ``(flow, clock, method, parameter)`` points against the
     store and compute only the stale work.
 
-    Each point's chained keys come from its own flow
+    Each point's keys come from its own flow
     (:meth:`~repro.flow.experiment.TuningFlow.point_keys`), so the diff
     can never disagree with the keys the stages store under.  A point
-    is ``hit`` (tuned and baseline chains stored), ``skip`` (only the
-    shared baseline chain is missing) or ``run`` (the tuned chain is
-    missing).  The stale baselines — one per ``(flow, clock)`` — are
-    computed first, then the stale points, so no two tasks ever
-    synthesize the same baseline.
+    is ``hit`` (tuned and baseline runs stored), ``skip`` (only the
+    shared baseline run is missing) or ``run`` (the tuned run or its
+    tuning is missing).  The stale baselines — one per ``(flow,
+    clock)`` — are computed first, then the stale points, so no two
+    tasks ever synthesize the same baseline.
 
     An out-of-process ``backend`` runs every task through
     :func:`_sweep_worker` in a fresh flow sharing the store; an

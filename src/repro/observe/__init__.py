@@ -65,7 +65,6 @@ from repro.observe.metrics import (
     log_buckets,
     parse_prometheus,
     render_prometheus,
-    set_metrics_enabled,
 )
 from repro.observe.render import render_counters, render_trace, render_tree
 from repro.observe.tracer import (
@@ -115,7 +114,6 @@ __all__ = [
     "render_report",
     "render_trace",
     "render_tree",
-    "set_metrics_enabled",
     "set_tracer",
     "summarize_trace",
 ]

@@ -27,8 +27,8 @@ with :meth:`MetricsRegistry.absorb`, so counter totals across any
 process topology are exact, not sampled.
 
 This registry is the repo's only counter store: the work counters a
-trace reports (``Tracer.counters()``) are read from it too, so
-``REPRO_METRICS=off`` silences those as well.
+trace reports (``Tracer.counters()``) are read from it too.  It is
+always on.
 
 **Exposition** is Prometheus text format
 (:func:`render_prometheus` / :func:`parse_prometheus` round-trip),
@@ -323,8 +323,6 @@ class CounterChild:
                 f"(got {amount})"
             )
         registry = self._family.registry
-        if not registry.enabled:
-            return
         with registry.lock:
             self.value += amount
 
@@ -341,16 +339,12 @@ class GaugeChild:
     def set(self, value: float) -> None:
         """Set the current level."""
         registry = self._family.registry
-        if not registry.enabled:
-            return
         with registry.lock:
             self.value = float(value)
 
     def inc(self, amount: float = 1.0) -> None:
         """Adjust the level upward."""
         registry = self._family.registry
-        if not registry.enabled:
-            return
         with registry.lock:
             self.value += amount
 
@@ -376,8 +370,6 @@ class HistogramChild:
     def observe(self, value: float) -> None:
         """Record one observation (``value <= edge`` lands in edge)."""
         registry = self._family.registry
-        if not registry.enabled:
-            return
         index = bisect.bisect_left(self._family.buckets, value)
         with registry.lock:
             self.counts[index] += 1
@@ -556,7 +548,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self.lock = threading.RLock()
-        self.enabled = True
         self._families: Dict[str, _Family] = {}
         self._pid = os.getpid()
 
@@ -688,10 +679,8 @@ class MetricsRegistry:
 
         A family only the worker registered is registered here first
         (a kind or label mismatch raises, as any re-registration
-        does).  No-op while collection is disabled.
+        does).
         """
-        if not self.enabled:
-            return
         with self.lock:
             for name, theirs in deltas.families.items():
                 if theirs.kind == "histogram":
@@ -767,19 +756,6 @@ _REGISTRY = MetricsRegistry()
 def get_metrics() -> MetricsRegistry:
     """The process-wide registry every catalog instrument binds to."""
     return _REGISTRY
-
-
-def set_metrics_enabled(enabled: bool) -> bool:
-    """Toggle collection globally; returns the previous setting.
-
-    Disabled instruments no-op on the hot path (one attribute read),
-    which is what the ``REPRO_METRICS=off`` knob and the overhead
-    benchmark toggle.
-    """
-    registry = get_metrics()
-    previous = registry.enabled
-    registry.enabled = bool(enabled)
-    return previous
 
 
 def install_worker_metrics() -> MetricsRegistry:

@@ -330,7 +330,7 @@ class Tracer:
 
         Only counters that grew appear.  Process-backend workers hand
         their growth back with each task result, so the totals include
-        them; with collection off (``REPRO_METRICS=off``) nothing grows.
+        them.
         """
         return {
             name: total - self._counter_base[name]

@@ -7,14 +7,15 @@ that can change the stage's output.  :data:`STAGES` declares each stage
 once — its codec and its fingerprinted inputs — and both the one key
 derivation, :func:`stage_fingerprint`, and the store read that row:
 
-* the characterized libraries (``stat``, ``samples``) and the worst
-  paths (``paths``, :meth:`repro.sta.paths.WorstPaths.to_arrays`) are
+* the characterized libraries (``stat``, ``samples``) and the
+  synthesis runs (``synth``: summary, worst paths and step sigmas in
+  one file, :meth:`repro.flow.experiment.SynthesisRun.to_arrays`) are
   dicts of numpy arrays, stored with :func:`numpy.savez_compressed` as
   ``.npz`` and read back with ``allow_pickle=False`` — the envelope
   rides along as a ``__meta__`` array;
-* every other stored stage (tuning windows, synthesis-run summaries,
-  design statistics, the minimum-period search) is gzip-compressed
-  canonical JSON, ``.json.gz``, with the payload inside the envelope;
+* the other stored stages (tuning windows, the minimum-period search)
+  are gzip-compressed canonical JSON, ``.json.gz``, with the payload
+  inside the envelope;
 * ``catalog`` and ``design`` are keyed but never stored (no codec).
 
 The envelope is ``{version, stage, key}``.  Both codecs share one
@@ -29,7 +30,10 @@ sweep fan-out workers) can only ever race to write *identical* bytes.
 Entries live in ``$REPRO_CACHE_DIR`` (or ``~/.cache/repro``) as
 ``<stage>-<fingerprint[:40]><codec>``.  Bump :data:`ARTIFACT_VERSION`
 whenever the envelope, the delay model or a stage's stored layout
-changes meaning: it is folded into every key and every envelope.
+changes meaning: it is folded into every key and every envelope.  A
+codec change alone keeps the keys: an entry of the old layout sits at
+another file name, so it is never read (a miss), and ``store stats``
+counts it and ``store clear`` removes it like any other entry.
 """
 
 from __future__ import annotations
@@ -76,17 +80,15 @@ _CHARACTERIZATION = (
 
 #: Every stage, declared once.  A stage's upstream stages are the
 #: inputs that carry another stage's key: ``statlib`` (``stat``),
-#: ``design``, ``windows`` (``tuning``, or the untuned baseline's
-#: sentinel) and ``synth``.
+#: ``design`` and ``windows`` (``tuning``, or the untuned baseline's
+#: sentinel).
 STAGES: Dict[str, Stage] = {
     "catalog": _row(None, "specs"),
     "design": _row(None, "params"),
     "stat": _row(".npz", _CHARACTERIZATION, tag="kind"),
     "samples": _row(".npz", _CHARACTERIZATION, tag="kind"),
     "tuning": _row(".json.gz", "statlib method parameter"),
-    "synth": _row(".json.gz", "statlib design windows constraints sta"),
-    "paths": _row(".npz", "synth"),
-    "stats": _row(".json.gz", "synth rho"),
+    "synth": _row(".npz", "statlib design windows constraints sta"),
     "minperiod": _row(".json.gz", "statlib design guard_band resolution probe sta"),
 }
 

@@ -3,15 +3,17 @@
 The service's dedup layer for the *time* dimension: the artifact store
 already collapses identical work across runs (content-addressed
 artifacts), and the :class:`RequestCoalescer` collapses identical work
-across *concurrent* requests — N clients asking for the same chained
-stage fingerprint share one computation and all await its single
+across *concurrent* requests — N clients asking for the same run
+fingerprint share one computation and all await its single
 future.  One computation, N waiters; a burst of identical cold
 requests performs exactly one synthesis pass.
 
-Keys are the chained stage fingerprints of the request, derived by
-the request's :class:`~repro.flow.experiment.TuningFlow` (see
-:func:`repro.sweep.driver.point_keys`) — the very keys its stages
-store under — so "identical" means what it means everywhere else in
+Keys are the tuned run's ``synth`` fingerprint
+(``point_keys(...).tuned``), derived by the request's
+:class:`~repro.flow.experiment.TuningFlow` (see
+:func:`repro.sweep.driver.point_keys`) — the very key the run is
+stored under, which folds in every upstream stage's key — so
+"identical" means what it means everywhere else in
 the pipeline: same statistical library, same
 design, same method/parameter, same clock and constraints.  Two
 requests that differ anywhere upstream get different keys and never

@@ -10,13 +10,13 @@ stations:
    :meth:`~repro.flow.experiment.FlowConfig.from_env`, with request
    fields (scale, design) taking precedence over the server's own
    config, which took precedence over the environment at startup.
-2. **Fingerprint** — the point's chained stage fingerprints come from
+2. **Fingerprint** — the point's stage fingerprints come from
    :func:`repro.sweep.driver.point_keys`, which asks the request's
    flow — the one place keys are derived — so the artifact store
    doubles as the service's warm/cold oracle.
 3. **Coalesce** — cold work keys into the
-   :class:`~repro.serve.coalesce.RequestCoalescer` on the tuned chain's
-   terminal fingerprint; N identical in-flight requests share one
+   :class:`~repro.serve.coalesce.RequestCoalescer` on the tuned run's
+   ``synth`` fingerprint; N identical in-flight requests share one
    computation.
 4. **Dispatch** — cold leaders go through the
    :class:`~repro.parallel.backends.AsyncDispatcher` onto the
@@ -102,9 +102,6 @@ class TuningService:
                 "the tuning service streams warm results from the artifact "
                 "store; enable the cache (FlowConfig(cache=True))"
             )
-        from repro.observe.metrics import set_metrics_enabled
-
-        set_metrics_enabled(self.config.metrics)
         self.backend = resolve_backend(
             self.config.backend, self.config.n_workers
         )
@@ -142,7 +139,6 @@ class TuningService:
                 jobs=self.config.n_workers,
                 backend=self.config.backend,
                 cache=self.config.cache,
-                metrics=self.config.metrics,
             )
         design = getattr(request, "design", None)
         if design is not None:
@@ -191,9 +187,9 @@ class TuningService:
     ) -> TuneResponse:
         """Serve one tuning comparison (baseline vs tuned point).
 
-        Warm points (every chained artifact already stored) stream
-        through the collection flow without touching the dispatcher;
-        cold points coalesce on the tuned chain's terminal fingerprint
+        Warm points (tuning, tuned run and baseline run already stored)
+        stream through the collection flow without touching the
+        dispatcher; cold points coalesce on the tuned run's fingerprint
         and dispatch one sweep-worker evaluation for all waiters.
         """
         from repro.core.methods import method_by_name
@@ -211,7 +207,7 @@ class TuningService:
         def probe() -> Tuple[str, bool]:
             """Fingerprint the point and check store warmth (thread)."""
             keys = point_keys(flow, point)
-            return keys.tuned[-1][1], all(flow.stored(keys))
+            return keys.tuned, all(flow.stored(keys))
 
         identity, warm = await asyncio.to_thread(probe)
         task = (point.clock_period, method.name, point.parameter)

@@ -13,9 +13,9 @@ one step per iteration, and a path ending at a launch net gets the
 flip-flop's clock->Q step first.  The result is a :class:`WorstPaths`:
 per path a run of steps (CSR offsets); per step its delay, slew, load,
 launch flag and six names, as indices into one table of the names the
-paths use.  That is also the ``paths`` stage's stored form (an ``.npz``
-of :meth:`WorstPaths.to_arrays`), and
-:func:`~repro.sta.statistics.design_statistics` reads it directly.  The
+paths use.  :meth:`WorstPaths.to_arrays` is their stored form, part of
+each synthesis run's ``synth`` artifact, and
+:func:`~repro.sta.statistics.design_statistics` reads them directly.  The
 object model (:class:`TimingPath` of :class:`PathStep`) is built only
 for the paths a caller reads: an index, a slice or an iteration.
 """
@@ -160,19 +160,33 @@ class WorstPaths:
         )
 
     def to_arrays(self) -> Dict[str, np.ndarray]:
-        """The arrays by field name (the stored ``.npz`` form)."""
-        return {name: getattr(self, name) for name in _ARRAYS}
+        """The stored form: the arrays by field name, but the name
+        table as NUL-terminated UTF-8 bytes and ``names`` as int32."""
+        arrays = {name: getattr(self, name) for name in _ARRAYS}
+        text = np.frombuffer(
+            "".join(name + "\0" for name in self.strings.tolist()).encode("utf-8"),
+            dtype=np.uint8,
+        )
+        if np.count_nonzero(text == 0) != self.strings.size:
+            raise ValueError("a path name holds a NUL character")
+        arrays["strings"] = text
+        arrays["names"] = self.names.astype(np.int32)
+        return arrays
 
     @staticmethod
     def from_arrays(arrays: Dict[str, np.ndarray]) -> "WorstPaths":
         """Rebuild paths stored with :meth:`to_arrays`; raises
-        ``ValueError`` on missing, extra or inconsistent arrays."""
-        if arrays.keys() != _ARRAYS.keys():
-            raise ValueError(f"paths arrays {sorted(arrays)}")
-        for name, (kind, ndim) in _ARRAYS.items():
-            if arrays[name].dtype.kind != kind or arrays[name].ndim != ndim:
-                raise ValueError(f"paths array {name}: {arrays[name].dtype}")
-        paths = WorstPaths(**arrays)
+        ``ValueError`` on missing, extra, mistyped or inconsistent
+        arrays."""
+        check_arrays(arrays, _ARRAYS, "paths")
+        text = arrays["strings"].tobytes()
+        if text[-1:] not in (b"", b"\0"):
+            raise ValueError("unterminated paths name table")
+        paths = WorstPaths(**{
+            **arrays,
+            "names": arrays["names"].astype(np.int64),
+            "strings": np.array(text.decode("utf-8").split("\0")[:-1], dtype=str),
+        })
         offsets, count = paths.offsets, len(paths)
         steps = int(offsets[-1]) if offsets.size else -1
         if (
@@ -194,7 +208,8 @@ class WorstPaths:
         return paths
 
 
-#: Every :class:`WorstPaths` array: its dtype kind and dimensions.
+#: Every stored :class:`WorstPaths` array (:meth:`WorstPaths.to_arrays`):
+#: its dtype kind and dimensions.
 _ARRAYS: Dict[str, Tuple[str, int]] = {
     "endpoint_nets": ("i", 1),
     "endpoint_kinds": ("U", 1),
@@ -208,8 +223,20 @@ _ARRAYS: Dict[str, Tuple[str, int]] = {
     "load": ("f", 1),
     "launch": ("b", 1),
     "names": ("i", 2),
-    "strings": ("U", 1),
+    "strings": ("u", 1),
 }
+
+
+def check_arrays(
+    arrays: Dict[str, np.ndarray], layout: Dict[str, Tuple[str, int]], what: str
+) -> None:
+    """Raise ``ValueError`` unless ``arrays`` holds exactly the arrays
+    ``layout`` names, each of its dtype kind and dimensions."""
+    if arrays.keys() != layout.keys():
+        raise ValueError(f"{what} arrays {sorted(arrays)}")
+    for name, (kind, ndim) in layout.items():
+        if arrays[name].dtype.kind != kind or arrays[name].ndim != ndim:
+            raise ValueError(f"{what} array {name}: {arrays[name].dtype}")
 
 
 def _picks(result: TimingResult) -> np.ndarray:

@@ -77,25 +77,6 @@ class PathStatistics:
         """mu + 3 sigma — the paper's robustness view of a path."""
         return self.mean + 3.0 * self.sigma
 
-    def to_payload(self) -> dict:
-        """JSON-serializable rendering (artifact pipeline)."""
-        return {
-            "mean": self.mean,
-            "sigma": self.sigma,
-            "depth": self.depth,
-            "step_sigmas": list(self.step_sigmas),
-        }
-
-    @staticmethod
-    def from_payload(payload: dict) -> "PathStatistics":
-        """Rebuild statistics stored with :meth:`to_payload`."""
-        return PathStatistics(
-            mean=float(payload["mean"]),
-            sigma=float(payload["sigma"]),
-            depth=int(payload["depth"]),
-            step_sigmas=tuple(float(s) for s in payload["step_sigmas"]),
-        )
-
 
 def path_sigma_correlated(step_sigmas: Sequence[float], rho: float) -> float:
     """Eq. (9): path sigma under equal pairwise correlation ``rho``."""
@@ -136,25 +117,13 @@ class DesignStatistics:
     n_paths: int
     path_stats: tuple
 
-    def to_payload(self) -> dict:
-        """JSON-serializable rendering (artifact pipeline)."""
-        return {
-            "mean": self.mean,
-            "sigma": self.sigma,
-            "n_paths": self.n_paths,
-            "path_stats": [p.to_payload() for p in self.path_stats],
-        }
-
-    @staticmethod
-    def from_payload(payload: dict) -> "DesignStatistics":
-        """Rebuild statistics stored with :meth:`to_payload`."""
-        return DesignStatistics(
-            mean=float(payload["mean"]),
-            sigma=float(payload["sigma"]),
-            n_paths=int(payload["n_paths"]),
-            path_stats=tuple(
-                PathStatistics.from_payload(p) for p in payload["path_stats"]
-            ),
+    @property
+    def step_sigma(self) -> np.ndarray:
+        """Every path step's sigma, in path order: what
+        :func:`fold_statistics` folds back into these statistics."""
+        return np.array(
+            [sigma for path in self.path_stats for sigma in path.step_sigmas],
+            dtype=float,
         )
 
 
@@ -185,35 +154,37 @@ def _sigma_pairs(library: Library, paths: WorstPaths) -> np.ndarray:
     return pairs
 
 
-def design_statistics(
-    paths: WorstPaths,
-    library: Library,
-    rho: float = 0.0,
-) -> DesignStatistics:
-    """Eq. (11) over the given worst paths.
+def path_step_sigmas(paths: WorstPaths, library: Library) -> np.ndarray:
+    """Every step's sigma (worst of its rise/fall tables at the step's
+    slew and load), in path order, from one kernel call."""
+    if not paths.delay.size:
+        return np.zeros(0)
+    return worst_values(
+        library_tables(library), _sigma_pairs(library, paths), paths.slew, paths.load
+    )
 
-    Every step's sigma comes from one kernel call; each path then folds
-    its steps as :func:`path_statistics` does (a left-to-right sum of
-    the delays, :func:`path_sigma_correlated` of the sigmas), and the
-    design sums the path means and ``sigma**2`` left to right.
+
+def fold_statistics(
+    paths: WorstPaths, step_sigma: np.ndarray, rho: float = 0.0
+) -> DesignStatistics:
+    """Eq. (11) over the given worst paths, from their step sigmas.
+
+    Each path folds its steps as :func:`path_statistics` does (a
+    left-to-right sum of the delays, :func:`path_sigma_correlated` of
+    the sigmas), and the design sums the path means and ``sigma**2``
+    left to right.  A stored run rebuilds its statistics here, from
+    the step sigmas it holds.
     """
     if not len(paths):
         raise TimingError("design statistics need at least one path")
-    values = (
-        worst_values(
-            library_tables(library), _sigma_pairs(library, paths), paths.slew, paths.load
-        )
-        if paths.delay.size
-        else np.zeros(0)
-    )
-    sigmas, delays = values.tolist(), paths.delay.tolist()
+    sigmas, delays = step_sigma.tolist(), paths.delay.tolist()
     bounds = paths.offsets.tolist()
     stats: List[PathStatistics] = []
     for start, end in zip(bounds, bounds[1:]):
         stats.append(
             PathStatistics(
                 mean=float(sum(delays[start:end])),
-                sigma=path_sigma_correlated(values[start:end], rho),
+                sigma=path_sigma_correlated(step_sigma[start:end], rho),
                 depth=end - start,
                 step_sigmas=tuple(sigmas[start:end]),
             )
@@ -223,3 +194,16 @@ def design_statistics(
     return DesignStatistics(
         mean=mean, sigma=sigma, n_paths=len(stats), path_stats=tuple(stats)
     )
+
+
+def design_statistics(
+    paths: WorstPaths,
+    library: Library,
+    rho: float = 0.0,
+) -> DesignStatistics:
+    """Eq. (11) over the given worst paths: the library lookup of
+    every step's sigma (:func:`path_step_sigmas`), then
+    :func:`fold_statistics`."""
+    if not len(paths):
+        raise TimingError("design statistics need at least one path")
+    return fold_statistics(paths, path_step_sigmas(paths, library), rho)

@@ -13,10 +13,10 @@ deterministic phases:
    generators.family.DesignSpec` touches lands in the fingerprinted
    ``MicrocontrollerParams``, so each family member has its own keys.
 2. **Diff** and 3. **Dispatch** — :func:`repro.flow.pipeline.
-   sweep_stale` probes every point's chained keys (derived by its
+   sweep_stale` probes every point's keys (derived by its
    design's flow) against the artifact store and computes only the
-   stale work: first one baseline per ``(design, clock)`` with missing
-   baseline artifacts, then one task per stale point, on the execution
+   stale work: first one baseline per ``(design, clock)`` with a missing
+   baseline run, then one task per stale point, on the execution
    backend.  A warm grid dispatches **nothing** — zero synthesis, zero
    characterization.
 4. **Collect** — every point (fresh and stale alike) is read back
@@ -117,8 +117,8 @@ class PointResult:
     """A grid point, how it was satisfied, and its comparison.
 
     ``status`` is ``hit`` (every artifact was already in the store),
-    ``run`` (the point's tuned chain was stale and was dispatched) or
-    ``skip`` (only shared baseline artifacts were missing — a baseline
+    ``run`` (the point's tuned run was stale and was dispatched) or
+    ``skip`` (only the shared baseline run was missing — a baseline
     task scheduled for the ``(design, clock)`` pair covered it without
     a per-point dispatch).
     """
@@ -151,7 +151,8 @@ class SweepResult:
 
 def point_keys(flow, point: GridPoint) -> PointKeys:
     """The keys ``point`` is stored under, as ``flow`` derives them:
-    (tuning key, tuned synth/paths/stats, baseline synth/paths/stats).
+    its tuning key, its tuned run's ``synth`` key and its baseline
+    run's ``synth`` key.
 
     ``flow`` is a :class:`~repro.flow.experiment.TuningFlow` for the
     point's design; the tuning service probes warmth and keys its

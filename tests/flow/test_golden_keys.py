@@ -4,7 +4,7 @@ Every stage artifact lives under a content fingerprint, so a change to
 how any key is derived silently turns every existing cache cold.  This
 module pins the hex keys of one tiny-scale evaluation point — the
 statistical library, the design, one tuning, the baseline and tuned
-synth/paths/stats chains and the minimum-period search — and checks
+synthesis runs and the minimum-period search — and checks
 that a cold :meth:`~repro.flow.experiment.TuningFlow.compare` writes
 exactly the artifacts :func:`repro.sweep.driver.point_keys` names.
 
@@ -30,16 +30,8 @@ POINT = GridPoint("microcontroller", "sigma_ceiling", 0.5, 3.0)
 STATLIB = "56f3c3c9eda5e824c871c001aec0300825dae805c004ea3e5ac421fb6d329ee2"
 DESIGN = "8b1db94de952e11b6b903dea66809c7537ae35b041ce0eff63ea436d4d3e8327"
 TUNING = "674f21cfc5dff59770058fe79cb1037beccfc35562132687107efedd145a0e96"
-TUNED = (
-    ("synth", "72081be61b321e3372755ff0ae47fe671343b38a7c2cf925b391b90ac72199ec"),
-    ("paths", "33246ece5ea785f769be0faf7c4d526d353fe6e24e10c3d5502650c833692e8f"),
-    ("stats", "068fcb55f074b5bede762b8884059ebf586b0451560b4d2a4d3165318598d143"),
-)
-BASELINE = (
-    ("synth", "6324b81e644a9971b81f36eea1ee385ab629cb563523b97489a709ff59c47d80"),
-    ("paths", "133a3ce93fac78ac42cabe80288116ffaeb04680a0208077a52472e9a155bbbf"),
-    ("stats", "51e38acce216f9b83afe45c0d1f331f3cd0deb3ce3faf72e2e07572b1f66e0a4"),
-)
+TUNED = "72081be61b321e3372755ff0ae47fe671343b38a7c2cf925b391b90ac72199ec"
+BASELINE = "6324b81e644a9971b81f36eea1ee385ab629cb563523b97489a709ff59c47d80"
 MINPERIOD = "7d76e540450f8dd8d5f0fa641d81085a972a074493cb2126b4841c336009766d"
 
 
@@ -74,8 +66,8 @@ class TestGoldenKeys:
         assert flow.design_key == DESIGN
         tuning, tuned, baseline = _point_keys(flow, POINT)
         assert tuning == TUNING
-        assert tuple(tuned) == TUNED
-        assert tuple(baseline) == BASELINE
+        assert tuned == TUNED
+        assert baseline == BASELINE
         assert (
             minperiod_fingerprint(
                 flow.statlib_key, flow.design_key, flow.config.guard_band, 0.05
@@ -87,13 +79,15 @@ class TestGoldenKeys:
         flow.compare(POINT.clock_period, POINT.method, POINT.parameter)
         store = ArtifactStore()
         tuning, tuned, baseline = _point_keys(flow, POINT)
-        expected = {store.path_for("tuning", tuning).name} | {
-            store.path_for(stage, key).name for stage, key in tuned + baseline
+        expected = {
+            store.path_for("tuning", tuning).name,
+            store.path_for("synth", tuned).name,
+            store.path_for("synth", baseline).name,
         }
         stored = {
             path.name
-            for stage in ("tuning", "synth", "paths", "stats")
-            for path in store.directory.glob(f"{stage}-*")
+            for path in store.directory.iterdir()
+            if not path.name.startswith(("stat-", "ledger"))
         }
         assert stored == expected
-        assert len(stored) == 7
+        assert len(stored) == 3

@@ -12,6 +12,8 @@ zero-recharacterization test).
 from __future__ import annotations
 
 import dataclasses
+import gzip
+import io
 import time
 
 import numpy as np
@@ -22,7 +24,7 @@ from repro.characterization.characterize import (
     reset_characterization_call_count,
 )
 from repro.errors import ReproError, TuningError
-from repro.flow.experiment import FlowConfig, RunSummary, TuningFlow
+from repro.flow.experiment import FlowConfig, SynthesisRun, TuningFlow
 from repro.flow.pipeline import BASELINE_WINDOWS, RunManifest, minperiod_fingerprint
 from repro.netlist.generators.microcontroller import MicrocontrollerParams
 from repro.observe.catalog import STORE_ARTIFACT_EVENTS
@@ -34,8 +36,6 @@ from repro.parallel.artifacts import (
     stage_fingerprint,
 )
 from repro.sta.graph import StaConfig
-from repro.sta.paths import WorstPaths
-from repro.sta.statistics import DesignStatistics
 from repro.synth.constraints import SynthesisConstraints
 from repro.synth.synthesizer import (
     reset_synthesis_call_count,
@@ -87,10 +87,10 @@ class TestArtifactStore:
         store = ArtifactStore(tmp_path)
         payload = {"met": True, "area": 123.5, "rows": [[1, 2], [3, 4]]}
         key = fingerprint(payload)
-        assert not store.has("synth", key)
-        store.store("synth", key, payload)
-        assert store.has("synth", key)
-        assert store.load("synth", key) == payload
+        assert not store.has("tuning", key)
+        store.store("tuning", key, payload)
+        assert store.has("tuning", key)
+        assert store.load("tuning", key) == payload
 
     def test_missing_returns_none(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -99,22 +99,22 @@ class TestArtifactStore:
     def test_corrupt_entry_self_heals(self, tmp_path):
         store = ArtifactStore(tmp_path)
         key = fingerprint({"x": 1})
-        store.store("paths", key, {"offsets": np.arange(3)})
-        path = store.path_for("paths", key)
+        store.store("synth", key, {"offsets": np.arange(3)})
+        path = store.path_for("synth", key)
         path.write_bytes(b"not an npz at all")
-        assert store.load("paths", key) is None
+        assert store.load("synth", key) is None
         assert not path.exists()  # poisoned entry dropped
 
     def test_wrong_envelope_discarded(self, tmp_path):
         store = ArtifactStore(tmp_path)
         key = fingerprint({"x": 2})
-        store.store("stats", key, {"sigma": 0.5})
+        store.store("minperiod", key, {"minimum": 0.5})
         # same bytes presented under another stage must not resolve
         other = ArtifactStore(tmp_path)
-        store.path_for("synth", key).write_bytes(
-            store.path_for("stats", key).read_bytes()
+        store.path_for("tuning", key).write_bytes(
+            store.path_for("minperiod", key).read_bytes()
         )
-        assert other.load("synth", key) is None
+        assert other.load("tuning", key) is None
 
     def test_stats_and_clear(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -134,25 +134,25 @@ class TestArtifactStore:
 
         store = ArtifactStore(tmp_path)
         key = fingerprint({"x": 3})
-        store.store("paths", key, {"offsets": np.arange(3)})
-        store.path_for("paths", key).write_bytes(b"junk")
+        store.store("synth", key, {"offsets": np.arange(3)})
+        store.path_for("synth", key).write_bytes(b"junk")
         tracer = Tracer(MemorySink())
         previous = set_tracer(tracer)
         try:
-            with tracer.span("stage.paths") as span:
-                assert store.load("paths", key) is None
+            with tracer.span("stage.synth") as span:
+                assert store.load("synth", key) is None
         finally:
             set_tracer(previous)
         assert tracer.counters()["store.artifact.healed"] == 1
         (event,) = span.events
         assert event["name"] == "store.self_heal"
-        assert event["attrs"]["stage"] == "paths"
+        assert event["attrs"]["stage"] == "synth"
 
     def test_stats_break_down_by_stage(self, tmp_path):
         store = ArtifactStore(tmp_path)
         for i in range(2):
             store.store("tuning", fingerprint({"i": i}), {"i": i})
-        store.store("synth", fingerprint({"j": 9}), {"j": 9})
+        store.store("synth", fingerprint({"j": 9}), {"j": np.arange(9)})
         stats = store.stats()
         assert stats.by_stage == {"tuning": 2, "synth": 1}
         assert "tuning" in stats.to_text()
@@ -257,17 +257,16 @@ class TestStageTable:
         flow = TuningFlow(_mini_config())
         flow.compare(4.0, "sigma_ceiling", 0.03)
         flow.sample_libraries(flow.specs[:4], 3, 0)
-        assert _stored_stages(cache_dir) == {
-            "stat", "samples", "tuning", "synth", "paths", "stats",
-        }
+        assert _stored_stages(cache_dir) == {"stat", "samples", "tuning", "synth"}
 
     def test_stage_fingerprint_rejects_missing_and_undeclared_inputs(self):
-        with pytest.raises(ReproError, match=r"missing \[rho\]"):
-            stage_fingerprint("stats", synth="a" * 64)
+        with pytest.raises(ReproError, match=r"missing \[parameter\]"):
+            stage_fingerprint("tuning", statlib="a" * 64, method="m")
         with pytest.raises(ReproError, match=r"undeclared \[clock\]"):
-            stage_fingerprint("paths", synth="a" * 64, clock=4.0)
-        with pytest.raises(ReproError, match="unknown stage"):
-            stage_fingerprint("netlist", synth="a" * 64)
+            stage_fingerprint("design", params={}, clock=4.0)
+        for gone in ("netlist", "paths", "stats"):
+            with pytest.raises(ReproError, match="unknown stage"):
+                stage_fingerprint(gone, synth="a" * 64)
 
     def test_unstored_stage_has_no_path(self, tmp_path):
         with pytest.raises(ReproError, match="not a stored stage"):
@@ -291,7 +290,7 @@ class TestManifest:
     def test_records_and_counts(self):
         manifest = RunManifest()
         manifest.record("synth", "a" * 64, "hit", 0.01)
-        manifest.record("paths", "b" * 64, "miss", 0.5)
+        manifest.record("tuning", "b" * 64, "miss", 0.5)
         assert manifest.counts() == {"hit": 1, "miss": 1}
         text = manifest.to_text()
         assert "synth" in text and "hit" in text and "2 stage resolutions" in text
@@ -315,24 +314,16 @@ class TestWarmPipeline:
             ("tuned", "sigma_ceiling", 0.03, 4.0),
         }
 
-        # live runs expose the timing graph; payloads roundtrip exactly
+        # live runs expose the timing graph; the stored run is equal
         cold_run = cold_flow.baseline(4.0)
         assert cold_run.result is not None
         assert cold_run.timing is cold_run.result.timing
-        baseline_keys = dict(cold_flow.point_keys(4.0, "sigma_ceiling", 0.03).baseline)
+        baseline_key = cold_flow.point_keys(4.0, "sigma_ceiling", 0.03).baseline
         stored = ArtifactStore().load(
-            "paths", baseline_keys["paths"], WorstPaths.from_arrays
+            "synth", baseline_key, lambda arrays: SynthesisRun.from_arrays(arrays, 4.0)
         )
-        assert stored == cold_run.paths
-        assert list(stored) == list(cold_run.paths)
-        assert (
-            DesignStatistics.from_payload(cold_run.stats.to_payload())
-            == cold_run.stats
-        )
-        assert (
-            RunSummary.from_payload(cold_run.summary.to_payload())
-            == cold_run.summary
-        )
+        assert stored == cold_run
+        assert list(stored.paths) == list(cold_run.paths)
 
         warm_flow = TuningFlow(_mini_config())
         reset_synthesis_call_count()
@@ -353,13 +344,10 @@ class TestWarmPipeline:
         assert warm_run.depth_histogram() == cold_run.depth_histogram()
         assert warm_run.summary == cold_run.summary
 
-        # every synthesis-side stage resolved as a hit
-        statuses = {
-            (r.stage, r.status)
-            for r in warm_flow.manifest.records
-            if r.stage in ("synth", "paths", "stats")
-        }
-        assert statuses == {("synth", "hit"), ("paths", "hit"), ("stats", "hit")}
+        # both runs resolved as hits
+        assert [
+            (r.stage, r.status) for r in warm_flow.manifest.records if r.stage == "synth"
+        ] == [("synth", "hit"), ("synth", "hit")]
 
     def test_warm_fig10_zero_synthesis(self, cache_dir, monkeypatch):
         """Acceptance: a warm ``run fig10`` performs zero synthesis."""
@@ -496,18 +484,44 @@ class TestWarmPipeline:
             "hit"
         ]
 
-    def test_torn_paths_entry_misses_the_whole_run_chain(self, cache_dir):
-        """A truncated or garbage ``paths-*.npz`` in a warm store makes
-        its run chain a miss (chains are all-or-nothing): synth, paths
-        and stats are recomputed, equal to the cold values, and one
-        ``store.self_heal`` event, on the span open around the load,
-        names the ``paths`` stage."""
+    def test_torn_synth_entry_heals_into_one_miss(self, cache_dir):
+        """A ``synth-*.npz`` that is truncated, garbage, or lacks or
+        mistypes one array makes its run one miss: one
+        ``store.self_heal`` event naming ``synth``, one synthesis, the
+        cold values, and the entry rewritten intact."""
         from repro.observe import MemorySink, Tracer, set_tracer
 
         cold = TuningFlow(_mini_config()).baseline(4.0)
-        (entry,) = cache_dir.glob("paths-*.npz")
-        for damage in (entry.read_bytes()[: entry.stat().st_size // 2], b"garbage"):
-            entry.write_bytes(damage)
+        (entry,) = cache_dir.glob("synth-*.npz")
+        intact = entry.read_bytes()
+
+        def decode(arrays):
+            return SynthesisRun.from_arrays(arrays, 4.0)
+
+        def rewritten(change):
+            """The intact entry with ``change`` applied to its arrays."""
+            with np.load(io.BytesIO(intact), allow_pickle=False) as data:
+                arrays = {name: data[name] for name in data.files}
+            change(arrays)
+            buffer = io.BytesIO()
+            np.savez_compressed(buffer, **arrays)
+            return buffer.getvalue()
+
+        key = TuningFlow(_mini_config()).point_keys(4.0, "sigma_ceiling", 0.03).baseline
+        damages = {
+            "truncated": intact[: len(intact) // 2],
+            "garbage": b"garbage",
+            "no cell_names": rewritten(lambda arrays: arrays.pop("cell_names")),
+            "no step_sigma": rewritten(lambda arrays: arrays.pop("step_sigma")),
+            "int delay": rewritten(
+                lambda arrays: arrays.update(delay=arrays["delay"].astype(np.int64))
+            ),
+            "unicode name table": rewritten(
+                lambda arrays: arrays.update(strings=cold.paths.strings)
+            ),
+        }
+        for damage, damaged in damages.items():
+            entry.write_bytes(damaged)
             tracer = Tracer(MemorySink())
             flow = TuningFlow(dataclasses.replace(_mini_config(), tracer=tracer))
             reset_synthesis_call_count()
@@ -517,16 +531,12 @@ class TestWarmPipeline:
                     warm = flow.baseline(4.0)
             finally:
                 set_tracer(None)
-            assert synthesis_call_count() == 1
+            assert synthesis_call_count() == 1, damage
             assert STORE_ARTIFACT_EVENTS.labels(event="healed").value == healed + 1
             assert [
-                (r.stage, r.status)
-                for r in flow.manifest.records
-                if r.stage in ("synth", "paths", "stats")
-            ] == [("synth", "miss"), ("paths", "miss"), ("stats", "miss")]
-            assert warm.paths == cold.paths
-            assert warm.stats == cold.stats
-            assert warm.summary == cold.summary
+                (r.stage, r.status) for r in flow.manifest.records if r.stage == "synth"
+            ] == [("synth", "miss")]
+            assert warm == cold
             assert warm.depth_histogram() == cold.depth_histogram()
             heals = [
                 event
@@ -534,8 +544,41 @@ class TestWarmPipeline:
                 for event in span.events
                 if event["name"] == "store.self_heal"
             ]
-            assert [event["attrs"]["stage"] for event in heals] == ["paths"]
-            assert entry.is_file()  # rewritten by the recomputed chain
+            assert [event["attrs"]["stage"] for event in heals] == ["synth"]
+            assert ArtifactStore().load("synth", key, decode) == cold  # rewritten
+
+    def test_store_of_three_artifact_runs_misses_once_then_hits(self, cache_dir):
+        """A store written when a run was three artifacts (a
+        ``synth-*.json.gz`` summary, ``paths-*.npz`` and
+        ``stats-*.json.gz``) misses the run once, then hits; the old
+        entries are never read, ``store stats`` counts them and
+        ``store clear`` removes them."""
+        cold = TuningFlow(_mini_config()).baseline(4.0)
+        (entry,) = cache_dir.glob("synth-*.npz")
+        stem = entry.name[: -len(".npz")]
+        entry.unlink()
+        for name, stage, payload in (
+            (f"{stem}.json.gz", "synth", {"met": True}),
+            ("stats-" + "2" * 40 + ".json.gz", "stats", {"sigma": 0.5}),
+        ):
+            with gzip.open(cache_dir / name, "wt", encoding="utf-8") as stream:
+                stream.write(canonical_json(
+                    {"version": 1, "stage": stage, "key": stem, "payload": payload}
+                ))
+        np.savez_compressed(cache_dir / ("paths-" + "1" * 40 + ".npz"), offsets=np.arange(3))
+
+        for status, synthesized in (("miss", 1), ("hit", 0)):
+            flow = TuningFlow(_mini_config())
+            reset_synthesis_call_count()
+            assert flow.baseline(4.0) == cold
+            assert synthesis_call_count() == synthesized
+            assert [
+                (r.stage, r.status) for r in flow.manifest.records if r.stage == "synth"
+            ] == [("synth", status)]
+        store = ArtifactStore()
+        assert store.stats().by_stage == {"stat": 1, "synth": 2, "paths": 1, "stats": 1}
+        assert store.clear() == 5
+        assert not list(cache_dir.iterdir())
 
     def test_cold_library_resolution_derives_each_key_once(
         self, cache_dir, monkeypatch

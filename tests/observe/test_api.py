@@ -182,27 +182,6 @@ class TestFromEnvPrecedence:
         with pytest.raises(ConfigError, match="unknown backend"):
             FlowConfig.from_env(backend="cloud")
 
-    def test_metrics_knob_resolves_with_same_precedence(self, monkeypatch):
-        from repro.flow.experiment import FlowConfig
-
-        monkeypatch.delenv("REPRO_METRICS", raising=False)
-        assert FlowConfig.from_env().metrics is True
-        monkeypatch.setenv("REPRO_METRICS", "off")
-        assert FlowConfig.from_env().metrics is False
-        assert FlowConfig.from_env(metrics=True).metrics is True
-        monkeypatch.setenv("REPRO_METRICS", "maybe")
-        with pytest.raises(ConfigError, match="REPRO_METRICS"):
-            FlowConfig.from_env()
-
-    def test_metrics_field_does_not_change_config_identity(self):
-        """Flow memo keys and fingerprints ignore the metrics toggle."""
-        from dataclasses import replace
-
-        from repro.flow.experiment import FlowConfig
-
-        config = FlowConfig.tiny()
-        assert replace(config, metrics=False) == config
-
     def test_build_context_goes_through_from_env(self, monkeypatch):
         """CLI knobs override the environment via the one resolver."""
         from repro.experiments.runner import build_context

@@ -102,8 +102,8 @@ class TestTracedResultsIdentical:
             "stage.statlib",
             "stage.tuning",
             "stage.synth",
-            "stage.paths",
-            "stage.stats",
+            "sta.paths",
+            "sta.stats",
             "characterize.statistical",
             "synth.run",
             "sta.analyze",
@@ -167,7 +167,7 @@ class TestCounterTruth:
             }
 
         config = dataclasses.replace(
-            FlowConfig.tiny(), n_workers=1, backend="serial", metrics=True
+            FlowConfig.tiny(), n_workers=1, backend="serial"
         )
         for phase in ("cold", "warm"):
             set_tracer(None)

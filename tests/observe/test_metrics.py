@@ -30,7 +30,6 @@ from repro.observe.metrics import (
     log_buckets,
     parse_prometheus,
     render_prometheus,
-    set_metrics_enabled,
 )
 
 
@@ -126,13 +125,6 @@ class TestInstrumentSemantics:
         assert sample.count == 4
         assert sample.total == pytest.approx(12.0)
 
-    def test_disabled_registry_is_a_noop(self, registry):
-        counter = registry.counter("repro_test_total", "Help.")
-        registry.enabled = False
-        counter.inc(7)
-        registry.enabled = True
-        assert registry.snapshot().value("repro_test_total") == 0
-
     def test_reset_zeroes_but_keeps_families(self, registry):
         counter = registry.counter("repro_test_total", "Help.")
         counter.inc(9)
@@ -140,14 +132,6 @@ class TestInstrumentSemantics:
         assert registry.snapshot().value("repro_test_total") == 0
         counter.inc()  # the pre-reset handle still feeds the family
         assert registry.snapshot().value("repro_test_total") == 1
-
-    def test_global_toggle_returns_previous(self):
-        previous = set_metrics_enabled(False)
-        try:
-            assert set_metrics_enabled(True) is False
-        finally:
-            set_metrics_enabled(previous if previous is not None else True)
-        assert get_metrics().enabled
 
 
 class TestBucketsAndQuantiles:

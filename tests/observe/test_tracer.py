@@ -20,7 +20,6 @@ from repro.observe import (
     TraceHandle,
     Tracer,
     get_tracer,
-    set_metrics_enabled,
     set_tracer,
 )
 from repro.observe.catalog import STORE_ARTIFACT_EVENTS, SYNTH_CALLS
@@ -158,16 +157,6 @@ class TestCounters:
             "synth.calls": 3,
             "store.artifact.hit": 1,
         }
-
-    def test_disabled_registry_counts_nothing(self):
-        """``REPRO_METRICS=off`` silences trace counters too."""
-        tracer = Tracer()
-        previous = set_metrics_enabled(False)
-        try:
-            SYNTH_CALLS.inc(4)
-        finally:
-            set_metrics_enabled(previous)
-        assert tracer.counters() == {}
 
     def test_finish_writes_one_counters_record(self):
         """``finish`` exports the counter view once, as one record."""

@@ -1,7 +1,7 @@
 """The one artifact store under failure: torn entries, concurrent writers.
 
-Both codecs — ``.npz`` arrays (the characterized libraries) and gzip
-JSON (every other stage) — go through one atomic write path and one
+Both codecs — ``.npz`` arrays (the characterized libraries and the
+synthesis runs) and gzip JSON (every other stage) — go through one atomic write path and one
 self-heal path, so every case here runs on both.
 """
 
@@ -14,14 +14,14 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.observe import MemorySink, Tracer, set_metrics_enabled, set_tracer
+from repro.observe import MemorySink, Tracer, set_tracer
 from repro.observe.catalog import STORE_ARTIFACT_EVENTS
 from repro.parallel.artifacts import ARTIFACT_VERSION, ArtifactStore, fingerprint
 
 #: Codec -> (stage, payload) of one representative entry.
 ENTRIES = {
     "npz": ("stat", {"INV\tZN\tA\tcell_rise": np.arange(12.0).reshape(3, 4)}),
-    "json": ("synth", {"met": True, "area": 12.5, "cells": {"INV_X1": 3}}),
+    "json": ("tuning", {"met": True, "area": 12.5, "cells": {"INV_X1": 3}}),
 }
 CODECS = sorted(ENTRIES)
 
@@ -41,13 +41,6 @@ def _same(payload, expected) -> bool:
 
 def _events(event: str) -> float:
     return STORE_ARTIFACT_EVENTS.labels(event=event).value
-
-
-@pytest.fixture(autouse=True)
-def _metrics_on():
-    previous = set_metrics_enabled(True)
-    yield
-    set_metrics_enabled(previous)
 
 
 @pytest.fixture()
@@ -107,7 +100,7 @@ def test_json_entry_holds_canonical_text(tmp_path, payload):
     """A JSON entry decompresses to exactly the canonical (sorted,
     compact) ``json.dumps`` of its envelope and payload — the text the
     stage keys and every reader have always seen."""
-    stage = "stats"
+    stage = "minperiod"
     key = fingerprint({"canonical": stage})
     path = ArtifactStore(tmp_path).store(stage, key, payload)
     envelope = {"version": ARTIFACT_VERSION, "stage": stage, "key": key}

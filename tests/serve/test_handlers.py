@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import asyncio
-from dataclasses import replace
 
 import pytest
 
@@ -107,31 +106,6 @@ class TestRequestConfig:
         )
         with pytest.raises(ConfigError, match="tiyn"):
             service.request_config(request)
-
-    def test_scaled_request_keeps_the_servers_metrics_off(self):
-        """A request naming a scale must not turn the process-wide
-        metrics registry back on: the server's ``metrics`` is carried
-        through like its other execution knobs."""
-        from repro.observe.metrics import get_metrics, set_metrics_enabled
-
-        previous = set_metrics_enabled(True)
-        try:
-            service = TuningService(
-                config=replace(FlowConfig.tiny(), backend="serial", metrics=False)
-            )
-            assert not get_metrics().enabled
-            request = TuneRequest(
-                method="cell_load_slope",
-                parameter=0.2,
-                clock_period=3.0,
-                scale="tiny",
-            )
-            config = service.request_config(request)
-            assert config.metrics is False
-            service._flow(config)
-            assert not get_metrics().enabled
-        finally:
-            set_metrics_enabled(previous)
 
 
 class TestTuneHandler:

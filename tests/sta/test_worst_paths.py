@@ -6,6 +6,9 @@ random, two pins of a gate sometimes on one net) the materialized
 :class:`WorstPaths` must equal the net-by-net backtrack path for path,
 or both must raise the same :class:`TimingError` text, and
 :func:`design_statistics` must equal the object-model fold bit for bit.
+A run holding the paths must round-trip ``==`` through its stored
+arrays, and the fold over its stored step sigmas must equal
+:func:`design_statistics` at any correlation.
 Ties are forced by giving the arcs of one gate from one source net one
 delay; damage bumps arrivals (the tolerance check) or makes every
 incoming arc of a net ``-inf``/``nan`` (no finite arc).  Pinned cases
@@ -15,8 +18,10 @@ endpoints on one net, a path of no cells, and each error.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,11 +29,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TimingError
+from repro.flow.experiment import RunSummary, SynthesisRun
 from repro.netlist.builder import NetlistBuilder
 from repro.sta.engine import analyze
 from repro.sta.graph import TimingGraph, cell_tables
 from repro.sta.paths import WorstPaths, depth_histogram, extract_worst_paths, worst_path
-from repro.sta.statistics import design_statistics
+from repro.sta.statistics import design_statistics, fold_statistics
 from tests.sta import reference
 
 
@@ -123,12 +129,44 @@ def assert_statistics_equal(paths, library):
         )
 
 
-def roundtrip(paths: WorstPaths) -> WorstPaths:
+def stored(arrays):
+    """``arrays`` after an ``.npz`` write and read."""
     buffer = io.BytesIO()
-    np.savez_compressed(buffer, **paths.to_arrays())
+    np.savez_compressed(buffer, **arrays)
     buffer.seek(0)
     with np.load(buffer, allow_pickle=False) as data:
-        return WorstPaths.from_arrays({name: data[name] for name in data.files})
+        return {name: data[name] for name in data.files}
+
+
+def roundtrip(paths: WorstPaths) -> WorstPaths:
+    return WorstPaths.from_arrays(stored(paths.to_arrays()))
+
+
+def assert_run_roundtrips(result, paths, library, period):
+    """A run of ``paths`` equals itself rebuilt from its stored arrays,
+    and folding the stored step sigmas equals :func:`design_statistics`
+    at rho 0 and 0.4."""
+    netlist = result.graph.netlist
+    summary = RunSummary(
+        met=bool(result.wns >= 0),
+        area=float(len(netlist)) / 3,
+        wns=float(result.wns),
+        sizing_iterations=len(paths),
+        buffer_instances=0,
+        failure_reason="" if result.wns >= 0 else "timing not met — café",
+        legality_violations=1,
+        n_instances=len(netlist),
+        cell_counts=tuple(sorted(Counter(instance.cell for instance in netlist).items())),
+    )
+    run = SynthesisRun(period, summary, paths, design_statistics(paths, library))
+    arrays = stored(run.to_arrays())
+    assert SynthesisRun.from_arrays(arrays, period) == run
+    for rho in (0.0, 0.4):
+        assert fold_statistics(
+            WorstPaths.from_arrays({name: arrays[name] for name in paths.to_arrays()}),
+            arrays["step_sigma"],
+            rho,
+        ) == design_statistics(paths, library, rho)
 
 
 @given(
@@ -157,8 +195,10 @@ def test_array_paths_equal_the_backtrack(
         return
     paths = extract_worst_paths(result)
     assert roundtrip(paths) == paths
+    assert list(roundtrip(paths)) == list(paths)
     assert sum(depth_histogram(paths).values()) == len(paths)
     assert_statistics_equal(paths, statistical_library)
+    assert_run_roundtrips(result, paths, statistical_library, period)
 
     # an endpoint subset, in another order
     endpoints = list(result.graph.endpoints)
@@ -198,6 +238,9 @@ class TestPinnedCases:
 
     def test_design_statistics_equal_the_object_fold(self, result, statistical_library):
         assert_statistics_equal(extract_worst_paths(result), statistical_library)
+        assert_run_roundtrips(
+            result, extract_worst_paths(result), statistical_library, 1.2
+        )
 
     def test_worst_path(self, result):
         assert worst_path(result) == reference.backtrack(result, result.worst_endpoint())
@@ -232,13 +275,25 @@ class TestStoredForm:
         result = timed(random_design(5, 30, statistical_library, False), statistical_library, 2.0)
         arrays = extract_worst_paths(result).to_arrays()
         assert WorstPaths.from_arrays(dict(arrays)) == extract_worst_paths(result)
+        size = extract_worst_paths(result).strings.size
         for name, broken in (
             ("offsets", arrays["offsets"][:-1]),
-            ("names", arrays["names"] + arrays["strings"].size),
+            ("names", arrays["names"] + size),
             ("delay", arrays["delay"].astype(np.int64)),
             ("launch", arrays["launch"][1:]),
+            ("strings", extract_worst_paths(result).strings),
+            ("strings", arrays["strings"][:-1]),
+            ("strings", np.frombuffer(b"\xff\x00", dtype=np.uint8)),
         ):
             with pytest.raises(ValueError):
                 WorstPaths.from_arrays({**arrays, name: broken})
         with pytest.raises(ValueError):
             WorstPaths.from_arrays({**arrays, "extra": arrays["delay"]})
+
+    def test_a_name_holding_nul_is_not_stored(self, statistical_library):
+        result = timed(random_design(5, 30, statistical_library, False), statistical_library, 2.0)
+        paths = extract_worst_paths(result)
+        strings = paths.strings.tolist()
+        strings[0] += "\0x"
+        with pytest.raises(ValueError, match="NUL"):
+            dataclasses.replace(paths, strings=np.array(strings)).to_arrays()

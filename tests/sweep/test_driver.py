@@ -144,8 +144,8 @@ class TestIncremental:
         assert statuses == {3.0: "hit", 3.5: "run"}
 
     def test_missing_baseline_only_is_a_skip(self, cache_dir):
-        """A point whose tuned chain is warm but whose shared baseline
-        artifacts vanished is 'skip': one baseline task covers it."""
+        """A point whose tuned run is warm but whose shared baseline
+        run vanished is 'skip': one baseline task covers it."""
         from repro.flow.experiment import TuningFlow
         from repro.parallel import ArtifactStore
         from repro.sweep.driver import point_keys
@@ -154,9 +154,7 @@ class TestIncremental:
         flow = TuningFlow(_config())
         (point,) = POINT_GRID.points()
         _tuning, _tuned, baseline = point_keys(flow, point)
-        store = ArtifactStore()
-        for stage, key in baseline:
-            store.path_for(stage, key).unlink()
+        ArtifactStore().path_for("synth", baseline).unlink()
 
         result = run_sweep(_config(), POINT_GRID, ledger=False)
         assert [r.status for r in result.results] == ["skip"]
