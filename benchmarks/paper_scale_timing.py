@@ -5,10 +5,11 @@
 Builds the paper-scale evaluation design (~18k gates), one timing graph
 of it, and one relaxed baseline point (a 4.0 ns clock: synthesis, worst
 paths and design statistics) against the tiny flow's 10-sample
-statistical library, with no artifact store.  It then extracts the
-point's worst paths once more and writes the whole run (summary, worst
-paths, step sigmas) as its ``synth`` artifact to a temporary store.  It
-prints each wall time and the point's deterministic work counters.
+statistical library, with no artifact store.  It then runs one more
+full STA pass over the point's timing graph, extracts the point's worst
+paths once more and writes the whole run (summary, worst paths, step
+sigmas) as its ``synth`` artifact to a temporary store.  It prints each
+wall time and the point's deterministic work counters.
 
 This is a script, not a benchmark workload: wall times are printed,
 never gated.  ``--check`` compares the deterministic counts (design
@@ -31,6 +32,7 @@ from repro.netlist.generators.microcontroller import MicrocontrollerParams
 from repro.netlist.model import Netlist
 from repro.observe import Tracer, set_tracer
 from repro.parallel.artifacts import ArtifactStore
+from repro.sta.engine import analyze
 from repro.sta.graph import TimingGraph, cell_tables
 from repro.sta.paths import extract_worst_paths
 from repro.synth.mapping import VariantTables, initial_mapping
@@ -92,6 +94,10 @@ def measure() -> dict:
     counters = tracer.counters()
 
     start = time.perf_counter()
+    analyze(run.timing.graph, PERIOD)
+    analyze_s = time.perf_counter() - start
+
+    start = time.perf_counter()
     paths = extract_worst_paths(run.timing)
     extract_s = time.perf_counter() - start
     with tempfile.TemporaryDirectory() as directory:
@@ -112,6 +118,7 @@ def measure() -> dict:
             "design build": build_s,
             "timing graph build": graph_s,
             f"relaxed {PERIOD} ns point": point_s,
+            "one full STA pass": analyze_s,
             "worst-path extraction": extract_s,
             "run artifact write": write_s,
         },

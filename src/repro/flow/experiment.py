@@ -59,7 +59,7 @@ from repro.flow.pipeline import (
     RunManifest,
     SweepPoint,
     minperiod_fingerprint,
-    sweep_stale,
+    sweep_points,
 )
 from repro.liberty.model import Library
 from repro.netlist.generators.microcontroller import (
@@ -740,19 +740,20 @@ class TuningFlow:
     ) -> List[TuningComparison]:
         """Evaluate many (period, method, parameter) points.
 
-        :func:`~repro.flow.pipeline.sweep_stale` computes the points
+        :func:`~repro.flow.pipeline.sweep_points` computes the points
         the store lacks — fanned out over the configured
         :class:`~repro.parallel.backends.ExecutorBackend`, or in place
-        on a serial backend or without a store — and every comparison
-        is then collected through :meth:`compare`, in ``points`` order
+        on a serial backend or without a store — and then collects
+        every comparison through :meth:`compare`, in ``points`` order
         and bit-identical on every backend.
         """
         from repro.parallel.backends import resolve_backend
 
-        points = [(p, self._method(m).name, v) for (p, m, v) in points]
         backend = resolve_backend(self.config.backend, self.config.n_workers)
-        sweep_stale([(self, p, m, v) for (p, m, v) in points], backend)
-        return [self.compare(p, m, v) for (p, m, v) in points]
+        _statuses, _scheduled, comparisons = sweep_points(
+            [(self, p, self._method(m).name, v) for (p, m, v) in points], backend
+        )
+        return comparisons
 
     # ------------------------------------------------------------------
     # Minimum-period search (stage: minperiod)

@@ -48,14 +48,14 @@ counts the stored entries per stage.
 Every multi-point evaluation — fig10's in-design sweep
 (:meth:`~repro.flow.experiment.TuningFlow.sweep_comparisons`), the
 design-family sweep (:func:`repro.sweep.run_sweep`) — goes through one
-function, :func:`sweep_stale`: it diffs each point's keys
+function, :func:`sweep_points`: it diffs each point's keys
 (derived by its flow, the only code that derives them) against the
 store and computes only the stale baselines and points, on the
 configured :class:`~repro.parallel.backends.ExecutorBackend` (serial
 or process pool).  Workers rebuild the flow from the (picklable)
-config and publish through the shared store; the caller then collects
-every point through ``flow.compare`` — deterministic and bit-identical
-to the serial path on every backend, because every stage is a pure
+config and publish through the shared store; it then collects every
+point through ``flow.compare`` — deterministic and bit-identical to
+the serial path on every backend, because every stage is a pure
 function of its fingerprinted inputs.
 """
 
@@ -75,7 +75,7 @@ from repro.sta.graph import StaConfig
 #: ``None`` marks a baseline warm-up point (parameter is ignored).
 SweepPoint = Tuple[float, Optional[str], float]
 
-#: A point of :func:`sweep_stale`: (flow, clock period, method name,
+#: A point of :func:`sweep_points`: (flow, clock period, method name,
 #: parameter) — each point carries the flow whose design it evaluates.
 FlowPoint = Tuple[Any, float, str, float]
 
@@ -364,9 +364,12 @@ def _sweep_worker(config, point: SweepPoint, trace=None):
     return result
 
 
-def sweep_stale(points: Sequence[FlowPoint], backend) -> Tuple[List[str], int]:
-    """Diff ``(flow, clock, method, parameter)`` points against the
-    store and compute only the stale work.
+def sweep_points(
+    points: Sequence[FlowPoint], backend
+) -> Tuple[List[str], int, List[Any]]:
+    """Evaluate ``(flow, clock, method, parameter)`` points: diff them
+    against the store, compute only the stale work, then collect every
+    point through ``flow.compare`` as a memo or store hit.
 
     Each point's keys come from its own flow
     (:meth:`~repro.flow.experiment.TuningFlow.point_keys`), so the diff
@@ -380,12 +383,27 @@ def sweep_stale(points: Sequence[FlowPoint], backend) -> Tuple[List[str], int]:
     An out-of-process ``backend`` runs every task through
     :func:`_sweep_worker` in a fresh flow sharing the store; an
     in-process backend, or a flow without a store, computes in place
-    on the points' own flows.  Either way the caller then collects
-    every point through ``flow.compare`` as a memo or store hit.
+    on the points' own flows.  All of it runs in one ``flow.sweep``
+    span, warm or cold, so a warm sweep loads its runs under the span
+    path a cold sweep computed them under.
 
-    Returns the per-point statuses, in ``points`` order, and the
-    number of tasks scheduled (zero on a warm grid).
+    Returns the per-point statuses, in ``points`` order, the number of
+    tasks scheduled (zero on a warm grid) and the comparisons, in
+    ``points`` order.
     """
+    with get_tracer().span(
+        "flow.sweep", points=len(points), backend=backend.name
+    ) as span:
+        statuses, scheduled = _compute_stale(points, backend)
+        span.set(scheduled=scheduled)
+        return statuses, scheduled, [
+            flow.compare(clock_period, method, parameter)
+            for flow, clock_period, method, parameter in points
+        ]
+
+
+def _compute_stale(points: Sequence[FlowPoint], backend) -> Tuple[List[str], int]:
+    """The diff and the stale work of :func:`sweep_points`."""
     statuses: List[str] = []
     stale_baselines: Dict[Tuple[Any, float], None] = {}
     stale_points: List[FlowPoint] = []
@@ -404,44 +422,38 @@ def sweep_stale(points: Sequence[FlowPoint], backend) -> Tuple[List[str], int]:
     scheduled = len(stale_baselines) + len(stale_points)
     if not scheduled:
         return statuses, scheduled
-    with get_tracer().span(
-        "flow.sweep",
-        points=len(statuses),
-        scheduled=scheduled,
-        backend=backend.name,
+    if backend.in_process or not all(
+        flow.config.cache for flow, *_ in points
     ):
-        if backend.in_process or not all(
-            flow.config.cache for flow, *_ in points
-        ):
-            for flow, clock_period in stale_baselines:
-                flow.baseline(clock_period)
-            for flow, clock_period, method, parameter in stale_points:
-                flow.tuned(clock_period, method, parameter)
-            return statuses, scheduled
-        # characterize (and persist) each distinct library once before
-        # dispatching, so workers load one cached artifact instead of
-        # racing to recompute it
-        stale = [*stale_baselines, *stale_points]
-        for flow in {flow.statlib_key: flow for flow, *_ in stale}.values():
-            flow.statistical_library
-        backend.map_tasks(
-            _sweep_worker,
-            [
-                (
-                    dataclasses.replace(flow.config, tracer=None),
-                    (clock_period, None, 0.0),
-                )
-                for flow, clock_period in stale_baselines
-            ],
-        )
-        backend.map_tasks(
-            _sweep_worker,
-            [
-                (
-                    dataclasses.replace(flow.config, tracer=None),
-                    (clock_period, method, parameter),
-                )
-                for flow, clock_period, method, parameter in stale_points
-            ],
-        )
+        for flow, clock_period in stale_baselines:
+            flow.baseline(clock_period)
+        for flow, clock_period, method, parameter in stale_points:
+            flow.tuned(clock_period, method, parameter)
+        return statuses, scheduled
+    # characterize (and persist) each distinct library once before
+    # dispatching, so workers load one cached artifact instead of
+    # racing to recompute it
+    stale = [*stale_baselines, *stale_points]
+    for flow in {flow.statlib_key: flow for flow, *_ in stale}.values():
+        flow.statistical_library
+    backend.map_tasks(
+        _sweep_worker,
+        [
+            (
+                dataclasses.replace(flow.config, tracer=None),
+                (clock_period, None, 0.0),
+            )
+            for flow, clock_period in stale_baselines
+        ],
+    )
+    backend.map_tasks(
+        _sweep_worker,
+        [
+            (
+                dataclasses.replace(flow.config, tracer=None),
+                (clock_period, method, parameter),
+            )
+            for flow, clock_period, method, parameter in stale_points
+        ],
+    )
     return statuses, scheduled

@@ -4,9 +4,20 @@
 table at many query points.  The STA engine, however, needs *many
 tables* at many points — every arc of a topological level carries its
 own delay/transition LUTs over its own (per-cell) load axis.
-:class:`LutBatch` stacks same-shape tables into one (T, n_slew, n_load)
-array (:class:`~repro.kernels.sta.LibraryTables` builds one per library)
-so a whole level resolves in a single gather-based interpolation.
+:class:`LutBatch` stacks same-shape tables into gatherable arrays
+(:class:`~repro.kernels.sta.LibraryTables` builds one per table shape
+of a library) so many lookups resolve in one gather-based
+interpolation.
+
+The lookup is split in two halves.  :func:`load_columns` — the load
+half — clamps, brackets and blends each table along its load axis:
+one value per slew point, the table's column at that load.
+:func:`slew_blend` — the slew half — clamps, brackets and blends such
+a column along its slew axis.  :func:`batch_interpolate` is the one
+applied to the other.  The load half depends only on the load, so a
+caller that evaluates the same (table, load) at changing slews — the
+STA engine, pass after pass — keeps the columns and runs only the
+slew half.
 
 Bit-identity with the scalar reference is by construction:
 
@@ -15,7 +26,9 @@ Bit-identity with the scalar reference is by construction:
   plus the count of interior entries below ``v``, which is what the
   batched bracket sums column by column;
 * clamping, the interpolation fractions and the blend are written as
-  the *same* elementwise expressions as the scalar path, and IEEE-754
+  the *same* elementwise expressions as the scalar path — a column
+  entry is the scalar path's ``top`` or ``bot``, and the slew half
+  blends two of them as it blends ``top`` and ``bot`` — and IEEE-754
   elementwise arithmetic does not depend on array shape.
 
 :func:`interpolate_many_scalar` is the honest reference the property
@@ -41,7 +54,7 @@ class LutBatch:
     the *shape* must agree so the stacked arrays are rectangular.
     """
 
-    __slots__ = ("slew_axes", "load_axes", "values")
+    __slots__ = ("slew_axes", "load_points", "columns")
 
     def __init__(self, tables: Sequence[Lut]) -> None:
         if not tables:
@@ -55,13 +68,19 @@ class LutBatch:
                 )
         #: (T, n_slew) input-slew axes, one row per table.
         self.slew_axes = np.stack([table.index_1 for table in tables])
-        #: (T, n_load) output-load axes, one row per table.
-        self.load_axes = np.stack([table.index_2 for table in tables])
-        #: (T, n_slew, n_load) table values.
-        self.values = np.stack([table.values for table in tables])
+        #: (n_load, T) output-load axes, one column per table: row ``j``
+        #: holds every table's ``j``-th load point.
+        self.load_points = np.stack([table.index_2 for table in tables], axis=1)
+        #: (n_load * T, n_slew) table values: row ``j * T + t`` is table
+        #: ``t``'s values at its ``j``-th load point, along the slew axis.
+        self.columns = (
+            np.array([table.values.T for table in tables])
+            .transpose(1, 0, 2)
+            .reshape(-1, shape[0])
+        )
 
     def __len__(self) -> int:
-        return int(self.values.shape[0])
+        return int(self.slew_axes.shape[0])
 
 
 def batch_interpolate(
@@ -75,42 +94,94 @@ def batch_interpolate(
     ``table_ids``, ``slews`` and ``loads`` are flat, equally long query
     arrays; the result is the per-query interpolated value, bit-identical
     to calling :func:`~repro.liberty.lut.bilinear_interpolate_many` (or
-    the scalar lookup) table by table.
+    the scalar lookup) table by table.  It is the slew half
+    (:func:`slew_blend`) of the load half (:func:`load_columns`).
     """
     tid = np.asarray(table_ids, dtype=np.intp)
-    slews = np.asarray(slews, dtype=float)
-    loads = np.asarray(loads, dtype=float)
-    s_axes, l_axes = batch.slew_axes, batch.load_axes
-    s = np.clip(slews, s_axes[tid, 0], s_axes[tid, -1])
-    load = np.clip(loads, l_axes[tid, 0], l_axes[tid, -1])
-
-    si = _upper_index(s_axes, tid, s)
-    li = _upper_index(l_axes, tid, load)
-    s0, s1 = s_axes[tid, si - 1], s_axes[tid, si]
-    l0, l1 = l_axes[tid, li - 1], l_axes[tid, li]
-    ts = (s - s0) / (s1 - s0)
-    tl = (load - l0) / (l1 - l0)
-
-    v = batch.values
-    q00 = v[tid, si - 1, li - 1]
-    q01 = v[tid, si - 1, li]
-    q10 = v[tid, si, li - 1]
-    q11 = v[tid, si, li]
-    top = q00 * (1.0 - tl) + q01 * tl
-    bot = q10 * (1.0 - tl) + q11 * tl
-    return top * (1.0 - ts) + bot * ts
+    return slew_blend(
+        batch.slew_axes[tid],
+        load_columns(batch, tid, loads),
+        np.asarray(slews, dtype=float),
+    )
 
 
-def _upper_index(axes: np.ndarray, tid: np.ndarray, values: np.ndarray) -> np.ndarray:
+def load_columns(
+    batch: LutBatch, table_ids: np.ndarray, loads: np.ndarray
+) -> np.ndarray:
+    """The load half: table ``table_ids[q]`` interpolated along its load
+    axis at ``loads[q]``, one value per slew-axis point — ``(Q, n_slew)``.
+
+    Row ``i`` of a query's column is ``top``/``bot`` of the bilinear
+    lookup at slew bracket ``i``: the same clamp, bracket, fraction and
+    expression as the scalar path.
+    """
+    tid = np.asarray(table_ids, dtype=np.intp)
+    points = batch.load_points
+    load = np.clip(
+        np.asarray(loads, dtype=float),
+        np.take(points[0], tid),
+        np.take(points[-1], tid),
+    )
+    # the bracket as in _upper_index, one load point at a time; then
+    # ``j * T + t``, a flat index of ``points`` and a row of ``columns``
+    upper = np.ones(tid.size, dtype=np.intp)
+    for point in points[1:-1]:
+        upper += np.take(point, tid) < load
+    upper *= len(batch)
+    upper += tid
+    lower = upper - len(batch)
+    l0, l1 = np.take(points, lower), np.take(points, upper)
+    tl = ((load - l0) / (l1 - l0))[:, None]
+    low = np.take(batch.columns, lower, axis=0)
+    high = np.take(batch.columns, upper, axis=0)
+    low *= 1.0 - tl
+    high *= tl
+    low += high
+    return low
+
+
+def slew_blend(
+    slew_axes: np.ndarray, columns: np.ndarray, slews: np.ndarray
+) -> np.ndarray:
+    """The slew half: interpolate each load-interpolated column along
+    its slew axis.
+
+    ``slew_axes`` and ``columns`` are ``(..., n_slew)``; ``slews``
+    broadcasts against their leading shape, which is the result's.
+    Clamp, bracket, fraction and blend are the scalar path's
+    expressions.  An axis padded at its end by repeating its last
+    point (and its column likewise) interpolates as the unpadded one:
+    a clamped slew never lies above the last point, so the bracket
+    never reaches the padding.
+    """
+    n = slew_axes.shape[-1]
+    s = np.clip(slews, slew_axes[..., 0], slew_axes[..., -1])
+    upper = _upper_index(slew_axes, s).ravel()
+    upper += np.arange(0, upper.size * n, n)
+    lower = upper - 1
+    axes, values = slew_axes.reshape(-1), columns.reshape(-1)
+    s0 = axes[lower]
+    ts = (s.ravel() - s0) / (axes[upper] - s0)
+    top = values[lower]
+    top *= 1.0 - ts
+    bot = values[upper]
+    bot *= ts
+    top += bot
+    return top.reshape(s.shape)
+
+
+def _upper_index(axes: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Row-wise ``clip(searchsorted(axis, v, side="left"), 1, n - 1)``.
 
-    That is one plus the count of *interior* axis points strictly below
-    ``v``; summed one axis column at a time, so the temporaries stay one
+    ``axes`` is ``(..., n)``, ``values`` its leading shape.  That is one
+    plus the count of *interior* axis points strictly below ``v``;
+    summed one axis column at a time, so the temporaries stay one
     query long instead of ``(Q, n)``.
     """
-    upper = np.ones(tid.shape, dtype=np.intp)
-    for column in range(1, axes.shape[1] - 1):
-        upper += axes[tid, column] < values
+    upper = np.empty(values.shape, dtype=np.intp)
+    upper.fill(1)
+    for column in range(1, axes.shape[-1] - 1):
+        upper += axes[..., column] < values
     return upper
 
 

@@ -8,7 +8,10 @@ once — :func:`library_tables` caches it per library object:
 
 * every timing LUT of every arc is stacked into a
   :class:`~repro.kernels.lut.LutBatch` (one per table shape; one
-  characterizer grid yields exactly one), addressed by a table id;
+  characterizer grid yields exactly one), addressed by a table id,
+  and every table's slew axis is padded to the widest shape
+  (:attr:`LibraryTables.slew_axes`) so tables of any shape share one
+  slew half;
 * every arc gets a row, and per kind (``delay``, ``transition``,
   ``sigma``) a pair of table ids — rise then fall.  An arc with a
   single table of a kind repeats its id (``max(x, x) == x``), an arc
@@ -18,11 +21,19 @@ once — :func:`library_tables` caches it per library object:
 load) queries: both tables of every query in one gather interpolation,
 then ``np.maximum(first, second)``.  :func:`worst_values_scalar` is its
 reference — one scalar bilinear lookup per table per query, max-merged
-the same way.  Max-merging is exact and both use identical
-interpolation arithmetic, so results are bit-identical —
-``tests/kernels`` substitutes the reference at every call site and
-holds the gather to it.  A library is treated as immutable once
-compiled: every producer finishes building it before it is timed.
+the same way.
+
+The STA engine asks the same (arc, load) questions pass after pass at
+new slews.  A :class:`LoadSide` holds the load half of such a fixed
+list of arcs — per arc, its four delay/transition tables interpolated
+along their load axes — and :func:`worst_arc_values` runs the slew
+half on a slice of it, max-merged in pairs;
+:func:`worst_arc_values_scalar` is its reference.  Max-merging is
+exact and every path uses identical interpolation arithmetic, so
+results are bit-identical — ``tests/kernels`` substitutes the
+references at every call site and holds the gathers to them.  A
+library is treated as immutable once compiled: every producer
+finishes building it before it is timed.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.errors import LibertyError
-from repro.kernels.lut import LutBatch, batch_interpolate
+from repro.kernels.lut import LutBatch, load_columns, slew_blend
 from repro.liberty.lut import bilinear_interpolate
 from repro.liberty.model import Library, Lut
 
@@ -50,7 +61,7 @@ class LibraryTables:
     """Every timing LUT of one library, stacked and addressed per arc."""
 
     __slots__ = ("luts", "rows", "delay", "transition", "sigma",
-                 "_batches", "_batch_of", "_local")
+                 "slew_axes", "_batches", "_batch_of", "_local")
 
     def __init__(self, library: Library) -> None:
         #: Table id -> LUT.
@@ -84,6 +95,14 @@ class LibraryTables:
         for index, tids in enumerate(by_shape.values()):
             self._batch_of[tids] = index
             self._local[tids] = np.arange(len(tids))
+        width = max((shape[0] for shape in by_shape), default=2)
+        #: (T, width) slew axis per table id, padded at its end by
+        #: repeating its last point (see :func:`~repro.kernels.lut.slew_blend`).
+        self.slew_axes = np.empty((len(self.luts), width))
+        for batch, tids in zip(self._batches, by_shape.values()):
+            n_slew = batch.slew_axes.shape[1]
+            self.slew_axes[tids, :n_slew] = batch.slew_axes
+            self.slew_axes[tids, n_slew:] = batch.slew_axes[:, -1:]
 
     def row(self, cell_name: str, output_pin: str, related_pin: str) -> int:
         """Arc row of ``cell_name``'s ``related_pin -> output_pin`` arc."""
@@ -94,21 +113,30 @@ class LibraryTables:
                 f"cell {cell_name}: no arc {related_pin} -> {output_pin}"
             ) from None
 
-    def interpolate(
-        self, table_ids: np.ndarray, slews: np.ndarray, loads: np.ndarray
-    ) -> np.ndarray:
-        """Gather-interpolate table ``table_ids[q]`` at each query ``q``."""
+    def load_columns(self, table_ids: np.ndarray, loads: np.ndarray) -> np.ndarray:
+        """``(Q, width)`` load half of table ``table_ids[q]`` at
+        ``loads[q]``, padded like :attr:`slew_axes`."""
         if len(self._batches) == 1:
-            return batch_interpolate(self._batches[0], table_ids, slews, loads)
-        out = np.empty(table_ids.size)
+            return load_columns(self._batches[0], table_ids, loads)
+        width = self.slew_axes.shape[1]
+        out = np.empty((table_ids.size, width))
         which = self._batch_of[table_ids]
         for index, batch in enumerate(self._batches):
             mask = which == index
             if mask.any():
-                out[mask] = batch_interpolate(
-                    batch, self._local[table_ids[mask]], slews[mask], loads[mask]
+                columns = load_columns(batch, self._local[table_ids[mask]], loads[mask])
+                out[mask] = np.pad(
+                    columns, ((0, 0), (0, width - columns.shape[1])), mode="edge"
                 )
         return out
+
+    def interpolate(
+        self, table_ids: np.ndarray, slews: np.ndarray, loads: np.ndarray
+    ) -> np.ndarray:
+        """Gather-interpolate table ``table_ids[q]`` at each query ``q``."""
+        return slew_blend(
+            self.slew_axes[table_ids], self.load_columns(table_ids, loads), slews
+        )
 
 
 _COMPILED: "weakref.WeakKeyDictionary[Library, LibraryTables]" = (
@@ -163,6 +191,65 @@ def worst_values(
         )
         out[start:stop] = np.maximum(values[:size], values[size:])
     return out
+
+
+class LoadSide:
+    """The load half of a fixed list of arc lookups, kept between passes.
+
+    Row ``r`` is one arc at one load: its four table ids (delay rise
+    and fall, transition rise and fall, as
+    :attr:`~repro.sta.graph.TimingGraph.arc_tables` holds them), its
+    load, and per table the column :meth:`LibraryTables.load_columns`
+    interpolates at that load — ``(rows, 4, width)``.  The slew half
+    (:func:`worst_arc_values`) then needs only the arcs' input slews.
+    """
+
+    __slots__ = ("table_ids", "loads", "columns")
+
+    def __init__(self, tables: LibraryTables, table_ids: np.ndarray, loads: np.ndarray) -> None:
+        self.table_ids = table_ids
+        self.loads = loads
+        self.columns = tables.load_columns(
+            table_ids.ravel(), np.repeat(loads, 4)
+        ).reshape(loads.size, 4, tables.slew_axes.shape[1])
+
+    def replaced(self, rows: np.ndarray, fresh: "LoadSide") -> "LoadSide":
+        """A copy whose ``rows`` are ``fresh``'s rows, in order."""
+        side = object.__new__(LoadSide)
+        for name in LoadSide.__slots__:
+            values = getattr(self, name).copy()
+            values[rows] = getattr(fresh, name)
+            setattr(side, name, values)
+        return side
+
+
+def worst_arc_values(
+    tables: LibraryTables, side: LoadSide, rows: slice, slews: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Worst delay and transition of ``side``'s ``rows`` at input slews
+    ``slews``: the slew half of each table, then the rise/fall max.
+
+    Bit-identical to :func:`worst_arc_values_scalar`.
+    """
+    values = slew_blend(
+        tables.slew_axes[side.table_ids[rows]], side.columns[rows], slews[:, None]
+    )
+    return (
+        np.maximum(values[:, 0], values[:, 1]),
+        np.maximum(values[:, 2], values[:, 3]),
+    )
+
+
+def worst_arc_values_scalar(
+    tables: LibraryTables, side: LoadSide, rows: slice, slews: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Reference for :func:`worst_arc_values`: one scalar lookup per
+    table at the row's load, max-merged."""
+    table_ids, loads = side.table_ids[rows], side.loads[rows]
+    return (
+        worst_values_scalar(tables, table_ids[:, :2], slews, loads),
+        worst_values_scalar(tables, table_ids[:, 2:], slews, loads),
+    )
 
 
 def worst_values_scalar(

@@ -3,7 +3,7 @@
 One abstraction — :class:`ExecutorBackend` — carries all the process
 topology the repo needs: characterization chunks
 (:mod:`repro.parallel.executor`) and evaluation sweep points
-(:func:`repro.flow.pipeline.sweep_stale`, behind both fig10 and
+(:func:`repro.flow.pipeline.sweep_points`, behind both fig10 and
 :mod:`repro.sweep`) dispatch through :meth:`ExecutorBackend.
 map_tasks` instead of constructing pools themselves (the PROC003 lint
 rule keeps it that way).

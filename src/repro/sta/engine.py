@@ -5,13 +5,20 @@ maximum over rise/fall and over incoming arcs.  The characterization
 surrogate keeps rise and fall close, so the merged analysis loses
 little accuracy while halving the state.
 
-The engine walks the graph's level schedule: each logic level is one
-:func:`~repro.kernels.sta.worst_values` call over four table ids per
-arc (rise/fall delay and transition, max-merged in pairs) plus one
-scatter per propagated array; the backward pass scatters once per
-level.  A full pass over the ~18k-gate microcontroller takes tens of
-milliseconds, which is what makes the synthesis sizing loop and the
-paper's 80-run evaluation sweep tractable in pure Python.
+The engine walks the graph's level schedule.  The load half of every
+arc's four lookups (rise/fall delay and transition) depends only on
+the binding, so the graph keeps it (:attr:`TimingGraph.load_side
+<repro.sta.graph.TimingGraph.load_side>`, refreshed by ``remap``);
+each logic level is then one
+:func:`~repro.kernels.sta.worst_arc_values` call on its slice of that
+side — the slew half, max-merged in pairs — plus one scatter per
+propagated array.  Delays and transitions are kept in level order and
+permuted to arc order once per pass; the backward pass scatters once
+per level.  The launch lookup is one
+:func:`~repro.kernels.sta.worst_values` call.  A full pass over the
+~18k-gate microcontroller takes tens of milliseconds, which is what
+makes the synthesis sizing loop and the paper's 80-run evaluation
+sweep tractable in pure Python.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.errors import TimingError
-from repro.kernels.sta import worst_values
+from repro.kernels.sta import worst_arc_values, worst_values
 from repro.observe import get_tracer
 from repro.observe.catalog import (
     STA_ANALYZE_CALLS,
@@ -177,18 +184,22 @@ def _analyze(
     # feed each other, so their input slews are final before the level
     # evaluates, and every arc into a net belongs to the net's (single)
     # driver — one level — so the first scatter into a net replaces its
-    # default slew and max-merges the driver's arcs exactly
-    arc_delay = np.zeros(graph.n_arcs)
-    arc_transition = np.zeros(graph.n_arcs)
-    for arcs, src, dst in graph.level_schedule:
-        delays, transitions = _delay_transition(
-            graph, graph.arc_tables[arcs], slew[src], graph.loads[dst]
-        )
-        arc_delay[arcs] = delays
-        arc_transition[arcs] = transitions
+    # default slew and max-merges the driver's arcs exactly.  Each level
+    # is one slice of the graph's load side, rows in level order.
+    side = graph.load_side
+    level_delay = np.empty(graph.n_arcs)
+    level_transition = np.empty(graph.n_arcs)
+    for rows, src, dst in graph.level_schedule:
+        delays, transitions = worst_arc_values(graph.tables, side, rows, slew[src])
+        level_delay[rows] = delays
+        level_transition[rows] = transitions
         np.maximum.at(arrival, dst, arrival[src] + delays)
         slew[dst] = _NEG_INF
         np.maximum.at(slew, dst, transitions)
+    arc_delay = np.empty(graph.n_arcs)
+    arc_delay[graph.level_order] = level_delay
+    arc_transition = np.empty(graph.n_arcs)
+    arc_transition[graph.level_order] = level_transition
 
     if np.any(arrival[graph.arc_dst] <= _NEG_INF / 2):
         bad = graph.arc_dst[arrival[graph.arc_dst] <= _NEG_INF / 2][:3]
@@ -203,8 +214,8 @@ def _analyze(
     # backward required times (levels descending), one scatter per level
     required = np.full(n_nets, _POS_INF)
     np.minimum.at(required, graph.endpoint_net_ids, endpoint_required)
-    for arcs, src, dst in reversed(graph.level_schedule):
-        np.minimum.at(required, src, required[dst] - arc_delay[arcs])
+    for rows, src, dst in reversed(graph.level_schedule):
+        np.minimum.at(required, src, required[dst] - level_delay[rows])
 
     return TimingResult(
         graph=graph,

@@ -4,9 +4,10 @@ The graph is an arc-level, array-oriented view of a mapped netlist:
 
 * **nets** are the timing nodes (every net has exactly one driver);
 * **arcs** connect an input net to an output net through a cell's
-  timing arc; the *level schedule* lists, per logic level of the
-  driving instances, the arc indices with their source and sink nets,
-  so the engine evaluates a whole level with one kernel call;
+  timing arc; the *level order* sorts them by the logic level of their
+  driving instances, and the *level schedule* lists, per level, its
+  slice of that order with the arcs' source and sink nets, so the
+  engine evaluates a whole level with one kernel call;
 * **loads** are static per mapping: sink input-pin capacitances plus a
   per-fanout wire estimate and output-port loads.
 
@@ -24,7 +25,9 @@ launches, and each arc's table ids into the library's compiled
 :class:`~repro.kernels.sta.LibraryTables`) comes from one cell-id
 array: :meth:`TimingGraph.remap` binds it, diffs it against the array it
 bound last, and re-gathers from the library's :class:`CellTables` only
-the loads and arc rows the changed instances touch.  The constructor
+the loads and arc rows the changed instances touch.  So does the load
+half of every arc's table lookups (:attr:`TimingGraph.load_side`,
+level by level), which the engine keeps between passes.  The constructor
 binds the instances' ``instance.cell`` names
 (:meth:`DesignArrays.read_cells`); the sizer binds its own array.
 """
@@ -41,7 +44,7 @@ import numpy as np
 from repro.cells.functions import CellFunction, function_by_name
 from repro.cells.naming import parse_cell_name
 from repro.errors import CatalogError, NetlistError, TimingError
-from repro.kernels.sta import LibraryTables, library_tables
+from repro.kernels.sta import LibraryTables, LoadSide, library_tables
 from repro.liberty.model import Library
 from repro.netlist.model import Instance, Netlist
 
@@ -476,13 +479,16 @@ class TimingGraph:
         self.arc_level = np.repeat(np.asarray(levels, dtype=np.int64)[ordered], counts)
         self.n_arcs = positions.size
 
-        # level schedule: (arc indices, src nets, dst nets) per level,
-        # ascending; arcs of one level never feed each other
-        by_level = np.argsort(self.arc_level, kind="stable")
-        bounds = np.flatnonzero(np.diff(self.arc_level[by_level])) + 1
-        self.level_schedule: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = [
-            (arcs, self.arc_src[arcs], self.arc_dst[arcs])
-            for arcs in (np.split(by_level, bounds) if self.n_arcs else [])
+        # level schedule: (rows of level_order, src nets, dst nets) per
+        # level, ascending; arcs of one level never feed each other
+        #: Arc ids level by level: the row order of :attr:`load_side`.
+        self.level_order = order = np.argsort(self.arc_level, kind="stable")
+        bounds = np.flatnonzero(np.diff(self.arc_level[order])) + 1
+        edges = [0, *bounds.tolist(), self.n_arcs] if self.n_arcs else [0]
+        src, dst = self.arc_src[order], self.arc_dst[order]
+        self.level_schedule: List[Tuple[slice, np.ndarray, np.ndarray]] = [
+            (slice(start, stop), src[start:stop], dst[start:stop])
+            for start, stop in zip(edges, edges[1:])
         ]
         self.endpoint_net_ids = np.array(
             [endpoint.net_id for endpoint in self._endpoint_sites], dtype=np.int64
@@ -504,6 +510,10 @@ class TimingGraph:
         self._caps = np.zeros(design.sink_owner.size)
         self.loads = self._static_loads.copy()
         self.arc_tables = np.zeros((self.n_arcs, 4), dtype=np.intp)
+        #: The load half of every arc's lookups, level by level (row
+        #: ``r`` is arc ``level_order[r]`` at its sink net's load); the
+        #: first remap builds it.
+        self.load_side: LoadSide
 
     # ------------------------------------------------------------------
 
@@ -517,11 +527,13 @@ class TimingGraph:
         call saw (the constructor's first call counts every instance as
         changed), so callers keep no dirty set: only the loads of nets
         whose sinks changed cell and only the changed owners'
-        ``arc_tables`` rows are gathered again.  A changed sequential
-        cell also recomputes the (few) endpoint setups and launches
-        whole.  A dirty net is re-accumulated whole — the static part,
-        then every sink's capacitance in sink order — so its float
-        equals a fresh graph's; ``loads`` and ``arc_tables`` are
+        ``arc_tables`` rows are gathered again, and only those arcs and
+        the arcs into those nets get their :attr:`load_side` rows
+        interpolated again.  A changed sequential cell also recomputes
+        the (few) endpoint setups and launches whole.  A dirty net is
+        re-accumulated whole — the static part, then every sink's
+        capacitance in sink order — so its float equals a fresh
+        graph's; ``loads``, ``arc_tables`` and ``load_side`` are
         replaced, never written in place.
         """
         cell_ids = np.array(cell_ids, dtype=np.intp)
@@ -531,11 +543,11 @@ class TimingGraph:
         changed = np.ones(len(design), dtype=bool) if first else cell_ids != self.cell_ids
         self.cell_ids = cell_ids
         sinks = changed[design.sink_owner]
+        dirty = np.zeros(len(self.net_names), dtype=bool)
         if sinks.any():
             self._caps[sinks] = cells.pin_caps[
                 cell_ids[design.sink_owner[sinks]], design.sink_slot[sinks]
             ]
-            dirty = np.zeros(len(self.net_names), dtype=bool)
             dirty[design.sink_nets[sinks]] = True
             loads = self.loads.copy()
             loads[dirty] = self._static_loads[dirty]
@@ -549,6 +561,16 @@ class TimingGraph:
                 cells.arc_rows[cell_ids[arc_owners[arcs]], arc_slots[arcs]]
             )
             self.arc_tables = arc_tables
+        order = self.level_order
+        stale = arcs[order] | dirty[self.arc_dst[order]]
+        if first or stale.any():
+            rows = np.flatnonzero(stale)
+            fresh = LoadSide(
+                self.tables,
+                self.arc_tables[order[rows]],
+                self.loads[self.arc_dst[order[rows]]],
+            )
+            self.load_side = fresh if first else self.load_side.replaced(rows, fresh)
         if first or changed[self._launch_owners].any():
             self._remap_sequential()
 

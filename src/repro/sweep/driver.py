@@ -13,15 +13,16 @@ deterministic phases:
    generators.family.DesignSpec` touches lands in the fingerprinted
    ``MicrocontrollerParams``, so each family member has its own keys.
 2. **Diff** and 3. **Dispatch** — :func:`repro.flow.pipeline.
-   sweep_stale` probes every point's keys (derived by its
+   sweep_points` probes every point's keys (derived by its
    design's flow) against the artifact store and computes only the
    stale work: first one baseline per ``(design, clock)`` with a missing
    baseline run, then one task per stale point, on the execution
    backend.  A warm grid dispatches **nothing** — zero synthesis, zero
    characterization.
-4. **Collect** — every point (fresh and stale alike) is read back
-   through its design's flow, so the result list is complete, in grid
-   order, and bit-identical however phase 3 executed.
+4. **Collect** — ``sweep_points`` then reads every point (fresh and
+   stale alike) back through its design's flow, so the result list is
+   complete, in grid order, and bit-identical however phase 3
+   executed.
 
 Each run appends one ledger record with per-status point counts
 (``sweep.hit`` / ``sweep.skip`` / ``sweep.run``) — the longitudinal
@@ -177,7 +178,7 @@ def run_sweep(
     from the environment, ``False`` disables recording.
     """
     from repro.flow.experiment import TuningFlow
-    from repro.flow.pipeline import sweep_stale
+    from repro.flow.pipeline import sweep_points
     from repro.netlist.generators.family import design_spec
     from repro.parallel.backends import resolve_backend
 
@@ -204,7 +205,7 @@ def run_sweep(
         )
         for name in dict.fromkeys(grid.designs)
     }
-    statuses, scheduled = sweep_stale(
+    statuses, scheduled, comparisons = sweep_points(
         [
             (flows[p.design], p.clock_period, p.method, p.parameter)
             for p in points
@@ -212,14 +213,8 @@ def run_sweep(
         resolved,
     )
     results = [
-        PointResult(
-            point=point,
-            status=status,
-            comparison=flows[point.design].compare(
-                point.clock_period, point.method, point.parameter
-            ),
-        )
-        for point, status in zip(points, statuses)
+        PointResult(point=point, status=status, comparison=comparison)
+        for point, status, comparison in zip(points, statuses, comparisons)
     ]
     result = SweepResult(
         grid=grid,

@@ -17,12 +17,13 @@ from typing import Iterator
 import pytest
 
 from repro.kernels.characterization import scalar_arc_energy, scalar_arc_tables
-from repro.kernels.sta import worst_values_scalar
+from repro.kernels.sta import worst_arc_values_scalar, worst_values_scalar
 
 #: (module, name bound there, reference) per batched call site.
 REFERENCE_SITES = (
     ("repro.characterization.characterize", "batched_arc_tables", scalar_arc_tables),
     ("repro.characterization.characterize", "batched_arc_energy", scalar_arc_energy),
+    ("repro.sta.engine", "worst_arc_values", worst_arc_values_scalar),
     ("repro.sta.engine", "worst_values", worst_values_scalar),
     ("repro.sta.statistics", "worst_values", worst_values_scalar),
     ("repro.synth.synthesizer", "worst_values", worst_values_scalar),

@@ -14,11 +14,15 @@ import sys
 
 import repro
 from repro.characterization import characterize
-from repro.kernels.sta import worst_values
+from repro.kernels import sta as kernels_sta
+from repro.kernels.sta import worst_arc_values, worst_values
+from repro.sta.engine import analyze
+from repro.sta.graph import TimingGraph
 from tests.kernels.reference import REFERENCE_SITES, reference_kernels
 
 #: The batched functions the reference sites stand in for.
 BATCHED = {
+    "worst_arc_values": worst_arc_values,
     "worst_values": worst_values,
     "batched_arc_tables": characterize.batched_arc_tables,
     "batched_arc_energy": characterize.batched_arc_energy,
@@ -45,6 +49,29 @@ def test_substitution_takes_effect_and_is_undone():
             assert getattr(importlib.import_module(module), name) is reference
     for module, name, _ in REFERENCE_SITES:
         assert getattr(importlib.import_module(module), name) is BATCHED[name]
+
+
+def test_analyze_reaches_the_scalar_lookups(
+    adder_netlist, statistical_library, monkeypatch
+):
+    """Under the references an STA pass looks up every table of every
+    arc and launch with one scalar ``bilinear_interpolate`` call: the
+    level loop's slew half is substituted, not only the launches."""
+    graph = TimingGraph(adder_netlist, statistical_library)
+    calls = []
+    scalar = kernels_sta.bilinear_interpolate
+
+    def counted(lut, slew, load):
+        calls.append(lut)
+        return scalar(lut, slew, load)
+
+    monkeypatch.setattr(kernels_sta, "bilinear_interpolate", counted)
+    analyze(graph, 2.0)
+    assert calls == []
+    with reference_kernels():
+        analyze(graph, 2.0)
+    assert len(calls) == 4 * (graph.n_arcs + len(graph.launches))
+    assert graph.n_arcs > len(graph.launches) > 0
 
 
 def test_kernels_package_imports_first():

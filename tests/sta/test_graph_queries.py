@@ -38,17 +38,22 @@ class TestQueries:
 
     def test_level_schedule_sorted_by_level(self, adder_netlist, statistical_library):
         """One entry per level, ascending, covering every arc once with
-        its own source and sink nets."""
+        its own source and sink nets; the levels' slices tile
+        ``level_order`` in order."""
         graph = TimingGraph(adder_netlist, statistical_library)
         levels = []
-        for arcs, src, dst in graph.level_schedule:
+        stop = 0
+        for rows, src, dst in graph.level_schedule:
+            assert rows.start == stop < rows.stop
+            stop = rows.stop
+            arcs = graph.level_order[rows]
             assert len(set(graph.arc_level[arcs].tolist())) == 1
             levels.append(int(graph.arc_level[arcs[0]]))
             assert np.array_equal(src, graph.arc_src[arcs])
             assert np.array_equal(dst, graph.arc_dst[arcs])
         assert levels == sorted(set(levels))
-        covered = np.concatenate([arcs for arcs, _s, _d in graph.level_schedule])
-        assert np.array_equal(np.sort(covered), np.arange(graph.n_arcs))
+        assert stop == graph.n_arcs
+        assert np.array_equal(np.sort(graph.level_order), np.arange(graph.n_arcs))
 
     def test_arc_counts_match_function_topology(
         self, adder_netlist, statistical_library

@@ -7,8 +7,10 @@ batched pass must equal the scalar reference bit-for-bit on every
 :class:`~repro.sta.engine.TimingResult` array and on the launches — and
 so must a graph compiled from scratch, so a stale table id left behind
 by ``remap`` cannot hide.  ``remap`` patches only what the changed
-cells touch, so its mapping-dependent state must also equal a fresh
-graph's, bit for bit, after every resize step.
+cells touch, so its mapping-dependent state — the cached load half of
+every arc's lookups included — must also equal a fresh graph's, bit
+for bit, after every resize step.  A library whose cells mix LUT grid
+shapes runs the same level loop and must match the reference too.
 """
 
 from __future__ import annotations
@@ -20,7 +22,11 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
+from repro.cells.naming import parse_cell_name
 from repro.flow.experiment import FlowConfig, TuningFlow
+from repro.kernels.sta import LoadSide
+from repro.liberty.lut import bilinear_interpolate
+from repro.liberty.model import Lut
 from repro.sta.engine import analyze
 from repro.sta.graph import TimingGraph
 from repro.synth.buffering import plan_groups, split_fanout
@@ -127,6 +133,10 @@ def assert_same_mapping(graph, fresh):
         ours, theirs = getattr(graph, name), getattr(fresh, name)
         assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name
         assert ours.tobytes() == theirs.tobytes(), name
+    for name in LoadSide.__slots__:
+        ours, theirs = getattr(graph.load_side, name), getattr(fresh.load_side, name)
+        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name
+        assert ours.tobytes() == theirs.tobytes(), name
     assert graph.launches == fresh.launches
     assert graph.endpoints == fresh.endpoints
 
@@ -161,3 +171,68 @@ def test_diff_remap_equals_a_fresh_graph(tiny_synthesis, steps):
     # a remap without changes keeps the state
     graph.remap(graph.design.read_cells())
     assert_same_mapping(graph, TimingGraph(netlist, library))
+
+
+def _regridded(lut, n_slew, n_load):
+    """``lut`` resampled onto an ``(n_slew, n_load)`` grid over its own
+    axis ranges."""
+    slews = np.geomspace(lut.index_1[0], lut.index_1[-1], n_slew)
+    loads = np.geomspace(lut.index_2[0], lut.index_2[-1], n_load)
+    values = [[bilinear_interpolate(lut, slew, load) for load in loads] for slew in slews]
+    return Lut(slews, loads, values)
+
+
+TIMING_TABLES = ("cell_rise", "cell_fall", "rise_transition", "fall_transition")
+
+
+@given(
+    n_slew=st.sampled_from([2, 3, 5, 8, 9]),
+    n_load=st.integers(2, 8),
+    data=st.data(),
+)
+@settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_mixed_grid_shapes_match_the_reference(
+    adder_netlist, statistical_library, n_slew, n_load, data
+):
+    """Some of the design's cells regridded to a second shape (narrower
+    or wider slew axis than the characterizer's): the padded level
+    loop equals the scalar reference, before and after a resize, and
+    ``remap`` equals a fresh graph."""
+    library = copy.deepcopy(statistical_library)
+    netlist = adder_netlist.copy()
+    variants = {}
+    for cell in library:
+        variants.setdefault(parse_cell_name(cell.name).family, []).append(cell.name)
+    # bind the instances round-robin over their variants, so the levels
+    # hold several cells of each family
+    for position, instance in enumerate(netlist):
+        choices = variants[instance.family]
+        instance.cell = choices[position % len(choices)]
+    bound = sorted({instance.cell for instance in netlist if not instance.is_sequential})
+    regrid = data.draw(
+        st.lists(st.booleans(), min_size=len(bound), max_size=len(bound)).filter(
+            lambda flags: 0 < sum(flags) < len(flags)
+        )
+    )
+    for name, flag in zip(bound, regrid):
+        if flag:
+            for _pin, arc in library.cell(name).arcs():
+                for field in TIMING_TABLES:
+                    lut = getattr(arc, field)
+                    if lut is not None:
+                        setattr(arc, field, _regridded(lut, n_slew, n_load))
+    graph = TimingGraph(netlist, library)
+    shapes = {graph.tables.luts[tid].shape for tid in graph.arc_tables.ravel().tolist()}
+    assert len(shapes) == 2
+    assert_matches_references(graph)
+
+    # resize some instances to any variant of their family, then remap
+    for instance in data.draw(st.lists(st.sampled_from(list(netlist)), max_size=12)):
+        instance.cell = data.draw(st.sampled_from(variants[instance.family]))
+    graph.remap(graph.design.read_cells())
+    assert_same_mapping(graph, TimingGraph(netlist, library))
+    assert_matches_references(graph)
