@@ -72,6 +72,19 @@ CellDraws = Dict[Tuple[str, str], ArcDraws]
 #: A variation input: a scalar, or an (N,) vector over samples.
 ArrayLike = Union[float, np.ndarray]
 
+#: The timing slots of every characterized arc, in the order of the
+#: tensors :meth:`Characterizer._arc_tensors` returns.
+TIMING_SLOTS = ("cell_rise", "cell_fall", "rise_transition", "fall_transition")
+#: The switching-energy slots of an arc (``include_power``).
+POWER_SLOTS = ("power_rise", "power_fall")
+#: The sigma slot a statistical library reduces from each slot.
+SIGMA_SLOTS = {
+    "cell_rise": "sigma_rise",
+    "cell_fall": "sigma_fall",
+    "power_rise": "sigma_power_rise",
+    "power_fall": "sigma_power_fall",
+}
+
 #: Cells characterized in this process (all modes).  Worker processes
 #: count their own work; a store hit performs zero characterizations.
 _characterize_calls = 0
@@ -124,6 +137,17 @@ class GlobalDraws:
 def _lift(value: ArrayLike) -> ArrayLike:
     """Scalars pass through; (N,) sample vectors gain the grid axes."""
     return value if np.ndim(value) == 0 else np.asarray(value)[:, None, None]
+
+
+def _statistics(stacks: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+    """One arc's statistical tables from its (N, n_s, n_l) slot stacks:
+    the per-entry mean of every slot, and the per-entry standard
+    deviation of each slot :data:`SIGMA_SLOTS` names (paper Fig. 2)."""
+    tables = {slot: stack.mean(axis=0) for slot, stack in stacks.items()}
+    for slot, sigma in SIGMA_SLOTS.items():
+        if slot in stacks:
+            tables[sigma] = stacks[slot].std(axis=0, ddof=1)
+    return tables
 
 
 def batched_arc_tables(
@@ -352,7 +376,8 @@ class Characterizer:
         """Characterize one cell.
 
         * ``draws=None`` — nominal tables.
-        * ``draws + sample_index`` — tables of one Monte-Carlo sample.
+        * ``draws + sample_index`` — tables of one Monte-Carlo sample;
+          ``global_draws`` span the same sample axis as ``draws``.
         * ``draws + statistical=True`` — mean tables in cell_rise/fall,
           per-entry standard deviation in sigma_rise/fall (paper Fig. 2).
         """
@@ -361,108 +386,50 @@ class Characterizer:
         tracer = get_tracer()
         CHARACTERIZE_CELLS.inc()
         with tracer.span("characterize.cell", cell=spec.name):
-            return self._characterize_cell(
-                spec, draws, sample_index, global_draws, statistical
-            )
-
-    def _characterize_cell(
-        self,
-        spec: CellSpec,
-        draws: Optional[CellDraws],
-        sample_index: Optional[int],
-        global_draws: Optional[GlobalDraws],
-        statistical: bool,
-    ) -> Cell:
-        cell = self._make_cell_shell(spec)
-        slews = slew_grid(self.grid)
-        loads = load_grid(self.grid, spec)
-        template = f"tmpl_{self.grid.n_slew}x{self.grid.n_load}"
-
-        def lut(values: np.ndarray) -> Lut:
-            return Lut(slews, loads, values, template=template)
-
-        for input_pin, output_pin in spec.function.arcs():
-            arc_draws = None if draws is None else draws[(input_pin, output_pin)]
-            if arc_draws is not None and sample_index is not None:
-                arc_draws = arc_draws[:, sample_index : sample_index + 1]
-            rise_d, fall_d, rise_t, fall_t = self._arc_tensors(
-                spec, output_pin, arc_draws, global_draws
-            )
-            arc = TimingArc(
-                related_pin=input_pin,
-                timing_sense=spec.function.sense(input_pin, output_pin),
-            )
-            if draws is None:
-                arc.cell_rise = lut(rise_d)
-                arc.cell_fall = lut(fall_d)
-                arc.rise_transition = lut(rise_t)
-                arc.fall_transition = lut(fall_t)
-            elif statistical:
-                arc.cell_rise = lut(rise_d.mean(axis=0))
-                arc.cell_fall = lut(fall_d.mean(axis=0))
-                arc.rise_transition = lut(rise_t.mean(axis=0))
-                arc.fall_transition = lut(fall_t.mean(axis=0))
-                arc.sigma_rise = lut(rise_d.std(axis=0, ddof=1))
-                arc.sigma_fall = lut(fall_d.std(axis=0, ddof=1))
-            else:
-                if sample_index is None:
-                    raise CharacterizationError(
-                        "sample characterization needs a sample_index"
+            if draws is not None and sample_index is not None:
+                sample = slice(sample_index, sample_index + 1)
+                draws = {arc: arc_draws[:, sample] for arc, arc_draws in draws.items()}
+                if global_draws is not None:
+                    global_draws = GlobalDraws(
+                        global_draws.dvth[sample],
+                        global_draws.dbeta[sample],
+                        global_draws.dlength_rel[sample],
                     )
-                arc.cell_rise = lut(rise_d[0])
-                arc.cell_fall = lut(fall_d[0])
-                arc.rise_transition = lut(rise_t[0])
-                arc.fall_transition = lut(fall_t[0])
-            if self.include_power:
-                self._attach_power(
-                    arc, spec, output_pin, arc_draws, statistical, lut
+            elif draws is not None and not statistical:
+                raise CharacterizationError(
+                    "sample characterization needs a sample_index"
                 )
-            cell.pin(output_pin).timing.append(arc)
-        return cell
+            stacks = self._slot_tensors(spec, draws, global_draws)
+            if draws is None:
+                tables = stacks
+            elif statistical:
+                tables = {arc: _statistics(slots) for arc, slots in stacks.items()}
+            else:
+                tables = {
+                    arc: {slot: stack[0] for slot, stack in slots.items()}
+                    for arc, slots in stacks.items()
+                }
+            return self.cell_from_tables(spec, tables)
 
     def _energy_tensors(
         self, spec: CellSpec, output_pin: str, arc_draws: Optional[ArcDraws]
-    ) -> Dict[bool, np.ndarray]:
-        """Switching-energy tensors keyed by rise/fall.
+    ) -> Tuple[np.ndarray, ...]:
+        """Switching-energy tensors (rise, fall), in :data:`POWER_SLOTS`
+        order.
 
         Shapes follow :meth:`_arc_tensors`: (n_s, n_l) nominal,
         (N, n_s, n_l) with draws.
         """
         slew_axis = slew_grid(self.grid)
         load_axis = load_grid(self.grid, spec)
-        energies: Dict[bool, np.ndarray] = {}
-        for rise, vth_row, beta_row in (
-            (True, 0, 1),
-            (False, 2, 3),
-        ):
-            if arc_draws is None:
-                dvth: np.ndarray | float = 0.0
-                dbeta: np.ndarray | float = 0.0
-            else:
-                dvth = arc_draws[vth_row]
-                dbeta = arc_draws[beta_row]
-            energies[rise] = batched_arc_energy(
-                self.power_model, spec, output_pin, rise,
-                slew_axis, load_axis, dvth=dvth, dbeta=dbeta,
+        return tuple(
+            batched_arc_energy(
+                self.power_model, spec, output_pin, rise, slew_axis, load_axis,
+                dvth=0.0 if arc_draws is None else arc_draws[vth_row],
+                dbeta=0.0 if arc_draws is None else arc_draws[vth_row + 1],
             )
-        return energies
-
-    def _attach_power(
-        self, arc, spec, output_pin, arc_draws, statistical, lut
-    ) -> None:
-        """Add switching-energy tables to an arc (see ``include_power``)."""
-        energies = self._energy_tensors(spec, output_pin, arc_draws)
-        if arc_draws is None:
-            arc.power_rise = lut(energies[True])
-            arc.power_fall = lut(energies[False])
-        elif statistical:
-            arc.power_rise = lut(energies[True].mean(axis=0))
-            arc.power_fall = lut(energies[False].mean(axis=0))
-            arc.sigma_power_rise = lut(energies[True].std(axis=0, ddof=1))
-            arc.sigma_power_fall = lut(energies[False].std(axis=0, ddof=1))
-        else:
-            arc.power_rise = lut(energies[True][0])
-            arc.power_fall = lut(energies[False][0])
+            for rise, vth_row in ((True, 0), (False, 2))
+        )
 
     # ------------------------------------------------------------------
     # Library-level drivers
@@ -499,14 +466,17 @@ class Characterizer:
         spec: CellSpec,
         tables: Dict[Tuple[str, str], Dict[str, np.ndarray]],
     ) -> Cell:
-        """Rebuild a characterized cell from precomputed LUT values.
+        """A characterized cell from its LUT values — the one place a
+        characterized cell's LUTs are built.
 
         ``tables`` maps each ``(input_pin, output_pin)`` arc to a dict
         of LUT-slot name (``cell_rise``, ``sigma_fall``, ...) to value
-        array.  Used by :mod:`repro.parallel.cache` to reconstruct
-        libraries without re-running the delay model; the cell shell
-        (pins, capacitances, areas) is rebuilt from the spec, which is
-        cheap and keeps the cache file down to the arrays themselves.
+        array.  Every characterization path reduces the tensors of
+        :meth:`_slot_tensors` into such tables, and the library codec
+        of :mod:`repro.parallel.cache` rebuilds stored libraries through
+        here without re-running the delay model; the cell shell (pins,
+        capacitances, areas) is rebuilt from the spec, which is cheap
+        and keeps the stored file down to the arrays themselves.
         """
         cell = self._make_cell_shell(spec)
         slews = slew_grid(self.grid)
@@ -522,34 +492,39 @@ class Characterizer:
             cell.pin(output_pin).timing.append(arc)
         return cell
 
-    def _sample_table_stacks(
+    def table_slots(self, statistical: bool) -> Tuple[str, ...]:
+        """The LUT slots every arc of a library carries, in stored order:
+        the timing slots, the energy slots when ``include_power`` is
+        set, then (``statistical``) the sigma of each slot that has one."""
+        slots = TIMING_SLOTS + (POWER_SLOTS if self.include_power else ())
+        if statistical:
+            slots += tuple(SIGMA_SLOTS[slot] for slot in slots if slot in SIGMA_SLOTS)
+        return slots
+
+    def _slot_tensors(
         self,
         spec: CellSpec,
-        draws: CellDraws,
+        draws: Optional[CellDraws],
         global_draws: Optional[GlobalDraws],
     ) -> Dict[Tuple[str, str], Dict[str, np.ndarray]]:
-        """Per-arc LUT-slot stacks over the full sample axis.
+        """Per-arc tensors of every non-sigma slot of :meth:`table_slots`.
 
-        One tensor evaluation per arc covers every Monte-Carlo sample;
-        slicing ``stack[k]`` reproduces the per-sample tables bit for
-        bit (elementwise arithmetic is shape-independent).
+        (n_s, n_l) with ``draws=None`` (nominal); with draws, one tensor
+        evaluation per slot covers every Monte-Carlo sample, (N, n_s,
+        n_l), and slicing ``stack[k]`` reproduces the per-sample tables
+        bit for bit (elementwise arithmetic is shape-independent).
         """
         stacks: Dict[Tuple[str, str], Dict[str, np.ndarray]] = {}
         for input_pin, output_pin in spec.function.arcs():
-            arc_draws = draws[(input_pin, output_pin)]
-            rise_d, fall_d, rise_t, fall_t = self._arc_tensors(
-                spec, output_pin, arc_draws, global_draws
-            )
-            slots = {
-                "cell_rise": rise_d,
-                "cell_fall": fall_d,
-                "rise_transition": rise_t,
-                "fall_transition": fall_t,
-            }
+            arc_draws = None if draws is None else draws[(input_pin, output_pin)]
+            slots = dict(zip(
+                TIMING_SLOTS,
+                self._arc_tensors(spec, output_pin, arc_draws, global_draws),
+            ))
             if self.include_power:
-                energies = self._energy_tensors(spec, output_pin, arc_draws)
-                slots["power_rise"] = energies[True]
-                slots["power_fall"] = energies[False]
+                slots.update(zip(
+                    POWER_SLOTS, self._energy_tensors(spec, output_pin, arc_draws)
+                ))
             stacks[(input_pin, output_pin)] = slots
         return stacks
 
@@ -577,7 +552,7 @@ class Characterizer:
             cell=spec.name,
             n_samples=len(sample_indices),
         ):
-            stacks = self._sample_table_stacks(spec, draws, global_draws)
+            stacks = self._slot_tensors(spec, draws, global_draws)
             return [
                 self.cell_from_tables(
                     spec,

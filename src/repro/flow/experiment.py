@@ -272,12 +272,17 @@ class RunSummary:
         )
 
     def to_arrays(self) -> Dict[str, np.ndarray]:
-        """The stored form: one 0-d array per scalar field, and the
-        cell usage as ``cell_names``/``cell_counts``."""
-        names = [name for name, _ in self.cell_counts]
+        """The stored form: the scalar fields as one 0-d structured
+        array ``summary``, and the cell usage as ``cell_names``/
+        ``cell_counts``."""
+        width = max(1, len(self.failure_reason))
+        dtype = [
+            (name, f"U{width}" if kind is str else kind)
+            for name, kind in _SCALARS.items()
+        ]
         return {
-            **{name: np.array(getattr(self, name)) for name in _SCALARS},
-            "cell_names": np.array(names, dtype=str),
+            "summary": np.array(tuple(getattr(self, name) for name in _SCALARS), dtype),
+            "cell_names": np.array([name for name, _ in self.cell_counts], dtype=str),
             "cell_counts": np.array([count for _, count in self.cell_counts], dtype=np.int64),
         }
 
@@ -285,13 +290,20 @@ class RunSummary:
     def from_arrays(arrays: Dict[str, np.ndarray]) -> "RunSummary":
         """Rebuild a summary stored with :meth:`to_arrays`; raises
         ``ValueError`` on missing, extra, mistyped or inconsistent
-        arrays."""
+        arrays or fields."""
         check_arrays(arrays, _SUMMARY_ARRAYS, "summary")
-        names, counts = arrays["cell_names"], arrays["cell_counts"]
+        scalars, names, counts = (
+            arrays["summary"], arrays["cell_names"], arrays["cell_counts"]
+        )
+        fields = scalars.dtype.fields or {}
+        if list(fields) != list(_SCALARS) or any(
+            fields[name][0].kind != _KINDS[kind] for name, kind in _SCALARS.items()
+        ):
+            raise ValueError(f"summary fields {scalars.dtype}")
         if names.size != counts.size:
             raise ValueError("inconsistent summary cell counts")
         return RunSummary(
-            **{name: cast(arrays[name].item()) for name, cast in _SCALARS.items()},
+            **{name: cast(scalars[name].item()) for name, cast in _SCALARS.items()},
             cell_counts=tuple(zip(names.tolist(), counts.tolist())),
         )
 
@@ -308,12 +320,12 @@ _SCALARS = {
     "n_instances": int,
 }
 
+#: The dtype kind each scalar type is stored with.
+_KINDS = {bool: "b", float: "f", int: "i", str: "U"}
+
 #: Every stored :class:`RunSummary` array: its dtype kind and dimensions.
 _SUMMARY_ARRAYS: Dict[str, Tuple[str, int]] = {
-    **{
-        name: ({bool: "b", float: "f", int: "i", str: "U"}[kind], 0)
-        for name, kind in _SCALARS.items()
-    },
+    "summary": ("V", 0),
     "cell_names": ("U", 1),
     "cell_counts": ("i", 1),
 }
@@ -438,7 +450,8 @@ class TuningFlow:
         #: Memoized runs, keyed disjointly: ``("baseline", period)``
         #: for untuned synthesis, ``("tuned", method, parameter,
         #: period)`` for tuned — no tuning-method name can collide
-        #: with the baseline entry.
+        #: with the baseline entry.  Memoized runs carry no live
+        #: result (see :meth:`_memoized`).
         self._runs: Dict[tuple, SynthesisRun] = {}
         self._minimum_periods: Dict[float, float] = {}
 
@@ -705,18 +718,27 @@ class TuningFlow:
 
     def baseline(self, clock_period: float) -> SynthesisRun:
         """Baseline (untuned) synthesis at a clock period (memoized)."""
-        key = ("baseline", clock_period)
-        if key not in self._runs:
-            self._runs[key] = self._resolve_run(clock_period)
-        return self._runs[key]
+        return self._memoized(("baseline", clock_period), clock_period)
 
     def tuned(self, clock_period: float, method: str, parameter: float) -> SynthesisRun:
         """Tuned synthesis at a clock period (memoized)."""
         resolved = self._method(method)
-        key = ("tuned", resolved.name, parameter, clock_period)
-        if key not in self._runs:
-            self._runs[key] = self._resolve_run(clock_period, resolved, parameter)
-        return self._runs[key]
+        return self._memoized(
+            ("tuned", resolved.name, parameter, clock_period),
+            clock_period, resolved, parameter,
+        )
+
+    def _memoized(self, key: tuple, *point) -> SynthesisRun:
+        """The run of ``point`` (see :meth:`_resolve_run`) through the
+        memo.  The memo keeps the run without its live synthesis
+        result, so a flow never holds a netlist or timing graph past
+        the call that synthesized it: only that call returns a live
+        run."""
+        run = self._runs.get(key)
+        if run is None:
+            run = self._resolve_run(*point)
+            self._runs[key] = replace(run, result=None)
+        return run
 
     def compare(
         self, clock_period: float, method: str, parameter: float

@@ -24,8 +24,10 @@ anywhere upstream invalidates exactly the artifacts it can affect.
 
 Layout under ``$REPRO_CACHE_DIR`` (or ``~/.cache/repro``)::
 
-    stat-<key>.npz            characterized library   (LUT arrays, npz codec)
-    samples-<key>.npz         per-sample MC libraries (stacked LUT arrays)
+    stat-<key>.npz            characterized library   (one (1, rows, slews,
+                                                        loads) tables array)
+    samples-<key>.npz         per-sample MC libraries (one (N, rows, slews,
+                                                        loads) tables array)
     tuning-<key>.json.gz      TuningResult             (windows, thresholds)
     synth-<key>.npz           SynthesisRun             (summary arrays, worst
                                                         paths, step sigmas)

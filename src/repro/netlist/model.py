@@ -418,16 +418,6 @@ class Netlist:
             del self.instances[instance.name]
         return len(removed)
 
-    def rewire_sink(self, net_name: str, sink: PinRef, new_net: str) -> None:
-        """Move one sink pin from ``net_name`` onto ``new_net``."""
-        net = self.net(net_name)
-        if sink not in net.sinks:
-            raise NetlistError(f"{sink} is not a sink of {net_name}")
-        net.sinks.remove(sink)
-        self._net(new_net).sinks.append(sink)
-        if sink.instance is not None:
-            self.instance(sink.instance).connections[sink.pin] = new_net
-
     def unique_name(self, prefix: str) -> str:
         """Fresh instance/net name with the given prefix."""
         index = len(self.instances) + len(self.nets)

@@ -6,11 +6,19 @@ technology/corner/mismatch parameters, the power switch, the seed and
 the sample count.  :func:`characterization_key` fingerprints exactly
 that configuration — the inputs the ``stat`` and ``samples`` rows of
 :data:`~repro.parallel.artifacts.STAGES` declare — and
-:class:`LibraryCache` packs the library's LUT value arrays into named
-arrays stored in the :class:`~repro.parallel.artifacts.ArtifactStore`
-under that stage (its ``.npz`` codec); everything else — cell shells,
-pin capacitances, axes, templates — is rebuilt from the specs on load,
-which keeps files small and immune to model-object drift.  Atomic
+:class:`LibraryCache` stores the stage as one ``tables`` array in the
+:class:`~repro.parallel.artifacts.ArtifactStore` (its ``.npz`` codec),
+shaped ``(libraries, rows, n_slew, n_load)``: one library for ``stat``,
+N for ``samples``.  Rows follow a canonical order — for each spec, for
+each ``(input, output)`` of ``spec.function.arcs()``, for each slot of
+:meth:`~repro.characterization.characterize.Characterizer.table_slots`
+— and everything that order depends on is already a key input, so no
+index is stored.  Everything else — cell shells, pin capacitances,
+axes, templates — is rebuilt from the specs on load, through
+:meth:`~repro.characterization.characterize.Characterizer.
+cell_from_tables`, which keeps files small and immune to model-object
+drift.  An entry that is not exactly that one array of that shape (a
+store written in an older layout, say) heals into a miss.  Atomic
 writes, self-healing, the store counters and the version folded into
 every key (:data:`~repro.parallel.artifacts.ARTIFACT_VERSION`) are the
 store's.
@@ -25,41 +33,13 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.cells.catalog import CellSpec
 from repro.liberty.model import Library
 from repro.parallel.artifacts import ArtifactStore, stage_fingerprint
-
-#: LUT slots a statistical-library entry may store, core slots first.
-STATISTICAL_SLOTS = (
-    "cell_rise",
-    "cell_fall",
-    "rise_transition",
-    "fall_transition",
-    "sigma_rise",
-    "sigma_fall",
-    "power_rise",
-    "power_fall",
-    "sigma_power_rise",
-    "sigma_power_fall",
-)
-#: Slots required for a statistical entry to be considered intact.
-_STATISTICAL_REQUIRED = STATISTICAL_SLOTS[:6]
-
-#: LUT slots a per-sample entry may store (stacked along axis 0).
-SAMPLE_SLOTS = (
-    "cell_rise",
-    "cell_fall",
-    "rise_transition",
-    "fall_transition",
-    "power_rise",
-    "power_fall",
-)
-_SAMPLE_REQUIRED = SAMPLE_SLOTS[:4]
-
 
 def spec_fingerprint(spec: CellSpec) -> dict:
     """Everything about a spec that characterization results depend on.
@@ -118,15 +98,11 @@ def characterization_key(
     )
 
 
-def _arc_key(cell: str, output_pin: str, related_pin: str, slot: str) -> str:
-    return "\t".join((cell, output_pin, related_pin, slot))
-
-
 class LibraryCache:
-    """The library codec: packs a characterized library's LUTs into
-    named arrays of the ``stat`` or ``samples`` stage and rebuilds the
-    library from them.  Every method takes the stage key the caller
-    already derived (:func:`characterization_key`)."""
+    """The library codec: stores the ``stat`` (one library) or
+    ``samples`` (N libraries) stage as one ``tables`` array and
+    rebuilds the libraries from it.  Every method takes the stage key
+    the caller already derived (:func:`characterization_key`)."""
 
     def __init__(self, store: Optional[ArtifactStore] = None):
         self.store = store if store is not None else ArtifactStore()
@@ -139,118 +115,91 @@ class LibraryCache:
         if kind == "stat":
             return (
                 lambda key: self.load_statistical(key, characterizer, specs),
-                self.store_statistical,
+                lambda key, library: self.save(
+                    kind, key, [library], characterizer, specs
+                ),
             )
         return (
-            lambda key: self.load_samples(key, characterizer, specs, n_samples),
-            self.store_samples,
+            lambda key: self.load(kind, key, characterizer, specs, n_samples),
+            lambda key, libraries: self.save(kind, key, libraries, characterizer, specs),
         )
-
-    # ------------------------------------------------------------------
-    # Statistical libraries
-    # ------------------------------------------------------------------
 
     def load_statistical(
         self, key: str, characterizer, specs: Sequence[CellSpec]
     ) -> Optional[Library]:
-        """Rebuild a stored statistical library, or ``None`` on miss.
+        """Rebuild a stored statistical library, or ``None`` on miss."""
+        libraries = self.load("stat", key, characterizer, specs, 1)
+        return None if libraries is None else libraries[0]
 
-        An entry missing any required array counts as a miss and
-        heals like any other unreadable store entry.
-        """
-
-        def decode(arrays: Dict[str, np.ndarray]) -> Library:
-            library = characterizer.library_shell(f"{characterizer.corner.name}_stat")
-            library.is_statistical = True
-            for spec in specs:
-                tables = _cell_tables(
-                    arrays, spec, STATISTICAL_SLOTS, _STATISTICAL_REQUIRED
-                )
-                library.add_cell(characterizer.cell_from_tables(spec, tables))
-            return library
-
-        return self.store.load("stat", key, decode)
-
-    def store_statistical(self, key: str, library: Library) -> Path:
-        """Persist a statistical library's LUT arrays."""
-        arrays: Dict[str, np.ndarray] = {}
-        for cell in library:
-            for pin in cell.output_pins():
-                for arc in pin.timing:
-                    for slot in STATISTICAL_SLOTS:
-                        table = getattr(arc, slot)
-                        if table is not None:
-                            arrays[_arc_key(cell.name, pin.name, arc.related_pin, slot)] = (
-                                table.values
-                            )
-        return self.store.store("stat", key, arrays)
-
-    # ------------------------------------------------------------------
-    # Per-sample libraries
-    # ------------------------------------------------------------------
-
-    def load_samples(
-        self, key: str, characterizer, specs: Sequence[CellSpec], n_samples: int
+    def load(
+        self,
+        kind: str,
+        key: str,
+        characterizer,
+        specs: Sequence[CellSpec],
+        n_libraries: int,
     ) -> Optional[List[Library]]:
-        """Rebuild the N stored Monte-Carlo sample libraries, or ``None``."""
+        """Rebuild the ``n_libraries`` libraries of a stored ``kind``
+        entry, or ``None`` on a miss.  An entry whose arrays are not
+        exactly one ``tables`` array of the expected shape heals into
+        a miss like any other unreadable store entry."""
+        slots = characterizer.table_slots(statistical=kind == "stat")
+        n_rows = len(slots) * sum(len(spec.function.arcs()) for spec in specs)
+        grid = characterizer.grid
+        shape = (n_libraries, n_rows, grid.n_slew, grid.n_load)
+        name = characterizer.corner.name
 
         def decode(arrays: Dict[str, np.ndarray]) -> List[Library]:
-            libraries: List[Library] = []
-            for k in range(n_samples):
+            tables = arrays.get("tables", np.empty(0))
+            if (
+                arrays.keys() != {"tables"}
+                or tables.shape != shape
+                or tables.dtype != np.float64
+            ):
+                raise ValueError(f"{kind} arrays are not one {shape} tables array")
+            libraries = []
+            for k, stack in enumerate(tables):
                 library = characterizer.library_shell(
-                    f"{characterizer.corner.name}_mc{k:03d}"
+                    f"{name}_stat" if kind == "stat" else f"{name}_mc{k:03d}"
                 )
+                library.is_statistical = kind == "stat"
+                rows = iter(stack)
                 for spec in specs:
-                    stacked = _cell_tables(arrays, spec, SAMPLE_SLOTS, _SAMPLE_REQUIRED)
-                    tables = {
-                        arc: {slot: values[k] for slot, values in slots.items()}
-                        for arc, slots in stacked.items()
-                    }
-                    library.add_cell(characterizer.cell_from_tables(spec, tables))
+                    library.add_cell(characterizer.cell_from_tables(spec, {
+                        arc: {slot: next(rows) for slot in slots}
+                        for arc in spec.function.arcs()
+                    }))
                 libraries.append(library)
             return libraries
 
-        return self.store.load("samples", key, decode)
+        return self.store.load(kind, key, decode)
 
-    def store_samples(self, key: str, libraries: Sequence[Library]) -> Path:
-        """Persist N sample libraries as per-arc (N, slews, loads) stacks."""
-        arrays: Dict[str, np.ndarray] = {}
-        reference = libraries[0]
-        for cell in reference:
-            for pin in cell.output_pins():
-                for arc_index, arc in enumerate(pin.timing):
-                    for slot in SAMPLE_SLOTS:
-                        if getattr(arc, slot) is None:
-                            continue
-                        stack = np.stack([
-                            getattr(
-                                library.cell(cell.name).pin(pin.name).timing[arc_index],
-                                slot,
-                            ).values
-                            for library in libraries
-                        ])
-                        arrays[_arc_key(cell.name, pin.name, arc.related_pin, slot)] = stack
-        return self.store.store("samples", key, arrays)
-
-
-def _cell_tables(
-    arrays: Dict[str, np.ndarray],
-    spec: CellSpec,
-    slots: Tuple[str, ...],
-    required: Tuple[str, ...],
-) -> Dict[Tuple[str, str], Dict[str, np.ndarray]]:
-    """Group one cell's stored arrays by arc, checking completeness."""
-    tables: Dict[Tuple[str, str], Dict[str, np.ndarray]] = {}
-    for input_pin, output_pin in spec.function.arcs():
-        arc_tables: Dict[str, np.ndarray] = {}
-        for slot in slots:
-            key = _arc_key(spec.name, output_pin, input_pin, slot)
-            if key in arrays:
-                arc_tables[slot] = arrays[key]
-        missing = [slot for slot in required if slot not in arc_tables]
-        if missing:
-            raise KeyError(
-                f"{spec.name} {input_pin}->{output_pin}: missing {missing}"
-            )
-        tables[(input_pin, output_pin)] = arc_tables
-    return tables
+    def save(
+        self,
+        kind: str,
+        key: str,
+        libraries: Sequence[Library],
+        characterizer,
+        specs: Sequence[CellSpec],
+    ) -> Path:
+        """Persist ``libraries`` as one ``(libraries, rows, n_slew,
+        n_load)`` ``tables`` array, rows in canonical order: for each
+        spec, each arc of ``spec.function.arcs()``, each slot of
+        :meth:`~repro.characterization.characterize.Characterizer.
+        table_slots`."""
+        slots = characterizer.table_slots(statistical=kind == "stat")
+        rows = [
+            (spec.name, output_pin, input_pin, slot)
+            for spec in specs
+            for input_pin, output_pin in spec.function.arcs()
+            for slot in slots
+        ]
+        grid = characterizer.grid
+        # filled in place: stacking a list of the tables would hold the
+        # whole array twice while it is built
+        tables = np.empty((len(libraries), len(rows), grid.n_slew, grid.n_load))
+        for k, library in enumerate(libraries):
+            for row, (cell, pin, related, slot) in enumerate(rows):
+                arc = library.cell(cell).pin(pin).arc_from(related)
+                tables[k, row] = getattr(arc, slot).values
+        return self.store.store(kind, key, {"tables": tables})

@@ -41,14 +41,19 @@ def split_fanout(
     if not sink_groups:
         raise SynthesisError("split_fanout needs at least one sink group")
     net = netlist.net(net_name)
+    sinks = set(net.sinks)
+    moved = set()
     for group in sink_groups:
         for sink in group:
             if sink.is_port:
                 raise SynthesisError(
                     f"cannot buffer output port sink on net {net_name}"
                 )
-            if sink not in net.sinks:
+            if sink not in sinks:
                 raise SynthesisError(f"{sink} is not a sink of {net_name}")
+            if sink in moved:
+                raise SynthesisError(f"{sink} is in two sink groups")
+            moved.add(sink)
 
     created: List[str] = []
     first_name = netlist.unique_name(f"{BUFFER_PREFIX}_a")
@@ -56,14 +61,18 @@ def split_fanout(
     netlist.add_instance(first_name, "INV", {"A": net_name, "Z": first_out})
     netlist.instance(first_name).cell = inverter_cell
     created.append(first_name)
+    # one pass keeps the unmoved sinks in order; each group lands on
+    # its inverter's net in group order
+    net.sinks = [sink for sink in net.sinks if sink not in moved]
     for group in sink_groups:
         second_name = netlist.unique_name(f"{BUFFER_PREFIX}_b")
         second_out = f"{second_name}.Z"
         netlist.add_instance(second_name, "INV", {"A": first_out, "Z": second_out})
         netlist.instance(second_name).cell = inverter_cell
         created.append(second_name)
+        netlist.net(second_out).sinks.extend(group)
         for sink in group:
-            netlist.rewire_sink(net_name, sink, second_out)
+            netlist.instance(sink.instance).connections[sink.pin] = second_out
     return created
 
 

@@ -67,7 +67,10 @@ class TestFlowStages:
         assert run.area > 0
         assert run.design_sigma > 0
         assert len(run.paths) == run.stats.n_paths
-        assert tiny_flow.baseline(4.0) is run  # memoized
+        # memoized without its live result: equal, and one object
+        memo = tiny_flow.baseline(4.0)
+        assert memo == run and memo.result is None
+        assert tiny_flow.baseline(4.0) is memo
 
     def test_tuned_run_and_comparison(self, tiny_flow):
         comparison = tiny_flow.compare(4.0, "sigma_ceiling", 0.03)

@@ -12,9 +12,11 @@ zero-recharacterization test).
 from __future__ import annotations
 
 import dataclasses
+import gc
 import gzip
 import io
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from repro.parallel.artifacts import (
     fingerprint,
     stage_fingerprint,
 )
-from repro.sta.graph import StaConfig
+from repro.sta.graph import StaConfig, TimingGraph
 from repro.synth.constraints import SynthesisConstraints
 from repro.synth.synthesizer import (
     reset_synthesis_call_count,
@@ -305,6 +307,7 @@ class TestWarmPipeline:
     def test_warm_compare_identical_and_zero_synthesis(self, cache_dir):
         cold_flow = TuningFlow(_mini_config())
         reset_synthesis_call_count()
+        cold_run = cold_flow.baseline(4.0)
         cold = cold_flow.compare(4.0, "sigma_ceiling", 0.03)
         assert synthesis_call_count() == 2  # baseline + tuned
 
@@ -314,10 +317,14 @@ class TestWarmPipeline:
             ("tuned", "sigma_ceiling", 0.03, 4.0),
         }
 
-        # live runs expose the timing graph; the stored run is equal
-        cold_run = cold_flow.baseline(4.0)
+        # the call that synthesized returns the live run, which exposes
+        # the timing graph; a memo hit and the stored run are equal
+        # runs without it
         assert cold_run.result is not None
         assert cold_run.timing is cold_run.result.timing
+        memo_run = cold_flow.baseline(4.0)
+        assert memo_run.result is None
+        assert memo_run == cold_run
         baseline_key = cold_flow.point_keys(4.0, "sigma_ceiling", 0.03).baseline
         stored = ArtifactStore().load(
             "synth", baseline_key, lambda arrays: SynthesisRun.from_arrays(arrays, 4.0)
@@ -348,6 +355,28 @@ class TestWarmPipeline:
         assert [
             (r.stage, r.status) for r in warm_flow.manifest.records if r.stage == "synth"
         ] == [("synth", "hit"), ("synth", "hit")]
+
+    def test_memo_keeps_no_timing_graph(self, cache_dir, monkeypatch):
+        """Once a caller drops the live runs, no timing graph of any
+        synthesis stays reachable: the memo holds runs without their
+        results."""
+        built = []
+        build = TimingGraph.__init__
+
+        def recording(graph, *args, **kwargs):
+            build(graph, *args, **kwargs)
+            built.append(weakref.ref(graph))
+
+        monkeypatch.setattr(TimingGraph, "__init__", recording)
+        flow = TuningFlow(_mini_config(cache=False))
+        for period in (4.0, 5.0):
+            live = flow.baseline(period), flow.tuned(period, "sigma_ceiling", 0.03)
+            assert all(run.result is not None for run in live)
+            flow.compare(period, "sigma_ceiling", 0.03)  # memo hits
+        del live
+        gc.collect()
+        assert built
+        assert [graph() for graph in built] == [None] * len(built)
 
     def test_warm_fig10_zero_synthesis(self, cache_dir, monkeypatch):
         """Acceptance: a warm ``run fig10`` performs zero synthesis."""
@@ -485,8 +514,9 @@ class TestWarmPipeline:
         ]
 
     def test_torn_synth_entry_heals_into_one_miss(self, cache_dir):
-        """A ``synth-*.npz`` that is truncated, garbage, or lacks or
-        mistypes one array makes its run one miss: one
+        """A ``synth-*.npz`` that is truncated, garbage, lacks or
+        mistypes one array or summary field, or stores the summary in
+        the older one-array-per-field layout makes its run one miss: one
         ``store.self_heal`` event naming ``synth``, one synthesis, the
         cold values, and the entry rewritten intact."""
         from repro.observe import MemorySink, Tracer, set_tracer
@@ -507,12 +537,26 @@ class TestWarmPipeline:
             np.savez_compressed(buffer, **arrays)
             return buffer.getvalue()
 
+        def eight_members(arrays):
+            """The summary stored as one 0-d array per scalar field."""
+            summary = arrays.pop("summary")
+            arrays.update({name: summary[name] for name in summary.dtype.names})
+
+        def int_area(arrays):
+            summary = arrays["summary"]
+            arrays["summary"] = np.array(summary.item(), [
+                (name, "i8" if name == "area" else summary.dtype[name])
+                for name in summary.dtype.names
+            ])
+
         key = TuningFlow(_mini_config()).point_keys(4.0, "sigma_ceiling", 0.03).baseline
         damages = {
             "truncated": intact[: len(intact) // 2],
             "garbage": b"garbage",
             "no cell_names": rewritten(lambda arrays: arrays.pop("cell_names")),
             "no step_sigma": rewritten(lambda arrays: arrays.pop("step_sigma")),
+            "eight-member summary": rewritten(eight_members),
+            "int area": rewritten(int_area),
             "int delay": rewritten(
                 lambda arrays: arrays.update(delay=arrays["delay"].astype(np.int64))
             ),

@@ -11,12 +11,10 @@ with the references substituted at the call sites
 
 from __future__ import annotations
 
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 
-from repro.characterization.characterize import Characterizer, GlobalDraws
+from repro.characterization.characterize import Characterizer
 from repro.characterization.grids import GridConfig
 from repro.sta.engine import analyze
 from repro.sta.graph import TimingGraph
@@ -99,7 +97,8 @@ class TestCharacterizationEquivalence:
     def test_cell_samples_equal_the_per_sample_loop(self, small_specs):
         """``characterize_cell_samples`` (one tensor per arc, sliced per
         sample) equals characterizing each sample on its own, global
-        draws included."""
+        draws included: ``characterize_cell`` pairs local and global
+        draw ``k`` when both span the full sample axis."""
         characterizer = Characterizer(grid=SMALL_GRID, include_power=True)
         n_samples = 4
         global_draws = characterizer.sample_global_draws(n_samples, seed=5)
@@ -113,9 +112,7 @@ class TestCharacterizationEquivalence:
                     spec,
                     draws=draws[spec.name],
                     sample_index=k,
-                    global_draws=GlobalDraws(
-                        *(v[k : k + 1] for v in astuple(global_draws))
-                    ),
+                    global_draws=global_draws,
                 )
                 library_a = characterizer.library_shell("a")
                 library_b = characterizer.library_shell("b")

@@ -6,7 +6,7 @@ from repro.errors import NetlistError
 from repro.flow.experiment import FlowConfig
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.generators.microcontroller import build_microcontroller
-from repro.netlist.model import Netlist, PinRef, PortDirection
+from repro.netlist.model import Netlist
 from repro.synth.buffering import plan_groups, split_fanout
 
 
@@ -103,20 +103,6 @@ class TestTopology:
 
 
 class TestEditing:
-    def test_rewire_sink(self):
-        netlist = tiny_netlist()
-        sink = PinRef("nd0", "A")
-        netlist.add_instance("inv1", "INV", {"A": "a", "Z": "n3"})
-        netlist.rewire_sink("n1", sink, "n3")
-        assert netlist.instance("nd0").connections["A"] == "n3"
-        assert sink in netlist.net("n3").sinks
-        assert sink not in netlist.net("n1").sinks
-
-    def test_rewire_unknown_sink_rejected(self):
-        netlist = tiny_netlist()
-        with pytest.raises(NetlistError):
-            netlist.rewire_sink("n1", PinRef("nd0", "B"), "n2")
-
     def test_prune_dangling(self):
         netlist = tiny_netlist()
         netlist.add_instance("dead", "INV", {"A": "a", "Z": "unused"})

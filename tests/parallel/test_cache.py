@@ -20,6 +20,7 @@ from repro.characterization.characterize import (
 )
 from repro.characterization.grids import GridConfig
 from repro.flow.experiment import FlowConfig, TuningFlow
+from repro.observe.catalog import STORE_ARTIFACT_EVENTS
 from repro.parallel.artifacts import ARTIFACT_VERSION, ArtifactStore, fingerprint
 from repro.parallel.cache import LibraryCache, characterization_key
 
@@ -78,6 +79,74 @@ class TestKeying:
         assert characterization_key(
             characterizer, small_specs[:3], 10, 0, False, "stat"
         ) != characterization_key(characterizer, small_specs[:4], 10, 0, False, "stat")
+
+
+class TestTablesLayout:
+    """Each library stage is one ``(libraries, rows, n_slew, n_load)``
+    ``tables`` array; anything else heals into one miss."""
+
+    @pytest.mark.parametrize("include_power", [False, True])
+    def test_every_lut_round_trips(self, cache, small_specs, include_power):
+        characterizer = Characterizer(
+            grid=GridConfig(n_slew=3, n_load=4), include_power=include_power
+        )
+        # a slice that ends in a two-output cell (the full adder)
+        specs = small_specs[:3] + [
+            next(spec for spec in small_specs if spec.family == "ADDF")
+        ]
+        statistical = characterizer.statistical_library(specs, n_samples=4, seed=2)
+        samples = characterizer.sample_libraries(specs, n_samples=3, seed=2)
+        for kind, libraries in (("stat", [statistical]), ("samples", samples)):
+            key = characterization_key(characterizer, specs, 4, 2, False, kind)
+            cache.save(kind, key, libraries, characterizer, specs)
+            with np.load(_entry(cache), allow_pickle=False) as data:
+                assert sorted(data.files) == ["__meta__", "tables"]
+                rows = len(characterizer.table_slots(kind == "stat")) * sum(
+                    len(spec.function.arcs()) for spec in specs
+                )
+                assert data["tables"].shape == (len(libraries), rows, 3, 4)
+            loaded = cache.load(kind, key, characterizer, specs, len(libraries))
+            assert [library.name for library in loaded] == [
+                library.name for library in libraries
+            ]
+            for original, stored in zip(libraries, loaded):
+                assert stored.is_statistical == original.is_statistical
+                assert_libraries_bit_identical(original, stored)
+            cache.store.clear()
+
+    @pytest.mark.parametrize("layout", ["per-LUT", "wrong rows"])
+    def test_other_layouts_heal_into_one_miss(self, cache, flow, small_specs, layout):
+        """An entry of the per-LUT layout (one member per LUT, keyed
+        ``cell\tpin\trelated\tslot``) or a ``tables`` array with the
+        wrong row count loads as ``None``, counts once as ``healed``
+        and is recharacterized, then hits."""
+        specs = small_specs[:4]
+        library = flow.library_stage("stat", specs, 6, 1)
+        key = characterization_key(flow.characterizer, specs, 6, 1, False, "stat")
+        if layout == "per-LUT":
+            arrays = {
+                "\t".join((cell.name, pin.name, arc.related_pin, slot)): table.values
+                for cell in library
+                for pin in cell.output_pins()
+                for arc in pin.timing
+                for slot in flow.characterizer.table_slots(statistical=True)
+                for table in [getattr(arc, slot)]
+            }
+        else:
+            with np.load(_entry(cache), allow_pickle=False) as data:
+                arrays = {"tables": data["tables"][:, 1:]}
+        cache.store.store("stat", key, arrays)
+
+        healed = STORE_ARTIFACT_EVENTS.labels(event="healed").value
+        assert cache.load_statistical(key, flow.characterizer, specs) is None
+        assert STORE_ARTIFACT_EVENTS.labels(event="healed").value == healed + 1
+        assert not list(cache.store.directory.glob("*.npz"))
+
+        reset_characterization_call_count()
+        assert_libraries_bit_identical(library, flow.library_stage("stat", specs, 6, 1))
+        assert characterization_call_count() == len(specs)
+        assert cache.load_statistical(key, flow.characterizer, specs) is not None
+        assert STORE_ARTIFACT_EVENTS.labels(event="healed").value == healed + 1
 
 
 class TestCorruptionRecovery:
@@ -173,7 +242,7 @@ class TestMaintenance:
         specs = small_specs[:4]
         library = flow.library_stage("stat", specs, 6, 1)
         key = characterization_key(flow.characterizer, specs, 6, 1, False, "stat")
-        cache.store_statistical(key, library)
+        cache.save("stat", key, [library], flow.characterizer, specs)
         assert cache.store.stats().entries == 1
         loaded = cache.load_statistical(key, flow.characterizer, specs)
         assert loaded is not None

@@ -71,6 +71,40 @@ class TestSplitFanout:
         created = split_fanout(netlist, src, groups, inverter_cell="INV_4")
         assert all(netlist.instance(n).cell == "INV_4" for n in created)
 
+    def test_moved_sinks_rewired(self):
+        netlist, src = fanout_netlist(3)
+        sink = netlist.net(src).sinks[1]
+        (_first, second) = split_fanout(netlist, src, [[sink]], "INV_1")
+        new_net = netlist.instance(second).net_of("Z")
+        assert netlist.instance(sink.instance).connections[sink.pin] == new_net
+        assert netlist.net(new_net).sinks == [sink]
+        assert sink not in netlist.net(src).sinks
+
+    def test_sink_order(self):
+        """Kept sinks stay in their order, ahead of the first-stage
+        inverter; each group lands on its net in group order."""
+        netlist, src = fanout_netlist(6)
+        sinks = list(netlist.net(src).sinks)
+        groups = [[sinks[4], sinks[1]], [sinks[0], sinks[5]]]
+        first, *seconds = split_fanout(netlist, src, groups, "INV_1")
+        assert netlist.net(src).sinks == [sinks[2], sinks[3], PinRef(first, "A")]
+        for second, group in zip(seconds, groups):
+            assert netlist.net(netlist.instance(second).net_of("Z")).sinks == group
+        netlist.validate()
+
+    def test_sink_in_two_groups_rejected(self):
+        netlist, src = fanout_netlist(3)
+        sink = netlist.net(src).sinks[0]
+        with pytest.raises(SynthesisError):
+            split_fanout(netlist, src, [[sink], [sink]], "INV_1")
+
+    def test_sink_of_another_net_rejected(self):
+        netlist, src = fanout_netlist(3)
+        other = netlist.net(src).sinks[0]
+        inner = netlist.instance(other.instance).net_of("Z")
+        with pytest.raises(SynthesisError):
+            split_fanout(netlist, inner, [[other]], "INV_1")
+
     def test_foreign_sink_rejected(self):
         netlist, src = fanout_netlist(3)
         with pytest.raises(SynthesisError):
