@@ -1,14 +1,18 @@
-"""Ablation: literal Algorithm 1 vs the summed-area-table version.
+"""Ablation: literal Algorithm 1 vs the batched summed-area search.
 
 The paper ships the quadruple-loop pseudo-code; this bench shows the
-optimized implementation returns identical rectangles while scaling to
-larger LUT grids.
+batched search (one ``largest_rectangles`` call over a whole stack)
+returns identical rectangles while scaling to larger LUT grids.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.rectangle import largest_rectangle, largest_rectangle_paper
+from repro.core.rectangle import (
+    largest_rectangle,
+    largest_rectangle_paper,
+    largest_rectangles,
+)
 
 
 def _matrices(size, count=24, seed=6):
@@ -27,13 +31,10 @@ def test_optimized_equals_literal(size):
 
 
 def test_ablation_rectangle_optimized(benchmark):
-    matrices = _matrices(12)
+    stack = np.stack(_matrices(12))
 
-    def run_all():
-        return [largest_rectangle(m) for m in matrices]
-
-    results = benchmark(run_all)
-    assert all(r is not None for r in results)
+    results = benchmark(largest_rectangles, stack)
+    assert (results >= 0).all()
 
 
 def test_ablation_rectangle_literal_algorithm1(benchmark):

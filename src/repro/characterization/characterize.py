@@ -482,13 +482,16 @@ class Characterizer:
         slews = slew_grid(self.grid)
         loads = load_grid(self.grid, spec)
         template = f"tmpl_{self.grid.n_slew}x{self.grid.n_load}"
+        # The cell's axes are built and validated once; every slot's
+        # values are attached to them.
+        axes = Lut(slews, loads, np.zeros((slews.size, loads.size)), template=template)
         for input_pin, output_pin in spec.function.arcs():
             arc = TimingArc(
                 related_pin=input_pin,
                 timing_sense=spec.function.sense(input_pin, output_pin),
             )
             for slot, values in tables[(input_pin, output_pin)].items():
-                setattr(arc, slot, Lut(slews, loads, values, template=template))
+                setattr(arc, slot, axes.with_values(values))
             cell.pin(output_pin).timing.append(arc)
         return cell
 

@@ -13,18 +13,22 @@ Two-stage process:
    rectangle and convert its coordinates into min/max slew and load
    bounds (:class:`~repro.core.restriction.SlewLoadWindow`) that the
    synthesis tool must honor.
+
+Both stages end in one batched Algorithm 1
+(:func:`~repro.core.rectangle.largest_rectangles`) over the pin sigma
+stacks :class:`~repro.core.restriction.PinSigma` builds once per library.
 """
 
 from repro.core.slope import slew_slope_table, load_slope_table
 from repro.core.binary_lut import (
     binarize_below,
     combine_and,
-    binary_fraction_true,
 )
 from repro.core.rectangle import (
     Rectangle,
     largest_rectangle,
     largest_rectangle_paper,
+    largest_rectangles,
 )
 from repro.core.clusters import cluster_by_strength, cluster_individually
 from repro.core.threshold import extract_slope_threshold, equivalent_sigma_lut
@@ -34,13 +38,12 @@ from repro.core.methods import (
     DEFAULT_BOUNDS,
     method_by_name,
 )
-from repro.core.restriction import SlewLoadWindow, restrict_pin, restrict_cell
+from repro.core.restriction import PinSigma, SlewLoadWindow, pin_equivalent_sigma
 from repro.core.tuner import LibraryTuner, TuningResult
 from repro.core.sdc import parse_sdc, write_sdc, write_sdc_file
 from repro.core.power_tuning import (
     pin_equivalent_power_sigma,
     power_sigma_windows,
-    restrict_pin_power,
 )
 
 __all__ = [
@@ -48,10 +51,10 @@ __all__ = [
     "load_slope_table",
     "binarize_below",
     "combine_and",
-    "binary_fraction_true",
     "Rectangle",
     "largest_rectangle",
     "largest_rectangle_paper",
+    "largest_rectangles",
     "cluster_by_strength",
     "cluster_individually",
     "extract_slope_threshold",
@@ -61,8 +64,8 @@ __all__ = [
     "DEFAULT_BOUNDS",
     "method_by_name",
     "SlewLoadWindow",
-    "restrict_pin",
-    "restrict_cell",
+    "PinSigma",
+    "pin_equivalent_sigma",
     "LibraryTuner",
     "TuningResult",
     "parse_sdc",
@@ -70,5 +73,4 @@ __all__ = [
     "write_sdc_file",
     "pin_equivalent_power_sigma",
     "power_sigma_windows",
-    "restrict_pin_power",
 ]

@@ -14,30 +14,38 @@ import numpy as np
 from repro.errors import TuningError
 
 
-def binarize_below(values: np.ndarray, threshold: float) -> np.ndarray:
-    """Logic one where ``values < threshold`` (strictly smaller)."""
+def _check_luts(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise TuningError(f"binary LUTs are 2-D, got shape {values.shape}")
-    return values < threshold
+    if values.ndim < 2:
+        raise TuningError(
+            f"binary LUTs are 2-D (or stacks of them), got shape {values.shape}"
+        )
+    return values
 
 
-def binarize_at_most(values: np.ndarray, threshold: float) -> np.ndarray:
-    """Logic one where ``values <= threshold``.
+def binarize_below(values: np.ndarray, threshold) -> np.ndarray:
+    """Logic one where ``values < threshold`` (strictly smaller).
+
+    ``values`` is one LUT or a stack of LUTs; ``threshold`` a scalar or
+    any array broadcasting against it (one bound per LUT of a stack).
+    """
+    return _check_luts(values) < threshold
+
+
+def binarize_at_most(values: np.ndarray, threshold) -> np.ndarray:
+    """Logic one where ``values <= threshold`` (shapes as
+    :func:`binarize_below`).
 
     Used by the LUT-restriction stage, where the paper maps values
     "greater than the threshold" to logic zero — so an entry exactly at
     the threshold (e.g. the entry the threshold was read from) stays
     acceptable.
     """
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise TuningError(f"binary LUTs are 2-D, got shape {values.shape}")
-    return values <= threshold
+    return _check_luts(values) <= threshold
 
 
 def combine_and(*tables: np.ndarray) -> np.ndarray:
-    """Logic AND of several binary tables of identical shape."""
+    """Logic AND of several binary tables (or stacks) of identical shape."""
     if not tables:
         raise TuningError("combine_and needs at least one table")
     result = np.asarray(tables[0], dtype=bool)
@@ -50,10 +58,3 @@ def combine_and(*tables: np.ndarray) -> np.ndarray:
         result = result & table
     return result
 
-
-def binary_fraction_true(table: np.ndarray) -> float:
-    """Fraction of logic ones — how much of the LUT stays usable."""
-    table = np.asarray(table, dtype=bool)
-    if table.size == 0:
-        raise TuningError("empty binary table")
-    return float(table.mean())

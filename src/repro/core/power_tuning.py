@@ -5,16 +5,18 @@ the influence of local variation on other properties, such as
 transition power."  This module performs that adjustment: the same
 two-stage tuning — threshold, binary LUT, largest rectangle, per-pin
 window — driven by the *switching-energy sigma* tables a power-enabled
-characterization produces (``Characterizer(include_power=True)``).
+characterization produces (``Characterizer(include_power=True)``):
+the delay tuning's :class:`~repro.core.restriction.PinSigma` and its
+batched restriction, built from the energy-sigma tables.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from repro.core.binary_lut import binarize_at_most
-from repro.core.rectangle import largest_rectangle
-from repro.core.restriction import SlewLoadWindow, window_from_rectangle
+import numpy as np
+
+from repro.core.restriction import PinSigma, SlewLoadWindow
 from repro.core.tuner import WindowMap
 from repro.errors import TuningError
 from repro.liberty.model import Library, Lut, Pin
@@ -22,36 +24,19 @@ from repro.liberty.model import Library, Lut, Pin
 
 def pin_equivalent_power_sigma(pin: Pin) -> Lut:
     """Worst-case energy-sigma LUT of an output pin (max over arcs)."""
-    tables = [table for arc in pin.timing for table in arc.power_sigma_tables()]
-    if not tables:
-        raise TuningError(
-            f"pin {pin.name} has no energy-sigma tables — characterize with "
-            "Characterizer(include_power=True)"
-        )
-    return Lut.elementwise_max(tables)
-
-
-def restrict_pin_power(pin: Pin, ceiling: float) -> Optional[SlewLoadWindow]:
-    """Window of acceptable energy sigma, or None when nothing fits."""
-    if ceiling <= 0:
-        raise TuningError("power-sigma ceiling must be positive")
-    equivalent = pin_equivalent_power_sigma(pin)
-    binary = binarize_at_most(equivalent.values, ceiling)
-    rectangle = largest_rectangle(binary)
-    if rectangle is None:
-        return None
-    return window_from_rectangle(equivalent, rectangle)
+    return PinSigma([pin], "power").lut(0)
 
 
 def power_sigma_windows(library: Library, ceiling: float) -> WindowMap:
     """Tune the whole library against an energy-sigma ceiling (pJ)."""
-    windows: WindowMap = {}
-    for cell in library:
-        for pin in cell.output_pins():
-            windows[(cell.name, pin.name)] = restrict_pin_power(pin, ceiling)
-    if not windows:
+    if ceiling <= 0:
+        raise TuningError("power-sigma ceiling must be positive")
+    outputs = [(cell.name, pin) for cell in library for pin in cell.output_pins()]
+    if not outputs:
         raise TuningError(f"library {library.name} has no output pins to tune")
-    return windows
+    sigma = PinSigma([pin for _cell, pin in outputs], "power")
+    windows = sigma.windows(np.full(len(outputs), float(ceiling)))
+    return {(cell, pin.name): window for (cell, pin), window in zip(outputs, windows)}
 
 
 def window_overlap(

@@ -11,6 +11,11 @@ into account."  Per output pin:
 4. map the rectangle coordinates onto the physical axes: the minimum
    and maximum slew/load values the synthesis tool may use the pin at.
 
+Step 1 depends on neither the method nor the parameter, so
+:class:`PinSigma` builds it once per library, as one stack of pin LUTs
+per grid shape; steps 2-4 then run for every pin at once, with one
+:func:`~repro.core.rectangle.largest_rectangles` call per grid shape.
+
 A pin whose binary LUT has no ones at all (its sigma exceeds the
 threshold everywhere) gets ``None`` — the cell is effectively removed
 from the library, the coarse behaviour classic library tuning would
@@ -20,12 +25,14 @@ have produced for every restricted cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.binary_lut import binarize_at_most
-from repro.core.rectangle import Rectangle, largest_rectangle
-from repro.errors import TuningError
-from repro.liberty.model import Cell, Lut, Pin
+from repro.core.rectangle import largest_rectangles
+from repro.errors import LutError, TuningError
+from repro.liberty.model import Lut, Pin, TimingArc
 
 
 @dataclass(frozen=True)
@@ -50,71 +57,140 @@ class SlewLoadWindow:
             and self.min_load - tolerance <= load <= self.max_load + tolerance
         )
 
-    def slack_to(self, slew: float, load: float) -> float:
-        """Worst normalized violation; >= 0 when (slew, load) is legal.
 
-        Used by the synthesizer to rank candidate cells: the most
-        negative dimension dominates.
-        """
-        margins = (
-            (slew - self.min_slew) / max(self.max_slew, 1e-12),
-            (self.max_slew - slew) / max(self.max_slew, 1e-12),
-            (load - self.min_load) / max(self.max_load, 1e-12),
-            (self.max_load - load) / max(self.max_load, 1e-12),
+#: Per metric: the arc's sigma tables, and what a pin without any lacks.
+SIGMA_KINDS: Dict[str, Tuple[Callable[[TimingArc], List[Lut]], str]] = {
+    "delay": (TimingArc.sigma_tables, "sigma tables — restriction needs a statistical library"),
+    "power": (
+        TimingArc.power_sigma_tables,
+        "energy-sigma tables — characterize with Characterizer(include_power=True)",
+    ),
+}
+
+
+@dataclass(frozen=True)
+class SigmaStack:
+    """Maximum-equivalent sigma LUTs sharing one grid shape: LUT ``k``
+    is ``values[k]`` on the axes ``slews[k]``/``loads[k]`` and belongs
+    to item ``rows[k]`` (a pin, or a cluster of pins) of its source."""
+
+    rows: np.ndarray
+    values: np.ndarray
+    slews: np.ndarray
+    loads: np.ndarray
+
+    def lut(self, k: int) -> Lut:
+        """LUT ``k`` as a :class:`~repro.liberty.model.Lut`."""
+        return Lut(self.slews[k], self.loads[k], self.values[k])
+
+
+def _starts(groups: Sequence[Sequence]) -> np.ndarray:
+    """Offset of each group in their concatenation."""
+    return np.cumsum([0] + [len(group) for group in groups[:-1]])
+
+
+class PinSigma:
+    """Worst-case sigma LUT of each output pin (step 1), stacked per
+    grid shape.
+
+    Pin ``k``'s LUT is the per-entry maximum over every ``kind`` sigma
+    table (``delay`` or ``power``) of its timing arcs, on the axes of
+    the first one.  A pin without such tables raises
+    :class:`~repro.errors.TuningError`; tables of one pin on different
+    axes raise :class:`~repro.errors.LutError`.
+    """
+
+    def __init__(self, pins: Sequence[Pin], kind: str = "delay"):
+        tables_of, missing = SIGMA_KINDS[kind]
+        groups: Dict[Tuple[int, int], Tuple[List[int], List[List[Lut]]]] = {}
+        for row, pin in enumerate(pins):
+            tables = [table for arc in pin.timing for table in tables_of(arc)]
+            if not tables:
+                raise TuningError(f"pin {pin.name} has no {missing}")
+            rows, pin_tables = groups.setdefault(tables[0].shape, ([], []))
+            rows.append(row)
+            pin_tables.append(tables)
+        self.stacks = [self._stack(*group) for group in groups.values()]
+        #: Each pin's stack, and its position in that stack.
+        self._stack_of = np.empty(len(pins), dtype=np.intp)
+        self._position = np.empty(len(pins), dtype=np.intp)
+        for index, stack in enumerate(self.stacks):
+            self._stack_of[stack.rows] = index
+            self._position[stack.rows] = np.arange(stack.rows.size)
+
+    @staticmethod
+    def _stack(rows: List[int], pin_tables: List[List[Lut]]) -> SigmaStack:
+        tables = [table for group in pin_tables for table in group]
+        starts = _starts(pin_tables)
+        firsts = np.repeat(starts, [len(group) for group in pin_tables])
+        if any(table.shape != tables[0].shape for table in tables):
+            raise LutError("a pin's sigma tables require identical LUT axes")
+        slews = np.stack([table.index_1 for table in tables])
+        loads = np.stack([table.index_2 for table in tables])
+        if not (np.isclose(slews[firsts], slews).all() and np.isclose(loads[firsts], loads).all()):
+            raise LutError("a pin's sigma tables require identical LUT axes")
+        values = np.stack([table.values for table in tables])
+        return SigmaStack(
+            np.asarray(rows, dtype=np.intp),
+            np.maximum.reduceat(values, starts, axis=0),
+            slews[starts],
+            loads[starts],
         )
-        return min(margins)
 
+    def lut(self, row: int) -> Lut:
+        """Pin ``row``'s equivalent LUT."""
+        return self.stacks[self._stack_of[row]].lut(self._position[row])
 
-def full_window(lut: Lut) -> SlewLoadWindow:
-    """The unrestricted window covering the whole characterized grid."""
-    return SlewLoadWindow(
-        min_slew=float(lut.index_1[0]),
-        max_slew=float(lut.index_1[-1]),
-        min_load=float(lut.index_2[0]),
-        max_load=float(lut.index_2[-1]),
-    )
+    def cluster_max(self, members: Sequence[np.ndarray]) -> List[SigmaStack]:
+        """Maximum-equivalent LUT of each cluster of pin rows (paper
+        Sec. VI.B step 1), one stack per grid shape; a stack's ``rows``
+        index ``members``, and each cluster keeps its first pin's axes.
+        An empty cluster, or one mixing grid shapes, raises."""
+        if any(len(rows) == 0 for rows in members):
+            raise TuningError(
+                "cluster has no sigma tables — threshold extraction needs a "
+                "statistical library (see repro.statlib)"
+            )
+        stack_of = self._stack_of[np.concatenate(members)]
+        shape = np.minimum.reduceat(stack_of, _starts(members))
+        if (np.maximum.reduceat(stack_of, _starts(members)) != shape).any():
+            raise TuningError("cluster mixes LUT shapes")
+        result = []
+        for index, stack in enumerate(self.stacks):
+            clusters = np.flatnonzero(shape == index)
+            if clusters.size:
+                pins = [members[cluster] for cluster in clusters]
+                positions = self._position[np.concatenate(pins)]
+                firsts = positions[_starts(pins)]
+                result.append(SigmaStack(
+                    clusters,
+                    np.maximum.reduceat(stack.values[positions], _starts(pins), axis=0),
+                    stack.slews[firsts],
+                    stack.loads[firsts],
+                ))
+        return result
+
+    def windows(self, thresholds: np.ndarray) -> List[Optional[SlewLoadWindow]]:
+        """Steps 2-4 for every pin at once: pin ``k``'s window at
+        ``thresholds[k]`` (``None`` when no entry is acceptable)."""
+        thresholds = np.asarray(thresholds, dtype=float)
+        if (thresholds <= 0).any():
+            raise TuningError("sigma threshold must be positive")
+        windows: List[Optional[SlewLoadWindow]] = [None] * len(thresholds)
+        for stack in self.stacks:
+            binary = binarize_at_most(stack.values, thresholds[stack.rows, None, None])
+            rectangles = largest_rectangles(binary).tolist()
+            for row, slew, load, (row_lo, col_lo, row_hi, col_hi) in zip(
+                stack.rows, stack.slews, stack.loads, rectangles
+            ):
+                if row_lo >= 0:  # step 4: index coordinates -> physical axes
+                    windows[row] = SlewLoadWindow(
+                        float(slew[row_lo]), float(slew[row_hi]),
+                        float(load[col_lo]), float(load[col_hi]),
+                    )
+        return windows
 
 
 def pin_equivalent_sigma(pin: Pin) -> Lut:
     """Maximum equivalent sigma LUT of an output pin (worst arc/table)."""
-    tables = [table for arc in pin.timing for table in arc.sigma_tables()]
-    if not tables:
-        raise TuningError(
-            f"pin {pin.name} has no sigma tables — restriction needs a "
-            "statistical library"
-        )
-    return Lut.elementwise_max(tables)
-
-
-def window_from_rectangle(lut: Lut, rectangle: Rectangle) -> SlewLoadWindow:
-    """Map rectangle index coordinates onto the LUT's physical axes."""
-    return SlewLoadWindow(
-        min_slew=float(lut.index_1[rectangle.row_lo]),
-        max_slew=float(lut.index_1[rectangle.row_hi]),
-        min_load=float(lut.index_2[rectangle.col_lo]),
-        max_load=float(lut.index_2[rectangle.col_hi]),
-    )
-
-
-def restrict_pin(pin: Pin, threshold: float) -> Optional[SlewLoadWindow]:
-    """Restrict one output pin against a sigma threshold.
-
-    Returns the allowed window, or ``None`` when no LUT entry is
-    acceptable (pin unusable under this tuning).
-    """
-    if threshold <= 0:
-        raise TuningError("sigma threshold must be positive")
-    equivalent = pin_equivalent_sigma(pin)
-    binary = binarize_at_most(equivalent.values, threshold)
-    rectangle = largest_rectangle(binary)
-    if rectangle is None:
-        return None
-    return window_from_rectangle(equivalent, rectangle)
-
-
-def restrict_cell(cell: Cell, threshold: float) -> Dict[str, Optional[SlewLoadWindow]]:
-    """Restrict every output pin of a cell; see :func:`restrict_pin`."""
-    return {
-        pin.name: restrict_pin(pin, threshold)
-        for pin in cell.output_pins()
-    }
+    return PinSigma([pin]).lut(0)

@@ -13,8 +13,8 @@ slew and load slope tables is filled with zeros."
 
 Index-space (rather than physical-unit) slopes make the bounds of
 Table 2 (1, 0.05, 0.03, 0.01) dimensionally sigma-per-grid-step, which
-is how we interpret and reproduce them.  A physical-unit variant is
-provided for the ablation benches.
+is how we interpret and reproduce them.  Both functions take one LUT
+or a stack of them (the last two axes are slew and load).
 """
 
 from __future__ import annotations
@@ -22,13 +22,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import TuningError
-from repro.liberty.model import Lut
 
 
 def _check_values(values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
-    if values.ndim != 2:
-        raise TuningError(f"slope tables need a 2-D LUT, got shape {values.shape}")
+    if values.ndim < 2:
+        raise TuningError(
+            f"slope tables need a 2-D LUT (or a stack), got shape {values.shape}"
+        )
     return values
 
 
@@ -39,7 +40,7 @@ def slew_slope_table(values: np.ndarray) -> np.ndarray:
     """
     values = _check_values(values)
     slope = np.zeros_like(values)
-    slope[1:, :] = values[1:, :] - values[:-1, :]
+    slope[..., 1:, :] = values[..., 1:, :] - values[..., :-1, :]
     return slope
 
 
@@ -50,21 +51,6 @@ def load_slope_table(values: np.ndarray) -> np.ndarray:
     """
     values = _check_values(values)
     slope = np.zeros_like(values)
-    slope[:, 1:] = values[:, 1:] - values[:, :-1]
+    slope[..., 1:] = values[..., 1:] - values[..., :-1]
     return slope
 
-
-def slew_slope_table_physical(lut: Lut) -> np.ndarray:
-    """Slope per ns of input slew (ablation variant of eq. 12)."""
-    slope = np.zeros_like(lut.values)
-    steps = np.diff(lut.index_1)[:, None]
-    slope[1:, :] = (lut.values[1:, :] - lut.values[:-1, :]) / steps
-    return slope
-
-
-def load_slope_table_physical(lut: Lut) -> np.ndarray:
-    """Slope per pF of output load (ablation variant of eq. 13)."""
-    slope = np.zeros_like(lut.values)
-    steps = np.diff(lut.index_2)[None, :]
-    slope[:, 1:] = (lut.values[:, 1:] - lut.values[:, :-1]) / steps
-    return slope

@@ -4,6 +4,9 @@ Combines the stages of paper Sec. VI: cluster the statistical library,
 extract a sigma threshold per cluster, and restrict every cell's
 output-pin LUTs against its cluster's threshold.  The resulting
 :class:`TuningResult` is what the synthesizer consumes.
+
+A tuning is one batched threshold extraction and one batched
+restriction over the pin sigma stacks :class:`LibraryTuner` builds once.
 """
 
 from __future__ import annotations
@@ -11,10 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.core.clusters import cluster_by_strength, cluster_individually
 from repro.core.methods import TuningMethod, method_by_name
-from repro.core.restriction import SlewLoadWindow, restrict_cell
-from repro.core.threshold import threshold_for_cluster
+from repro.core.restriction import PinSigma, SlewLoadWindow
+from repro.core.threshold import cluster_thresholds
 from repro.errors import TuningError
 from repro.liberty.model import Cell, Library
 
@@ -125,6 +130,18 @@ class LibraryTuner:
                 "repro.statlib or Characterizer.statistical_library"
             )
         self.library = library
+        #: (cell, pin) of every output pin, in library order.
+        self.pin_keys: List[Tuple[str, str]] = []
+        #: Each cell's rows of :attr:`pin_keys`.
+        self._cell_rows: Dict[str, range] = {}
+        outputs = []
+        for cell in library:
+            cell_outputs = cell.output_pins()
+            self._cell_rows[cell.name] = range(len(outputs), len(outputs) + len(cell_outputs))
+            outputs.extend(cell_outputs)
+            self.pin_keys.extend((cell.name, pin.name) for pin in cell_outputs)
+        #: Worst-case sigma LUT of every output pin.
+        self.sigma = PinSigma(outputs)
 
     def _clusters(self, method: TuningMethod) -> Dict[str, List[Cell]]:
         if method.clustering == "strength":
@@ -143,31 +160,35 @@ class LibraryTuner:
             method = method_by_name(method)
         bounds = method.bounds(parameter)
         clusters = self._clusters(method)
-
-        thresholds: Dict[str, float] = {}
-        for key, cells in clusters.items():
-            thresholds[key] = threshold_for_cluster(
-                cells,
-                kind=method.kind,
-                load_bound=bounds["load_slope"],
-                slew_bound=bounds["slew_slope"],
-                sigma_ceiling=bounds["sigma_ceiling"],
-            )
+        members = [
+            np.array([row for cell in cells for row in self._cell_rows[cell.name]], dtype=int)
+            for cells in clusters.values()
+        ]
+        thresholds = cluster_thresholds(
+            self.sigma,
+            members,
+            kind=method.kind,
+            load_bound=bounds["load_slope"],
+            slew_bound=bounds["slew_slope"],
+            sigma_ceiling=bounds["sigma_ceiling"],
+        )
+        pin_thresholds = np.empty(len(self.pin_keys))
+        for rows, threshold in zip(members, thresholds):
+            pin_thresholds[rows] = threshold
+        pin_windows = self.sigma.windows(pin_thresholds)
 
         windows: WindowMap = {}
         excluded: List[str] = []
-        for key, cells in clusters.items():
-            threshold = thresholds[key]
+        for cells in clusters.values():
             for cell in cells:
-                cell_windows = restrict_cell(cell, threshold)
-                for pin_name, window in cell_windows.items():
-                    windows[(cell.name, pin_name)] = window
-                if all(window is None for window in cell_windows.values()):
+                rows = self._cell_rows[cell.name]
+                windows.update((self.pin_keys[row], pin_windows[row]) for row in rows)
+                if all(pin_windows[row] is None for row in rows):
                     excluded.append(cell.name)
         return TuningResult(
             method=method,
             parameter=parameter,
-            thresholds=thresholds,
+            thresholds={key: float(t) for key, t in zip(clusters, thresholds)},
             windows=windows,
             excluded_cells=sorted(excluded),
         )

@@ -127,8 +127,15 @@ class Lut:
         return Lut(self.index_1.copy(), self.index_2.copy(), self.values.copy(), self.template)
 
     def with_values(self, values: np.ndarray) -> "Lut":
-        """Return a new LUT with the same axes and the given values."""
-        return Lut(self.index_1, self.index_2, values, self.template)
+        """A new LUT with the given values on this LUT's axes — shared,
+        already validated and never written in place, so only the
+        values' shape is checked."""
+        lut = Lut.__new__(Lut)
+        lut.index_1, lut.index_2, lut.template = self.index_1, self.index_2, self.template
+        lut.values = np.asarray(values, dtype=float)
+        if lut.values.shape != self.values.shape:
+            raise LutError(f"LUT values shape {lut.values.shape} does not match axes {self.shape}")
+        return lut
 
     def lookup(self, slew: float, load: float) -> float:
         """Bilinear interpolation at (slew, load); see :mod:`repro.liberty.lut`."""
@@ -150,24 +157,6 @@ class Lut:
         return self.same_axes(other) and bool(
             np.allclose(self.values, other.values, rtol=rtol, atol=atol)
         )
-
-    @staticmethod
-    def elementwise_max(luts: Iterable["Lut"]) -> "Lut":
-        """Maximum-equivalent LUT over several LUTs with identical axes.
-
-        This is the "maximum equivalent look-up table" of paper
-        Sec. VI.B/VI.C: each entry is the worst (largest) value of the
-        corresponding entries across the input tables.
-        """
-        luts = list(luts)
-        if not luts:
-            raise LutError("elementwise_max needs at least one LUT")
-        first = luts[0]
-        for lut in luts[1:]:
-            if not first.same_axes(lut):
-                raise LutError("elementwise_max requires identical LUT axes")
-        stacked = np.stack([lut.values for lut in luts])
-        return first.with_values(stacked.max(axis=0))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -3,11 +3,12 @@
 Models the two variation classes the paper separates (Sec. I):
 
 * **global (inter-die)** variation — shared by every cell on a die;
-  represented by :class:`~repro.variation.process.Corner` shifts plus a
-  sampled :class:`~repro.variation.montecarlo.GlobalVariation`;
+  :class:`~repro.variation.process.Corner` shifts plus die-level draws
+  with the :class:`~repro.variation.montecarlo.GlobalSigmas` budget;
 * **local (intra-die / mismatch)** variation — independent per device,
-  following the Pelgrom law (:mod:`repro.variation.pelgrom`), sampled
-  per cell arc by :class:`~repro.variation.montecarlo.MonteCarloSampler`.
+  following the Pelgrom law (:mod:`repro.variation.pelgrom`).
+
+``Characterizer.sample_arc_draws``/``sample_global_draws`` make the draws.
 """
 
 from repro.variation.process import (
@@ -19,12 +20,7 @@ from repro.variation.process import (
     slow_corner,
 )
 from repro.variation.pelgrom import PelgromModel
-from repro.variation.montecarlo import (
-    ArcVariation,
-    CellVariation,
-    GlobalVariation,
-    MonteCarloSampler,
-)
+from repro.variation.montecarlo import GlobalSigmas, NetworkGeometry
 
 __all__ = [
     "Corner",
@@ -34,8 +30,6 @@ __all__ = [
     "fast_corner",
     "slow_corner",
     "PelgromModel",
-    "ArcVariation",
-    "CellVariation",
-    "GlobalVariation",
-    "MonteCarloSampler",
+    "GlobalSigmas",
+    "NetworkGeometry",
 ]

@@ -1,30 +1,21 @@
-"""Monte-Carlo sampling of process variation (paper Sec. III/IV).
+"""Inputs of Monte-Carlo sampling of process variation (paper Sec. III/IV).
 
 The paper creates N distinct libraries "from a Monte Carlo sampling
 that includes the effect of local variations" and combines them into a
-statistical library.  The sampler here produces exactly the random
-inputs that per-library characterization needs:
-
-* one :class:`GlobalVariation` per library sample (shared by every
-  cell on the die — only used when global variation is enabled, e.g.
-  for the Fig. 16 experiment);
-* one :class:`ArcVariation` per (cell, timing-arc) — two independent
-  networks (pull-up for rise, pull-down for fall), each with a
-  threshold-voltage and a relative-beta perturbation whose sigmas
-  follow the Pelgrom law for the network geometry.
-
-Sampling is driven by a ``numpy.random.Generator`` so every experiment
-is reproducible from a single integer seed.
+statistical library.  The draws themselves come from one place,
+:meth:`~repro.characterization.characterize.Characterizer.sample_arc_draws`
+(local mismatch: per cell arc, a threshold-voltage and a relative-beta
+perturbation of the pull-up and the pull-down network, with Pelgrom
+sigmas for each network's :class:`NetworkGeometry`) and
+:meth:`~repro.characterization.characterize.Characterizer.sample_global_draws`
+(die-level shifts with the :class:`GlobalSigmas` budget).  Both are
+driven by ``numpy`` generators seeded from one integer, so every
+experiment is reproducible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
-
-import numpy as np
-
-from repro.variation.pelgrom import PelgromModel
 
 
 @dataclass(frozen=True)
@@ -42,43 +33,6 @@ class NetworkGeometry:
 
 
 @dataclass(frozen=True)
-class GlobalVariation:
-    """Die-level (inter-die) parameter shifts, shared by all cells."""
-
-    dvth: float = 0.0
-    dbeta_rel: float = 0.0
-    dlength_rel: float = 0.0
-
-    @staticmethod
-    def none() -> "GlobalVariation":
-        """The zero global variation (local-only Monte Carlo)."""
-        return GlobalVariation(0.0, 0.0, 0.0)
-
-
-@dataclass(frozen=True)
-class ArcVariation:
-    """Local (mismatch) perturbation of one timing arc.
-
-    Rise delays are produced by the pull-up network, fall delays by the
-    pull-down network; the two are perturbed independently.
-    """
-
-    dvth_rise: float = 0.0
-    dbeta_rise: float = 0.0
-    dvth_fall: float = 0.0
-    dbeta_fall: float = 0.0
-
-    @staticmethod
-    def none() -> "ArcVariation":
-        """The zero local variation (nominal characterization)."""
-        return ArcVariation(0.0, 0.0, 0.0, 0.0)
-
-
-#: Per-cell variation: arc key (input_pin, output_pin) -> ArcVariation.
-CellVariation = Dict[Tuple[str, str], ArcVariation]
-
-
-@dataclass(frozen=True)
 class GlobalSigmas:
     """Inter-die sigma budget (used by Fig. 15/16 experiments).
 
@@ -92,70 +46,3 @@ class GlobalSigmas:
     vth: float = 0.006
     beta_rel: float = 0.009
     length_rel: float = 0.007
-
-
-class MonteCarloSampler:
-    """Draws global and local variation samples.
-
-    Parameters
-    ----------
-    pelgrom:
-        Mismatch model providing local sigmas from network geometry.
-    seed:
-        Seed for the internal ``numpy`` generator.  Two samplers built
-        with the same seed produce identical sample streams.
-    global_sigmas:
-        Inter-die sigma budget; only consumed by :meth:`sample_global`.
-    """
-
-    def __init__(
-        self,
-        pelgrom: Optional[PelgromModel] = None,
-        seed: int = 0,
-        global_sigmas: Optional[GlobalSigmas] = None,
-    ):
-        self.pelgrom = pelgrom or PelgromModel()
-        self.global_sigmas = global_sigmas or GlobalSigmas()
-        self._rng = np.random.default_rng(seed)
-
-    @property
-    def rng(self) -> np.random.Generator:
-        """The underlying generator (exposed for composed samplers)."""
-        return self._rng
-
-    def sample_global(self) -> GlobalVariation:
-        """Draw one die-level variation sample."""
-        sigmas = self.global_sigmas
-        return GlobalVariation(
-            dvth=float(self._rng.normal(0.0, sigmas.vth)),
-            dbeta_rel=float(self._rng.normal(0.0, sigmas.beta_rel)),
-            dlength_rel=float(self._rng.normal(0.0, sigmas.length_rel)),
-        )
-
-    def sample_network(self, geometry: NetworkGeometry) -> Tuple[float, float]:
-        """Draw (dvth, dbeta_rel) for one switching network.
-
-        The sigmas follow the Pelgrom law for the network's device
-        geometry, reduced by ``sqrt(stack)`` for the series average.
-        """
-        sigma_vth = self.pelgrom.sigma_vth_stack(geometry.width, geometry.length, geometry.stack)
-        sigma_beta = self.pelgrom.sigma_beta_rel_stack(
-            geometry.width, geometry.length, geometry.stack
-        )
-        return (
-            float(self._rng.normal(0.0, sigma_vth)),
-            float(self._rng.normal(0.0, sigma_beta)),
-        )
-
-    def sample_arc(
-        self, pull_up: NetworkGeometry, pull_down: NetworkGeometry
-    ) -> ArcVariation:
-        """Draw the local perturbation of one timing arc."""
-        dvth_rise, dbeta_rise = self.sample_network(pull_up)
-        dvth_fall, dbeta_fall = self.sample_network(pull_down)
-        return ArcVariation(
-            dvth_rise=dvth_rise,
-            dbeta_rise=dbeta_rise,
-            dvth_fall=dvth_fall,
-            dbeta_fall=dbeta_fall,
-        )

@@ -6,7 +6,6 @@ import pytest
 from repro.core.binary_lut import (
     binarize_at_most,
     binarize_below,
-    binary_fraction_true,
     combine_and,
 )
 from repro.errors import TuningError
@@ -23,6 +22,14 @@ class TestBinarize:
     def test_at_most_includes_equal(self):
         binary = binarize_at_most(VALUES, 1.0)
         assert binary.tolist() == [[True, True], [True, False]]
+
+    def test_stack_with_one_threshold_per_lut(self):
+        stack = np.stack([VALUES, VALUES])
+        binary = binarize_at_most(stack, np.array([1.0, 0.0])[:, None, None])
+        assert binary.tolist() == [
+            [[True, True], [True, False]],
+            [[True, False], [False, False]],
+        ]
 
     def test_non_2d_rejected(self):
         with pytest.raises(TuningError):
@@ -51,11 +58,3 @@ class TestCombine:
         with pytest.raises(TuningError):
             combine_and()
 
-
-class TestFraction:
-    def test_fraction(self):
-        assert binary_fraction_true(np.eye(2, dtype=bool)) == pytest.approx(0.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(TuningError):
-            binary_fraction_true(np.zeros((0, 0), dtype=bool))

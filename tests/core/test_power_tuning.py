@@ -8,12 +8,16 @@ from repro.core.power_tuning import (
     compare_window_maps,
     pin_equivalent_power_sigma,
     power_sigma_windows,
-    restrict_pin_power,
     window_overlap,
 )
 from repro.core.restriction import SlewLoadWindow
 from repro.core.tuner import LibraryTuner
 from repro.errors import TuningError
+
+
+def restrict_pin_power(library, cell, ceiling):
+    """Energy-sigma window of a cell's Z pin under a library-wide ceiling."""
+    return power_sigma_windows(library, ceiling)[(cell, "Z")]
 
 
 @pytest.fixture(scope="module")
@@ -37,14 +41,13 @@ class TestPowerRestriction:
 
     def test_huge_ceiling_keeps_everything(self, power_library):
         pin = power_library.cell("INV_1").pin("Z")
-        window = restrict_pin_power(pin, ceiling=1e9)
+        window = restrict_pin_power(power_library, "INV_1", ceiling=1e9)
         equivalent = pin_equivalent_power_sigma(pin)
         assert window.max_slew == pytest.approx(float(equivalent.index_1[-1]))
         assert window.max_load == pytest.approx(float(equivalent.index_2[-1]))
 
     def test_tiny_ceiling_excludes(self, power_library):
-        pin = power_library.cell("INV_8").pin("Z")
-        assert restrict_pin_power(pin, ceiling=1e-12) is None
+        assert restrict_pin_power(power_library, "INV_8", ceiling=1e-12) is None
 
     def test_moderate_ceiling_cuts_slow_edges(self, power_library):
         """Energy sigma is driven by the short-circuit (slew) term, so
@@ -54,13 +57,13 @@ class TestPowerRestriction:
         pin = power_library.cell("INV_1").pin("Z")
         equivalent = pin_equivalent_power_sigma(pin)
         ceiling = float(np.quantile(equivalent.values, 0.5))
-        window = restrict_pin_power(pin, ceiling)
+        window = restrict_pin_power(power_library, "INV_1", ceiling)
         assert window is not None
         assert window.max_slew < float(equivalent.index_1[-1])
 
     def test_invalid_ceiling_rejected(self, power_library):
         with pytest.raises(TuningError):
-            restrict_pin_power(power_library.cell("INV_1").pin("Z"), 0.0)
+            power_sigma_windows(power_library, 0.0)
 
     def test_delay_library_rejected(self, statistical_library):
         with pytest.raises(TuningError):

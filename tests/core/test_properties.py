@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from repro.core.binary_lut import binarize_at_most
 from repro.core.rectangle import largest_rectangle
-from repro.core.restriction import SlewLoadWindow, pin_equivalent_sigma, restrict_pin
+from repro.core.restriction import SlewLoadWindow, pin_equivalent_sigma
 from repro.core.threshold import extract_slope_threshold
+from repro.core.tuner import LibraryTuner
 
 
 def _window_area(window):
@@ -48,7 +49,12 @@ class TestRestrictionMonotonicity:
         assert count_high >= count_low
         # The physical window still exists whenever any entry passes.
         if rect_low is not None:
-            assert _window_area(restrict_pin(pin, t_low)) >= 0.0
+            window = (
+                LibraryTuner(statistical_library)
+                .tune("sigma_ceiling", t_low)
+                .window(cell, pin.name)
+            )
+            assert _window_area(window) >= 0.0
 
     @given(
         bounds=st.tuples(st.floats(0.001, 0.1), st.floats(0.001, 0.1)),
@@ -86,21 +92,6 @@ class TestRestrictionMonotonicity:
 
 
 class TestWindowSemantics:
-    @given(
-        slew=st.floats(0.0, 2.0),
-        load=st.floats(0.0, 0.02),
-        max_slew=st.floats(0.01, 1.5),
-        max_load=st.floats(0.001, 0.015),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_allows_agrees_with_slack_sign(self, slew, load, max_slew, max_load):
-        window = SlewLoadWindow(0.0, max_slew, 0.0, max_load)
-        slack = window.slack_to(slew, load)
-        if slack > 1e-9:
-            assert window.allows(slew, load)
-        if slack < -1e-9:
-            assert not window.allows(slew, load)
-
     @given(
         max_slew=st.floats(0.01, 1.5),
         max_load=st.floats(0.001, 0.015),

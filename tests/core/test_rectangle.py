@@ -10,6 +10,7 @@ from repro.core.rectangle import (
     Rectangle,
     largest_rectangle,
     largest_rectangle_paper,
+    largest_rectangles,
 )
 from repro.errors import TuningError
 
@@ -76,6 +77,10 @@ class TestKnownCases:
             largest_rectangle(np.zeros((0, 3), dtype=bool))
         with pytest.raises(TuningError):
             largest_rectangle(np.zeros(5, dtype=bool))
+        with pytest.raises(TuningError):
+            largest_rectangles(np.zeros((3, 3), dtype=bool))
+        with pytest.raises(TuningError):
+            largest_rectangles(np.zeros((2, 0, 3), dtype=bool))
 
 
 class TestEquivalenceProperty:

@@ -9,11 +9,17 @@ in any direction.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.rectangle import largest_rectangle, largest_rectangle_paper
+from repro.core.rectangle import (
+    Rectangle,
+    largest_rectangle,
+    largest_rectangle_paper,
+    largest_rectangles,
+)
 
 #: Random binary matrices big enough to be interesting, small enough
 #: for the O(N^3 M^3) reference implementation.
@@ -22,6 +28,11 @@ MATRICES = arrays(
     shape=st.tuples(st.integers(1, 7), st.integers(1, 7)),
     elements=st.booleans(),
 )
+
+#: Stacks of random binary LUTs sharing one grid shape.
+STACKS = st.tuples(
+    st.integers(1, 6), st.integers(1, 7), st.integers(1, 7)
+).flatmap(lambda shape: arrays(dtype=bool, shape=shape, elements=st.booleans()))
 
 #: Larger matrices for the optimized implementation's own invariants.
 LARGE_MATRICES = arrays(
@@ -100,3 +111,75 @@ class TestAgainstPaperSpecification:
                                 (row_hi - row_lo + 1) * (col_hi - col_lo + 1),
                             )
         assert (rect.area if rect else 0) == best
+
+
+def batched(stack: np.ndarray) -> list:
+    """:func:`largest_rectangles` rows as ``Rectangle``/``None``."""
+    return [
+        None if row[0] < 0 else Rectangle(*(int(v) for v in row))
+        for row in largest_rectangles(stack)
+    ]
+
+
+def literal(stack: np.ndarray) -> list:
+    return [largest_rectangle_paper(matrix) for matrix in stack]
+
+
+def monotone_binaries(rng, count: int, n_rows: int, n_cols: int) -> np.ndarray:
+    """Threshold patterns of increasing sigma surfaces, the shape
+    tuning produces."""
+    out = []
+    for _ in range(count):
+        sigma = np.add.outer(rng.random(n_rows).cumsum(), rng.random(n_cols).cumsum())
+        out.append(sigma <= rng.uniform(sigma.min(), sigma.max()))
+    return np.stack(out)
+
+
+class TestBatchedSearch:
+    """One ``largest_rectangles`` call over a stack equals the literal
+    Algorithm 1 on each member, scan-order tie-break included."""
+
+    @given(stack=STACKS)
+    @settings(max_examples=200, deadline=None)
+    def test_random_stacks_match_literal_algorithm(self, stack):
+        assert batched(stack) == literal(stack)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.integers(1, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_lut_shaped_stacks_match_literal_algorithm(self, seed, n_rows, n_cols):
+        stack = monotone_binaries(np.random.default_rng(seed), 8, n_rows, n_cols)
+        assert batched(stack) == literal(stack)
+
+    @pytest.mark.parametrize("shape", [(1, 7), (7, 1), (1, 1), (7, 7)])
+    def test_edge_shapes_all_zero_all_one_and_random(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        stack = np.concatenate([
+            np.zeros((1,) + shape, dtype=bool),
+            np.ones((1,) + shape, dtype=bool),
+            rng.random((40,) + shape) < 0.6,
+            monotone_binaries(rng, 20, *shape),
+        ])
+        result = largest_rectangles(stack)
+        assert result.shape == (len(stack), 4)
+        assert (result[0] == -1).all()
+        assert batched(stack[1:2]) == [Rectangle(0, 0, shape[0] - 1, shape[1] - 1)]
+        assert batched(stack) == literal(stack)
+
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=2, max_size=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_tied_areas_break_in_scan_order(self, height, width, corners):
+        """Several equal-sized blocks: the first one in the paper's scan
+        order must win, exactly as in the literal loop."""
+        matrix = np.zeros((7, 7), dtype=bool)
+        for row, col in corners:
+            matrix[row : row + height, col : col + width] = True
+        stack = np.stack([matrix, matrix.T, matrix[::-1], matrix[:, ::-1]])
+        assert batched(stack) == literal(stack)
+
+    def test_empty_stack(self):
+        assert largest_rectangles(np.zeros((0, 3, 4), dtype=bool)).shape == (0, 4)
+

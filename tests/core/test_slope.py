@@ -8,12 +8,9 @@ from hypothesis import strategies as st
 
 from repro.core.slope import (
     load_slope_table,
-    load_slope_table_physical,
     slew_slope_table,
-    slew_slope_table_physical,
 )
 from repro.errors import TuningError
-from repro.liberty.model import Lut
 
 
 VALUES = np.array([
@@ -56,14 +53,7 @@ class TestEquations:
         with pytest.raises(TuningError):
             slew_slope_table(np.zeros(4))
 
-
-class TestPhysicalVariants:
-    def test_physical_slopes_scale_by_step(self):
-        lut = Lut((0.1, 0.3, 0.7), (0.001, 0.002, 0.004), VALUES)
-        phys = slew_slope_table_physical(lut)
-        index_steps = slew_slope_table(VALUES)
-        assert phys[1, 0] == pytest.approx(index_steps[1, 0] / 0.2)
-        assert phys[2, 0] == pytest.approx(index_steps[2, 0] / 0.4)
-        phys_load = load_slope_table_physical(lut)
-        expected = (VALUES[0, 1] - VALUES[0, 0]) / 0.001
-        assert phys_load[0, 1] == pytest.approx(expected)
+    def test_stack_is_per_lut(self):
+        stack = np.stack([VALUES, 2 * VALUES, VALUES[::-1]])
+        for table in (slew_slope_table, load_slope_table):
+            assert np.array_equal(table(stack), np.stack([table(v) for v in stack]))

@@ -9,13 +9,13 @@ from repro.core.clusters import (
     cluster_individually,
     strength_key,
 )
+from repro.core.methods import TuningMethod
 from repro.core.threshold import (
-    ceiling_threshold,
     equivalent_sigma_lut,
     extract_slope_threshold,
     slope_binary_lut,
-    threshold_for_cluster,
 )
+from repro.core.tuner import LibraryTuner
 from repro.errors import TuningError
 
 
@@ -72,7 +72,7 @@ class TestSlopeThreshold:
     def test_loose_bounds_keep_whole_lut(self, statistical_library):
         cells = [statistical_library.cell("INV_1")]
         equivalent = equivalent_sigma_lut(cells)
-        binary = slope_binary_lut(equivalent, load_bound=100.0, slew_bound=100.0)
+        binary = slope_binary_lut(equivalent.values, load_bound=100.0, slew_bound=100.0)
         assert binary.all()
         threshold, rect = extract_slope_threshold(cells, 100.0, 100.0)
         assert threshold == pytest.approx(equivalent.values.max())
@@ -106,31 +106,46 @@ class TestSlopeThreshold:
 
 
 class TestDispatch:
-    def test_sigma_ceiling_is_identity(self):
-        assert ceiling_threshold(0.02) == 0.02
+    """Threshold dispatch per method kind, through the tuner."""
+
+    def test_sigma_ceiling_is_identity(self, statistical_library):
+        tuner = LibraryTuner(statistical_library)
+        assert tuner.tune("sigma_ceiling", 0.02).thresholds == {"global": 0.02}
         with pytest.raises(TuningError):
-            ceiling_threshold(0.0)
+            tuner.tune("sigma_ceiling", 0.0)
 
     def test_dispatch_ceiling(self, statistical_library):
-        threshold = threshold_for_cluster(
-            [statistical_library.cell("INV_1")],
-            kind="sigma_ceiling", load_bound=1.0, slew_bound=0.06,
-            sigma_ceiling=0.02,
-        )
+        threshold = LibraryTuner(statistical_library).tune(
+            "sigma_ceiling", 0.02
+        ).thresholds["global"]
         assert threshold == 0.02
 
     def test_dispatch_slope_kinds(self, statistical_library):
-        cells = [statistical_library.cell("INV_1")]
-        for kind in ("load_slope", "slew_slope"):
-            threshold = threshold_for_cluster(
-                cells, kind=kind, load_bound=0.01, slew_bound=0.06,
-                sigma_ceiling=100.0,
-            )
+        tuner = LibraryTuner(statistical_library)
+        for method in ("cell_load_slope", "cell_slew_slope"):
+            threshold = tuner.tune(method, 0.01).thresholds["INV_1"]
             assert threshold > 0
+
+    def test_cluster_thresholds_match_one_cluster_extraction(
+        self, statistical_library
+    ):
+        """The batched extraction equals the one-cluster read, cluster
+        by cluster, for per-cell and per-strength clustering."""
+        tuner = LibraryTuner(statistical_library)
+        for method, clusters in (
+            ("cell_load_slope", cluster_individually(statistical_library)),
+            ("cell_strength_slew_slope", cluster_by_strength(statistical_library)),
+        ):
+            result = tuner.tune(method, 0.03)
+            bounds = result.method.bounds(0.03)
+            for key, cells in clusters.items():
+                alone, _rect = extract_slope_threshold(
+                    cells, bounds["load_slope"], bounds["slew_slope"]
+                )
+                assert result.thresholds[key] == alone
 
     def test_unknown_kind_rejected(self, statistical_library):
         with pytest.raises(TuningError):
-            threshold_for_cluster(
-                [statistical_library.cell("INV_1")],
-                kind="nonsense", load_bound=1, slew_bound=1, sigma_ceiling=1,
+            LibraryTuner(statistical_library).tune(
+                TuningMethod(name="nonsense", clustering="cell", kind="nonsense"), 1.0
             )

@@ -11,7 +11,15 @@ from repro.liberty.lut import (
     bilinear_interpolate_many,
     bilinear_interpolate_paper,
 )
-from repro.liberty.model import Lut
+from repro.core.restriction import pin_equivalent_sigma
+from repro.liberty.model import Lut, Pin, PinDirection, TimingArc
+
+
+def sigma_pin(a: Lut, b: Lut) -> Pin:
+    """An output pin with one arc carrying ``a``/``b`` as rise/fall sigma."""
+    pin = Pin(name="Z", direction=PinDirection.OUTPUT)
+    pin.timing.append(TimingArc(related_pin="A", sigma_rise=a, sigma_fall=b))
+    return pin
 
 
 def make_lut(values=None, index_1=(0.1, 0.2, 0.4), index_2=(0.001, 0.002, 0.004)):
@@ -118,9 +126,11 @@ class TestLutValidation:
             Lut((0.1,), (0.001, 0.002), [[1.0, 2.0]])
 
     def test_elementwise_max(self):
+        """The maximum-equivalent LUT of paper Sec. VI.B/VI.C, built by
+        the tuning's one pin-equivalent builder."""
         a = make_lut(values=np.full((3, 3), 1.0))
         b = make_lut(values=np.arange(9, dtype=float).reshape(3, 3))
-        combined = Lut.elementwise_max([a, b])
+        combined = pin_equivalent_sigma(sigma_pin(a, b))
         assert combined.values[0, 0] == 1.0
         assert combined.values[2, 2] == 8.0
 
@@ -128,4 +138,15 @@ class TestLutValidation:
         a = make_lut()
         b = make_lut(index_1=(0.1, 0.2, 0.5))
         with pytest.raises(LutError):
-            Lut.elementwise_max([a, b])
+            pin_equivalent_sigma(sigma_pin(a, b))
+        c = Lut((0.1, 0.2), (0.001, 0.002), np.ones((2, 2)))
+        with pytest.raises(LutError):
+            pin_equivalent_sigma(sigma_pin(a, c))
+
+    def test_with_values_keeps_axes_and_checks_shape(self):
+        lut = make_lut()
+        other = lut.with_values(np.ones((3, 3)))
+        assert other.index_1 is lut.index_1 and other.index_2 is lut.index_2
+        assert np.array_equal(other.values, np.ones((3, 3)))
+        with pytest.raises(LutError):
+            lut.with_values(np.ones((3, 2)))
