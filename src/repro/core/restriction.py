@@ -141,6 +141,11 @@ class PinSigma:
         """Pin ``row``'s equivalent LUT."""
         return self.stacks[self._stack_of[row]].lut(self._position[row])
 
+    def grid(self, row: int) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Pin ``row``'s slew axis, load axis and entry count."""
+        stack, k = self.stacks[self._stack_of[row]], self._position[row]
+        return stack.slews[k], stack.loads[k], stack.values[k].size
+
     def cluster_max(self, members: Sequence[np.ndarray]) -> List[SigmaStack]:
         """Maximum-equivalent LUT of each cluster of pin rows (paper
         Sec. VI.B step 1), one stack per grid shape; a stack's ``rows``

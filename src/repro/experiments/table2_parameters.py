@@ -12,25 +12,20 @@ from repro.core.tuner import LibraryTuner
 from repro.experiments.base import ExperimentContext, ExperimentResult
 
 
-def _mean_window_fraction(result, library) -> float:
-    """Average usable LUT-area fraction across pins (1.0 = untouched)."""
-    from repro.core.restriction import pin_equivalent_sigma
-
+def _mean_window_fraction(result, tuner: LibraryTuner) -> float:
+    """Average usable LUT-area fraction across pins (1.0 = untouched),
+    on each pin's equivalent sigma LUT (the tuner's :class:`PinSigma`
+    row)."""
+    rows = {key: row for row, key in enumerate(tuner.pin_keys)}
     total, count = 0.0, 0
-    for (cell_name, pin_name), window in result.windows.items():
-        equivalent = pin_equivalent_sigma(library.cell(cell_name).pin(pin_name))
+    for key, window in result.windows.items():
+        slews, loads, size = tuner.sigma.grid(rows[key])
         count += 1
         if window is None:
             continue
-        rows = (
-            (equivalent.index_1 >= window.min_slew)
-            & (equivalent.index_1 <= window.max_slew)
-        ).sum()
-        cols = (
-            (equivalent.index_2 >= window.min_load)
-            & (equivalent.index_2 <= window.max_load)
-        ).sum()
-        total += rows * cols / equivalent.values.size
+        kept_slews = ((slews >= window.min_slew) & (slews <= window.max_slew)).sum()
+        kept_loads = ((loads >= window.min_load) & (loads <= window.max_load)).sum()
+        total += kept_slews * kept_loads / size
     return total / count
 
 
@@ -51,7 +46,7 @@ def run(context: ExperimentContext) -> ExperimentResult:
                 "value": value,
                 "default": DEFAULT_BOUNDS[kind],
                 "usable_lut_fraction": round(
-                    _mean_window_fraction(result, library), 3
+                    _mean_window_fraction(result, tuner), 3
                 ),
                 "cells_excluded": len(result.excluded_cells),
             })

@@ -68,7 +68,7 @@ from repro.netlist.generators.microcontroller import (
 )
 from repro.netlist.model import Netlist
 from repro.sta.engine import TimingResult
-from repro.sta.graph import StaConfig
+from repro.sta.graph import CompiledDesign, StaConfig
 from repro.sta.paths import WorstPaths, check_arrays, depth_histogram, extract_worst_paths
 from repro.sta.statistics import DesignStatistics, design_statistics, fold_statistics
 from repro.synth.constraints import SynthesisConstraints
@@ -243,7 +243,7 @@ class RunSummary:
 
     Everything the evaluation reads off a run that is *not* the paths
     or the statistics: feasibility, area, the sizing/buffering effort,
-    and the bound-cell usage of the final netlist.
+    and the bound-cell usage of the final design.
     """
 
     met: bool
@@ -267,7 +267,7 @@ class RunSummary:
             buffer_instances=result.buffer_instances,
             failure_reason=result.failure_reason,
             legality_violations=result.legality_violations,
-            n_instances=len(result.netlist),
+            n_instances=result.n_instances,
             cell_counts=tuple(sorted(result.cell_histogram().items())),
         )
 
@@ -446,6 +446,7 @@ class TuningFlow:
         self._statlib_key: Optional[str] = None
         self._design_key: Optional[str] = None
         self._design: Optional[Netlist] = None
+        self._compiled: Optional[CompiledDesign] = None
         self._tunings: Dict[Tuple[str, float], TuningResult] = {}
         #: Memoized runs, keyed disjointly: ``("baseline", period)``
         #: for untuned synthesis, ``("tuned", method, parameter,
@@ -598,17 +599,26 @@ class TuningFlow:
             )
         return self._tunings[key]
 
-    def build_design(self) -> Netlist:
-        """A fresh, independent copy of the evaluation design.
-
-        The generator runs once per flow; every call returns a
-        :meth:`~repro.netlist.model.Netlist.copy` of that template, so
-        a synthesis run may bind cells and split nets in its copy
-        without touching the next run's design.
-        """
+    def _template(self) -> Netlist:
+        """The evaluation design; the generator runs once per flow."""
         if self._design is None:
             self._design = build_microcontroller(self.config.design)
-        return self._design.copy()
+        return self._design
+
+    def build_design(self) -> Netlist:
+        """A fresh, independent copy of the evaluation design, for
+        callers that want its objects.  Synthesis never needs one: it
+        binds on :attr:`compiled_design`."""
+        return self._template().copy()
+
+    @property
+    def compiled_design(self) -> CompiledDesign:
+        """The evaluation design compiled once per flow (its design key
+        and the default :class:`StaConfig`), read-only and shared by
+        every synthesis run and probe of the flow."""
+        if self._compiled is None:
+            self._compiled = CompiledDesign.of(self._template(), StaConfig())
+        return self._compiled
 
     # ------------------------------------------------------------------
     # Synthesis runs (stage: synth)
@@ -695,7 +705,7 @@ class TuningFlow:
                 bound = replace(
                     constraints, windows=self.tuning(method, parameter).windows
                 )
-            result = synthesize(self.build_design(), self.statistical_library, bound)
+            result = synthesize(self.compiled_design, self.statistical_library, bound)
             tracer = get_tracer()
             with tracer.span("sta.paths"):
                 paths = extract_worst_paths(result.timing)
@@ -789,13 +799,12 @@ class TuningFlow:
         better — so a probe-feasible minimum stays feasible.
         """
         period = round(period, 4)
-        netlist = self.build_design()
         constraints = SynthesisConstraints(
             clock_period=period,
             guard_band=self.config.guard_band,
             max_buffer_rounds=1,
         )
-        result = synthesize(netlist, self.statistical_library, constraints)
+        result = synthesize(self.compiled_design, self.statistical_library, constraints)
         return result.met, result.area
 
     def _search_minimum_period(self, resolution: float) -> float:
@@ -816,7 +825,7 @@ class TuningFlow:
 
         guard = self.config.guard_band
         # seed the bracket from the logic depth (~55 ps/stage)
-        depth = max(self.build_design().levelize().values())
+        depth = self.compiled_design.depth
         guess = guard + 0.055 * depth
         lower = round(guard + 0.55 * (guess - guard), 2)
         upper = round(guess * 1.15, 2)

@@ -26,8 +26,9 @@ the same way.
 The STA engine asks the same (arc, load) questions pass after pass at
 new slews.  A :class:`LoadSide` holds the load half of such a fixed
 list of arcs — per arc, its four delay/transition tables interpolated
-along their load axes — and :func:`worst_arc_values` runs the slew
-half on a slice of it, max-merged in pairs;
+along their load axes, and their slew axes — and
+:func:`worst_arc_values` runs the slew half on a slice of it,
+max-merged in pairs;
 :func:`worst_arc_values_scalar` is its reference.  Max-merging is
 exact and every path uses identical interpolation arithmetic, so
 results are bit-identical — ``tests/kernels`` substitutes the
@@ -199,12 +200,14 @@ class LoadSide:
     Row ``r`` is one arc at one load: its four table ids (delay rise
     and fall, transition rise and fall, as
     :attr:`~repro.sta.graph.TimingGraph.arc_tables` holds them), its
-    load, and per table the column :meth:`LibraryTables.load_columns`
-    interpolates at that load — ``(rows, 4, width)``.  The slew half
-    (:func:`worst_arc_values`) then needs only the arcs' input slews.
+    load, per table the column :meth:`LibraryTables.load_columns`
+    interpolates at that load and the table's (padded) slew axis —
+    ``columns`` and ``slew_axes`` are ``(rows, 4, width)``.  The slew
+    half (:func:`worst_arc_values`) then needs only the arcs' input
+    slews.
     """
 
-    __slots__ = ("table_ids", "loads", "columns")
+    __slots__ = ("table_ids", "loads", "columns", "slew_axes")
 
     def __init__(self, tables: LibraryTables, table_ids: np.ndarray, loads: np.ndarray) -> None:
         self.table_ids = table_ids
@@ -212,15 +215,12 @@ class LoadSide:
         self.columns = tables.load_columns(
             table_ids.ravel(), np.repeat(loads, 4)
         ).reshape(loads.size, 4, tables.slew_axes.shape[1])
+        self.slew_axes = tables.slew_axes[table_ids]
 
-    def replaced(self, rows: np.ndarray, fresh: "LoadSide") -> "LoadSide":
-        """A copy whose ``rows`` are ``fresh``'s rows, in order."""
-        side = object.__new__(LoadSide)
+    def write(self, rows: np.ndarray, fresh: "LoadSide") -> None:
+        """Overwrite ``rows`` with ``fresh``'s rows, in order, in place."""
         for name in LoadSide.__slots__:
-            values = getattr(self, name).copy()
-            values[rows] = getattr(fresh, name)
-            setattr(side, name, values)
-        return side
+            getattr(self, name)[rows] = getattr(fresh, name)
 
 
 def worst_arc_values(
@@ -231,9 +231,7 @@ def worst_arc_values(
 
     Bit-identical to :func:`worst_arc_values_scalar`.
     """
-    values = slew_blend(
-        tables.slew_axes[side.table_ids[rows]], side.columns[rows], slews[:, None]
-    )
+    values = slew_blend(side.slew_axes[rows], side.columns[rows], slews[:, None])
     return (
         np.maximum(values[:, 0], values[:, 1]),
         np.maximum(values[:, 2], values[:, 3]),

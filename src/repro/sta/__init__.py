@@ -2,9 +2,10 @@
 
 Worst-case (single-value) NLDM STA over a mapped netlist:
 
-* :mod:`repro.sta.graph` builds a vectorized timing graph (arc arrays,
-  per-net loads, level-grouped LUT batches) from a netlist whose
-  instances are bound to library cells;
+* :mod:`repro.sta.graph` compiles a design once into a shared,
+  read-only topology (:class:`CompiledDesign`: arc arrays, the level
+  schedule, endpoints) and binds library cells on it into a vectorized
+  timing graph (per-net loads, per-arc table ids);
 * :mod:`repro.sta.engine` propagates arrivals/slews forward and
   required times backward, yielding per-endpoint slacks;
 * :mod:`repro.sta.paths` extracts the worst path per unique endpoint
@@ -14,7 +15,7 @@ Worst-case (single-value) NLDM STA over a mapped netlist:
   (eqs. 5-11).
 """
 
-from repro.sta.graph import StaConfig, TimingGraph
+from repro.sta.graph import CompiledDesign, StaConfig, TimingGraph
 from repro.sta.engine import TimingResult, analyze
 from repro.sta.paths import PathStep, TimingPath, WorstPaths, extract_worst_paths
 from repro.sta.statistics import (
@@ -26,6 +27,7 @@ from repro.sta.statistics import (
 )
 
 __all__ = [
+    "CompiledDesign",
     "StaConfig",
     "TimingGraph",
     "TimingResult",

@@ -353,7 +353,7 @@ def extract_worst_paths(
     # the launch (clock pin -> first output)
     width = 1 + max((len(layout.arc_outputs) for layout in design.layouts), default=0)
     pin = design.family_ids[owner] * width + per_step(graph.arc_slots[timed], width - 1)
-    layouts, instances, cell_names = design.layouts, design.instances, design.cells.names
+    layouts, instance_names, cell_names = design.layouts, design.names, graph.cells.names
 
     def related_pin(code: int) -> str:
         layout, slot = layouts[code // width], code % width
@@ -365,10 +365,10 @@ def extract_worst_paths(
 
     def net_name(code: int) -> str:
         # code ``n_nets`` is the clock, a launch step's input net
-        return graph.netlist.clock if code == n_nets else graph.net_names[code]
+        return graph.compiled.clock if code == n_nets else graph.net_names[code]
 
     strings, names = _string_table([
-        (owner, lambda position: instances[position].name),
+        (owner, instance_names.__getitem__),
         (graph.cell_ids[owner], cell_names.__getitem__),
         (pin, related_pin),
         (pin, out_pin),

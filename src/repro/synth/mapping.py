@@ -16,8 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import SynthesisError
-from repro.netlist.model import Netlist
-from repro.sta.graph import CellTables
+from repro.sta.graph import CellTables, DesignArrays
 from repro.synth.constraints import SynthesisConstraints
 
 
@@ -123,11 +122,13 @@ class VariantTables:
         return out
 
 
-def initial_mapping(netlist: Netlist, variants: VariantTables) -> None:
-    """Bind every instance to its family's weakest usable variant.
+def initial_mapping(design: DesignArrays, variants: VariantTables) -> np.ndarray:
+    """Every instance's family's weakest usable variant, as cell ids.
 
     The sizing loop only ever upsizes from here, mirroring the
     area-first starting point of a synthesis tool.
     """
-    for instance in netlist:
-        instance.cell = variants.names[variants.weakest(instance.family)]
+    weakest = np.asarray(
+        [variants.weakest(family) for family in design.families], dtype=np.intp
+    )
+    return weakest[design.family_ids]

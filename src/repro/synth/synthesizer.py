@@ -10,7 +10,7 @@ A deliberately classic TILOS-style greedy sizer:
    terminates;
 3. when upsizing cannot legalize a net's load (driver already at the
    strongest usable variant), split the fanout with inverter pairs and
-   rebuild the timing graph;
+   bind a timing graph on the edited design;
 4. once timing is met, walk the design downsizing cells whose slack
    margin allows it (area recovery), re-running the sizer if recovery
    overshoots.
@@ -19,8 +19,13 @@ Synthesis *fails* (``SynthesisResult.met == False``) when the sizing
 fixpoint still has negative slack — the signal the minimum-period
 search of Table 1 looks for.
 
-The sizer's working state is an integer array: a cell id per instance
-of the timing graph's :class:`~repro.sta.graph.DesignArrays`.  Every
+The synthesizer works on a :class:`~repro.sta.graph.CompiledDesign`
+— the flow's, shared read-only by every synthesis of the flow — and
+never on :class:`~repro.netlist.model.Netlist` objects.  Its working
+state is an integer array: a cell id per instance of the design's
+:class:`~repro.sta.graph.DesignArrays`, starting at every family's
+weakest usable variant (:func:`~repro.synth.mapping.initial_mapping`);
+its timing graph binds that array on the compiled design.  Every
 sizing pass builds its queries by array gathers from the design's CSR
 nets and the per-cell tables (:class:`~repro.sta.graph.CellTables`,
 :class:`~repro.synth.mapping.VariantTables`), looks every stage delay
@@ -29,8 +34,10 @@ up in one batched kernel call, and writes the array;
 reads an earlier decision of the same pass (a legalization driver
 upsize, a TILOS penalty on a driver moved earlier, an area-recovery
 sink check) a sequential loop walks the precomputed candidates in
-netlist (or worst-slack) order.  ``instance.cell`` is written back
-before buffering, which edits the netlist, and when the run ends.
+netlist (or worst-slack) order.  Buffer insertion appends instances and
+nets to the arrays (:class:`~repro.synth.buffering.BufferRound`) and
+compiles the edited arrays; a :class:`Netlist` of the result is made
+only when a caller asks for one (:attr:`SynthesisResult.netlist`).
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -53,8 +60,8 @@ from repro.observe.catalog import (
     SYNTH_SIZING_ITERATIONS,
 )
 from repro.sta.engine import TimingResult, analyze
-from repro.sta.graph import StaConfig, TimingGraph, cell_tables
-from repro.synth.buffering import plan_groups, split_fanout
+from repro.sta.graph import CompiledDesign, StaConfig, TimingGraph, cell_tables
+from repro.synth.buffering import BUFFER_PREFIX, BufferRound
 from repro.synth.constraints import SynthesisConstraints
 from repro.synth.mapping import VariantTables, initial_mapping
 
@@ -84,7 +91,6 @@ def reset_synthesis_call_count() -> None:
 class SynthesisResult:
     """Outcome of a synthesis run."""
 
-    netlist: Netlist
     library: Library
     constraints: SynthesisConstraints
     timing: TimingResult
@@ -99,9 +105,20 @@ class SynthesisResult:
     #: restriction is structurally unsatisfiable for this netlist).
     legality_violations: int = 0
 
+    @property
+    def n_instances(self) -> int:
+        """Instances of the synthesized design, buffers included."""
+        return len(self.timing.graph.design)
+
     def cell_histogram(self) -> Dict[str, int]:
         """Bound-cell usage (paper Fig. 9)."""
-        return self.netlist.cell_histogram()
+        return self.timing.graph.cell_usage()
+
+    @property
+    def netlist(self) -> Netlist:
+        """The synthesized design as a :class:`Netlist`, made from the
+        final graph's arrays and binding on first use."""
+        return self.timing.graph.netlist
 
 
 class Synthesizer:
@@ -109,24 +126,32 @@ class Synthesizer:
 
     def __init__(
         self,
-        netlist: Netlist,
+        design: Union[CompiledDesign, Netlist],
         library: Library,
         constraints: SynthesisConstraints,
         sta_config: Optional[StaConfig] = None,
     ):
-        self.netlist = netlist
+        """``design`` is a compiled design (a flow's), or a netlist to
+        compile under ``sta_config``; it is never modified."""
+        if isinstance(design, Netlist):
+            design = CompiledDesign.of(design, sta_config)
+        elif sta_config not in (None, design.config):
+            raise SynthesisError("a compiled design synthesizes under its own StaConfig")
+        #: The design of the current graph (buffering replaces it).
+        self.compiled = design
         self.library = library
         self.constraints = constraints
-        self.sta_config = sta_config or StaConfig()
+        self.sta_config = design.config
         self.variants = VariantTables(cell_tables(library), constraints)
         self.sizing_iterations = 0
         self.buffer_instances = 0
         self._graph: Optional[TimingGraph] = None
         #: The working binding: a cell id per instance of the current
-        #: graph's design.  Passes write it; ``instance.cell`` is
-        #: written back before buffering and when the run ends.
+        #: design.  Passes write it; the graph binds it.
         self.cells = np.zeros(0, dtype=np.intp)
-        self._fanout_stuck: Set[str] = set()
+        #: Nets no split can fix (net ids are stable across rounds:
+        #: buffering only appends nets).
+        self._fanout_stuck: Set[int] = set()
         #: Presizing utilization the last sizing loop reached.
         self._last_utilization = 1.0
 
@@ -135,18 +160,16 @@ class Synthesizer:
     def run(self) -> SynthesisResult:
         """Execute the full loop and return the final state."""
         tracer = get_tracer()
-        with tracer.span("synth.map", instances=len(self.netlist)):
-            initial_mapping(self.netlist, self.variants)
-            self._rebuild_graph()
+        with tracer.span("synth.map", instances=len(self.compiled.design)):
+            self._map()
         with tracer.span("synth.size"):
             result = self._sizing_loop()
         with tracer.span("synth.buffer") as buffer_span:
             for _round in range(self.constraints.max_buffer_rounds):
-                self.graph.design.write_cells(self.cells)
                 buffered = self._fix_fanout(result)
                 if buffered == 0:
                     break
-                self._rebuild_graph()
+                self._bind()
                 # no global re-presize after buffering: re-applying the
                 # utilization headroom would re-inflate the fresh buffers'
                 # sinks and undo the split (ping-pong); legality and the
@@ -156,7 +179,6 @@ class Synthesizer:
         if result.met:
             with tracer.span("synth.recover"):
                 result = self._area_recovery(result)
-        self.graph.design.write_cells(self.cells)
         SYNTH_SIZING_ITERATIONS.inc(self.sizing_iterations)
         SYNTH_BUFFER_INSTANCES.inc(self.buffer_instances)
         met = result.met
@@ -165,7 +187,6 @@ class Synthesizer:
             f"(period {self.constraints.clock_period} ns)"
         )
         return SynthesisResult(
-            netlist=self.netlist,
             library=self.library,
             constraints=self.constraints,
             timing=result,
@@ -196,9 +217,20 @@ class Synthesizer:
             raise SynthesisError("timing graph requested before first build")
         return self._graph
 
-    def _rebuild_graph(self) -> None:
-        self._graph = TimingGraph(self.netlist, self.library, self.sta_config)
-        self.cells = self._graph.cell_ids.copy()
+    @property
+    def netlist(self) -> Netlist:
+        """The current graph's object view (see
+        :attr:`TimingGraph.netlist <repro.sta.graph.TimingGraph.netlist>`)."""
+        return self.graph.netlist
+
+    def _map(self) -> None:
+        """Bind every instance to its family's weakest usable variant."""
+        self.cells = initial_mapping(self.compiled.design, self.variants)
+        self._bind()
+
+    def _bind(self) -> None:
+        """Bind the working cells on the current design."""
+        self._graph = TimingGraph(self.compiled, self.library, cell_ids=self.cells)
 
     def _analyze(self) -> TimingResult:
         return analyze(
@@ -463,7 +495,7 @@ class Synthesizer:
         ``TimingArc.worst_delay``.
         """
         graph, design, cells = self.graph, self.graph.design, self.cells
-        pin_caps = design.cells.pin_caps
+        pin_caps = graph.cells.pin_caps
         # every non-clock input pin of every move, in pin order
         entries = _expand(design.in_ptr[instances], design.in_ptr[instances + 1])
         move_of = np.repeat(np.arange(instances.size), _lengths(design.in_ptr, instances))
@@ -495,7 +527,7 @@ class Synthesizer:
         into = design.arc_dst[arcs] == nets[terms][query_of]
         arcs, query_of = arcs[into], query_of[into]
         starts = np.searchsorted(query_of, np.arange(terms.size))
-        rows = design.cells.arc_rows[bound[query_of], design.arc_slot[arcs]]
+        rows = graph.cells.arc_rows[bound[query_of], design.arc_slot[arcs]]
         # a clock pin's arc reads index -1: the ideal clock slew
         slews = np.append(result.slew, self.sta_config.clock_slew)[design.arc_src[arcs]]
         loads = graph.loads[nets[terms]][query_of]
@@ -525,39 +557,22 @@ class Synthesizer:
     #: Minimum fanout before timing-driven buffering considers a net.
     _TIMING_BUFFER_FANOUT = 8
 
-    def _net_load(self, net_name: str) -> float:
-        """Current capacitance of a net, computed from the live netlist
-        (the timing graph's cached loads go stale during splitting)."""
-        config = self.sta_config
-        net = self.netlist.net(net_name)
-        total = config.wire_cap_per_fanout * len(net.sinks)
-        for sink in net.sinks:
-            if sink.instance is None:
-                total += config.output_port_cap
-            else:
-                cell = self.library.cell(self.netlist.instance(sink.instance).cell)
-                total += cell.pins[sink.pin].capacitance
-        return total
-
-    def _split_net(self, net_name: str, branch_load: float) -> List[str]:
+    def _split_net(self, edit: BufferRound, net: int, branch_load: float) -> List[int]:
         """Split one net into inverter-pair branches; returns new nets."""
         variants = self.variants
-        inverter = variants.names[variants.weakest("INV")]
-        sink_cap = self.library.cell(inverter).pin("A").capacitance
-        load = self._net_load(net_name)
+        inverter = variants.weakest("INV")
+        sink_cap = edit.inverter_cap(inverter)
+        load = edit.load(net)
         n_groups = max(1, math.ceil(load / max(branch_load, _EPS)))
-        sinks = list(self.netlist.net(net_name).sinks)
-        kept, groups = plan_groups(sinks, n_groups)
+        groups = edit.plan(net, n_groups)
         buffer_cell = variants.smallest_for_load(
             ["INV"], np.zeros(1, dtype=np.intp),
             np.array([load / max(len(groups), 1) + sink_cap]),
         )[0]
-        created = split_fanout(self.netlist, net_name, groups, variants.names[buffer_cell])
+        created = edit.split(net, groups, int(buffer_cell))
         self.buffer_instances += len(created)
         # the nets the new inverters drive may themselves be heavy
-        return [
-            self.netlist.instance(name).net_of("Z") for name in created
-        ]
+        return created
 
     def _fix_fanout(self, result: TimingResult) -> int:
         """Split heavy nets with inverter pairs.
@@ -568,7 +583,10 @@ class Synthesizer:
         net's load is large enough that an inverter tree beats brute
         drive strength.  Newly created buffer nets re-enter the
         worklist, so a single round always converges to legal loads
-        (buffer trees deepen as needed).
+        (buffer trees deepen as needed).  Loads are read live from the
+        round's edits (the graph's go stale during splitting); a round
+        that split compiles the edited arrays and extends the binding
+        with the new inverters.
         """
         graph, design, variants = self.graph, self.graph.design, self.variants
         # family -> the max_load of its strongest usable variant
@@ -588,8 +606,7 @@ class Synthesizer:
         # never re-split a net a previous round created for timing
         # only: cascades explode the tree
         fresh = np.array(
-            [not instance.name.startswith("synbuf") for instance in design.instances],
-            dtype=bool,
+            [not name.startswith(BUFFER_PREFIX) for name in design.names], dtype=bool
         )
         timing_heavy = (
             (_slacks(result)[design.out_nets] < -_EPS)
@@ -598,8 +615,8 @@ class Synthesizer:
             & fresh[owners]
         )
         split = illegal | timing_heavy
-        worklist: List[Tuple[str, str, bool]] = [
-            (graph.net_names[net_id], design.families[family], force)
+        worklist: List[Tuple[int, str, bool]] = [
+            (net_id, design.families[family], force)
             for net_id, family, force in zip(
                 design.out_nets[split].tolist(),
                 families[split].tolist(),
@@ -607,31 +624,32 @@ class Synthesizer:
             )
         ]
 
+        edit = BufferRound(design, self.cells, graph.cells.pin_caps, self.sta_config)
         while worklist:
-            net_name, family, force = worklist.pop()
-            if net_name in self._fanout_stuck:
+            net, family, force = worklist.pop()
+            if net in self._fanout_stuck:
                 continue
-            load = self._net_load(net_name)
+            load = edit.load(net)
             if not force and load <= capacity[family] + _EPS:
                 continue  # a requeued buffer net that turned out legal
-            movable = sum(
-                1 for s in self.netlist.net(net_name).sinks if not s.is_port
-            )
-            if movable <= 1 and not force:
+            if edit.movable(net) <= 1 and not force:
                 # a single sink whose pin alone exceeds the cap cannot
                 # be fixed by splitting; leave it to upsizing
-                self._fanout_stuck.add(net_name)
+                self._fanout_stuck.add(net)
                 continue
             branch_load = min(capacity[family], self._BRANCH_TARGET_LOAD)
             try:
-                new_nets = self._split_net(net_name, branch_load)
+                new_nets = self._split_net(edit, net, branch_load)
             except SynthesisError:
-                self._fanout_stuck.add(net_name)
+                self._fanout_stuck.add(net)
                 continue
             created += len(new_nets)
             for new_net in new_nets:
-                if self._net_load(new_net) > capacity["INV"] + _EPS:
+                if edit.load(new_net) > capacity["INV"] + _EPS:
                     worklist.append((new_net, "INV", False))
+        if created:
+            self.compiled = self.compiled.rebuilt(edit.design())
+            self.cells = np.asarray(edit.cells, dtype=np.intp)
         return created
 
     # ------------------------------------------------------------------
@@ -663,7 +681,7 @@ class Synthesizer:
         pin_starts = (
             np.repeat(stage_starts, pin_counts) + design.pin_run[pins]
         )
-        rows = _checked_rows(design.cells.arc_rows[cell_ids[query_of], design.arc_slot[arcs]])
+        rows = _checked_rows(graph.cells.arc_rows[cell_ids[query_of], design.arc_slot[arcs]])
         # a clock pin's arc reads index -1: the ideal clock slew
         slews = np.append(result.slew, self.sta_config.clock_slew)[design.arc_src[arcs]]
         loads = graph.loads[design.arc_dst[arcs]]
@@ -832,20 +850,22 @@ def _run_maxima(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def synthesize(
-    netlist: Netlist,
+    design: Union[CompiledDesign, Netlist],
     library: Library,
     constraints: SynthesisConstraints,
     sta_config: Optional[StaConfig] = None,
 ) -> SynthesisResult:
-    """Map and size ``netlist`` against ``library`` under ``constraints``."""
+    """Map and size ``design`` (compiled, or a netlist to compile under
+    ``sta_config``) against ``library`` under ``constraints``."""
     global _SYNTHESIS_CALLS
     _SYNTHESIS_CALLS += 1
     SYNTH_CALLS.inc()
+    synthesizer = Synthesizer(design, library, constraints, sta_config)
     with get_tracer().span(
         "synth.run",
         period=constraints.clock_period,
-        instances=len(netlist),
+        instances=len(synthesizer.compiled.design),
     ) as span:
-        result = Synthesizer(netlist, library, constraints, sta_config).run()
+        result = synthesizer.run()
         span.set(met=result.met, iterations=result.sizing_iterations)
         return result

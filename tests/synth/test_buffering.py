@@ -1,4 +1,5 @@
-"""Inverter-pair fanout splitting."""
+"""Inverter-pair fanout splitting over netlist objects (the reference
+the array path of `repro.synth.buffering` is replayed against)."""
 
 import pytest
 
@@ -6,7 +7,7 @@ from repro.errors import SynthesisError
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.model import PinRef
 from repro.netlist.simulate import simulate
-from repro.synth.buffering import plan_groups, split_fanout
+from tests.synth.reference import plan_groups, split_fanout
 
 
 def fanout_netlist(n_sinks=6):

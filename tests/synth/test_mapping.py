@@ -20,7 +20,7 @@ from repro.core.restriction import SlewLoadWindow
 from repro.errors import SynthesisError
 from repro.liberty.model import Library
 from repro.netlist.builder import NetlistBuilder
-from repro.sta.graph import cell_tables
+from repro.sta.graph import DesignArrays, cell_tables
 from repro.synth.constraints import SynthesisConstraints
 from repro.synth.mapping import VariantTables, initial_mapping
 from tests.synth.reference import CellChoices
@@ -161,9 +161,11 @@ class TestInitialMapping:
         builder.output("y", builder.inv(builder.nand(a, a)))
         netlist = builder.netlist
         variants = tables(statistical_library, constraints)
-        initial_mapping(netlist, variants)
-        for instance in netlist:
-            assert instance.cell == variants.names[variants.weakest(instance.family)]
+        design = DesignArrays.from_netlist(netlist)
+        cell_ids = initial_mapping(design, variants)
+        assert cell_ids.tolist() == [
+            variants.weakest(instance.family) for instance in netlist
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -82,8 +82,8 @@ class ReplayedSynthesizer(Synthesizer):
 
     def _upsize_critical(self, result):
         netlist, design = self.netlist, self.graph.design
-        names = design.cells.names
-        design.write_cells(self.cells)
+        names = self.graph.cells.names
+        self.graph.write_cells(self.cells)
         before = {instance.name: instance.cell for instance in netlist}
         instances, ups, benefits = self._critical_moves(result)
         term_ptr, drivers, at_current, at_upsized = self._penalty_terms(
@@ -93,7 +93,7 @@ class ReplayedSynthesizer(Synthesizer):
         for move, (position, up, benefit) in enumerate(
             zip(instances.tolist(), ups.tolist(), benefits.tolist())
         ):
-            instance, up_cell = design.instances[position], names[up]
+            instance, up_cell = netlist.instance(design.names[position]), names[up]
             live = reference_terms(self, instance, up_cell, result)
             driven = []
             for net_id, extra in live:
@@ -106,7 +106,7 @@ class ReplayedSynthesizer(Synthesizer):
                 term_of = {names[self.cells[driver]]: at_current[term]}
                 if driver in move_up:
                     term_of[names[move_up[driver]]] = at_upsized[term]
-                pins.append((design.instances[driver], term_of))
+                pins.append((netlist.instance(design.names[driver]), term_of))
             assert [d.name for _, _, d in driven] == [d.name for d, _ in pins]
             for (net_id, extra, driver), (_driver, term_of) in zip(driven, pins):
                 assert driver.cell in term_of
@@ -127,7 +127,7 @@ class ReplayedSynthesizer(Synthesizer):
                 instance.cell = up_cell
         replayed = {instance.name: instance.cell for instance in netlist}
         changes = super()._upsize_critical(result)
-        design.write_cells(self.cells)
+        self.graph.write_cells(self.cells)
         assert {instance.name: instance.cell for instance in netlist} == replayed
         assert changes == sum(replayed[name] != cell for name, cell in before.items())
         return changes

@@ -38,12 +38,12 @@ class ReplayedSynthesizer(Synthesizer):
         self.moving = {}
 
     def _replay(self, name, run_reference, run_production):
-        design = self.graph.design
+        graph = self.graph
         before = self.cells.copy()
-        design.write_cells(before)
+        graph.write_cells(before)
         expected_changes = run_reference()
-        expected = design.read_cells()
-        design.write_cells(before)
+        expected = graph.read_cells()
+        graph.write_cells(before)
         changes = run_production()
         assert changes == expected_changes, name
         assert np.array_equal(self.cells, expected), name
@@ -189,12 +189,12 @@ def overshooting_run(netlist, library, period):
 def assert_rolled_back(synth):
     start, moved = synth.overshoot
     assert not np.array_equal(start, moved)
-    graph, design = synth.graph, synth.graph.design
+    graph = synth.graph
     # every cell is back at the pass's snapshot, in the array, in the
-    # bound graph and in the written-back netlist
+    # bound graph and in the graph's netlist
     assert np.array_equal(synth.cells, start)
     assert np.array_equal(graph.cell_ids, start)
-    assert np.array_equal(design.read_cells(), start)
+    assert np.array_equal(graph.read_cells(), start)
     # and the remap after the rollback left no trace of the pass
     fresh = TimingGraph(synth.netlist, synth.library, synth.sta_config)
     for name in ("loads", "arc_tables", "endpoint_setups", "launch_tables"):

@@ -9,7 +9,7 @@ from repro.errors import SynthesisError
 from repro.netlist.builder import NetlistBuilder
 from repro.netlist.simulate import simulate
 from repro.synth.constraints import SynthesisConstraints
-from repro.synth.mapping import initial_mapping
+from repro.sta.graph import TimingGraph
 from repro.synth.synthesizer import Synthesizer, synthesize
 from tests.kernels.reference import reference_kernels
 from tests.synth import reference
@@ -85,10 +85,10 @@ class TestBaselineSynthesis:
 
     def test_functionality_preserved(self, statistical_library):
         """Sizing and buffering must never change logic."""
-        netlist = wide_fanout_design(24)
-        synthesize(
-            netlist, statistical_library, SynthesisConstraints(clock_period=2.0)
-        )
+        netlist = synthesize(
+            wide_fanout_design(24), statistical_library,
+            SynthesisConstraints(clock_period=2.0),
+        ).netlist
         inputs = {p: False for p in netlist.input_ports()}
         inputs["d"] = True
         values = simulate(netlist, inputs, state={})
@@ -118,7 +118,8 @@ class TestBatchedStageValues:
             registered_adder(), statistical_library, constraints
         ).netlist
         sizer = Synthesizer(netlist, statistical_library, constraints)
-        sizer._rebuild_graph()
+        sizer.cells = TimingGraph(netlist, statistical_library).cell_ids
+        sizer._bind()
         timing = sizer._analyze()
         graph = sizer.graph
         design = graph.design
@@ -133,7 +134,7 @@ class TestBatchedStageValues:
                 if variant is not None:
                     queries.append((instance, variant.cell_name))
         positions = np.array([design.index[i.name] for i, _ in queries])
-        cell_ids = np.array([design.cells.index[cell] for _, cell in queries])
+        cell_ids = np.array([graph.cells.index[cell] for _, cell in queries])
         if kernel == "scalar":
             with reference_kernels():
                 delays, transitions, pin_ptr = sizer._stage_values(
@@ -179,6 +180,7 @@ class TestFanoutHandling:
         )
         assert result.met
         graph = result.timing.graph
+        netlist = result.netlist
         for instance, pin in [(i, p) for i in netlist for p in i.function.output_pins]:
             load = graph.loads[graph.net_ids[instance.net_of(pin)]]
             variant_cap = statistical_library.cell(instance.cell).pin(pin).max_capacitance
@@ -190,7 +192,7 @@ class TestFanoutHandling:
             netlist, statistical_library, SynthesisConstraints(clock_period=3.0)
         )
         if result.buffer_instances:
-            buffers = [i for i in netlist if i.name.startswith("synbuf")]
+            buffers = [i for i in result.netlist if i.name.startswith("synbuf")]
             assert buffers
             assert all(i.family == "INV" for i in buffers)
 
@@ -263,8 +265,7 @@ class TestLegalizeRepeatedDriverUpsize:
             clock_period=4.0, windows=self.slow_inverter_windows(statistical_library)
         )
         sizer = Synthesizer(netlist, statistical_library, constraints)
-        initial_mapping(netlist, sizer.variants)
-        sizer._rebuild_graph()
+        sizer._map()
         result = sizer._analyze()
         design = sizer.graph.design
         driver = design.index[driver_name]
@@ -272,9 +273,9 @@ class TestLegalizeRepeatedDriverUpsize:
         assert len(variants) > k
         before = sizer.cells.copy()
         assert reference.legalize_once(sizer, result) == k
-        expected = design.read_cells()
+        expected = sizer.graph.read_cells()
         changes = sizer._legalize_once(result)
-        names = design.cells.names
+        names = sizer.graph.cells.names
         assert names[before[driver]] == variants[0].cell_name
         assert names[sizer.cells[driver]] == variants[k].cell_name
         # nothing else moves: only the inverters' windows are broken,
@@ -308,18 +309,17 @@ class TestLegalizeRepeatedDriverUpsize:
             netlist, statistical_library,
             SynthesisConstraints(clock_period=4.0, windows=windows),
         )
-        initial_mapping(netlist, sizer.variants)
-        sizer._rebuild_graph()
+        sizer._map()
         result = sizer._analyze()
         design = sizer.graph.design
         flop = design.driver[design.in_nets[design.in_ptr[design.index[driver_name]]]]
         before = sizer.cells.copy()
         assert reference.legalize_once(sizer, result) == 3
-        expected = design.read_cells()
+        expected = sizer.graph.read_cells()
         assert sizer._legalize_once(result) == 3
         assert np.array_equal(sizer.cells, expected)
-        flop_family = reference.choices_of(sizer).variants(design.instances[flop].family)
-        names = design.cells.names
+        flop_family = reference.choices_of(sizer).variants(design.families[design.family_ids[flop]])
+        names = sizer.graph.cells.names
         assert names[before[flop]] == flop_family[0].cell_name
         assert names[sizer.cells[flop]] == flop_family[2].cell_name
 
